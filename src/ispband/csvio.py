@@ -1,23 +1,28 @@
 """CSV readers and writers for every artifact the package emits.
 
-All floating-point fields are written with 17 significant digits, which
-round-trips IEEE doubles exactly; readers hand back the same bits, and
-re-emitting a parsed file reproduces it byte for byte. Geometry travels
-in a single leading comment line on the data formats that need it.
+Each format is a table of (header name, kind) columns, kind being int, float
+or str, served by one writer and one validating reader. Floats carry 17
+significant digits, so readers return the written bits and re-emitting a
+parsed file reproduces it byte for byte. Boundary, source and reconstruction
+files start with one `# key=value ...` line holding geometry and run data.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import math
+import operator
 import sys
+import typing
+from array import array
 from typing import Iterable
 
 import numpy as np
 
 from .experiments import RegressionFit, SweepRecord
-from .forward import BoundaryData, SourceField
+from .forward import BoundaryData, SourceField, source_grid
 from .singular_system import ProblemGeometry, SpectrumTable
 from .tsvd import Reconstruction
 
@@ -32,241 +37,222 @@ __all__ = [
 
 _LN10 = math.log(10.0)
 
-SPECTRUM_HEADER = "m,A_m,log10_abs_H2,log10_sigma,sigma"
-SWEEP_HEADER = ("kappa,kappa0,B,B_minus,B_plus,B_tilde_minus,B_tilde_plus,"
-                "eps_minus,eps_plus,relerr_minus,relerr_plus")
-FITS_HEADER = "target,slope,intercept,mean_abs_error,std_dev"
-BOUNDARY_HEADER = "index,re,im"
-SOURCE_HEADER = "i_r,i_theta,rho,theta,re,im"
+
+def _dataclass_columns(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def _g17(x: float) -> str:
+_SPECTRUM = (("m", int), ("A_m", float), ("log10_abs_H2", float),
+             ("log10_sigma", float), ("sigma", float))
+_SWEEP = _dataclass_columns(SweepRecord)
+_FITS = _dataclass_columns(RegressionFit)
+_BOUNDARY = (("index", int), ("re", float), ("im", float))
+_GRID = (("i_r", int), ("i_theta", int), ("rho", float), ("theta", float),
+         ("re", float), ("im", float))
+
+
+def _header(columns) -> str:
+    return ",".join(name for name, _ in columns)
+
+
+SPECTRUM_HEADER = _header(_SPECTRUM)
+SWEEP_HEADER = _header(_SWEEP)
+FITS_HEADER = _header(_FITS)
+BOUNDARY_HEADER = _header(_BOUNDARY)
+SOURCE_HEADER = _header(_GRID)
+
+
+def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
+_FORMAT = {int: lambda v: str(int(v)), float: _g17, str: str}
+# numeric columns are parsed into packed arrays: 8 bytes a value, not a
+# Python object each
+_COLUMN = {int: lambda: array("q"), float: lambda: array("d"), str: list}
+
+
 @contextlib.contextmanager
-def _open_write(path):
-    if hasattr(path, "write"):
+def _open(path, mode: str):
+    """A stream as is, "-" as stdout for writing, else a path opened."""
+    if hasattr(path, "write" if mode == "w" else "read"):
         yield path
-    elif path == "-":
+    elif path == "-" and mode == "w":
         yield sys.stdout
     else:
-        with open(path, "w", newline="") as fh:
+        with open(path, mode, newline="") as fh:
             yield fh
 
 
-@contextlib.contextmanager
-def _open_read(path):
-    if hasattr(path, "read"):
-        yield path
-    else:
-        with open(path, "r", newline="") as fh:
-            yield fh
+def _write(path, columns, rows, meta: dict | None = None) -> None:
+    """Optional `# key=value ...` line, the header, then one line per row."""
+    fmts = [_FORMAT[kind] for _, kind in columns]
+    with _open(path, "w") as fh:
+        if meta is not None:
+            fh.write("# " + " ".join(f"{key}={_FORMAT[type(val)](val)}"
+                                     for key, val in meta.items()) + "\n")
+        fh.write(_header(columns) + "\n")
+        for row in rows:
+            fh.write(",".join([f(v) for f, v in zip(fmts, row)]) + "\n")
 
 
-def _fmt_meta(val) -> str:
-    if isinstance(val, str):
-        return val
-    if isinstance(val, float):
-        return _g17(val)
-    return str(int(val))
+class _Meta(dict):
+    def __missing__(self, key):
+        raise ValueError(f"metadata line lacks the key {key!r}")
 
 
-def _geometry_line(g: ProblemGeometry, **extra) -> str:
-    parts = [f"k={_g17(g.k)}", f"R0={_g17(g.R0)}", f"R={_g17(g.R)}"]
-    parts.extend(f"{key}={_fmt_meta(val)}" for key, val in extra.items())
-    return "# " + " ".join(parts)
+def _read(path, columns, meta: bool = False):
+    """(metadata dict of strings or None, one sequence per column) of a file
+    written by `_write`; every nonblank line must hold one field per column."""
+    header = _header(columns)
+    cols = [_COLUMN[kind]() for _, kind in columns]
+    kinds = [kind for _, kind in columns]
+    with _open(path, "r") as fh:
+        info = None
+        if meta:
+            line = fh.readline().rstrip("\n")
+            if not line.startswith("# "):
+                raise ValueError(f"expected a metadata line, got {line!r}")
+            info = _Meta(tok.partition("=")[::2] for tok in line[2:].split())
+        line = fh.readline().strip()
+        if line != header:
+            raise ValueError(f"unexpected header {line!r}, expected {header!r}")
+        for lineno, line in enumerate(fh, start=3 if meta else 2):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != len(columns):
+                raise ValueError(f"line {lineno}: {len(fields)} fields, "
+                                 f"expected {len(columns)} ({header})")
+            try:
+                for col, kind, val in zip(cols, kinds, fields):
+                    col.append(kind(val))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    return info, cols
 
 
-def _parse_header(line: str) -> dict:
-    if not line.startswith("# "):
-        raise ValueError(f"expected a geometry header line, got {line!r}")
-    out = {}
-    for token in line[2:].split():
-        key, _, val = token.partition("=")
-        out[key] = val
+def _geometry_meta(g: ProblemGeometry, **extra) -> dict:
+    return {"k": float(g.k), "R0": float(g.R0), "R": float(g.R), **extra}
+
+
+def _geometry(meta: dict) -> ProblemGeometry:
+    return ProblemGeometry(k=float(meta["k"]), R0=float(meta["R0"]),
+                           R=float(meta["R"]))
+
+
+def _complex(re, im) -> np.ndarray:
+    # assigning the parts keeps signed zeros and infinities that re + 1j*im
+    # would lose
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
 def write_spectrum(table: SpectrumTable, path) -> None:
     """Spectrum rows as m,A_m,log10_abs_H2,log10_sigma,sigma."""
-    with _open_write(path) as fh:
-        fh.write(SPECTRUM_HEADER + "\n")
-        for i in range(len(table)):
-            fh.write(",".join([
-                str(int(table.m[i])),
-                _g17(table.a[i]),
-                _g17(table.log_abs_h2[i] / _LN10),
-                _g17(table.log_sigma[i] / _LN10),
-                _g17(table.sigma[i]),
-            ]) + "\n")
+    _write(path, _SPECTRUM, zip(
+        table.m.tolist(), table.a.tolist(),
+        (table.log_abs_h2 / _LN10).tolist(),
+        (table.log_sigma / _LN10).tolist(), table.sigma.tolist()))
 
 
 def read_spectrum(path) -> dict:
     """Columns of a spectrum CSV as arrays, keyed by header name."""
-    with _open_read(path) as fh:
-        header = fh.readline().strip()
-        if header != SPECTRUM_HEADER:
-            raise ValueError(f"unexpected spectrum header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = list(zip(*rows))
-    return {
-        "m": np.array([int(v) for v in cols[0]]),
-        "A_m": np.array([float(v) for v in cols[1]]),
-        "log10_abs_H2": np.array([float(v) for v in cols[2]]),
-        "log10_sigma": np.array([float(v) for v in cols[3]]),
-        "sigma": np.array([float(v) for v in cols[4]]),
-    }
+    _, cols = _read(path, _SPECTRUM)
+    return {name: np.array(col, dtype=kind)
+            for (name, kind), col in zip(_SPECTRUM, cols)}
+
+
+def _getter(columns):
+    return operator.attrgetter(*(name for name, _ in columns))
 
 
 def write_sweep(records: Iterable[SweepRecord], path) -> None:
-    with _open_write(path) as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for r in records:
-            fh.write(",".join([
-                _g17(r.kappa), _g17(r.kappa0),
-                str(r.B), str(r.B_minus), str(r.B_plus),
-                str(r.B_tilde_minus), str(r.B_tilde_plus),
-                str(r.eps_minus), str(r.eps_plus),
-                _g17(r.relerr_minus), _g17(r.relerr_plus),
-            ]) + "\n")
+    _write(path, _SWEEP, map(_getter(_SWEEP), records))
 
 
 def read_sweep(path) -> list[SweepRecord]:
-    with _open_read(path) as fh:
-        header = fh.readline().strip()
-        if header != SWEEP_HEADER:
-            raise ValueError(f"unexpected sweep header {header!r}")
-        out = []
-        for line in fh:
-            if not line.strip():
-                continue
-            v = line.strip().split(",")
-            out.append(SweepRecord(
-                kappa=float(v[0]), kappa0=float(v[1]), B=int(v[2]),
-                B_minus=int(v[3]), B_plus=int(v[4]),
-                B_tilde_minus=int(v[5]), B_tilde_plus=int(v[6]),
-                eps_minus=int(v[7]), eps_plus=int(v[8]),
-                relerr_minus=float(v[9]), relerr_plus=float(v[10])))
-    return out
+    _, cols = _read(path, _SWEEP)
+    return [SweepRecord(*row) for row in zip(*cols)]
 
 
 def write_fits(fits: Iterable[RegressionFit], path) -> None:
-    with _open_write(path) as fh:
-        fh.write(FITS_HEADER + "\n")
-        for f in fits:
-            fh.write(",".join([
-                f.target, _g17(f.slope), _g17(f.intercept),
-                _g17(f.mean_abs_error), _g17(f.std_dev),
-            ]) + "\n")
+    _write(path, _FITS, map(_getter(_FITS), fits))
 
 
 def read_fits(path) -> list[RegressionFit]:
-    with _open_read(path) as fh:
-        header = fh.readline().strip()
-        if header != FITS_HEADER:
-            raise ValueError(f"unexpected fits header {header!r}")
-        out = []
-        for line in fh:
-            if not line.strip():
-                continue
-            v = line.strip().split(",")
-            out.append(RegressionFit(
-                target=v[0], slope=float(v[1]), intercept=float(v[2]),
-                mean_abs_error=float(v[3]), std_dev=float(v[4])))
-    return out
+    _, cols = _read(path, _FITS)
+    return [RegressionFit(*row) for row in zip(*cols)]
 
 
 def write_boundary(bd: BoundaryData, path) -> None:
-    with _open_write(path) as fh:
-        fh.write(_geometry_line(bd.geometry, n_s=bd.n_s,
-                                noise=float(bd.noise_level)) + "\n")
-        fh.write(BOUNDARY_HEADER + "\n")
-        for i, v in enumerate(bd.values):
-            fh.write(f"{i},{_g17(v.real)},{_g17(v.imag)}\n")
+    _write(path, _BOUNDARY,
+           zip(range(bd.n_s), bd.values.real.tolist(), bd.values.imag.tolist()),
+           _geometry_meta(bd.geometry, n_s=bd.n_s,
+                          noise=float(bd.noise_level)))
 
 
 def read_boundary(path) -> BoundaryData:
-    with _open_read(path) as fh:
-        meta = _parse_header(fh.readline().rstrip("\n"))
-        header = fh.readline().strip()
-        if header != BOUNDARY_HEADER:
-            raise ValueError(f"unexpected boundary header {header!r}")
-        vals = []
-        for line in fh:
-            if not line.strip():
-                continue
-            _, re_s, im_s = line.strip().split(",")
-            vals.append(complex(float(re_s), float(im_s)))
-    g = ProblemGeometry(k=float(meta["k"]), R0=float(meta["R0"]),
-                        R=float(meta["R"]))
-    return BoundaryData(geometry=g, values=np.array(vals, dtype=complex),
+    meta, (index, re, im) = _read(path, _BOUNDARY, meta=True)
+    if not np.array_equal(index, np.arange(int(meta["n_s"]))):
+        raise ValueError(f"boundary rows must be indexed 0..n_s-1 in order "
+                         f"with n_s={meta['n_s']}")
+    return BoundaryData(geometry=_geometry(meta), values=_complex(re, im),
                         noise_level=float(meta.get("noise", 0.0)))
 
 
-def _write_source_rows(fh, s: SourceField) -> None:
-    fh.write(SOURCE_HEADER + "\n")
-    for i in range(s.n_r):
-        for j in range(s.n_theta):
-            v = s.values[i, j]
-            fh.write(f"{i},{j},{_g17(s.rho[i])},{_g17(s.theta[j])},"
-                     f"{_g17(v.real)},{_g17(v.imag)}\n")
+def _grid_rows(s: SourceField):
+    theta = s.theta.tolist()
+    for i, (rho, ring) in enumerate(zip(s.rho.tolist(), s.values)):
+        for j, v in enumerate(ring.tolist()):
+            yield i, j, rho, theta[j], v.real, v.imag
 
 
-def _read_source_rows(fh, meta: dict) -> SourceField:
-    from .forward import source_grid
-
-    header = fh.readline().strip()
-    if header != SOURCE_HEADER:
-        raise ValueError(f"unexpected source header {header!r}")
+def _read_grid(path):
+    """Source field and metadata of a source or reconstruction file."""
+    meta, (i_r, i_theta, rho, theta, re, im) = _read(path, _GRID, meta=True)
+    g = _geometry(meta)
     n_r, n_theta = int(meta["n_r"]), int(meta["n_theta"])
-    g = ProblemGeometry(k=float(meta["k"]), R0=float(meta["R0"]),
-                        R=float(meta["R"]))
-    rho = np.zeros(n_r)
-    theta = np.zeros(n_theta)
-    values = np.zeros((n_r, n_theta), dtype=complex)
-    for line in fh:
-        if not line.strip():
-            continue
-        i_s, j_s, rho_s, th_s, re_s, im_s = line.strip().split(",")
-        i, j = int(i_s), int(j_s)
-        rho[i] = float(rho_s)
-        theta[j] = float(th_s)
-        values[i, j] = complex(float(re_s), float(im_s))
     # the radial rule is canonical for (n_r, R0); rebuild its weights
     grid = source_grid(g, n_r, n_theta)
+    if not (np.array_equal(i_r, np.repeat(np.arange(n_r), n_theta))
+            and np.array_equal(i_theta, np.tile(np.arange(n_theta), n_r))):
+        raise ValueError(f"rows must cover the {n_r}x{n_theta} grid exactly "
+                         "once, in row-major order")
+    rho = np.array(rho).reshape(n_r, n_theta)
+    theta = np.array(theta).reshape(n_r, n_theta)
+    if np.any(rho != rho[:, :1]) or np.any(theta != theta[:1]):
+        raise ValueError("rho must be constant along each ring and theta "
+                         "along each ray")
+    rho, theta = rho[:, 0].copy(), theta[0].copy()
     if not np.allclose(grid.rho, rho, rtol=0, atol=1e-12 * g.R0):
         raise ValueError("radial nodes in file do not match the canonical rule")
-    return SourceField(geometry=g, rho=rho, radial_weights=grid.radial_weights,
-                       theta=theta, values=values)
+    source = SourceField(geometry=g, rho=rho,
+                         radial_weights=grid.radial_weights, theta=theta,
+                         values=_complex(re, im).reshape(n_r, n_theta))
+    return source, meta
 
 
 def write_source(s: SourceField, path) -> None:
-    with _open_write(path) as fh:
-        fh.write(_geometry_line(s.geometry, n_r=s.n_r,
-                                n_theta=s.n_theta) + "\n")
-        _write_source_rows(fh, s)
+    _write(path, _GRID, _grid_rows(s),
+           _geometry_meta(s.geometry, n_r=s.n_r, n_theta=s.n_theta))
 
 
 def read_source(path) -> SourceField:
-    with _open_read(path) as fh:
-        meta = _parse_header(fh.readline().rstrip("\n"))
-        return _read_source_rows(fh, meta)
+    return _read_grid(path)[0]
 
 
 def write_reconstruction(rec: Reconstruction, path) -> None:
     s = rec.source
-    with _open_write(path) as fh:
-        fh.write(_geometry_line(s.geometry, n_r=s.n_r, n_theta=s.n_theta,
-                                N=rec.N, residual=float(rec.residual),
-                                policy=rec.policy) + "\n")
-        _write_source_rows(fh, s)
+    _write(path, _GRID, _grid_rows(s), _geometry_meta(
+        s.geometry, n_r=s.n_r, n_theta=s.n_theta, N=int(rec.N),
+        residual=float(rec.residual), policy=rec.policy))
 
 
 def read_reconstruction(path) -> Reconstruction:
-    with _open_read(path) as fh:
-        meta = _parse_header(fh.readline().rstrip("\n"))
-        source = _read_source_rows(fh, meta)
+    source, meta = _read_grid(path)
     return Reconstruction(source=source, N=int(meta["N"]),
                           residual=float(meta["residual"]),
                           policy=meta["policy"])

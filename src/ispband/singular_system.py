@@ -108,8 +108,11 @@ def a_m(m, kappa0: float):
     if not (math.isfinite(kappa0) and kappa0 > 0.0):
         raise ValueError(f"kappa0 must be positive, got {kappa0!r}")
     marr = np.abs(np.asarray(m, dtype=int))
-    jm = special.jv(marr, kappa0)
-    rad = jm * jm - special.jv(marr - 1, kappa0) * special.jv(marr + 1, kappa0)
+    # one row J_{lo-1} .. J_{hi+1}, sliced for the orders m-1, m and m+1
+    lo, hi = (int(marr.min()), int(marr.max())) if marr.size else (0, 0)
+    row = special.jv(np.arange(lo - 1, hi + 2), kappa0)
+    jm = row[marr - lo + 1]
+    rad = jm * jm - row[marr - lo] * row[marr - lo + 2]
     scale = np.maximum(jm * jm, 1e-300)
     if np.any(rad < -1e-14 * scale):
         worst = int(marr.flat[int(np.argmin(rad / scale))])

@@ -90,12 +90,21 @@ def bessel_y(m, x):
     return y
 
 
-def _log_hankel_tail(m: int, x: float, m_start: int,
-                     j0: float, j1: float, y0: float, y1: float):
-    """Continue (J, Y) upward from orders (m_start-1, m_start) to m with
-    joint rescaling. Returns (log|H_m|^2, arg H_m)."""
+def _hankel_recurrence(m: int, x: float, start: int = 1, seed=None,
+                       out=None):
+    """Continue (J, Y) upward from orders (start-1, start) to m with joint
+    rescaling. Returns (log|H_m|^2, arg H_m).
+
+    seed is (J_{start-1}, J_start, Y_{start-1}, Y_start) and defaults to the
+    library values at orders 0 and 1. If out is given, out[mu] receives
+    log|H_mu|^2 for every order start < mu <= m.
+    """
+    if seed is None:
+        seed = (special.jv(0, x), special.jv(1, x),
+                special.yv(0, x), special.yv(1, x))
+    j0, j1, y0, y1 = seed
     logscale = 0.0
-    for mu in range(m_start, m):
+    for mu in range(start, m):
         j2 = (2.0 * mu / x) * j1 - j0
         y2 = (2.0 * mu / x) * y1 - y0
         j0, j1, y0, y1 = j1, j2, y1, y2
@@ -106,8 +115,9 @@ def _log_hankel_tail(m: int, x: float, m_start: int,
             y0 /= a
             y1 /= a
             logscale += math.log(a)
-    mag = math.hypot(j1, y1)
-    return 2.0 * (math.log(mag) + logscale), math.atan2(y1, j1)
+        if out is not None:
+            out[mu + 1] = 2.0 * (math.log(math.hypot(j1, y1)) + logscale)
+    return 2.0 * (math.log(math.hypot(j1, y1)) + logscale), math.atan2(y1, j1)
 
 
 def log_hankel_abs2(m, x) -> float:
@@ -125,13 +135,7 @@ def log_hankel_abs2(m, x) -> float:
     if math.isfinite(y):
         j = special.jv(m, x)
         return 2.0 * math.log(math.hypot(j, y))
-    return _recurrence_entry(m, x)[0]
-
-
-def _recurrence_entry(m: int, x: float):
-    j0, j1 = special.jv(0, x), special.jv(1, x)
-    y0, y1 = special.yv(0, x), special.yv(1, x)
-    return _log_hankel_tail(m, x, 1, j0, j1, y0, y1)
+    return _hankel_recurrence(m, x)[0]
 
 
 def hankel_phase(m, x) -> float:
@@ -148,7 +152,7 @@ def hankel_phase(m, x) -> float:
         j = special.jv(m, x)
         if abs(j) > 1e-280 or abs(y) > 1e-280:
             return math.atan2(y, j)
-    return _recurrence_entry(m, x)[1]
+    return _hankel_recurrence(m, x)[1]
 
 
 def log_hankel_abs2_row(m_max: int, x: float) -> np.ndarray:
@@ -173,22 +177,8 @@ def log_hankel_abs2_row(m_max: int, x: float) -> np.ndarray:
     t = int(np.argmin(finite))
     if t < 2:
         raise ArithmeticError(f"Y_m({x:g}) saturates already at m={t}")
-    j0, j1 = float(J[t - 2]), float(J[t - 1])
-    y0, y1 = float(Y[t - 2]), float(Y[t - 1])
-    logscale = 0.0
-    for mu in range(t - 1, m_max):
-        j2 = (2.0 * mu / x) * j1 - j0
-        y2 = (2.0 * mu / x) * y1 - y0
-        j0, j1, y0, y1 = j1, j2, y1, y2
-        a = abs(y1)
-        if a > _RESCALE_AT:
-            j0 /= a
-            j1 /= a
-            y0 /= a
-            y1 /= a
-            logscale += math.log(a)
-        if mu + 1 > t - 1:
-            out[mu + 1] = 2.0 * (math.log(math.hypot(j1, y1)) + logscale)
+    seed = (float(J[t - 2]), float(J[t - 1]), float(Y[t - 2]), float(Y[t - 1]))
+    _hankel_recurrence(m_max, x, start=t - 1, seed=seed, out=out)
     return out
 
 

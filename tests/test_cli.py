@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -199,9 +200,14 @@ class TestReconstructCommand:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
+        # the child must import the package under test, installed or not
+        root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=root + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "ispband.cli", "bandwidth",
              "--kappa0", "12", "--kappa", "12"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         assert proc.stdout.startswith("B=")

@@ -123,3 +123,164 @@ class TestReconstructionCsv:
         assert back.policy == "B-"
         assert back.residual == rec.residual
         assert np.array_equal(back.source.values, rec.source.values)
+
+
+def _edit_row(text: str, row: int, col: int, value: str) -> str:
+    """Replace one field of data row `row` in a file with a metadata line."""
+    lines = text.splitlines(keepends=True)
+    fields = lines[2 + row].rstrip("\n").split(",")
+    fields[col] = value
+    lines[2 + row] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
+class TestMalformedInput:
+    """Every reader goes through one parser; each of these must raise."""
+
+    @pytest.fixture(scope="class")
+    def source_text(self, g_equal_10pi):
+        grid = ib.source_grid(g_equal_10pi, 6, 8,
+                              fn=lambda r, t: r * np.exp(1j * t))
+        return csvio.dumps(csvio.write_source, grid)
+
+    def test_truncated_source_rejected(self, source_text):
+        short = "".join(source_text.splitlines(keepends=True)[:-3])
+        with pytest.raises(ValueError, match="grid"):
+            csvio.read_source(io.StringIO(short))
+
+    def test_truncated_reconstruction_rejected(self, g_equal_10pi):
+        bd = ib.BoundaryData(geometry=g_equal_10pi, values=np.exp(
+            1j * 2.0 * math.pi * 3.0 * np.arange(32) / 32))
+        rec = ib.tsvd_reconstruct(ib.modal_decompose(bd, 8), 4, n_r=6,
+                                  n_theta=10, policy="B-")
+        text = csvio.dumps(csvio.write_reconstruction, rec)
+        short = "".join(text.splitlines(keepends=True)[:-1])
+        with pytest.raises(ValueError, match="grid"):
+            csvio.read_reconstruction(io.StringIO(short))
+
+    def test_swapped_boundary_indices_rejected(self, g_equal_10pi):
+        bd = ib.BoundaryData(geometry=g_equal_10pi,
+                             values=np.arange(6) * (1 + 2j))
+        text = csvio.dumps(csvio.write_boundary, bd)
+        swapped = _edit_row(_edit_row(text, 1, 0, "2"), 2, 0, "1")
+        with pytest.raises(ValueError, match="indexed"):
+            csvio.read_boundary(io.StringIO(swapped))
+
+    def test_sweep_row_with_extra_field_rejected(self):
+        records = ex.run_sweep(n_points=3, kappa_range=(5.0, 20.0))
+        lines = csvio.dumps(csvio.write_sweep, records).splitlines()
+        lines[2] += ",7"
+        with pytest.raises(ValueError, match="line 3: 12 fields"):
+            csvio.read_sweep(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_sweep_row_with_missing_field_rejected(self):
+        records = ex.run_sweep(n_points=3, kappa_range=(5.0, 20.0))
+        lines = csvio.dumps(csvio.write_sweep, records).splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        with pytest.raises(ValueError, match="line 4: 10 fields"):
+            csvio.read_sweep(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_negative_angular_index_rejected(self, source_text):
+        bad = _edit_row(source_text, 47, 1, "-1")
+        with pytest.raises(ValueError, match="grid"):
+            csvio.read_source(io.StringIO(bad))
+
+    def test_radius_disagreeing_inside_a_ring_rejected(self, source_text):
+        rho = source_text.splitlines()[2].split(",")[2]
+        # the first node's radius on the second ring's middle row
+        bad = _edit_row(source_text, 8 + 3, 2, rho)
+        with pytest.raises(ValueError, match="ring"):
+            csvio.read_source(io.StringIO(bad))
+
+    def test_angle_disagreeing_along_a_ray_rejected(self, source_text):
+        bad = _edit_row(source_text, 2 * 8 + 5, 3, "0.5")
+        with pytest.raises(ValueError, match="ray"):
+            csvio.read_source(io.StringIO(bad))
+
+    def test_unparsable_field_names_its_line(self):
+        text = csvio.FITS_HEADER + "\nB,0.5,1,x,2\n"
+        with pytest.raises(ValueError, match="line 2"):
+            csvio.read_fits(io.StringIO(text))
+
+    def test_missing_metadata_key_rejected(self, source_text):
+        lines = source_text.splitlines(keepends=True)
+        lines[0] = lines[0].replace(" n_theta=8", "")
+        with pytest.raises(ValueError, match="n_theta"):
+            csvio.read_source(io.StringIO("".join(lines)))
+
+
+class TestGoldenBytes:
+    """Writer output on hand-made objects, pinned byte for byte."""
+
+    G = ib.ProblemGeometry(k=2.0, R0=0.5, R=1.0)
+    GRID_ROWS = ("i_r,i_theta,rho,theta,re,im\n"
+                 "0,0,0.125,0,1,2\n"
+                 "0,1,0.125,3.1415926535897931,-0,-0.5\n"
+                 "1,0,0.375,0,3,0\n"
+                 "1,1,0.375,3.1415926535897931,1e-300,0\n")
+
+    def _source(self):
+        return ib.SourceField(
+            geometry=self.G, rho=np.array([0.125, 0.375]),
+            radial_weights=np.array([0.25, 0.25]),
+            theta=np.array([0.0, math.pi]),
+            values=np.array([[1 + 2j, -0.5j], [3.0, 1e-300 + 0j]]))
+
+    def test_spectrum(self):
+        table = ss.SpectrumTable(
+            geometry=self.G, m=np.array([0, 1, 2]),
+            a=np.array([0.1, 0.5, 0.0]),
+            log_abs_h2=np.array([0.0, -1.5, 700.0]),
+            log_sigma=np.array([-0.25, -745.5, -np.inf]),
+            sigma=np.array([0.75, 5e-324, 0.0]))
+        assert csvio.dumps(csvio.write_spectrum, table) == (
+            "m,A_m,log10_abs_H2,log10_sigma,sigma\n"
+            "0,0.10000000000000001,0,-0.10857362047581294,0.75\n"
+            "1,0.5,-0.65144172285487767,-323.76653625887423,"
+            "4.9406564584124654e-324\n"
+            "2,0,304.00613733227624,-inf,0\n")
+
+    def test_sweep(self):
+        records = [ex.SweepRecord(
+            kappa=10.0, kappa0=5.0, B=7, B_minus=6, B_plus=9,
+            B_tilde_minus=6, B_tilde_plus=11, eps_minus=1, eps_plus=-2,
+            relerr_minus=1 / 7, relerr_plus=math.inf)]
+        text = csvio.dumps(csvio.write_sweep, records)
+        assert text == (
+            "kappa,kappa0,B,B_minus,B_plus,B_tilde_minus,B_tilde_plus,"
+            "eps_minus,eps_plus,relerr_minus,relerr_plus\n"
+            "10,5,7,6,9,6,11,1,-2,0.14285714285714285,inf\n")
+        assert csvio.read_sweep(io.StringIO(text)) == records
+
+    def test_fits(self):
+        fits = [ex.RegressionFit(target="B-", slope=0.9, intercept=-1.25,
+                                 mean_abs_error=0.3, std_dev=1e-17)]
+        text = csvio.dumps(csvio.write_fits, fits)
+        assert text == (
+            "target,slope,intercept,mean_abs_error,std_dev\n"
+            "B-,0.90000000000000002,-1.25,0.29999999999999999,"
+            "1.0000000000000001e-17\n")
+        assert csvio.read_fits(io.StringIO(text)) == fits
+
+    def test_boundary(self):
+        bd = ib.BoundaryData(geometry=self.G, noise_level=0.01, values=np.array(
+            [1 + 0.5j, complex(-0.0, 0.1), 2.0 - 3.0j]))
+        text = csvio.dumps(csvio.write_boundary, bd)
+        assert text == ("# k=2 R0=0.5 R=1 n_s=3 noise=0.01\n"
+                        "index,re,im\n"
+                        "0,1,0.5\n"
+                        "1,-0,0.10000000000000001\n"
+                        "2,2,-3\n")
+        back = csvio.read_boundary(io.StringIO(text))
+        assert csvio.dumps(csvio.write_boundary, back) == text
+
+    def test_source(self):
+        assert csvio.dumps(csvio.write_source, self._source()) == (
+            "# k=2 R0=0.5 R=1 n_r=2 n_theta=2\n" + self.GRID_ROWS)
+
+    def test_reconstruction(self):
+        rec = ib.Reconstruction(source=self._source(), N=1, residual=2.5e-3,
+                                policy="B-")
+        assert csvio.dumps(csvio.write_reconstruction, rec) == (
+            "# k=2 R0=0.5 R=1 n_r=2 n_theta=2 N=1 "
+            "residual=0.0025000000000000001 policy=B-\n" + self.GRID_ROWS)
