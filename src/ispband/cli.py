@@ -127,11 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="truncation policy")
     p_rec.add_argument("--N", type=int, default=None,
                        help="manual truncation (policy N)")
-    p_rec.add_argument("--nr", type=int, default=64, help="radial grid size")
+    p_rec.add_argument("--nr", type=int, default=None,
+                       help="radial grid size (default: from kappa0)")
     p_rec.add_argument("--ntheta", type=int, default=None,
-                       help="angular grid size of the source disk")
+                       help="angular grid size of the source disk "
+                            "(default: 2 max(horizon, N) + 2)")
     p_rec.add_argument("--ns", type=int, default=None,
-                       help="number of boundary samples")
+                       help="number of boundary samples "
+                            "(default: 2 max(horizon, N) + 2)")
     p_rec.add_argument("--out", default="-",
                        help="reconstruction CSV path, - for stdout")
     return parser
@@ -188,6 +191,21 @@ def _cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
+def _resolving_grids(g: ProblemGeometry, horizon: int,
+                     N: int) -> tuple[int, int]:
+    """Default (n_r, n_theta = n_s) of a reconstruction.
+
+    The angular grids resolve every mode up to max(horizon, N) without
+    aliasing. The Gauss-Legendre rule in radius integrates |psi_m|^2,
+    m <= kappa0, to the double-precision floor: a 1e-10 error needs
+    kappa0/2 + c kappa0^(1/3) nodes, and the rule keeps 16 or more to
+    spare over kappa0 in [2, 1000].
+    """
+    n_r = max(64, math.ceil(g.kappa0 / 2.0 + 4.0 * g.kappa0 ** (1.0 / 3.0))
+              + 16)
+    return n_r, 2 * max(horizon, N) + 2
+
+
 def _cmd_reconstruct(args, parser) -> int:
     g = _geometry_from(args, parser)
     if args.noise < 0.0:
@@ -195,17 +213,19 @@ def _cmd_reconstruct(args, parser) -> int:
     terms = _parse_source_spec(args.source)
     m_top = max(abs(m) for _, m in terms)
     horizon = max(default_m_max(g.kappa0), m_top)
-    n_theta = args.ntheta if args.ntheta is not None else max(64, 4 * m_top + 8)
-    truth = source_grid(
-        g, args.nr, n_theta,
-        fn=lambda rho, th: sum(c * psi_eval(m, g, rho, th)
-                               for c, m in terms))
-    data = synthesize_measurement(truth, args.noise, args.seed,
-                                  modes=horizon, n_s=args.ns)
-    coeffs = modal_decompose(data, horizon)
     n_trunc = pick_truncation(g, args.policy,
                               n=args.N if args.policy == "N" else None)
-    rec = tsvd_reconstruct(coeffs, n_trunc, g, n_r=args.nr,
+    n_r, n_ang = _resolving_grids(g, horizon, n_trunc)
+    n_r = args.nr if args.nr is not None else n_r
+    n_theta = args.ntheta if args.ntheta is not None else n_ang
+    truth = source_grid(
+        g, n_r, n_theta,
+        fn=lambda rho, th: sum(c * psi_eval(m, g, rho, th)
+                               for c, m in terms))
+    data = synthesize_measurement(truth, args.noise, args.seed, modes=horizon,
+                                  n_s=args.ns if args.ns is not None else n_ang)
+    coeffs = modal_decompose(data, horizon)
+    rec = tsvd_reconstruct(coeffs, n_trunc, g, n_r=n_r,
                            n_theta=n_theta, policy=args.policy)
     csvio.write_reconstruction(rec, args.out)
     diff = rec.source.values - truth.values

@@ -67,7 +67,16 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-_FORMAT = {int: lambda v: str(int(v)), float: _g17, str: str}
+def _text(v) -> str:
+    # a comma or a line break would split the cell when read back
+    if "," in v or "\n" in v or "\r" in v:
+        raise ValueError(f"text field {v!r} holds a comma or a line break")
+    return v
+
+
+_FORMAT = {int: lambda v: str(int(v)), float: _g17, str: _text}
+
+
 # numeric columns are parsed into packed arrays: 8 bytes a value, not a
 # Python object each
 _COLUMN = {int: lambda: array("q"), float: lambda: array("d"), str: list}
@@ -85,14 +94,23 @@ def _open(path, mode: str):
             yield fh
 
 
+def _meta_line(meta: dict) -> str:
+    tokens = []
+    for key, val in meta.items():
+        text = _FORMAT[type(val)](val)
+        if "=" in text or any(ch.isspace() for ch in text):
+            raise ValueError(f"metadata value {key}={text!r} holds "
+                             "whitespace or '=' and would not read back")
+        tokens.append(f"{key}={text}")
+    return "# " + " ".join(tokens) + "\n"
+
+
 def _write(path, columns, rows, meta: dict | None = None) -> None:
     """Optional `# key=value ...` line, the header, then one line per row."""
     fmts = [_FORMAT[kind] for _, kind in columns]
+    first = _meta_line(meta) if meta is not None else ""
     with _open(path, "w") as fh:
-        if meta is not None:
-            fh.write("# " + " ".join(f"{key}={_FORMAT[type(val)](val)}"
-                                     for key, val in meta.items()) + "\n")
-        fh.write(_header(columns) + "\n")
+        fh.write(first + _header(columns) + "\n")
         for row in rows:
             fh.write(",".join([f(v) for f, v in zip(fmts, row)]) + "\n")
 

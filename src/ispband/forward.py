@@ -38,8 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .singular_system import (ProblemGeometry, build_spectrum, default_m_max,
-                              phi_eval, psi_eval)
+from .singular_system import (ProblemGeometry, _psi_project, _psi_radial,
+                              _signed_hankel_phase_row, build_spectrum,
+                              default_m_max)
 
 __all__ = [
     "SourceField",
@@ -62,7 +63,8 @@ _KERNEL_TAIL_TOL = 1e-10
 class SourceField:
     """Complex samples of a source on the polar quadrature grid of the disk.
 
-    values[i, j] belongs to the node (rho[i], theta[j]). area_weights
+    values[i, j] belongs to the node (rho[i], theta[j] = 2 pi j / n_theta;
+    the modal transforms rely on it, checked to 1e-12 rad). area_weights
     carries the full 2D quadrature weight of each node and sums to the
     disk area within round-off.
     """
@@ -81,6 +83,9 @@ class SourceField:
             raise ValueError("quadrature weights do not integrate the disk area")
         if self.values.shape != (len(self.rho), len(self.theta)):
             raise ValueError("values must be shaped (n_r, n_theta)")
+        uniform = 2.0 * math.pi * np.arange(self.n_theta) / self.n_theta
+        if np.any(np.abs(self.theta - uniform) > 1e-12):
+            raise ValueError("theta must be the uniform angles 2 pi j / n_theta")
 
     @property
     def n_r(self) -> int:
@@ -276,7 +281,10 @@ def apply_forward_analytic(s: SourceField, modes: int,
 
     U(theta_j) = sum over |m| <= modes of sigma_{|m|} (s, psi_m) phi_m,
     with the inner product taken by the source field's own quadrature.
-    Degenerate modes (A_m = 0) are skipped with a warning.
+    Both the projection and the sum over m run as one FFT in angle, with
+    mode m in bin m mod n (n = n_theta, then n_s), which reproduces the
+    per-mode sums on any grid. Degenerate modes (A_m = 0) are skipped with
+    a warning.
     """
     g = s.geometry
     modes = int(modes)
@@ -284,18 +292,19 @@ def apply_forward_analytic(s: SourceField, modes: int,
     if n_s is None:
         n_s = 2 * max(modes, default_m_max(g.kappa0)) + 2
     n_s = int(n_s)
-    bangles = 2.0 * math.pi * np.arange(n_s) / n_s
-    wa = s.area_weights
-    out = np.zeros(n_s, dtype=complex)
-    for m in range(-modes, modes + 1):
-        if table.a[abs(m)] == 0.0:
-            warnings.warn(f"skipping degenerate mode m={m} (A_m = 0)",
-                          RuntimeWarning, stacklevel=2)
-            continue
-        coef = np.sum(wa * s.values * np.conj(psi_eval(m, g, s.rho[:, None],
-                                                       s.theta[None, :])))
-        out += table.sigma[abs(m)] * coef * phi_eval(m, g, bangles)
-    return BoundaryData(geometry=g, values=out, noise_level=0.0)
+    ms = np.arange(-modes, modes + 1)
+    for m in ms[table.a[np.abs(ms)] == 0.0]:
+        warnings.warn(f"skipping degenerate mode m={m} (A_m = 0)",
+                      RuntimeWarning, stacklevel=2)
+    ms = ms[table.a[np.abs(ms)] != 0.0]
+    bins = np.zeros(n_s, dtype=complex)
+    if ms.size:
+        coef = _psi_project(s.area_weights * s.values, ms,
+                            _psi_radial(ms, g, s.rho))
+        np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
+                  * np.exp(1j * _signed_hankel_phase_row(ms, g.kappa))
+                  / math.sqrt(2.0 * math.pi * g.R))
+    return BoundaryData(geometry=g, values=np.fft.ifft(bins, norm="forward"))
 
 
 def synthesize_measurement(s: SourceField, noise_level: float, seed: int,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .specfun import hankel_phase, log_hankel_abs2, log_hankel_abs2_row
+from .specfun import _hankel_recurrence, log_hankel_abs2, log_hankel_abs2_row
 
 __all__ = [
     "ProblemGeometry",
@@ -194,11 +194,45 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     return complex(out) if out.ndim == 0 else out
 
 
-def _signed_hankel_phase(m: int, kappa: float) -> float:
-    # H_{-m} = (-1)^m H_m, so odd negative orders pick up a phase of pi
-    ph = hankel_phase(abs(m), kappa)
-    if m < 0 and (m % 2):
-        ph += math.pi
+def _psi_radial(ms, g: ProblemGeometry, rho) -> np.ndarray:
+    """Radial factors J_m(k rho_i) / (sqrt(pi) R0 A_m) of nondegenerate
+    modes psi_m, (n_r, len(ms)), from one jv call and J_{-m} = (-1)^m J_m."""
+    ms = np.asarray(ms)
+    jv = special.jv(np.arange(np.abs(ms).max() + 1), g.k * rho[:, None])
+    sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
+    return (jv[:, np.abs(ms)] * sign
+            / (math.sqrt(math.pi) * g.R0 * a_m(ms, g.kappa0)))
+
+
+def _psi_synthesize(w, ms, radial, n_theta: int) -> np.ndarray:
+    """sum_m w_m psi_m at (rho_i, 2 pi j / n_theta). Mode m lands in FFT bin
+    m mod n_theta, so aliased grids get the per-mode sums too."""
+    bins = np.zeros((len(radial), n_theta), dtype=complex)
+    np.add.at(bins.T, np.asarray(ms) % n_theta, (radial * w).T)
+    return np.fft.ifft(bins, axis=1, norm="forward")
+
+
+def _psi_project(P, ms, radial) -> np.ndarray:
+    """sum_ij P_ij conj(psi_m(rho_i, 2 pi j / n_theta)) for every m."""
+    F = np.fft.fft(P, axis=1)
+    return np.sum(radial * F[:, np.asarray(ms) % P.shape[1]], axis=0)
+
+
+def _signed_hankel_phase_row(ms, kappa: float) -> np.ndarray:
+    """arg H_m^(1)(kappa) for every m in ms, from one jv and one yv call.
+
+    H_{-m} = (-1)^m H_m, so odd negative orders pick up a phase of pi.
+    Orders where hankel_phase takes its recurrence take it here too.
+    """
+    ms = np.asarray(ms)
+    orders, where = np.unique(np.abs(ms), return_inverse=True)
+    J, Y = special.jv(orders, kappa), special.yv(orders, kappa)
+    ph = np.array([
+        math.atan2(y, j)
+        if math.isfinite(y) and (abs(j) > 1e-280 or abs(y) > 1e-280)
+        else _hankel_recurrence(m, kappa)[1]
+        for m, j, y in zip(orders.tolist(), J.tolist(), Y.tolist())])[where]
+    ph[(ms < 0) & (ms % 2 == 1)] += math.pi
     return ph
 
 
@@ -206,6 +240,6 @@ def phi_eval(m: int, g: ProblemGeometry, theta):
     """Left singular function phi_m at angles theta of the measurement circle."""
     m = int(m)
     theta = np.asarray(theta, dtype=float)
-    ph = _signed_hankel_phase(m, g.kappa)
+    ph = float(_signed_hankel_phase_row([m], g.kappa)[0])
     out = np.exp(1j * (ph + m * theta)) / math.sqrt(2.0 * math.pi * g.R)
     return complex(out) if out.ndim == 0 else out

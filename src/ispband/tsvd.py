@@ -11,14 +11,15 @@ band-edge integers from the bandwidth module are the natural policies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bandwidth import bound_lower, bound_upper, report as band_report
 from .forward import SourceField, BoundaryData, source_grid
-from .singular_system import (ProblemGeometry, build_spectrum, psi_eval,
-                              _signed_hankel_phase)
+from .singular_system import (ProblemGeometry, _psi_project, _psi_radial,
+                              _psi_synthesize, _signed_hankel_phase_row,
+                              build_spectrum)
 
 __all__ = [
     "SigmaUnderflowError",
@@ -79,8 +80,8 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
     bins = np.fft.fft(U.values)
     front = math.sqrt(2.0 * math.pi * g.R) / n_s
     ms = np.arange(-m_max, m_max + 1)
-    phases = np.array([_signed_hankel_phase(int(m), g.kappa) for m in ms])
-    c = front * np.exp(-1j * phases) * bins[ms % n_s]
+    c = (front * np.exp(-1j * _signed_hankel_phase_row(ms, g.kappa))
+         * bins[ms % n_s])
     return ModalCoefficients(geometry=g, m_max=m_max, c=c)
 
 
@@ -103,6 +104,10 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
         g = c.geometry
     if n_theta is None:
         n_theta = max(64, 2 * N + 8)
+    if n_theta < 2 * N + 1:
+        raise ValueError(
+            f"n_theta={n_theta} cannot resolve modes up to {N} without "
+            f"aliasing; need n_theta >= {2 * N + 1}")
     table = build_spectrum(g, max(N, 1))
     # refuse to divide by anything that lost all precision
     for m in range(N + 1):
@@ -111,23 +116,16 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
                 f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
                 f"kappa={g.kappa:g}; mode {m} is unusable")
     grid = source_grid(g, n_r, n_theta)
-    values = np.zeros((grid.n_r, grid.n_theta), dtype=complex)
-    for m in range(-N, N + 1):
-        values = values + (c.coeff(m) / table.sigma[abs(m)]) * psi_eval(
-            m, g, grid.rho[:, None], grid.theta[None, :])
-    shat = SourceField(geometry=g, rho=grid.rho,
-                       radial_weights=grid.radial_weights,
-                       theta=grid.theta, values=values)
+    ms = np.arange(-N, N + 1)
+    sigma, cm = table.sigma[np.abs(ms)], c.c[ms + c.m_max]
+    radial = _psi_radial(ms, g, grid.rho)
+    shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
+                                                n_theta))
     # modal misfit of the reconstruction against the retained data
-    wa = shat.area_weights
-    num = 0.0
-    den = 0.0
-    for m in range(-N, N + 1):
-        coef = np.sum(wa * shat.values * np.conj(psi_eval(
-            m, g, shat.rho[:, None], shat.theta[None, :])))
-        num += abs(table.sigma[abs(m)] * coef - c.coeff(m))**2
-        den += abs(c.coeff(m))**2
-    residual = math.sqrt(num / den) if den > 0.0 else 0.0
+    coef = _psi_project(shat.area_weights * shat.values, ms, radial)
+    den = float(np.sum(np.abs(cm)**2))
+    residual = (math.sqrt(float(np.sum(np.abs(sigma * coef - cm)**2)) / den)
+                if den > 0.0 else 0.0)
     return Reconstruction(source=shat, N=N, residual=residual, policy=policy)
 
 

@@ -164,6 +164,24 @@ class TestReconstructCommand:
         e_wide = float(last_line_stats(out_wide)["rel_error"])
         assert e_wide > 2.0 * e_band
 
+    def test_default_grids_resolve_large_kappa(self, capsys, tmp_path):
+        # 64 x 64 grids once gave rel_error 0.47 here with exit code 0
+        code, out, _ = run_cli(capsys, "reconstruct", "--kappa0", "314.159",
+                               "--kappa", "314.159",
+                               "--out", str(tmp_path / "rec.csv"))
+        assert code == 0
+        stats = last_line_stats(out)
+        assert int(stats["N"]) == 304
+        assert float(stats["rel_error"]) <= 1e-10
+        assert float(stats["residual"]) <= 1e-10
+
+    def test_aliasing_angular_grid_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "reconstruct", "--kappa0",
+                               str(10 * math.pi), "--kappa",
+                               str(10 * math.pi), "--ntheta", "40")
+        assert code == 2
+        assert "n_theta" in err
+
     def test_seed_reproducibility(self, capsys, tmp_path):
         f1 = tmp_path / "r1.csv"
         f2 = tmp_path / "r2.csv"

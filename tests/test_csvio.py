@@ -109,6 +109,16 @@ class TestSourceCsv:
         with pytest.raises(ValueError):
             csvio.read_source(io.StringIO(bad))
 
+    def test_non_uniform_ray_rejected(self, g_equal_10pi):
+        # ray j = 1 of a 4x6 grid moved from 2 pi / 6 to 2.5 on every ring
+        text = csvio.dumps(csvio.write_source,
+                           ib.source_grid(g_equal_10pi, 4, 6))
+        bad = text
+        for ring in range(4):
+            bad = _edit_row(bad, 6 * ring + 1, 3, "2.5")
+        with pytest.raises(ValueError, match="uniform"):
+            csvio.read_source(io.StringIO(bad))
+
 
 class TestReconstructionCsv:
     def test_round_trip_with_metadata(self, g_equal_10pi):
@@ -201,6 +211,19 @@ class TestMalformedInput:
         text = csvio.FITS_HEADER + "\nB,0.5,1,x,2\n"
         with pytest.raises(ValueError, match="line 2"):
             csvio.read_fits(io.StringIO(text))
+
+    @pytest.mark.parametrize("policy", ["my policy", "a=b", "tab\there"])
+    def test_metadata_that_cannot_round_trip_refused(self, policy):
+        src = ib.source_grid(ib.ProblemGeometry(k=2.0, R0=0.5, R=1.0), 2, 2)
+        rec = ib.Reconstruction(source=src, N=1, residual=0.0, policy=policy)
+        with pytest.raises(ValueError, match="policy"):
+            csvio.dumps(csvio.write_reconstruction, rec)
+
+    def test_fit_target_with_comma_refused(self):
+        fits = [ex.RegressionFit(target="B,-", slope=1.0, intercept=0.0,
+                                 mean_abs_error=0.0, std_dev=0.0)]
+        with pytest.raises(ValueError, match="comma"):
+            csvio.dumps(csvio.write_fits, fits)
 
     def test_missing_metadata_key_rejected(self, source_text):
         lines = source_text.splitlines(keepends=True)

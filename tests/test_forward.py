@@ -59,6 +59,15 @@ class TestSourceGrid:
                            theta=grid.theta,
                            values=np.zeros((3, 3), dtype=complex))
 
+    def test_non_uniform_angles_rejected(self, g_equal_10pi):
+        # the modal transforms put theta_j at 2 pi j / n_theta
+        grid = ib.source_grid(g_equal_10pi, 6, 10)
+        for theta in (grid.theta + 1e-6, grid.theta[::-1].copy()):
+            with pytest.raises(ValueError, match="uniform"):
+                ib.SourceField(geometry=g_equal_10pi, rho=grid.rho,
+                               radial_weights=grid.radial_weights,
+                               theta=theta, values=grid.values)
+
 
 class TestBoundaryData:
     def test_angles_and_norm(self, g_equal_10pi):

@@ -233,3 +233,90 @@ class TestSingularFunctions:
         table = ss.build_spectrum(g_equal_10pi, 50)
         for m in (1, 9, 27, 41):
             assert ss.log_sigma(-m, g_equal_10pi) == table.log_sigma[m]
+
+
+def _loop_synthesize(w, ms, g, rho, n_theta):
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    out = np.zeros((len(rho), n_theta), dtype=complex)
+    for wm, m in zip(w, ms):
+        out += wm * ss.psi_eval(int(m), g, rho[:, None], theta[None, :])
+    return out
+
+
+def _loop_project(P, ms, g, rho):
+    theta = 2.0 * math.pi * np.arange(P.shape[1]) / P.shape[1]
+    return np.array([np.sum(P * np.conj(ss.psi_eval(int(m), g, rho[:, None],
+                                                    theta[None, :])))
+                     for m in ms])
+
+
+class TestModalTransform:
+    """The Bessel-table-times-FFT transform against per-mode psi_eval sums."""
+
+    @staticmethod
+    def _case(g, n_r, n_theta, ms, seed):
+        rng = np.random.default_rng(seed)
+        rho = ib.source_grid(g, n_r, 2).rho
+        w = rng.standard_normal(len(ms)) + 1j * rng.standard_normal(len(ms))
+        P = (rng.standard_normal((n_r, n_theta))
+             + 1j * rng.standard_normal((n_r, n_theta)))
+        return rho, w, P, ss._psi_radial(ms, g, rho)
+
+    @pytest.mark.parametrize("n_theta, ms", [
+        (64, np.arange(-20, 21)),              # resolved: n_theta >= 2N + 1
+        (16, np.arange(-20, 21)),              # aliased: many modes per bin
+        (12, np.array([-9, -7, -1, 0, 3, 11])),  # negative odd orders
+    ])
+    def test_matches_per_mode_loops(self, g_equal_10pi, n_theta, ms):
+        g = g_equal_10pi
+        rho, w, P, radial = self._case(g, 24, n_theta, ms, seed=4)
+        synth = ss._psi_synthesize(w, ms, radial, n_theta)
+        ref = _loop_synthesize(w, ms, g, rho, n_theta)
+        assert np.max(np.abs(synth - ref)) <= 1e-12 * np.max(np.abs(ref))
+        proj = ss._psi_project(P, ms, radial)
+        ref = _loop_project(P, ms, g, rho)
+        assert np.max(np.abs(proj - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_negative_orders_by_reflection(self, g_equal_10pi):
+        g = g_equal_10pi
+        rho = ib.source_grid(g, 16, 2).rho
+        ms = np.arange(-40, 41)
+        expected = jv(ms[None, :], g.k * rho[:, None]) / (
+            math.sqrt(math.pi) * g.R0 * ss.a_m(ms, g.kappa0))
+        assert np.array_equal(ss._psi_radial(ms, g, rho), expected)
+
+    @pytest.mark.parametrize("n_theta", [64, 16])
+    def test_adjoint_pair(self, g_equal_10pi, n_theta):
+        ms = np.arange(-20, 21)
+        _, w, P, radial = self._case(g_equal_10pi, 24, n_theta, ms, seed=9)
+        lhs = np.sum(ss._psi_synthesize(w, ms, radial, n_theta) * np.conj(P))
+        rhs = np.sum(w * np.conj(ss._psi_project(P, ms, radial)))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("modes, n_s", [(20, 96), (30, 40)])
+    def test_forward_matches_per_mode_sum(self, g_equal_10pi, modes, n_s):
+        # n_s = 40 < 2 modes + 1: several modes share each boundary bin
+        g = g_equal_10pi
+        rng = np.random.default_rng(1)
+        grid = ib.source_grid(g, 32, 48)
+        grid.values[:] = (rng.standard_normal(grid.values.shape)
+                          + 1j * rng.standard_normal(grid.values.shape))
+        got = ib.apply_forward_analytic(grid, modes, n_s=n_s).values
+        table = ss.build_spectrum(g, modes)
+        theta = 2.0 * math.pi * np.arange(n_s) / n_s
+        ms = np.arange(-modes, modes + 1)
+        coef = _loop_project(grid.area_weights * grid.values, ms, g, grid.rho)
+        ref = sum(table.sigma[abs(m)] * cm * ss.phi_eval(int(m), g, theta)
+                  for m, cm in zip(ms, coef))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_phase_row_bitwise_per_mode(self):
+        # the row must reproduce the scalar hankel_phase bit for bit
+        # x = 0.5 puts the orders above ~140 on the recurrence route
+        ms = np.arange(-400, 401)
+        for x in (0.5, 7.3, TEN_PI, 100.0 * math.pi):
+            row = ss._signed_hankel_phase_row(ms, x)
+            ref = np.array([sf.hankel_phase(abs(m), x)
+                            + (math.pi if m < 0 and m % 2 else 0.0)
+                            for m in ms.tolist()])
+            assert np.array_equal(row.view(np.int64), ref.view(np.int64))

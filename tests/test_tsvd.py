@@ -150,6 +150,14 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             ib.tsvd_reconstruct(c, 9)
 
+    def test_aliased_angular_grid_refused(self, g_equal_10pi):
+        bd = ib.BoundaryData(geometry=g_equal_10pi,
+                             values=np.zeros(64, dtype=complex))
+        c = ib.modal_decompose(bd, 8)
+        ib.tsvd_reconstruct(c, 8, n_r=8, n_theta=17)
+        with pytest.raises(ValueError, match="n_theta >= 17"):
+            ib.tsvd_reconstruct(c, 8, n_r=8, n_theta=16)
+
     def test_sigma_underflow_names_mode(self):
         g = ib.ProblemGeometry(k=1.0, R0=0.5, R=50.0)
         c = ib.ModalCoefficients(geometry=g, m_max=190,
