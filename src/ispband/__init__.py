@@ -2,12 +2,10 @@
 two-dimensional Helmholtz source-from-boundary problem on concentric disks.
 """
 
-from .singular_system import (ProblemGeometry, SpectrumTable, a_m, log_sigma,
+from .singular_system import (ProblemGeometry, SpectrumTable, a_m,
                               build_spectrum, default_m_max, psi_eval,
                               phi_eval)
-from .specfun import (ZeroRecord, bessel_j, bessel_y, log_hankel_abs2,
-                      hankel_phase, nicholson_abs2_oracle, first_zero_j,
-                      first_zero_y)
+from .specfun import ZeroRecord, first_zero_j, first_zero_y
 from .bandwidth import (HorizonError, BandwidthReport, bandwidth, bound_lower,
                         bound_upper, bound_lower_approx, bound_upper_approx,
                         report, max_angular_sampling)
@@ -23,10 +21,9 @@ from .experiments import (SweepRecord, RegressionFit, AsymptoticRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProblemGeometry", "SpectrumTable", "a_m", "log_sigma", "build_spectrum",
+    "ProblemGeometry", "SpectrumTable", "a_m", "build_spectrum",
     "default_m_max", "psi_eval", "phi_eval",
-    "ZeroRecord", "bessel_j", "bessel_y", "log_hankel_abs2", "hankel_phase",
-    "nicholson_abs2_oracle", "first_zero_j", "first_zero_y",
+    "ZeroRecord", "first_zero_j", "first_zero_y",
     "HorizonError", "BandwidthReport", "bandwidth", "bound_lower",
     "bound_upper", "bound_lower_approx", "bound_upper_approx", "report",
     "max_angular_sampling",

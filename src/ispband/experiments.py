@@ -18,7 +18,7 @@ import numpy as np
 
 from .bandwidth import (bandwidth, bound_lower, bound_lower_approx,
                         bound_upper, bound_upper_approx)
-from .singular_system import ProblemGeometry, build_spectrum, log_sigma
+from .singular_system import ProblemGeometry, build_spectrum
 
 __all__ = [
     "SweepRecord",
@@ -196,12 +196,14 @@ def asymptotic_checks(g_list: list[ProblemGeometry],
     Out-of-regime combinations are recorded with in_regime False rather
     than rejected, so a caller can see how the formulas degrade.
     """
+    m_max = max([1, *map(abs, plateau_ms), *map(abs, decay_ms)])
     out = []
     for g in g_list:
+        log_sigma = build_spectrum(g, m_max).log_sigma
         lam = 2.0 * math.pi / g.k
         plateau_ref = (math.sqrt(2.0) / math.pi) * lam * math.sqrt(g.R0)
         for m in plateau_ms:
-            sig = math.exp(log_sigma(m, g))
+            sig = math.exp(log_sigma[abs(m)])
             dev = abs(sig - plateau_ref) / plateau_ref
             in_regime = (g.kappa0 >= 10.0 * max(m * m - 0.25, 1.0)
                          and g.R0 == g.R)
@@ -210,7 +212,7 @@ def asymptotic_checks(g_list: list[ProblemGeometry],
         for m in decay_ms:
             ref = ((1.0 / m) * math.sqrt(2.0 / (m + 1))
                    * (g.R0 / g.R)**(m - 0.5) * g.R0**1.5)
-            sig = math.exp(log_sigma(m, g))
+            sig = math.exp(log_sigma[abs(m)])
             dev = abs(sig - ref) / ref
             in_regime = g.kappa**2 <= 0.25 * (m + 1)
             out.append(AsymptoticRecord("decay", m, g.kappa0, g.kappa,

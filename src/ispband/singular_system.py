@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .specfun import _hankel_recurrence, log_hankel_abs2, log_hankel_abs2_row
+from .specfun import hankel_phase_row, log_hankel_abs2_row
 
 __all__ = [
     "ProblemGeometry",
     "SpectrumTable",
     "a_m",
-    "log_sigma",
     "build_spectrum",
     "default_m_max",
     "psi_eval",
@@ -120,16 +119,6 @@ def a_m(m, kappa0: float):
             f"negative radicand in A_m at m={worst}, kappa0={kappa0:g}")
     out = np.sqrt(np.maximum(rad, 0.0))
     return float(out) if np.ndim(m) == 0 else out
-
-
-def log_sigma(m, g: ProblemGeometry) -> float:
-    """log sigma_{|m|} for one mode; -inf when A_{|m|}(kappa0) underflows."""
-    mm = abs(int(m))
-    a = a_m(mm, g.kappa0)
-    if a == 0.0:
-        return -math.inf
-    return (0.5 * math.log(2.0 * g.R) + math.log(math.pi) + math.log(g.R0)
-            + 0.5 * log_hankel_abs2(mm, g.kappa) + math.log(a))
 
 
 @dataclass(frozen=True)
@@ -219,19 +208,12 @@ def _psi_project(P, ms, radial) -> np.ndarray:
 
 
 def _signed_hankel_phase_row(ms, kappa: float) -> np.ndarray:
-    """arg H_m^(1)(kappa) for every m in ms, from one jv and one yv call.
+    """arg H_m^(1)(kappa) for every m in ms, from one hankel_phase_row.
 
     H_{-m} = (-1)^m H_m, so odd negative orders pick up a phase of pi.
-    Orders where hankel_phase takes its recurrence take it here too.
     """
     ms = np.asarray(ms)
-    orders, where = np.unique(np.abs(ms), return_inverse=True)
-    J, Y = special.jv(orders, kappa), special.yv(orders, kappa)
-    ph = np.array([
-        math.atan2(y, j)
-        if math.isfinite(y) and (abs(j) > 1e-280 or abs(y) > 1e-280)
-        else _hankel_recurrence(m, kappa)[1]
-        for m, j, y in zip(orders.tolist(), J.tolist(), Y.tolist())])[where]
+    ph = hankel_phase_row(int(np.abs(ms).max()), kappa)[np.abs(ms)]
     ph[(ms < 0) & (ms % 2 == 1)] += math.pi
     return ph
 

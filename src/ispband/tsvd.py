@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bandwidth import bound_lower, bound_upper, report as band_report
+from .bandwidth import bandwidth, bound_lower, bound_upper
 from .forward import SourceField, BoundaryData, source_grid
 from .singular_system import (ProblemGeometry, _psi_project, _psi_radial,
                               _psi_synthesize, _signed_hankel_phase_row,
@@ -143,7 +143,7 @@ def pick_truncation(g: ProblemGeometry, policy: str,
             raise ValueError("manual policy needs a nonnegative N")
         return int(n)
     if policy == "B":
-        return band_report(g).B
+        return bandwidth(build_spectrum(g))
     if policy == "B-":
         return bound_lower(g.kappa0)
     return bound_upper(g.kappa0)

@@ -216,16 +216,31 @@ class TestReconstructCommand:
         assert float(last_line_stats(out)["rel_error"]) < 1e-6
 
 
+def package_env() -> dict:
+    """Environment whose PYTHONPATH puts the package under test first, so a
+    child process imports it whether it is installed or not."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=root + (os.pathsep + path if path else ""))
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
-        # the child must import the package under test, installed or not
-        root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=root + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "ispband.cli", "bandwidth",
              "--kappa0", "12", "--kappa", "12"],
-            capture_output=True, text=True, timeout=120, env=env)
+            capture_output=True, text=True, timeout=120, env=package_env())
         assert proc.returncode == 0
         assert proc.stdout.startswith("B=")
+
+    def test_import_leaves_out_quadrature(self):
+        # the package needs no adaptive quadrature; the cross-check oracle
+        # that does lives with the tests
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ispband.cli; "
+             "print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import hankel1, jv
+from scipy.special import hankel1, jv, yv
 
 import ispband as ib
 from ispband import singular_system as ss
-from ispband import specfun as sf
 
 mp.mp.dps = 30
 TEN_PI = 10.0 * math.pi
@@ -55,8 +54,8 @@ class TestEnvelopeCoefficient:
         # The dual form cancels by a factor ~m deep in the stopband, so
         # agreement is measured against the size of the uncancelled terms.
         a2 = ss.a_m(m, kappa0) ** 2
-        jm = sf.bessel_j(m, kappa0)
-        jp = sf.bessel_j(m + 1, kappa0)
+        jm = jv(m, kappa0)
+        jp = jv(m + 1, kappa0)
         alt = jm * jm + jp * jp - (2.0 * m / kappa0) * jm * jp
         scale = max(a2, abs(alt), jm * jm, jp * jp, 1e-280)
         assert abs(a2 - alt) <= 1e-12 * scale
@@ -68,8 +67,8 @@ class TestEnvelopeCoefficient:
     )
     def test_difference_identity(self, m, kappa0):
         lhs = ss.a_m(m, kappa0) ** 2 - ss.a_m(m + 1, kappa0) ** 2
-        jm = sf.bessel_j(m, kappa0)
-        jp = sf.bessel_j(m + 1, kappa0)
+        jm = jv(m, kappa0)
+        jp = jv(m + 1, kappa0)
         rhs = (2.0 / kappa0) * jm * jp
         scale = max(ss.a_m(m, kappa0) ** 2, ss.a_m(m + 1, kappa0) ** 2,
                     jm * jm, jp * jp, 1e-280)
@@ -102,21 +101,26 @@ class TestEnvelopeCoefficient:
 
 class TestSpectrum:
     def test_log_sigma_symmetry(self, g_equal_10pi):
+        # sigma_{-m} = sigma_m because A_{-m} = A_m and |H_{-m}| = |H_m|
+        g = g_equal_10pi
+        table = ss.build_spectrum(g)
         for m in (1, 5, 26, 40):
-            assert ss.log_sigma(m, g_equal_10pi) == ss.log_sigma(-m, g_equal_10pi)
+            assert ss.a_m(-m, g.kappa0) == table.a[m]
+            log_h2 = 2.0 * math.log(abs(hankel1(-m, g.kappa)))
+            assert log_h2 == pytest.approx(table.log_abs_h2[m], rel=1e-12)
 
     def test_plateau_value(self):
         g = ib.ProblemGeometry.from_size_params(200.0 * math.pi, 200.0 * math.pi)
         lam = 2.0 * math.pi / g.k
         ref = math.sqrt(2.0) / math.pi * lam * math.sqrt(g.R0)
-        got = math.exp(ss.log_sigma(0, g))
+        got = math.exp(ss.build_spectrum(g).log_sigma[0])
         assert abs(got - ref) <= 0.05 * ref
 
     def test_stopband_two_to_one_ratio(self):
         g = ib.ProblemGeometry(k=1.0, R0=0.5, R=1.0)
         m = 10
         ref = (1.0 / m) * math.sqrt(2.0 / (m + 1)) * (g.R0 / g.R) ** (m - 0.5) * g.R0**1.5
-        got = math.exp(ss.log_sigma(m, g))
+        got = math.exp(ss.build_spectrum(g).log_sigma[m])
         assert abs(got - ref) <= 0.20 * ref
 
     def test_table_shape_and_transition(self, g_equal_10pi):
@@ -205,6 +209,7 @@ class TestSingularFunctions:
         grid = ib.source_grid(g, n_r, n_th)
         w = grid.area_weights
         theta_x = 2.0 * math.pi * np.arange(16) / 16
+        sigma = ss.build_spectrum(g).sigma
         for m in (0, 1, 2, 5, 12, 30, -3, -8):
             vmax = abs(m) + 60
             psi = ss.psi_eval(m, g, grid.rho[:, None], grid.theta[None, :])
@@ -214,7 +219,7 @@ class TestSingularFunctions:
                 h = hankel1(nu, g.kappa)
                 proj = np.sum(w * psi * jn * np.exp(-1j * nu * grid.theta)[None, :])
                 out += h * proj * np.exp(1j * nu * theta_x)
-            ref = math.exp(ss.log_sigma(m, g)) * ss.phi_eval(m, g, theta_x)
+            ref = sigma[abs(m)] * ss.phi_eval(m, g, theta_x)
             assert float(np.max(np.abs(out - ref))) < 1e-6
 
     def test_ordering_flip_on_interior_resonance(self):
@@ -230,9 +235,16 @@ class TestSingularFunctions:
                     assert am <= ap * (1.0 + 1e-12)
 
     def test_multiplicity_two_off_axis(self, g_equal_10pi):
-        table = ss.build_spectrum(g_equal_10pi, 50)
+        # the forward map carries psi_m and psi_{-m} with the same sigma_{|m|}
+        g = g_equal_10pi
+        table = ss.build_spectrum(g, 50)
         for m in (1, 9, 27, 41):
-            assert ss.log_sigma(-m, g_equal_10pi) == table.log_sigma[m]
+            grid = ib.source_grid(
+                g, 64, 128,
+                fn=lambda r, t: ss.psi_eval(m, g, r, t) + ss.psi_eval(-m, g, r, t))
+            c = ib.modal_decompose(ib.apply_forward_analytic(grid, 50), 50)
+            for n in (m, -m):
+                assert abs(c.coeff(n) - table.sigma[m]) <= 1e-8 * table.sigma[m]
 
 
 def _loop_synthesize(w, ms, g, rho, n_theta):
@@ -310,13 +322,20 @@ class TestModalTransform:
                   for m, cm in zip(ms, coef))
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_phase_row_bitwise_per_mode(self):
-        # the row must reproduce the scalar hankel_phase bit for bit
-        # x = 0.5 puts the orders above ~140 on the recurrence route
-        ms = np.arange(-400, 401)
-        for x in (0.5, 7.3, TEN_PI, 100.0 * math.pi):
+    def test_phase_row_exact_on_saturated_tail(self):
+        # every order matches math.atan2(Y_m, J_m) per mode bit for bit (pi
+        # added on odd negative orders); where Y_m saturates that is exactly
+        # -pi/2, or +pi/2 on odd negative orders
+        ms = np.arange(-3000, 3001)
+        odd_negative = (ms < 0) & (ms % 2 == 1)
+        for x in (0.5, 7.3, TEN_PI, 100.0 * math.pi, 1000.0):
             row = ss._signed_hankel_phase_row(ms, x)
-            ref = np.array([sf.hankel_phase(abs(m), x)
-                            + (math.pi if m < 0 and m % 2 else 0.0)
-                            for m in ms.tolist()])
+            J, Y = jv(np.abs(ms), x), yv(np.abs(ms), x)
+            ref = np.array([math.atan2(y, j)
+                            for j, y in zip(J.tolist(), Y.tolist())])
+            ref[odd_negative] += math.pi
             assert np.array_equal(row.view(np.int64), ref.view(np.int64))
+            saturated = ~np.isfinite(Y)
+            assert saturated.any()
+            assert np.all(row[saturated & ~odd_negative] == -0.5 * math.pi)
+            assert np.all(row[saturated & odd_negative] == 0.5 * math.pi)
