@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import (bandwidth, bound_lower, bound_lower_approx,
-                        bound_upper, bound_upper_approx)
+from .bandwidth import bandwidth, report
 from .singular_system import ProblemGeometry, build_spectrum
 
 __all__ = [
@@ -82,11 +81,8 @@ class AsymptoticRecord:
 
 def _sweep_point(kappa: float, ratio: float) -> SweepRecord:
     kappa0 = kappa / ratio
-    g = ProblemGeometry.from_size_params(kappa0, kappa)
-    table = build_spectrum(g)
-    b = bandwidth(table)
-    bm = bound_lower(kappa0)
-    bp = bound_upper(kappa0)
+    rep = report(ProblemGeometry.from_size_params(kappa0, kappa))
+    b, bm, bp = rep.B, rep.B_minus, rep.B_plus
     eps_minus = bm - b
     eps_plus = bp - b
     if b > 0:
@@ -98,8 +94,8 @@ def _sweep_point(kappa: float, ratio: float) -> SweepRecord:
         relerr_minus = 0.0 if bm == 0 else math.inf
         relerr_plus = math.inf
     return SweepRecord(kappa=kappa, kappa0=kappa0, B=b, B_minus=bm,
-                       B_plus=bp, B_tilde_minus=bound_lower_approx(kappa0),
-                       B_tilde_plus=bound_upper_approx(kappa0),
+                       B_plus=bp, B_tilde_minus=rep.B_tilde_minus,
+                       B_tilde_plus=rep.B_tilde_plus,
                        eps_minus=eps_minus, eps_plus=eps_plus,
                        relerr_minus=relerr_minus, relerr_plus=relerr_plus)
 

@@ -135,6 +135,12 @@ class TestLogHankel:
                 row(3, -1.0)
             with pytest.raises(ValueError):
                 row(3, math.nan)
+            with pytest.raises(ValueError, match="order must be a nonnegative"):
+                row(-2, 1.0)
+
+    def test_order_zero_rows_hold_one_entry(self):
+        assert sf.log_hankel_abs2_row(0, 1.0).shape == (1,)
+        assert sf.hankel_phase_row(0, 1.0).shape == (1,)
 
 
 class TestHankelPhase:
@@ -231,6 +237,26 @@ class TestFirstZeros:
             deltas.append(abs(d))
         assert deltas[1] < deltas[0]
         assert deltas[1] < 0.05
+
+    def test_matches_scipy_zero_tables(self):
+        # jn_zeros / yn_zeros are an independent implementation; in scipy
+        # 1.17.1 they return NaN from m = 4473 (J) and 4489 (Y) on
+        for m in [*range(0, 41), *range(97, 4401, 97)]:
+            assert abs(sf.first_zero_j(m).value
+                       - special.jn_zeros(m, 1)[0]) <= 1e-11
+            assert abs(sf.first_zero_y(m).value
+                       - special.yn_zeros(m, 1)[0]) <= 1e-11
+
+    @pytest.mark.parametrize("m", [1000, 4472, 10000])
+    def test_high_order_zero_is_a_sign_change(self, m):
+        # bisection stops on one of two adjacent doubles that bracket the
+        # sign change of the computed J_m (Y_m)
+        for zero, f in ((sf.first_zero_j, special.jv),
+                        (sf.first_zero_y, special.yv)):
+            z = zero(m).value
+            fz = f(m, z)
+            neighbours = [f(m, np.nextafter(z, d)) for d in (-np.inf, np.inf)]
+            assert fz == 0.0 or any(fn * fz < 0.0 for fn in neighbours)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
