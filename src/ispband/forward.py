@@ -34,6 +34,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -151,6 +152,14 @@ class ForwardMatrix:
     boundary_weight: float
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], n points."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def source_grid(g: ProblemGeometry, n_r: int, n_theta: int,
                 fn=None) -> SourceField:
     """Source field on the quadrature grid, filled from fn(rho, theta) or zero.
@@ -159,7 +168,7 @@ def source_grid(g: ProblemGeometry, n_r: int, n_theta: int,
     """
     if n_r < 2 or n_theta < 2:
         raise ValueError("grid must have at least 2 nodes per direction")
-    x, w = np.polynomial.legendre.leggauss(int(n_r))
+    x, w = _gauss_legendre(int(n_r))
     rho = 0.5 * g.R0 * (x + 1.0)
     wr = 0.5 * g.R0 * w
     theta = 2.0 * math.pi * np.arange(int(n_theta)) / int(n_theta)

@@ -33,6 +33,20 @@ class TestSourceGrid:
             assert np.all(grid.radial_weights > 0.0)
             assert np.all((0.0 < grid.rho) & (grid.rho < g_equal_10pi.R0))
 
+    def test_cached_rule_gives_same_bits(self, g_equal_10pi):
+        # source_grid reads leggauss(n_r) from a cache; the grid it builds is
+        # bitwise the one built from a fresh leggauss call, every time
+        g = g_equal_10pi
+        for n_r in (7, 64, 256):
+            x, w = np.polynomial.legendre.leggauss(n_r)
+            for _ in range(2):
+                grid = ib.source_grid(g, n_r, 4)
+                assert np.array_equal(grid.rho, 0.5 * g.R0 * (x + 1.0))
+                assert np.array_equal(grid.radial_weights, 0.5 * g.R0 * w)
+                assert grid.rho.flags.writeable
+        with pytest.raises(ValueError):
+            ib.forward._gauss_legendre(64)[0][0] = 0.0
+
     def test_fill_function_broadcasts(self, g_equal_10pi):
         grid = ib.source_grid(g_equal_10pi, 6, 10,
                               fn=lambda r, t: r * np.exp(1j * t))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import ispband as ib
 from ispband import specfun as sf
 from oracles import nicholson_abs2_oracle
 
@@ -164,6 +165,53 @@ class TestHankelPhase:
             assert sf.hankel_phase_row(m, x)[m] == pytest.approx(ref, abs=1e-12)
 
 
+class TestBesselTable:
+    """bessel_j_table (Miller's downward recurrence) against scipy's jv on
+    the Gauss-Legendre rings of the source disk, x_i = kappa0 rho_i / R0."""
+
+    @pytest.mark.parametrize("kappa0, n_r", [
+        (0.5, 64), (2.0, 64), (10.0 * math.pi, 64), (100.0 * math.pi, 256),
+        (1000.0, 556)])
+    def test_matches_jv_on_rings(self, kappa0, n_r):
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa0)
+        x = g.k * ib.source_grid(g, n_r, 2).rho
+        m_max = ib.default_m_max(kappa0)
+        got = sf.bessel_j_table(m_max, x)
+        ref = special.jv(np.arange(m_max + 1), x[:, None])
+        assert got.shape == ref.shape
+        err = np.abs(got - ref)
+        assert np.all(err.max(axis=0) <= 1e-12 * np.abs(ref).max(axis=0))
+        # pointwise in the decaying tail, where J is the minimal solution
+        tail = (np.arange(m_max + 1) > x[:, None] + 5.0) & (np.abs(ref) > 1e-280)
+        assert np.all(err[tail] <= 1e-11 * np.abs(ref[tail]))
+        # deep-tail entries on the inner rings, reached through the
+        # rescaled pair, underflow to 0 where jv's do
+        under = ref == 0.0
+        assert under.any() or kappa0 < 10.0
+        assert np.all(got[under] == 0.0)
+
+    def test_zero_and_tiny_arguments(self):
+        row = sf.bessel_j_table(40, 0.0)
+        assert row.shape == (41,)
+        assert row[0] == 1.0 and np.all(row[1:] == 0.0)
+        # series below 1e-20, recurrence with a rescale every few steps above
+        x = np.array([[0.0, 1e-25], [1e-19, 1e-10]])
+        got = sf.bessel_j_table(10, x)
+        assert got.shape == (2, 2, 11)
+        assert np.array_equal(got[0, 0], row[:11])
+        for xi, row_i in zip(x.ravel()[1:], got.reshape(4, 11)[1:]):
+            ref = [float(mp.besselj(m, mp.mpf(float(xi)))) for m in range(11)]
+            assert row_i == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_domain_validation(self):
+        for x in (-1.0, math.nan, math.inf, [1.0, -1e-300]):
+            with pytest.raises(ValueError, match="nonnegative finite"):
+                sf.bessel_j_table(5, x)
+        for m in (-1, 2.5):
+            with pytest.raises(ValueError, match="order must be a nonnegative"):
+                sf.bessel_j_table(m, 1.0)
+
+
 class TestNicholsonOracle:
     def test_agrees_with_implementation(self):
         rng = np.random.default_rng(7)
@@ -261,6 +309,17 @@ class TestFirstZeros:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             sf.first_zero_j(-1)
+
+    def test_non_integer_orders_refused(self):
+        for call in (lambda m: sf.first_zero_j(m), lambda m: sf.first_zero_y(m),
+                     lambda m: sf.log_hankel_abs2_row(m, 1.0),
+                     lambda m: sf.hankel_phase_row(m, 1.0)):
+            for m in (2.5, 2.7, math.nan, math.inf, "3"):
+                with pytest.raises(ValueError, match="order must be a nonnegative"):
+                    call(m)
+        assert sf.first_zero_j(np.int64(3)) == sf.first_zero_j(3)
+        assert sf.first_zero_y(np.int64(3)) == sf.first_zero_y(3)
+        assert sf.log_hankel_abs2_row(np.int64(2), 1.0).shape == (3,)
 
 
 def order_roots(kappa0: float) -> np.ndarray:
