@@ -167,7 +167,12 @@ def report(g: ProblemGeometry, m_max: int | None = None) -> BandwidthReport:
     """Bandwidth and all four bounds from a single spectrum build."""
     if m_max is None:
         m_max = default_m_max(g.kappa0)
-    spectrum = build_spectrum(g, m_max)
+    return _report(build_spectrum(g, m_max))
+
+
+def _report(spectrum: SpectrumTable) -> BandwidthReport:
+    """Bandwidth and all four bounds of a spectrum already built."""
+    g = spectrum.geometry
     return BandwidthReport(
         geometry=g,
         B=bandwidth(spectrum),
@@ -175,7 +180,7 @@ def report(g: ProblemGeometry, m_max: int | None = None) -> BandwidthReport:
         B_plus=bound_upper(g.kappa0),
         B_tilde_minus=bound_lower_approx(g.kappa0),
         B_tilde_plus=bound_upper_approx(g.kappa0),
-        horizon=int(m_max),
+        horizon=spectrum.m_max,
     )
 
 

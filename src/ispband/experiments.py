@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import bandwidth, report
-from .singular_system import ProblemGeometry, build_spectrum
+from .bandwidth import HorizonError, _report, bandwidth
+from .singular_system import (ProblemGeometry, _bessel_rows, _spectrum,
+                              build_spectrum, default_m_max)
 
 __all__ = [
     "SweepRecord",
@@ -32,6 +33,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 KAPPA_SWEEP_RANGE = (2.0, 100.0 * math.pi)
+
+# sweep points per Bessel pass; bounds run_sweep's tables whatever n_points
+_SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,7 @@ class AsymptoticRecord:
     in_regime: bool
 
 
-def _sweep_point(kappa: float, ratio: float) -> SweepRecord:
-    kappa0 = kappa / ratio
-    rep = report(ProblemGeometry.from_size_params(kappa0, kappa))
+def _sweep_record(kappa: float, kappa0: float, rep) -> SweepRecord:
     b, bm, bp = rep.B, rep.B_minus, rep.B_plus
     eps_minus = bm - b
     eps_plus = bp - b
@@ -108,6 +110,10 @@ def run_sweep(n_points: int = 300,
 
     With equal_sizes the source fills the measurement disk (kappa0 =
     kappa); otherwise kappa0 = kappa / ratio for the given ratio >= 1.
+    The points go through the Bessel pass _SWEEP_BLOCK at a time, and each
+    gets the spectrum, and so the record, that report gives it alone. A
+    failing point raises its own exception class with its kappa in the
+    message.
     """
     n_points = int(n_points)
     if n_points < 2:
@@ -121,11 +127,20 @@ def run_sweep(n_points: int = 300,
         raise ValueError(f"bad kappa range {kappa_range!r}")
     kappas = lo + np.arange(n_points) * (hi - lo) / (n_points - 1)
     out = []
-    for kappa in kappas:
-        try:
-            out.append(_sweep_point(float(kappa), ratio))
-        except Exception as exc:
-            raise RuntimeError(f"sweep failed at kappa={kappa:.6g}") from exc
+    for first in range(0, n_points, _SWEEP_BLOCK):
+        block = kappas[first:first + _SWEEP_BLOCK].tolist()
+        gs = [ProblemGeometry.from_size_params(kappa / ratio, kappa)
+              for kappa in block]
+        horizons = [default_m_max(g.kappa0) for g in gs]
+        rows = _bessel_rows(gs, horizons)
+        for kappa, g, m_max, r in zip(block, gs, horizons, rows):
+            try:
+                rep = _report(_spectrum(g, m_max, r))
+            except (ArithmeticError, HorizonError, ValueError) as exc:
+                # the class picks the CLI's exit code, so keep it
+                raise type(exc)(
+                    f"sweep failed at kappa={kappa:.6g}: {exc}") from exc
+            out.append(_sweep_record(kappa, kappa / ratio, rep))
     log.info("sweep finished: %d points over [%g, %g]", n_points, lo, hi)
     return out
 

@@ -40,7 +40,7 @@ import numpy as np
 from scipy import special
 
 from .singular_system import (ProblemGeometry, _psi_project, _psi_radial,
-                              _signed_hankel_phase_row, build_spectrum,
+                              _signed_phase, build_spectrum,
                               default_m_max)
 
 __all__ = [
@@ -292,8 +292,8 @@ def apply_forward_analytic(s: SourceField, modes: int,
     with the inner product taken by the source field's own quadrature.
     Both the projection and the sum over m run as one FFT in angle, with
     mode m in bin m mod n (n = n_theta, then n_s), which reproduces the
-    per-mode sums on any grid. Degenerate modes (A_m = 0) are skipped with
-    a warning.
+    per-mode sums on any grid. sigma_m, A_m and arg H_m all come from one
+    build_spectrum. Degenerate modes (A_m = 0) are skipped with a warning.
     """
     g = s.geometry
     modes = int(modes)
@@ -309,9 +309,9 @@ def apply_forward_analytic(s: SourceField, modes: int,
     bins = np.zeros(n_s, dtype=complex)
     if ms.size:
         coef = _psi_project(s.area_weights * s.values, ms,
-                            _psi_radial(ms, g, s.rho))
+                            _psi_radial(ms, table, s.rho))
         np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
-                  * np.exp(1j * _signed_hankel_phase_row(ms, g.kappa))
+                  * np.exp(1j * _signed_phase(table.phase, ms))
                   / math.sqrt(2.0 * math.pi * g.R))
     return BoundaryData(geometry=g, values=np.fft.ifft(bins, norm="forward"))
 

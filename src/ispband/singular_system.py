@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .specfun import bessel_j_table, hankel_phase_row, log_hankel_abs2_row
+from .specfun import (bessel_j_table, bessel_y_table, hankel_arg,
+                      hankel_log_abs2, hankel_phase_row)
 
 __all__ = [
     "ProblemGeometry",
@@ -93,31 +94,46 @@ def default_m_max(kappa0: float) -> int:
     return int(math.ceil(kappa0) + math.ceil(3.0 * kappa0 ** (1.0 / 3.0)) + 40)
 
 
+def _j_horizon(kappa0: float, m_max: int) -> int:
+    """Top order of the J rows behind a spectrum to m_max: m_max + 1, and
+    never below default_m_max(kappa0) + 1, so that A_m of one order does
+    not depend on the other orders asked for with it."""
+    return max(int(m_max), default_m_max(kappa0)) + 1
+
+
+def _a_from_row(j: np.ndarray, m: np.ndarray, kappa0: float) -> np.ndarray:
+    """A_|m| from the J row j = J_0 .. J_{max|m|+1} at kappa0, with
+    J_{-1} = -J_1; see a_m."""
+    ext = np.concatenate(([-j[1]], j))              # ext[k] = J_{k-1}
+    jm = ext[m + 1]
+    rad = jm * jm - ext[m] * ext[m + 2]
+    scale = np.maximum(jm * jm, 1e-300)
+    if np.any(rad < -1e-14 * scale):
+        worst = int(m.flat[int(np.argmin(rad / scale))])
+        raise ArithmeticError(
+            f"negative radicand in A_m at m={worst}, kappa0={kappa0:g}")
+    return np.sqrt(np.maximum(rad, 0.0))
+
+
 def a_m(m, kappa0: float):
     """Radial normalization factor A_m(kappa0), symmetric in m <-> -m.
 
     Computed from the product form
-    sqrt(J_m^2 - J_{m-1} J_{m+1}) evaluated at kappa0. The radicand is
-    nonnegative analytically; round-off can push it a hair below zero,
-    which is clamped. A radicand that is genuinely negative (beyond
-    a 1e-14 relative slack) indicates a broken evaluation and raises.
+    sqrt(J_m^2 - J_{m-1} J_{m+1}) evaluated at kappa0, on one J row from
+    bessel_j_table (Miller's recurrence) run to _j_horizon; build_spectrum
+    reads the same row. The radicand is nonnegative analytically;
+    round-off can push it a hair below zero, which is clamped. A radicand
+    that is genuinely negative (beyond a 1e-14 relative slack) indicates a
+    broken evaluation and raises.
 
     Accepts a scalar or an integer array for m.
     """
     if not (math.isfinite(kappa0) and kappa0 > 0.0):
         raise ValueError(f"kappa0 must be positive, got {kappa0!r}")
     marr = np.abs(np.asarray(m, dtype=int))
-    # one row J_{lo-1} .. J_{hi+1}, sliced for the orders m-1, m and m+1
-    lo, hi = (int(marr.min()), int(marr.max())) if marr.size else (0, 0)
-    row = special.jv(np.arange(lo - 1, hi + 2), kappa0)
-    jm = row[marr - lo + 1]
-    rad = jm * jm - row[marr - lo] * row[marr - lo + 2]
-    scale = np.maximum(jm * jm, 1e-300)
-    if np.any(rad < -1e-14 * scale):
-        worst = int(marr.flat[int(np.argmin(rad / scale))])
-        raise ArithmeticError(
-            f"negative radicand in A_m at m={worst}, kappa0={kappa0:g}")
-    out = np.sqrt(np.maximum(rad, 0.0))
+    hi = int(marr.max()) if marr.size else 0
+    out = _a_from_row(bessel_j_table(_j_horizon(kappa0, hi), kappa0), marr,
+                      kappa0)
     return float(out) if np.ndim(m) == 0 else out
 
 
@@ -126,7 +142,8 @@ class SpectrumTable:
     """Per-mode singular data for m = 0 .. m_max.
 
     sigma carries exp(log_sigma) where representable and 0 on underflow;
-    ranking and bandwidth logic must use log_sigma.
+    ranking and bandwidth logic must use log_sigma. phase holds
+    arg H_m^(1)(kappa), the phase of phi_m.
     """
 
     geometry: ProblemGeometry
@@ -135,6 +152,7 @@ class SpectrumTable:
     log_abs_h2: np.ndarray = field(repr=False)
     log_sigma: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
+    phase: np.ndarray = field(repr=False)
 
     @property
     def m_max(self) -> int:
@@ -144,23 +162,55 @@ class SpectrumTable:
         return len(self.m)
 
 
-def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTable:
-    """Assemble the spectrum rows m = 0 .. m_max for one geometry."""
-    if m_max is None:
-        m_max = default_m_max(g.kappa0)
-    m_max = int(m_max)
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    ms = np.arange(m_max + 1)
-    a = a_m(ms, g.kappa0)
-    logh2 = log_hankel_abs2_row(m_max, g.kappa)
+def _bessel_rows(gs, m_maxes) -> list[tuple]:
+    """The Bessel rows of several geometries from one pass.
+
+    For geometry p with horizon m_max_p: the J rows at kappa0 and at kappa
+    to _j_horizon, from one bessel_j_table call over all of them (a row is
+    shared where kappa and horizon coincide, as they do for kappa =
+    kappa0), and the Y row at kappa to m_max_p, from one bessel_y_table
+    call. Each row depends on its own argument and horizon alone, so a
+    geometry gets the same bits in a batch as on its own.
+    """
+    lanes: dict[tuple[float, int], int] = {}
+    picks = []
+    for g, m_max in zip(gs, m_maxes):
+        h = _j_horizon(g.kappa0, m_max)
+        picks.append((lanes.setdefault((g.kappa0, h), len(lanes)),
+                      lanes.setdefault((g.kappa, h), len(lanes))))
+    x, h = zip(*lanes)
+    j = bessel_j_table(np.array(h), np.array(x))
+    y, e = bessel_y_table(max(m_maxes), np.array([g.kappa for g in gs]))
+    return [(j[i0], j[i1], y[p], e[p]) for p, (i0, i1) in enumerate(picks)]
+
+
+def _spectrum(g: ProblemGeometry, m_max: int, rows) -> SpectrumTable:
+    """The spectrum rows m = 0 .. m_max of g from its _bessel_rows entry."""
+    j0, j, y, e = rows
+    n = m_max + 1
+    ms = np.arange(n)
+    a = _a_from_row(j0, ms, g.kappa0)
+    j, y, e = j[:n], y[:n], e[:n]
+    logh2 = hankel_log_abs2(j, y, e)
     const = 0.5 * math.log(2.0 * g.R) + math.log(math.pi) + math.log(g.R0)
     with np.errstate(divide="ignore"):
         ls = const + 0.5 * logh2 + np.log(a)
     with np.errstate(under="ignore"):
         sigma = np.where(np.isfinite(ls), np.exp(np.minimum(ls, 709.0)), 0.0)
     return SpectrumTable(geometry=g, m=ms, a=a, log_abs_h2=logh2,
-                         log_sigma=ls, sigma=sigma)
+                         log_sigma=ls, sigma=sigma,
+                         phase=hankel_arg(j, y, e))
+
+
+def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTable:
+    """Assemble the spectrum rows m = 0 .. m_max for one geometry, from
+    one Bessel pass with one lane per argument."""
+    if m_max is None:
+        m_max = default_m_max(g.kappa0)
+    m_max = int(m_max)
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    return _spectrum(g, m_max, _bessel_rows([g], [m_max])[0])
 
 
 def psi_eval(m: int, g: ProblemGeometry, rho, theta):
@@ -183,16 +233,18 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     return complex(out) if out.ndim == 0 else out
 
 
-def _psi_radial(ms, g: ProblemGeometry, rho) -> np.ndarray:
+def _psi_radial(ms, table: SpectrumTable, rho) -> np.ndarray:
     """Radial factors J_m(k rho_i) / (sqrt(pi) R0 A_m) of nondegenerate
     modes psi_m, (n_r, len(ms)), from one bessel_j_table (Miller's downward
-    recurrence over all rings) and J_{-m} = (-1)^m J_m. Within 1e-12 of
-    each column's largest entry of the jv values psi_eval uses."""
+    recurrence over all rings), J_{-m} = (-1)^m J_m and the A_m row of
+    table, which must reach max |m|. Within 1e-12 of each column's largest
+    entry of the jv values psi_eval uses."""
     ms = np.asarray(ms)
+    g = table.geometry
     jm = bessel_j_table(int(np.abs(ms).max()), g.k * rho)
     sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
     return (jm[:, np.abs(ms)] * sign
-            / (math.sqrt(math.pi) * g.R0 * a_m(ms, g.kappa0)))
+            / (math.sqrt(math.pi) * g.R0 * table.a[np.abs(ms)]))
 
 
 def _psi_synthesize(w, ms, radial, n_theta: int) -> np.ndarray:
@@ -209,15 +261,21 @@ def _psi_project(P, ms, radial) -> np.ndarray:
     return np.sum(radial * F[:, np.asarray(ms) % P.shape[1]], axis=0)
 
 
-def _signed_hankel_phase_row(ms, kappa: float) -> np.ndarray:
-    """arg H_m^(1)(kappa) for every m in ms, from one hankel_phase_row.
+def _signed_phase(phase: np.ndarray, ms) -> np.ndarray:
+    """arg H_m^(1) for every m in ms from the row phase of orders 0 .. max|m|.
 
     H_{-m} = (-1)^m H_m, so odd negative orders pick up a phase of pi.
     """
     ms = np.asarray(ms)
-    ph = hankel_phase_row(int(np.abs(ms).max()), kappa)[np.abs(ms)]
+    ph = phase[np.abs(ms)]
     ph[(ms < 0) & (ms % 2 == 1)] += math.pi
     return ph
+
+
+def _signed_hankel_phase_row(ms, kappa: float) -> np.ndarray:
+    """arg H_m^(1)(kappa) for every m in ms, from one hankel_phase_row."""
+    return _signed_phase(hankel_phase_row(int(np.abs(np.asarray(ms)).max()),
+                                          kappa), ms)
 
 
 def phi_eval(m: int, g: ProblemGeometry, theta):

@@ -118,7 +118,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     grid = source_grid(g, n_r, n_theta)
     ms = np.arange(-N, N + 1)
     sigma, cm = table.sigma[np.abs(ms)], c.c[ms + c.m_max]
-    radial = _psi_radial(ms, g, grid.rho)
+    radial = _psi_radial(ms, table, grid.rho)
     shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
                                                 n_theta))
     # modal misfit of the reconstruction against the retained data

@@ -137,6 +137,14 @@ class TestSweepCommand:
             cli.main(["sweep", "--n", "1"])
         assert exc.value.code == 2
 
+    def test_failing_point_keeps_its_exit_code(self, capsys, tmp_path):
+        # at kappa = 1e-300 A_1 underflows, so the horizon check fails
+        code, _, err = run_cli(capsys, "sweep", "--kappa-min", "1e-300",
+                               "--kappa-max", "1", "--n", "3",
+                               "--out", str(tmp_path))
+        assert code == 3
+        assert err.startswith("error: sweep failed at kappa=1e-300: ")
+
 
 class TestReconstructCommand:
     def test_clean_default_source(self, capsys, tmp_path):

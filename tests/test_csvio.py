@@ -255,7 +255,8 @@ class TestGoldenBytes:
             a=np.array([0.1, 0.5, 0.0]),
             log_abs_h2=np.array([0.0, -1.5, 700.0]),
             log_sigma=np.array([-0.25, -745.5, -np.inf]),
-            sigma=np.array([0.75, 5e-324, 0.0]))
+            sigma=np.array([0.75, 5e-324, 0.0]),
+            phase=np.array([0.5, -1.0, -0.5 * math.pi]))
         assert csvio.dumps(csvio.write_spectrum, table) == (
             "m,A_m,log10_abs_H2,log10_sigma,sigma\n"
             "0,0.10000000000000001,0,-0.10857362047581294,0.75\n"

@@ -64,6 +64,51 @@ class TestRunSweep:
             ex.run_sweep(n_points=5, equal_sizes=False, ratio=0.5)
 
 
+class _CountingSpecial:
+    """scipy.special with its jv and yv calls counted."""
+
+    def __init__(self, real):
+        self.real, self.calls = real, {"jv": 0, "yv": 0}
+
+    def __getattr__(self, name):
+        attr = getattr(self.real, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+class TestBatchedSweep:
+    def test_no_jv_rows_and_two_yv_seeds_per_block(self, monkeypatch):
+        from ispband import specfun
+        ex.run_sweep(24, (2.0, 1000.0))          # fills the zero caches
+        counter = _CountingSpecial(specfun.special)
+        monkeypatch.setattr(specfun, "special", counter)
+        monkeypatch.setattr(ss, "special", counter)
+        ex.run_sweep(24, (2.0, 1000.0))
+        assert counter.calls["jv"] == 0
+        assert 1 <= counter.calls["yv"] <= 2
+
+    @pytest.mark.parametrize("block", [ex._SWEEP_BLOCK, 7])
+    @pytest.mark.parametrize("ratio", [1.0, 3.0])
+    def test_records_match_report(self, monkeypatch, block, ratio):
+        monkeypatch.setattr(ex, "_SWEEP_BLOCK", block)
+        records = ex.run_sweep(40, (2.0, 1000.0), equal_sizes=ratio == 1.0,
+                               ratio=ratio)
+        for r in records:
+            rep = ib.report(ib.ProblemGeometry.from_size_params(r.kappa0,
+                                                                r.kappa))
+            assert (r.B, r.B_minus, r.B_plus) == (rep.B, rep.B_minus,
+                                                  rep.B_plus)
+
+    def test_failing_point_keeps_its_class(self):
+        with pytest.raises(ib.HorizonError, match="kappa=1e-300"):
+            ex.run_sweep(3, (1e-300, 1.0))
+
+
 class TestEmptyBandThreshold:
     def test_onset_location(self):
         # The band first becomes nonempty strictly inside (1.7, 2.7).

@@ -91,6 +91,14 @@ class TestEnvelopeCoefficient:
             assert ss.a_m(m, TEN_PI) == vals[m]
             assert ss.a_m(-m, TEN_PI) == vals[m]
 
+    def test_accuracy_against_mpmath(self):
+        # jv's row put A_1062(1000) off by 4.8e-11
+        m, x = 1062, mp.mpf(1000)
+        with mp.workprec(300):
+            j = [mp.besselj(k, x) for k in (m - 1, m, m + 1)]
+            ref = float(mp.sqrt(j[1] ** 2 - j[0] * j[2]))
+        assert abs(ss.a_m(m, 1000.0) - ref) <= 1e-13 * ref
+
     def test_deep_underflow_returns_zero(self):
         assert ss.a_m(400, 0.5) == 0.0
 
@@ -100,6 +108,22 @@ class TestEnvelopeCoefficient:
 
 
 class TestSpectrum:
+    def test_batched_rows_match_one_geometry(self):
+        # one Bessel pass over several geometries gives each the bits of
+        # its own build_spectrum
+        gs = [ib.ProblemGeometry.from_size_params(k0, k) for k0, k in
+              [(2.0, 2.0), (TEN_PI, 4 * TEN_PI), (1000.0, 1000.0),
+               (0.3, 0.3), (100.0, 300.0), (TEN_PI, TEN_PI)]]
+        horizons = [ss.default_m_max(g.kappa0) for g in gs]
+        horizons[-1] = 70
+        for g, m_max, rows in zip(gs, horizons,
+                                  ss._bessel_rows(gs, horizons)):
+            got = ss._spectrum(g, m_max, rows)
+            ref = ss.build_spectrum(g, m_max)
+            for name in ("a", "log_abs_h2", "log_sigma", "sigma", "phase"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(ref, name)), name
+
     def test_log_sigma_symmetry(self, g_equal_10pi):
         # sigma_{-m} = sigma_m because A_{-m} = A_m and |H_{-m}| = |H_m|
         g = g_equal_10pi
@@ -272,7 +296,7 @@ class TestModalTransform:
         w = rng.standard_normal(len(ms)) + 1j * rng.standard_normal(len(ms))
         P = (rng.standard_normal((n_r, n_theta))
              + 1j * rng.standard_normal((n_r, n_theta)))
-        return rho, w, P, ss._psi_radial(ms, g, rho)
+        return rho, w, P, ss._psi_radial(ms, ss.build_spectrum(g), rho)
 
     @pytest.mark.parametrize("n_theta, ms", [
         (64, np.arange(-20, 21)),              # resolved: n_theta >= 2N + 1
@@ -293,7 +317,7 @@ class TestModalTransform:
         g = g_equal_10pi
         rho = ib.source_grid(g, 16, 2).rho
         ms = np.arange(-40, 41)
-        radial = ss._psi_radial(ms, g, rho)
+        radial = ss._psi_radial(ms, ss.build_spectrum(g), rho)
         # column -m is (-1)^m times column m, bit for bit
         sign = np.where(ms[41:] % 2 == 1, -1.0, 1.0)
         assert np.array_equal(radial[:, 39::-1], radial[:, 41:] * sign)
@@ -329,9 +353,10 @@ class TestModalTransform:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_phase_row_exact_on_saturated_tail(self):
-        # every order matches math.atan2(Y_m, J_m) per mode bit for bit (pi
-        # added on odd negative orders); where Y_m saturates that is exactly
-        # -pi/2, or +pi/2 on odd negative orders
+        # where Y_m saturates the phase is exactly -pi/2, or +pi/2 on odd
+        # negative orders; elsewhere it is math.atan2(Y_m, J_m) of scipy's
+        # jv and yv, whose own error reaches 7.2e-13 at x = 1000, m = 193
+        # (the rows are within 7.8e-15 of mpmath there)
         ms = np.arange(-3000, 3001)
         odd_negative = (ms < 0) & (ms % 2 == 1)
         for x in (0.5, 7.3, TEN_PI, 100.0 * math.pi, 1000.0):
@@ -340,7 +365,12 @@ class TestModalTransform:
             ref = np.array([math.atan2(y, j)
                             for j, y in zip(J.tolist(), Y.tolist())])
             ref[odd_negative] += math.pi
-            assert np.array_equal(row.view(np.int64), ref.view(np.int64))
+            assert np.max(np.abs(row - ref)) <= 1e-12
+            # H_{-m} = (-1)^m H_m: odd negative orders add pi, bit for bit
+            pos = row[3001:]
+            assert np.array_equal(row[2999::-1],
+                                  np.where(ms[3001:] % 2 == 1,
+                                           pos + math.pi, pos))
             saturated = ~np.isfinite(Y)
             assert saturated.any()
             assert np.all(row[saturated & ~odd_negative] == -0.5 * math.pi)

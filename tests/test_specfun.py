@@ -212,6 +212,60 @@ class TestBesselTable:
                 sf.bessel_j_table(m, 1.0)
 
 
+class TestRecurrenceRows:
+    """The Hankel rows from Miller's J and the upward Y recurrence."""
+
+    def test_accuracy_against_mpmath(self):
+        # jv/yv rows were off by 8.1e-13 in log|H_119(1000)|^2
+        log_row = sf.log_hankel_abs2_row(1070, 1000.0)
+        arg_row = sf.hankel_phase_row(1070, 1000.0)
+        for m in (119, 1062):
+            ref_log, ref_arg = mp_log_abs2_and_phase(m, 1000.0)
+            assert abs(log_row[m] - ref_log) <= 1e-13
+            assert abs(arg_row[m] - ref_arg) <= 1e-13
+
+    def test_overflowing_y_is_refused(self):
+        # yv(1, x) overflows below x = 3.6e-309
+        for row in (sf.log_hankel_abs2_row, sf.hankel_phase_row):
+            with pytest.raises(ArithmeticError):
+                row(3, 1e-310)
+
+    def test_y_table_extends_bit_for_bit(self):
+        # an entry depends on its x and m alone: a longer table, or one
+        # over more arguments, holds the same bits, across rescales too
+        x = np.array([1e-300, 0.3, 7.0, 1000.0])
+        y_long, e_long = sf.bessel_y_table(3000, x)
+        assert e_long.max() > 0
+        for i, xi in enumerate(x):
+            y, e = sf.bessel_y_table(1200, xi)
+            assert np.array_equal(y, y_long[i, :1201])
+            assert np.array_equal(e, e_long[i, :1201])
+
+    def test_y_table_matches_yv(self):
+        x = np.array([0.5, 10.0 * math.pi, 1000.0])
+        y, e = sf.bessel_y_table(1100, x)
+        ref = special.yv(np.arange(1101), x[:, None])
+        with np.errstate(over="ignore"):
+            got = np.ldexp(y, e)
+        fin = np.isfinite(ref)
+        assert not fin.all()
+        assert np.all(np.abs(got[fin] - ref[fin])
+                      <= 1e-12 * np.maximum(np.abs(ref[fin]), 1.0))
+
+    def test_j_rows_ignore_the_other_arguments(self):
+        # per-argument orders and start orders: each row is the row of a
+        # call with that argument alone
+        x = np.array([2.0, 1000.0, 1e-25, 31.4, 1000.0])
+        orders = np.array([50, 1071, 12, 80, 300])
+        table = sf.bessel_j_table(orders, x)
+        assert table.shape == (5, 1072)
+        for xi, o, row in zip(x, orders, table):
+            assert np.array_equal(row[:o + 1], sf.bessel_j_table(int(o), xi))
+            assert np.all(row[o + 1:] == 0.0)
+        with pytest.raises(ValueError, match="order must be a nonnegative"):
+            sf.bessel_j_table(np.array([3, -1]), [1.0, 2.0])
+
+
 class TestNicholsonOracle:
     def test_agrees_with_implementation(self):
         rng = np.random.default_rng(7)
