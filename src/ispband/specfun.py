@@ -191,7 +191,7 @@ def _miller_rows(orders: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:
                                            tiny.tolist())):
         if not t:
             joins.setdefault(_miller_start(max(order, xi)), []).append(i)
-    rows = np.empty((top + 1, x.size))
+    rows = np.zeros((top + 1, x.size))    # orders above every start stay 0
     f_up, f = np.zeros(x.size), np.zeros(x.size)   # f_{m+1}, f_m
     even_sum = np.zeros(x.size)                     # sum of f_2k, k >= 1
     growth = 2.0 / float(step_x.min(initial=1.0))

@@ -354,24 +354,26 @@ class TestModalTransform:
 
     def test_phase_row_exact_on_saturated_tail(self):
         # where Y_m saturates the phase is exactly -pi/2, or +pi/2 on odd
-        # negative orders; elsewhere it is math.atan2(Y_m, J_m) of scipy's
-        # jv and yv, whose own error reaches 7.2e-13 at x = 1000, m = 193
-        # (the rows are within 7.8e-15 of mpmath there)
+        # negative orders; below that, 60 orders spread evenly are arg H_m
+        # of 40-digit mpmath to 1e-14 (every order is within 5.6e-15;
+        # scipy's own atan2(yv, jv) is off by 7.2e-13 at x = 1000, m = 193,
+        # so it cannot serve as the reference)
         ms = np.arange(-3000, 3001)
         odd_negative = (ms < 0) & (ms % 2 == 1)
         for x in (0.5, 7.3, TEN_PI, 100.0 * math.pi, 1000.0):
             row = ss._signed_hankel_phase_row(ms, x)
-            J, Y = jv(np.abs(ms), x), yv(np.abs(ms), x)
-            ref = np.array([math.atan2(y, j)
-                            for j, y in zip(J.tolist(), Y.tolist())])
-            ref[odd_negative] += math.pi
-            assert np.max(np.abs(row - ref)) <= 1e-12
             # H_{-m} = (-1)^m H_m: odd negative orders add pi, bit for bit
             pos = row[3001:]
             assert np.array_equal(row[2999::-1],
                                   np.where(ms[3001:] % 2 == 1,
                                            pos + math.pi, pos))
-            saturated = ~np.isfinite(Y)
+            saturated = ~np.isfinite(yv(np.abs(ms), x))
             assert saturated.any()
             assert np.all(row[saturated & ~odd_negative] == -0.5 * math.pi)
             assert np.all(row[saturated & odd_negative] == 0.5 * math.pi)
+            first = int(np.argmax(saturated[3000:]))
+            with mp.workdps(40):
+                for m in range(0, first, -(-first // 60)):
+                    ref = float(mp.arg(mp.hankel1(m, mp.mpf(x))))
+                    delta = math.remainder(row[3000 + m] - ref, 2.0 * math.pi)
+                    assert abs(delta) <= 1e-14, (x, m)

@@ -262,6 +262,15 @@ class TestRecurrenceRows:
         for xi, o, row in zip(x, orders, table):
             assert np.array_equal(row[:o + 1], sf.bessel_j_table(int(o), xi))
             assert np.all(row[o + 1:] == 0.0)
+        # the largest order belongs to a series argument, so the downward
+        # pass starts far below 2000 and never steps through the other
+        # column's upper orders; they must read 0 and stay out of the
+        # rescaling arithmetic
+        with np.errstate(over="raise", invalid="raise"):
+            table = sf.bessel_j_table(np.array([5, 2000]), [1.0, 1e-25])
+        assert np.array_equal(table[0, :6], sf.bessel_j_table(5, 1.0))
+        assert np.all(table[0, 6:] == 0.0)
+        assert np.array_equal(table[1], sf.bessel_j_table(2000, 1e-25))
         with pytest.raises(ValueError, match="order must be a nonnegative"):
             sf.bessel_j_table(np.array([3, -1]), [1.0, 2.0])
 
