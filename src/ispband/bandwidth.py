@@ -11,7 +11,22 @@ The two rigorous/conjectured bounds come from first Bessel zeros,
     B_-  = min { m : j_{m,1} >= kappa0 }
     B_+  = min { m : y_{m,1} >= kappa0 }
 
-and both have cheap closed-form surrogates: B~- from inverting the
+where a zero within _TIE_TOL below kappa0 counts as clearing it. No zero
+is searched for. The zeros interlace, j_{m,1} < j_{m+1,1} < j_{m,2}
+(DLMF 10.21.2, and the same for y). So if M is the last order with
+j_{M,1} < kappa0, then kappa0 <= j_{M+1,1} < j_{M,2} gives J_M(kappa0) < 0,
+while J_m(kappa0) >= 0 for every m > M: B_- = M + 1 is one more than the
+last order whose J_m(kappa0) is negative, and 0 if none is. B_+ comes
+likewise from the last positive Y_m(kappa0). As j_{m,1} > m and
+y_{m,1} > m, only the orders below kappa0 need to be read. The tie rule
+is kept by the Newton distance f_M / f_M' from the first zero of f_M
+to kappa0, with f_M' = (M/kappa0) f_M - f_{M+1} (DLMF 10.6.2): by the same
+interlacing f_M' has no zero between that zero and kappa0, so the
+distance is positive, and where it is at most _TIE_TOL the bound is M
+itself. The rows read are the J and Y rows at kappa0 that report and
+run_sweep build for the spectrum anyway.
+
+Both bounds have cheap closed-form surrogates: B~- from inverting the
 large-order expansion j_{m,1} ~ m + a_- m^(1/3) (a cubic in m^(1/3)),
 and B~+ = ceil(kappa0).
 """
@@ -23,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .singular_system import (ProblemGeometry, SpectrumTable, build_spectrum,
-                              default_m_max)
-from .specfun import A_MINUS, first_zero_j, first_zero_y
+from .singular_system import (ProblemGeometry, SpectrumTable, _bessel_rows,
+                              _horizon, _log_spectrum)
+from .specfun import A_MINUS, bessel_j_table, bessel_y_table
 
 __all__ = [
     "HorizonError",
@@ -69,13 +84,16 @@ def bandwidth(spectrum: SpectrumTable) -> int:
         if the trailing rows fail to decrease strictly (a horizon ending
         before the stopband would otherwise produce a silently wrong B).
     """
-    g = spectrum.geometry
-    need = _min_horizon(g.kappa0)
-    if spectrum.m_max < need:
+    return _band_edge(spectrum.log_sigma, spectrum.geometry.kappa0)
+
+
+def _band_edge(ls: np.ndarray, kappa0: float) -> int:
+    """bandwidth of the log sigma row ls of m = 0 .. len(ls) - 1."""
+    need = _min_horizon(kappa0)
+    if len(ls) - 1 < need:
         raise HorizonError(
-            f"m_max={spectrum.m_max} is below the required horizon {need} "
-            f"for kappa0={g.kappa0:g}")
-    ls = spectrum.log_sigma
+            f"m_max={len(ls) - 1} is below the required horizon {need} "
+            f"for kappa0={kappa0:g}")
     finite = np.isfinite(ls)
     if not finite.all():
         # trailing underflow of A_m: everything past the first -inf is
@@ -95,39 +113,80 @@ def bandwidth(spectrum: SpectrumTable) -> int:
     return int(viol[-1] + 1) if viol.size else 0
 
 
-def _threshold_search(kappa0: float, zero_of) -> int:
-    """Smallest m with zero_of(m) >= kappa0, ties inclusive.
+def _sign_bounds(f: np.ndarray, kappa0: np.ndarray, sign: float,
+                 exponents=None) -> np.ndarray:
+    """The bound of each lane i from its row f[i, m] ~ F_m(kappa0_i),
+    m = 0 .. ceil(max kappa0) at least: one more than the last order
+    m < kappa0_i with sign F_m(kappa0_i) > 0, or that order M itself
+    where its Newton distance to the first zero of F_M is at most
+    _TIE_TOL; 0 where no order has that sign. -1 where an entry it reads
+    is not finite, so that such a row never picks a bound.
 
-    zero_of(m) is strictly increasing in m and exceeds m itself, so the
-    predicate is monotone and m = ceil(kappa0) is always a witness;
-    bisect below it.
+    f may be a mantissa table, as bessel_y_table gives it: the signs are
+    those of f, and exponents(lanes, orders), if given, returns the
+    power-of-two exponents of the two entries per lane the tie rule reads.
     """
-    if not (math.isfinite(kappa0) and kappa0 > 0.0):
+    scan = np.arange(f.shape[1]) < np.ceil(kappa0)[:, None]
+    hit = scan & (sign * f > 0.0)
+    last = np.where(hit.any(axis=1),
+                    f.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1), -1)
+    lanes, at = np.arange(len(f)), np.maximum(last, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_at, g_up = (sign * (f[lanes, m] if exponents is None else
+                              np.ldexp(f[lanes, m], exponents(lanes, m)))
+                      for m in (at, at + 1))
+        slope = (at / kappa0) * g_at - g_up          # sign F_M'(kappa0)
+        tie = (last >= 0) & (slope > 0.0) & (g_at <= _TIE_TOL * slope)
+    ok = (np.all(np.isfinite(f) | ~scan, axis=1)
+          & ((last < 0) | np.isfinite(g_up)))
+    return np.where(ok, last + 1 - tie, -1)
+
+
+def _row_bounds(rows, kappa0s) -> tuple[np.ndarray, np.ndarray]:
+    """B_- and B_+ of every _bessel_rows entry from its J and Y rows at
+    kappa0, in one scan over all of them; -1 as in _sign_bounds."""
+    kappa0 = np.asarray(kappa0s, dtype=float)
+    n = math.ceil(kappa0.max()) + 1
+    j, y = (np.array([r[i][:n] for r in rows]) for i in (0, 4))
+
+    def exponents(lanes, orders):
+        return np.array([rows[p][5][m] for p, m in zip(lanes, orders)])
+
+    return (_sign_bounds(j, kappa0, -1.0),
+            _sign_bounds(y, kappa0, 1.0, exponents))
+
+
+def _check_kappa0(kappa0) -> np.ndarray:
+    k = np.asarray(kappa0, dtype=float)
+    if not np.all(np.isfinite(k) & (k > 0.0)):
         raise ValueError(f"kappa0 must be positive, got {kappa0!r}")
-
-    def hit(m: int) -> bool:
-        return zero_of(m).value >= kappa0 - _TIE_TOL
-
-    lo, hi = 0, int(math.ceil(kappa0)) + 1
-    if hit(lo):
-        return 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if hit(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return k
 
 
-def bound_lower(kappa0: float) -> int:
-    """B_- : first order whose J zero clears kappa0."""
-    return _threshold_search(kappa0, first_zero_j)
+def _bound_result(b: np.ndarray, kappa0, kind: str):
+    if np.any(b < 0):
+        raise ArithmeticError(
+            f"{kind}_m(kappa0) is not finite where B reads it, at "
+            f"kappa0={np.asarray(kappa0).flat[int(np.argmin(b))]:g}")
+    return int(b[0]) if np.ndim(kappa0) == 0 else b.reshape(np.shape(kappa0))
 
 
-def bound_upper(kappa0: float) -> int:
-    """B_+ : first order whose Y zero clears kappa0."""
-    return _threshold_search(kappa0, first_zero_y)
+def bound_lower(kappa0):
+    """B_- : first order whose J zero clears kappa0, from the signs of
+    one J row at kappa0 to ceil(kappa0) + 2 (see the module docstring).
+    kappa0 is one size parameter or an array of them, one lane each."""
+    k = _check_kappa0(kappa0).reshape(-1)
+    j = bessel_j_table(np.ceil(k).astype(np.int64) + 2, k)
+    return _bound_result(_sign_bounds(j, k, -1.0), kappa0, "J")
+
+
+def bound_upper(kappa0):
+    """B_+ : first order whose Y zero clears kappa0, from the signs of
+    one Y row at kappa0 to ceil(kappa0) + 2; as bound_lower."""
+    k = _check_kappa0(kappa0).reshape(-1)
+    y, e = bessel_y_table(math.ceil(k.max()) + 2, k)
+    b = _sign_bounds(y, k, 1.0, lambda lanes, m: e[lanes, m])
+    return _bound_result(b, kappa0, "Y")
 
 
 def bound_lower_approx(kappa0: float) -> int:
@@ -164,23 +223,31 @@ class BandwidthReport:
 
 
 def report(g: ProblemGeometry, m_max: int | None = None) -> BandwidthReport:
-    """Bandwidth and all four bounds from a single spectrum build."""
-    if m_max is None:
-        m_max = default_m_max(g.kappa0)
-    return _report(build_spectrum(g, m_max))
+    """Bandwidth and all four bounds from a single Bessel pass."""
+    m_max = _horizon(g, m_max)
+    rows = _bessel_rows([g], [m_max], at_kappa0=True)
+    (b_minus,), (b_plus,) = _row_bounds(rows, [g.kappa0])
+    return _report(g, _log_spectrum(g, m_max, rows[0])[2], int(b_minus),
+                   int(b_plus))
 
 
-def _report(spectrum: SpectrumTable) -> BandwidthReport:
-    """Bandwidth and all four bounds of a spectrum already built."""
-    g = spectrum.geometry
+def _report(g: ProblemGeometry, log_sigma: np.ndarray, b_minus: int,
+            b_plus: int) -> BandwidthReport:
+    """Bandwidth and all four bounds of g from its log sigma row and the
+    two bounds _row_bounds read for it."""
+    b = _band_edge(log_sigma, g.kappa0)
+    if b_minus < 0 or b_plus < 0:
+        raise ArithmeticError(
+            f"Bessel rows at kappa0={g.kappa0:g} are not finite where the "
+            "bounds read them")
     return BandwidthReport(
         geometry=g,
-        B=bandwidth(spectrum),
-        B_minus=bound_lower(g.kappa0),
-        B_plus=bound_upper(g.kappa0),
+        B=b,
+        B_minus=b_minus,
+        B_plus=b_plus,
         B_tilde_minus=bound_lower_approx(g.kappa0),
         B_tilde_plus=bound_upper_approx(g.kappa0),
-        horizon=spectrum.m_max,
+        horizon=len(log_sigma) - 1,
     )
 
 

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import csvio
-from .bandwidth import HorizonError, max_angular_sampling, report
+from .bandwidth import HorizonError, report
 from .experiments import fit_linear, run_sweep
 from .forward import source_grid, synthesize_measurement
 from .singular_system import (ProblemGeometry, build_spectrum, default_m_max,
@@ -155,7 +155,7 @@ def _cmd_bandwidth(args, parser) -> int:
         "Btilde-": rep.B_tilde_minus, "Btilde+": rep.B_tilde_plus,
     }
     if rep.B_minus >= 1:
-        dtheta = max_angular_sampling(g)
+        dtheta = math.pi / rep.B_minus      # = max_angular_sampling(g)
         note = f"max angular step pi/B- = {dtheta:.17g}"
     else:
         dtheta = None

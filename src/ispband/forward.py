@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .singular_system import (ProblemGeometry, _psi_project, _psi_radial,
                               _signed_phase, build_spectrum,
@@ -204,6 +203,8 @@ def _ring_coefficients(g: ProblemGeometry, rho: np.ndarray,
         if the fine grid leaves more than _KERNEL_TAIL_TOL of a ring's
         smooth kernel content past the derived band.
     """
+    from scipy import special   # the dense cross-check alone needs scipy
+
     p_band = _kernel_band(g.kappa)
     n_fine = 1 << (2 * max(p_band, band) + 32).bit_length()
     t = 2.0 * math.pi * np.arange(n_fine) / n_fine

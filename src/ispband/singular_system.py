@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
-from .specfun import (bessel_j_table, bessel_y_table, hankel_arg,
-                      hankel_log_abs2, hankel_phase_row)
+from .specfun import (_HANKEL_FROM, _NEUMANN_TOP, _y_table, bessel_j_table,
+                      hankel_arg, hankel_log_abs2, hankel_phase_row)
 
 __all__ = [
     "ProblemGeometry",
@@ -162,54 +161,84 @@ class SpectrumTable:
         return len(self.m)
 
 
-def _bessel_rows(gs, m_maxes) -> list[tuple]:
+def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
     """The Bessel rows of several geometries from one pass.
 
     For geometry p with horizon m_max_p: the J rows at kappa0 and at kappa
     to _j_horizon, from one bessel_j_table call over all of them (a row is
     shared where kappa and horizon coincide, as they do for kappa =
-    kappa0), and the Y row at kappa to m_max_p, from one bessel_y_table
-    call. Each row depends on its own argument and horizon alone, so a
-    geometry gets the same bits in a batch as on its own.
+    kappa0), and the Y row at kappa, from one bessel_y_table call to the
+    largest m_max_p. With at_kappa0, which the bounds of report and
+    run_sweep need, the same call also gives the Y row at kappa0 (shared
+    where kappa = kappa0) and runs to ceil(kappa0_p) + 2 at least. The J
+    rows that seed the Y rows below x = 25 (Neumann's series) join the
+    one bessel_j_table call. Each entry is (J at kappa0, J at kappa, Y
+    mantissa and exponent at kappa), followed with at_kappa0 by the Y
+    mantissa and exponent at kappa0. Each row depends on its own argument
+    and horizon alone, so a geometry gets the same bits in a batch as on
+    its own, and the Y rows are those of bessel_y_table.
     """
-    lanes: dict[tuple[float, int], int] = {}
+    j_lanes: dict[tuple[float, int], int] = {}
+    y_lanes: dict[float, int] = {}
     picks = []
     for g, m_max in zip(gs, m_maxes):
         h = _j_horizon(g.kappa0, m_max)
-        picks.append((lanes.setdefault((g.kappa0, h), len(lanes)),
-                      lanes.setdefault((g.kappa, h), len(lanes))))
-    x, h = zip(*lanes)
+        y_args = (g.kappa, g.kappa0) if at_kappa0 else (g.kappa,)
+        picks.append(([j_lanes.setdefault((x, h), len(j_lanes))
+                       for x in (g.kappa0, g.kappa)],
+                      [y_lanes.setdefault(x, len(y_lanes)) for x in y_args]))
+    y_x = list(y_lanes)
+    seed_lanes = [j_lanes.setdefault((x, _NEUMANN_TOP), len(j_lanes))
+                  for x in y_x if x < _HANKEL_FROM]
+    x, h = zip(*j_lanes)
     j = bessel_j_table(np.array(h), np.array(x))
-    y, e = bessel_y_table(max(m_maxes), np.array([g.kappa for g in gs]))
-    return [(j[i0], j[i1], y[p], e[p]) for p, (i0, i1) in enumerate(picks)]
+    top = max(m_maxes)
+    if at_kappa0:
+        top = max(top, max(math.ceil(g.kappa0) for g in gs) + 2)
+    y, e = _y_table(top, np.array(y_x), j[seed_lanes])
+    return [(j[a], j[b], *(r for c in ys for r in (y[c], e[c])))
+            for (a, b), ys in picks]
+
+
+def _log_spectrum(g: ProblemGeometry, m_max: int, rows):
+    """A_m, log|H_m^(1)(kappa)|^2 and log sigma_m for m = 0 .. m_max of g
+    from its _bessel_rows entry."""
+    j0, j, y, e = rows[:4]
+    n = m_max + 1
+    a = _a_from_row(j0, np.arange(n), g.kappa0)
+    logh2 = hankel_log_abs2(j[:n], y[:n], e[:n])
+    const = 0.5 * math.log(2.0 * g.R) + math.log(math.pi) + math.log(g.R0)
+    with np.errstate(divide="ignore"):
+        ls = const + 0.5 * logh2 + np.log(a)
+    return a, logh2, ls
 
 
 def _spectrum(g: ProblemGeometry, m_max: int, rows) -> SpectrumTable:
     """The spectrum rows m = 0 .. m_max of g from its _bessel_rows entry."""
-    j0, j, y, e = rows
+    a, logh2, ls = _log_spectrum(g, m_max, rows)
+    _, j, y, e = rows[:4]
     n = m_max + 1
-    ms = np.arange(n)
-    a = _a_from_row(j0, ms, g.kappa0)
-    j, y, e = j[:n], y[:n], e[:n]
-    logh2 = hankel_log_abs2(j, y, e)
-    const = 0.5 * math.log(2.0 * g.R) + math.log(math.pi) + math.log(g.R0)
-    with np.errstate(divide="ignore"):
-        ls = const + 0.5 * logh2 + np.log(a)
     with np.errstate(under="ignore"):
         sigma = np.where(np.isfinite(ls), np.exp(np.minimum(ls, 709.0)), 0.0)
-    return SpectrumTable(geometry=g, m=ms, a=a, log_abs_h2=logh2,
+    return SpectrumTable(geometry=g, m=np.arange(n), a=a, log_abs_h2=logh2,
                          log_sigma=ls, sigma=sigma,
-                         phase=hankel_arg(j, y, e))
+                         phase=hankel_arg(j[:n], y[:n], e[:n]))
 
 
-def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTable:
-    """Assemble the spectrum rows m = 0 .. m_max for one geometry, from
-    one Bessel pass with one lane per argument."""
+def _horizon(g: ProblemGeometry, m_max) -> int:
+    """The spectrum horizon asked for, default_m_max(kappa0) if None."""
     if m_max is None:
         m_max = default_m_max(g.kappa0)
     m_max = int(m_max)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    return m_max
+
+
+def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTable:
+    """Assemble the spectrum rows m = 0 .. m_max for one geometry, from
+    one Bessel pass with one lane per argument."""
+    m_max = _horizon(g, m_max)
     return _spectrum(g, m_max, _bessel_rows([g], [m_max])[0])
 
 
@@ -217,7 +246,8 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     """Right singular function psi_m at polar points of the source disk.
 
     rho and theta broadcast against each other. Requires |rho| <= R0 and a
-    nondegenerate mode (A_{|m|}(kappa0) > 0).
+    nondegenerate mode (A_{|m|}(kappa0) > 0). J_m comes from one
+    bessel_j_table over the distinct radii, J_{-m} = (-1)^m J_m.
     """
     m = int(m)
     rho = np.asarray(rho, dtype=float)
@@ -228,7 +258,11 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     if a == 0.0:
         raise ArithmeticError(
             f"mode m={m} is degenerate at kappa0={g.kappa0:g} (A_m = 0)")
-    vals = special.jv(m, g.k * rho) * np.exp(1j * m * theta)
+    radii, at = np.unique(g.k * rho, return_inverse=True)
+    jm = bessel_j_table(abs(m), radii)[:, abs(m)][at].reshape(rho.shape)
+    if m < 0 and m % 2 == 1:
+        jm = -jm
+    vals = jm * np.exp(1j * m * theta)
     out = vals / (math.sqrt(math.pi) * g.R0 * a)
     return complex(out) if out.ndim == 0 else out
 
@@ -238,7 +272,7 @@ def _psi_radial(ms, table: SpectrumTable, rho) -> np.ndarray:
     modes psi_m, (n_r, len(ms)), from one bessel_j_table (Miller's downward
     recurrence over all rings), J_{-m} = (-1)^m J_m and the A_m row of
     table, which must reach max |m|. Within 1e-12 of each column's largest
-    entry of the jv values psi_eval uses."""
+    entry of jv."""
     ms = np.asarray(ms)
     g = table.geometry
     jm = bessel_j_table(int(np.abs(ms).max()), g.k * rho)

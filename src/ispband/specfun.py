@@ -12,9 +12,13 @@ is one vector step per order across all arguments, so the rows of a whole
 batch of geometries cost about what the rows of one do. Y_m overflows the
 double range once m is a few hundred above x; its table carries a
 power-of-two exponent per entry instead, so the Hankel rows stay finite
-there and the phase is -pi/2 to every digit. scipy.special.yv gives the
-two seeds of the Y table, and jv and yv the values the zero search
-bisects; nothing else here calls scipy.
+there and the phase is -pi/2 to every digit.
+
+The Y table needs Y_0 and Y_1 to start from. Below x = 25 they come from
+Neumann's series (DLMF 10.8.2, and its derivative for Y_1) over one J
+table; from 25 on, from Hankel's expansion (DLMF 10.17.3-4). Nothing on
+these paths calls scipy: only the zero search, which bisects scipy's jv
+and yv, imports it, and only when it runs.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ZeroRecord",
@@ -56,6 +59,37 @@ _SERIES_BELOW = 1e-20
 _J_FLOOR = 1e-285
 
 _LN2 = math.log(2.0)
+
+_TWO_OVER_PI = 2.0 / math.pi
+
+# Euler's constant
+_EULER_GAMMA = 0.5772156649015329
+
+# Y_0 and Y_1 come from Neumann's series below this argument and from
+# Hankel's expansion from it on
+_HANKEL_FROM = 25.0
+
+# top order of the J table behind Neumann's series: past it J_m(x) < 1e-19
+# for every x < _HANKEL_FROM
+_NEUMANN_TOP = 64
+
+
+def _hankel_coefficients(nu: int, n: int) -> list[float]:
+    """a_k(nu) of Hankel's expansion for k = 0 .. n - 1 (DLMF 10.17.1)."""
+    a = [1.0]
+    for k in range(1, n):
+        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    return a
+
+
+# Hankel's P_0, Q_0 / t, P_1, Q_1 / t as polynomials in t^2, t = 1/x: row k
+# holds the coefficients (-1)^k a_2k(nu), (-1)^k a_2k+1(nu) of t^2k for
+# k < 11. The last term, a_21 / x^21, is below 2e-18 at x = _HANKEL_FROM
+# and falls with x.
+_HANKEL_PQ = np.array([[(-1) ** k * a[2 * k + i] for a in
+                        (_hankel_coefficients(0, 22),
+                         _hankel_coefficients(1, 22)) for i in (0, 1)]
+                       for k in range(11)])
 
 _ORDER_MESSAGE = ("order must be a nonnegative integer; map negative "
                   "orders through J_{-m} = (-1)^m J_m at the call site")
@@ -240,18 +274,24 @@ def bessel_y_table(m_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     x.shape + (m_max + 1,) and C-contiguous.
 
     One upward pass Y_{m+1} = (2m/x) Y_m - Y_{m-1}, a vector step across
-    all x, seeded by yv(0, x) and yv(1, x) (one scipy call); upward is the
-    stable direction for Y, the dominant solution (Gautschi, SIAM Rev. 9,
-    1967; DLMF 10.74(iv)). Where an argument's |Y_m| passes
-    _RESCALE_AT min(1, x), its working pair is divided by the power of two
-    that brings |Y_m| into [0.5, 1), which is exact, and the power moves
-    into e. One step multiplies |Y| by at most 2m/x + 1, so no entry
-    overflows for m <= 1e4 and x >= 1.2e-304. An entry depends on x_i and
+    all x, seeded by _y_seeds; upward is the stable direction for Y, the
+    dominant solution (Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)).
+    Where an argument's |Y_m| passes _RESCALE_AT min(1, x), its working
+    pair is divided by the power of two that brings |Y_m| into [0.5, 1),
+    which is exact, and the power moves into e. One step multiplies |Y|
+    by at most 2m/x + 1, so no entry overflows for m <= 1e4 and
+    x >= 1.2e-304. An entry depends on x_i and
     m alone, never on m_max or the other arguments, so a longer table
-    extends a shorter one bit for bit. Below x = 3.6e-309, where yv(1, x)
-    overflows, and wherever a step overflows all the same, the entries are
-    not finite; hankel_log_abs2 and hankel_arg refuse them.
+    extends a shorter one bit for bit. Below x = 3.6e-309, where
+    Y_1(x) ~ -2 / (pi x) overflows, and wherever a step overflows all the
+    same, the entries are not finite; hankel_log_abs2 and hankel_arg
+    refuse them.
     """
+    return _y_table(m_max, x, None)
+
+
+def _y_table(m_max, x, neumann_j) -> tuple[np.ndarray, np.ndarray]:
+    """bessel_y_table, with neumann_j as in _y_seeds."""
     m_max = _check_order(m_max)
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
@@ -259,7 +299,7 @@ def bessel_y_table(m_max: int, x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("arguments must be positive finite reals")
     y = np.empty((flat.size, m_max + 1))
     e = np.zeros((flat.size, m_max + 1), dtype=np.int64)   # steps, then sums
-    seeds = special.yv(np.arange(2)[:, None], flat)
+    seeds = _y_seeds(flat, neumann_j)
     y[:, 0] = seeds[0]
     limit = _RESCALE_AT * np.minimum(1.0, flat)
     growth = 2.0 / float(flat.min()) if flat.size else 0.0
@@ -289,6 +329,91 @@ def bessel_y_table(m_max: int, x) -> tuple[np.ndarray, np.ndarray]:
         np.cumsum(e, axis=1, out=e)
     shape = x.shape + (m_max + 1,)
     return y.reshape(shape), e.reshape(shape)
+
+
+def _y_seeds(x: np.ndarray,
+             neumann_j=None) -> tuple[np.ndarray, np.ndarray]:
+    """Y_0(x_i) and Y_1(x_i) at every x_i > 0 of a flat array, each from
+    x_i alone. For 1e-300 <= x <= 1e4 the error is at most 1.6e-15 of
+    max(|Y|, sqrt(2 / (pi x))) on the tests' sample against 40-digit
+    mpmath, which they bound by 4e-15.
+
+    neumann_j, if not None, holds the rows bessel_j_table(_NEUMANN_TOP,
+    x_i) (zeros past that order allowed) of the x_i < _HANKEL_FROM in
+    order: a caller that runs a J pass over these arguments anyway adds
+    them to it, so that the seeds take no pass of their own.
+    """
+    y0, y1 = np.empty_like(x), np.empty_like(x)
+    near = x < _HANKEL_FROM
+    if near.any():
+        y0[near], y1[near] = _neumann_seeds(
+            x[near], bessel_j_table(_NEUMANN_TOP, x[near])
+            if neumann_j is None else neumann_j)
+    if not near.all():
+        y0[~near], y1[~near] = _hankel_seeds(x[~near])
+    return y0, y1
+
+
+def _neumann_seeds(x: np.ndarray,
+                   j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Y_0 and Y_1 at 0 < x < _HANKEL_FROM from Neumann's series
+
+        Y_0 = (2/pi) [(ln(x/2) + gamma) J_0 - 2 sum_k (-1)^k J_2k / k]
+
+    (DLMF 10.8.2) and Y_1 = -Y_0', which with J_0' = -J_1 and
+    2 J_n' = J_{n-1} - J_{n+1} reads
+
+        Y_1 = (2/pi) [(ln(x/2) + gamma - 1) J_1 - J_0 / x
+                      + sum_k (-1)^(k+1) (1/k + 1/(k+1)) J_2k+1],
+
+    over the rows j = bessel_j_table(_NEUMANN_TOP, x). Each sum runs
+    along its own row, so each entry depends on its x alone.
+    """
+    # cumsum adds along each row in order: the sums run from the top
+    # order down, the smallest terms first
+    k = np.arange(_NEUMANN_TOP // 2, 0, -1)
+    even = np.cumsum(j[:, _NEUMANN_TOP:1:-2] * ((-1.0) ** k / k),
+                     axis=1)[:, -1]
+    k = k[1:]
+    odd = np.cumsum(j[:, _NEUMANN_TOP - 1:2:-2]
+                    * ((-1.0) ** (k + 1) * (1.0 / k + 1.0 / (k + 1))),
+                    axis=1)[:, -1]
+    log_term = np.log(x) - _LN2 + _EULER_GAMMA
+    y0 = _TWO_OVER_PI * (log_term * j[:, 0] - 2.0 * even)
+    # (2/pi) / x rather than 2/pi times 1/x, which would overflow from
+    # x = 5.6e-309 on instead of where Y_1 itself does, at 3.6e-309
+    with np.errstate(over="ignore"):
+        y1 = (_TWO_OVER_PI * ((log_term - 1.0) * j[:, 1] + odd)
+              - j[:, 0] * (_TWO_OVER_PI / x))
+    return y0, y1
+
+
+def _hankel_seeds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Y_0 and Y_1 at x >= _HANKEL_FROM from Hankel's expansion
+
+        Y_nu = sqrt(2 / (pi x)) (P_nu sin w + Q_nu cos w),
+        w = x - nu pi/2 - pi/4,
+
+    P_nu = sum_k (-1)^k a_2k(nu) / x^2k and
+    Q_nu = sum_k (-1)^k a_2k+1(nu) / x^(2k+1) (DLMF 10.17.3-4), with
+    cos(x - pi/4) and sin(x - pi/4) formed from math.cos(x) and
+    math.sin(x), whose argument reduction is exact.
+    """
+    t = 1.0 / x
+    t2 = t * t
+    pq = np.zeros((4, x.size))
+    for c in _HANKEL_PQ[::-1]:                      # Horner in t^2
+        pq = pq * t2 + c[:, None]
+    p0, q0, p1, q1 = pq[0], pq[1] * t, pq[2], pq[3] * t
+    xs = x.tolist()
+    cos = np.array([math.cos(v) for v in xs])
+    sin = np.array([math.sin(v) for v in xs])
+    # sqrt(2) cos(x - pi/4) = cos + sin, sqrt(2) sin(x - pi/4) = sin - cos,
+    # and w = x - 3 pi/4 for nu = 1 turns sin w, cos w into -cos, sin of
+    # x - pi/4
+    scale = 1.0 / np.sqrt(math.pi * x)
+    return (scale * (p0 * (sin - cos) + q0 * (cos + sin)),
+            scale * (q1 * (sin - cos) - p1 * (cos + sin)))
 
 
 @dataclass(frozen=True)
@@ -322,6 +447,8 @@ def first_zero_j(m) -> ZeroRecord:
     m < j_{m,1}, and for m <= 1e4 the top end lies 1.50 to 1.56 above
     j_{m,1}, short of j_{m,2} > j_{m,1} + pi: one zero in the bracket.
     """
+    from scipy import special   # only the zero search needs scipy
+
     m = _check_order(m)
     lo, hi = (2.0, 3.0) if m == 0 else (
         float(m), m + A_MINUS * m**(1.0 / 3.0) + 1.0331 * m**(-1.0 / 3.0) + 1.5)
@@ -337,6 +464,8 @@ def first_zero_y(m) -> ZeroRecord:
     m < y_{m,1}, and for m <= 1e4 the top end lies 0.93 to 1.19 above
     y_{m,1}, short of y_{m,2} > y_{m,1} + pi: one zero in the bracket.
     """
+    from scipy import special   # only the zero search needs scipy
+
     m = _check_order(m)
     lo, hi = (0.5, 1.5) if m == 0 else (
         float(m), m + A_PLUS * m**(1.0 / 3.0) + 1.2)

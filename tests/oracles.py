@@ -6,7 +6,31 @@ import math
 import numpy as np
 from scipy import integrate, special
 
+from ispband.bandwidth import _TIE_TOL
 from ispband.specfun import _check_arg, _check_order
+
+
+def zero_threshold_bound(kappa0: float, zero_of) -> int:
+    """Smallest m with zero_of(m).value >= kappa0 - _TIE_TOL: B_- with
+    zero_of = first_zero_j, B_+ with first_zero_y, by the definition.
+
+    zero_of(m) is strictly increasing in m and exceeds m itself, so the
+    predicate is monotone and m = ceil(kappa0) is always a witness;
+    bisect below it.
+    """
+    def hit(m: int) -> bool:
+        return zero_of(m).value >= kappa0 - _TIE_TOL
+
+    lo, hi = 0, int(math.ceil(kappa0)) + 1
+    if hit(lo):
+        return 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if hit(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def nicholson_abs2_oracle(m, x, rtol: float = 1e-11) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,10 @@ from hypothesis import strategies as st
 import ispband as ib
 from ispband import singular_system as ss
 from ispband import specfun as sf
+from oracles import zero_threshold_bound
+
+# the module; the package's name `bandwidth` is the function
+bw = importlib.import_module("ispband.bandwidth")
 
 TEN_PI = 10.0 * math.pi
 
@@ -83,6 +88,84 @@ class TestZeroBounds:
             ib.bound_lower(0.0)
         with pytest.raises(ValueError):
             ib.bound_upper(-3.0)
+
+
+def _oracle(kappa0s):
+    """(B_-, B_+) of every kappa0 by the zero search."""
+    return (np.array([zero_threshold_bound(k, sf.first_zero_j)
+                      for k in kappa0s]),
+            np.array([zero_threshold_bound(k, sf.first_zero_y)
+                      for k in kappa0s]))
+
+
+class TestBoundsFromRowSigns:
+    """B_- and B_+ from the signs of the J and Y rows at kappa0 against
+    the definition, the threshold search over the first zeros."""
+
+    def check(self, kappa0s):
+        kappa0s = np.asarray(kappa0s, dtype=float)
+        lower, upper = _oracle(kappa0s)
+        assert np.array_equal(ib.bound_lower(kappa0s), lower)
+        assert np.array_equal(ib.bound_upper(kappa0s), upper)
+
+    def test_seeded_grid(self):
+        rng = np.random.default_rng(20)
+        for _ in range(2):
+            self.check(1100.0 * (1.0 - rng.random(1000)))   # (0, 1100]
+
+    @pytest.mark.parametrize("zero_of", [sf.first_zero_j, sf.first_zero_y])
+    def test_around_every_zero(self, zero_of):
+        # ties within _TIE_TOL = 1e-9 count as cleared: offsets on both
+        # sides of the zero and of the tie line
+        zeros = np.array([zero_of(m).value for m in range(1001)])
+        for offset in (-1e-6, -2e-9, -5e-10, -1e-10, 0.0,
+                       1e-10, 5e-10, 2e-9, 1e-6):
+            self.check(zeros + offset)
+
+    def test_tiny_and_large_arguments(self):
+        # Y_1 overflows at 1e-310, but the bound reads Y_0 < 0 alone there
+        self.check([1e-310, 1e-300, 1e-20, 0.5])
+        self.check([2500.3, 5000.0, 9999.5, 1e4])
+
+    def test_scalar_gives_int(self):
+        assert type(ib.bound_lower(TEN_PI)) is int
+        assert type(ib.bound_upper(np.float64(TEN_PI))) is int
+        assert ib.bound_upper([[TEN_PI]]).shape == (1, 1)
+
+    def test_sweep_and_report_rows(self):
+        # run_sweep and report read the bounds from their own rows at
+        # kappa0, with and without a Y lane shared with kappa
+        for ratio in (1.0, 1.7):
+            records = ib.run_sweep(150, (1.0, 1100.0),
+                                   equal_sizes=ratio == 1.0, ratio=ratio)
+            k0 = [ib.ProblemGeometry.from_size_params(r.kappa0,
+                                                      r.kappa).kappa0
+                  for r in records]
+            lower, upper = _oracle(k0)
+            assert [r.B_minus for r in records] == lower.tolist()
+            assert [r.B_plus for r in records] == upper.tolist()
+
+    def test_non_finite_y_never_picks_a_bound(self, monkeypatch):
+        def broken(real, at):
+            def table(m_max, x, *seed_rows):
+                y, e = real(m_max, x, *seed_rows)
+                y = np.array(y)
+                y[np.asarray(x) == at, 5] = math.nan
+                return y, e
+            return table
+
+        monkeypatch.setattr(bw, "bessel_y_table",
+                            broken(sf.bessel_y_table, TEN_PI))
+        with pytest.raises(ArithmeticError):
+            ib.bound_upper(TEN_PI)
+        with pytest.raises(ArithmeticError):
+            ib.bound_upper([2.0, TEN_PI])
+        # the nan sits in the Y lane at kappa0 alone: the spectrum at
+        # kappa is finite, and the report must still refuse
+        g = ib.ProblemGeometry.from_size_params(TEN_PI, 2.0 * TEN_PI)
+        monkeypatch.setattr(ss, "_y_table", broken(sf._y_table, g.kappa0))
+        with pytest.raises(ArithmeticError, match="not finite"):
+            ib.report(g)
 
 
 class TestClosedFormApproximations:

@@ -242,16 +242,34 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.startswith("B=")
 
-    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
-    def test_import_leaves_out_quadrature(self, module):
-        # the package needs no adaptive quadrature (the cross-check oracle
-        # that does lives with the tests) and no root finder beyond its
-        # own bisection, so a cold import pays for neither
+    def test_import_leaves_out_scipy(self):
+        # the package runs on numpy alone: the cross-check oracle with its
+        # quadrature lives with the tests, and the zero search and the
+        # dense kernel import scipy.special only when they run
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, ispband.cli; "
-             f"print(sorted(m for m in sys.modules if m == {module!r} "
-             f"or m.startswith({module + '.'!r})))"],
+             "import sys, ispband, ispband.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
             capture_output=True, text=True, timeout=120, env=package_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--kappa0", "12", "--kappa", "12", "--out", "s.csv"],
+        ["bandwidth", "--kappa0", "12", "--kappa", "24", "--format", "json"],
+        ["sweep", "--n", "6", "--kappa-max", "40", "--out", "."],
+        ["reconstruct", "--kappa0", "12", "--kappa", "12",
+         "--policy", "B-", "--out", "r.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_subcommand_loads_no_scipy(self, tmp_path, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from ispband import cli; "
+             f"code = cli.main({argv!r}); "
+             "print(code, sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=120, env=package_env(),
+            cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"

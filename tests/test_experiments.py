@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -65,32 +66,40 @@ class TestRunSweep:
 
 
 class _CountingSpecial:
-    """scipy.special with its jv and yv calls counted."""
+    """scipy.special with every function call counted by name."""
 
     def __init__(self, real):
-        self.real, self.calls = real, {"jv": 0, "yv": 0}
+        self.real, self.calls = real, {}
 
     def __getattr__(self, name):
         attr = getattr(self.real, name)
-        if name not in self.calls:
+        if not callable(attr):
             return attr
 
         def counted(*args, **kwargs):
-            self.calls[name] += 1
+            self.calls[name] = self.calls.get(name, 0) + 1
             return attr(*args, **kwargs)
         return counted
 
 
 class TestBatchedSweep:
-    def test_no_jv_rows_and_two_yv_seeds_per_block(self, monkeypatch):
+    def test_warm_sweep_calls_no_scipy_special(self, monkeypatch):
+        import scipy
+        import scipy.special
         from ispband import specfun
-        ex.run_sweep(24, (2.0, 1000.0))          # fills the zero caches
-        counter = _CountingSpecial(specfun.special)
-        monkeypatch.setattr(specfun, "special", counter)
-        monkeypatch.setattr(ss, "special", counter)
         ex.run_sweep(24, (2.0, 1000.0))
-        assert counter.calls["jv"] == 0
-        assert 1 <= counter.calls["yv"] <= 2
+        # the package imports scipy.special inside the functions that use
+        # it, so both import forms must see the counting stand-in
+        counter = _CountingSpecial(scipy.special)
+        monkeypatch.setattr(scipy, "special", counter)
+        monkeypatch.setitem(sys.modules, "scipy.special", counter)
+        for ratio in (1.0, 3.0):
+            ex.run_sweep(24, (2.0, 1000.0), equal_sizes=ratio == 1.0,
+                         ratio=ratio)
+        assert counter.calls == {}
+        # the stand-in does see a call that goes through scipy.special
+        specfun.first_zero_j.__wrapped__(3)
+        assert counter.calls.get("jv", 0) > 0
 
     @pytest.mark.parametrize("block", [ex._SWEEP_BLOCK, 7])
     @pytest.mark.parametrize("ratio", [1.0, 3.0])

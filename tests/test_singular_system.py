@@ -10,6 +10,7 @@ from scipy.special import hankel1, jv, yv
 
 import ispband as ib
 from ispband import singular_system as ss
+from ispband import specfun as sf
 
 mp.mp.dps = 30
 TEN_PI = 10.0 * math.pi
@@ -110,19 +111,25 @@ class TestEnvelopeCoefficient:
 class TestSpectrum:
     def test_batched_rows_match_one_geometry(self):
         # one Bessel pass over several geometries gives each the bits of
-        # its own build_spectrum
+        # its own build_spectrum, and Y rows (seeded from J rows of the
+        # same pass below x = 25) that are those of bessel_y_table
         gs = [ib.ProblemGeometry.from_size_params(k0, k) for k0, k in
               [(2.0, 2.0), (TEN_PI, 4 * TEN_PI), (1000.0, 1000.0),
                (0.3, 0.3), (100.0, 300.0), (TEN_PI, TEN_PI)]]
         horizons = [ss.default_m_max(g.kappa0) for g in gs]
         horizons[-1] = 70
         for g, m_max, rows in zip(gs, horizons,
-                                  ss._bessel_rows(gs, horizons)):
+                                  ss._bessel_rows(gs, horizons,
+                                                  at_kappa0=True)):
             got = ss._spectrum(g, m_max, rows)
             ref = ss.build_spectrum(g, m_max)
             for name in ("a", "log_abs_h2", "log_sigma", "sigma", "phase"):
                 assert np.array_equal(getattr(got, name),
                                       getattr(ref, name)), name
+            for y, e, x in ((rows[2], rows[3], g.kappa),
+                            (rows[4], rows[5], g.kappa0)):
+                y_ref, e_ref = sf.bessel_y_table(len(y) - 1, x)
+                assert np.array_equal(y, y_ref) and np.array_equal(e, e_ref)
 
     def test_log_sigma_symmetry(self, g_equal_10pi):
         # sigma_{-m} = sigma_m because A_{-m} = A_m and |H_{-m}| = |H_m|

@@ -230,6 +230,32 @@ class TestRecurrenceRows:
             with pytest.raises(ArithmeticError):
                 row(3, 1e-310)
 
+    def test_y_seeds_against_mpmath(self):
+        # Y_0 and Y_1 seed the table: Neumann's series below x = 25,
+        # Hankel's expansion from 25 on: worst 1.6e-15 here, scipy's yv
+        # 8.3e-16
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            np.exp(rng.uniform(math.log(1e-300), math.log(1e4), 150)),
+            rng.uniform(0.5, 60.0, 100),
+            [1e-300, 0.8935769662791675, 1.1229189671337703,
+             np.nextafter(25.0, 0.0), 25.0, 1e4]])
+        y, e = sf.bessel_y_table(1, x)
+        got = np.ldexp(y, e)
+        worst = 0.0
+        with mp.workdps(40):
+            for xi, row in zip(x.tolist(), got):
+                scale = math.sqrt(2.0 / (math.pi * xi))
+                for nu in (0, 1):
+                    ref = mp.bessely(nu, mp.mpf(xi))
+                    err = float(abs(mp.mpf(float(row[nu])) - ref))
+                    worst = max(worst, err / max(float(abs(ref)), scale))
+        assert worst <= 4e-15
+        # Y_1 ~ -2 / (pi x) is finite down to 3.6e-309, and not below
+        assert np.all(np.isfinite(sf.log_hankel_abs2_row(1, 3.6e-309)))
+        with pytest.raises(ArithmeticError):
+            sf.log_hankel_abs2_row(1, 3.5e-309)
+
     def test_y_table_extends_bit_for_bit(self):
         # an entry depends on its x and m alone: a longer table, or one
         # over more arguments, holds the same bits, across rescales too
