@@ -167,35 +167,42 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
     For geometry p with horizon m_max_p: the J rows at kappa0 and at kappa
     to _j_horizon, from one bessel_j_table call over all of them (a row is
     shared where kappa and horizon coincide, as they do for kappa =
-    kappa0), and the Y row at kappa, from one bessel_y_table call to the
-    largest m_max_p. With at_kappa0, which the bounds of report and
-    run_sweep need, the same call also gives the Y row at kappa0 (shared
-    where kappa = kappa0) and runs to ceil(kappa0_p) + 2 at least. The J
+    kappa0), and the Y row at kappa to m_max_p, from one bessel_y_table
+    pass. With at_kappa0, which the bounds of report and run_sweep need,
+    the same pass also gives the Y row at kappa0 to ceil(kappa0_p) + 2
+    (shared where kappa = kappa0). A Y lane is 0 past the last order any
+    geometry needs of it, so it takes no rescaling steps there. The J
     rows that seed the Y rows below x = 25 (Neumann's series) join the
     one bessel_j_table call. Each entry is (J at kappa0, J at kappa, Y
     mantissa and exponent at kappa), followed with at_kappa0 by the Y
     mantissa and exponent at kappa0. Each row depends on its own argument
     and horizon alone, so a geometry gets the same bits in a batch as on
-    its own, and the Y rows are those of bessel_y_table.
+    its own, and the Y rows are bessel_y_table's up to the orders needed.
     """
+    top = max(m_maxes)
+    if at_kappa0:
+        top = max(top, max(math.ceil(g.kappa0) for g in gs) + 2)
     j_lanes: dict[tuple[float, int], int] = {}
-    y_lanes: dict[float, int] = {}
+    y_lanes: dict[float, int] = {}          # argument -> lane
+    y_last: dict[float, int] = {}           # argument -> last order needed
     picks = []
     for g, m_max in zip(gs, m_maxes):
         h = _j_horizon(g.kappa0, m_max)
-        y_args = (g.kappa, g.kappa0) if at_kappa0 else (g.kappa,)
+        y_args = [(g.kappa, m_max)]
+        if at_kappa0:
+            y_args.append((g.kappa0, math.ceil(g.kappa0) + 2))
+        for x, last in y_args:
+            y_last[x] = max(y_last.get(x, 0), last)
         picks.append(([j_lanes.setdefault((x, h), len(j_lanes))
                        for x in (g.kappa0, g.kappa)],
-                      [y_lanes.setdefault(x, len(y_lanes)) for x in y_args]))
+                      [y_lanes.setdefault(x, len(y_lanes)) for x, _ in y_args]))
     y_x = list(y_lanes)
     seed_lanes = [j_lanes.setdefault((x, _NEUMANN_TOP), len(j_lanes))
                   for x in y_x if x < _HANKEL_FROM]
     x, h = zip(*j_lanes)
     j = bessel_j_table(np.array(h), np.array(x))
-    top = max(m_maxes)
-    if at_kappa0:
-        top = max(top, max(math.ceil(g.kappa0) for g in gs) + 2)
-    y, e = _y_table(top, np.array(y_x), j[seed_lanes])
+    y, e = _y_table(top, np.array(y_x), j[seed_lanes],
+                    [y_last[x] for x in y_x])
     return [(j[a], j[b], *(r for c in ys for r in (y[c], e[c])))
             for (a, b), ys in picks]
 

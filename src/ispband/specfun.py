@@ -290,8 +290,12 @@ def bessel_y_table(m_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     return _y_table(m_max, x, None)
 
 
-def _y_table(m_max, x, neumann_j) -> tuple[np.ndarray, np.ndarray]:
-    """bessel_y_table, with neumann_j as in _y_seeds."""
+def _y_table(m_max, x, neumann_j,
+             last=None) -> tuple[np.ndarray, np.ndarray]:
+    """bessel_y_table, with neumann_j as in _y_seeds. last, if given,
+    holds one last order per argument: the argument's entries past it are
+    0, so that a lane needed only to a low order takes no rescaling steps
+    (its entries up to that order are bessel_y_table's)."""
     m_max = _check_order(m_max)
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
@@ -305,12 +309,18 @@ def _y_table(m_max, x, neumann_j) -> tuple[np.ndarray, np.ndarray]:
     growth = 2.0 / float(flat.min()) if flat.size else 0.0
     bound = math.inf                    # >= every |Y_m| / limit, as the
     y_lo, y_hi = seeds                  # bound in _miller_rows; Y_{m-1}, Y_m
+    ends: dict[int, list[int]] = {}
+    for i, order in enumerate([] if last is None else last):
+        ends.setdefault(order + 1, []).append(i)
     rescaled = False
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, m_max + 1):
             if m > 1:
                 y_lo, y_hi = y_hi, (2.0 * (m - 1) / flat) * y_hi - y_lo
                 bound *= growth * (m - 1) + 1.0
+            if m in ends:               # a zero pair stays zero
+                y_hi[ends[m]] = 0.0
+                y_lo[ends[m]] = 0.0
             if bound > 1.0:
                 big = np.abs(y_hi) > limit
                 if big.any():

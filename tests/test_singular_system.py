@@ -112,7 +112,8 @@ class TestSpectrum:
     def test_batched_rows_match_one_geometry(self):
         # one Bessel pass over several geometries gives each the bits of
         # its own build_spectrum, and Y rows (seeded from J rows of the
-        # same pass below x = 25) that are those of bessel_y_table
+        # same pass below x = 25) that are bessel_y_table's up to the
+        # orders the geometry needs
         gs = [ib.ProblemGeometry.from_size_params(k0, k) for k0, k in
               [(2.0, 2.0), (TEN_PI, 4 * TEN_PI), (1000.0, 1000.0),
                (0.3, 0.3), (100.0, 300.0), (TEN_PI, TEN_PI)]]
@@ -126,10 +127,12 @@ class TestSpectrum:
             for name in ("a", "log_abs_h2", "log_sigma", "sigma", "phase"):
                 assert np.array_equal(getattr(got, name),
                                       getattr(ref, name)), name
-            for y, e, x in ((rows[2], rows[3], g.kappa),
-                            (rows[4], rows[5], g.kappa0)):
-                y_ref, e_ref = sf.bessel_y_table(len(y) - 1, x)
-                assert np.array_equal(y, y_ref) and np.array_equal(e, e_ref)
+            for y, e, x, last in ((*rows[2:4], g.kappa, m_max),
+                                  (*rows[4:6], g.kappa0,
+                                   math.ceil(g.kappa0) + 2)):
+                y_ref, e_ref = sf.bessel_y_table(last, x)
+                assert np.array_equal(y[:last + 1], y_ref)
+                assert np.array_equal(e[:last + 1], e_ref)
 
     def test_log_sigma_symmetry(self, g_equal_10pi):
         # sigma_{-m} = sigma_m because A_{-m} = A_m and |H_{-m}| = |H_m|
