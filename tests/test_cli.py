@@ -242,6 +242,20 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.startswith("B=")
 
+    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+    def test_import_leaves_out_quadrature(self, module):
+        # the package needs no adaptive quadrature (the cross-check oracle
+        # that does lives with the tests) and no root finder beyond its
+        # own bisection, so a cold import pays for neither
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ispband.cli; "
+             f"print(sorted(m for m in sys.modules if m == {module!r} "
+             f"or m.startswith({module + '.'!r})))"],
+            capture_output=True, text=True, timeout=120, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_import_leaves_out_scipy(self):
         # the package runs on numpy alone: the cross-check oracle with its
         # quadrature lives with the tests, and the zero search and the
