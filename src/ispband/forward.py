@@ -33,14 +33,14 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .singular_system import (ProblemGeometry, _psi_project, _psi_radial,
-                              _signed_phase, build_spectrum,
-                              default_m_max)
+from .singular_system import (ProblemGeometry, _bessel_rows, _Plan,
+                              _psi_project, _psi_radial, _signed_phase,
+                              _spectrum, default_m_max)
 
 __all__ = [
     "SourceField",
@@ -114,6 +114,7 @@ class BoundaryData:
     geometry: ProblemGeometry
     values: np.ndarray = field(repr=False)
     noise_level: float = 0.0
+    plan: _Plan | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.noise_level < 0.0:
@@ -293,12 +294,14 @@ def apply_forward_analytic(s: SourceField, modes: int,
     with the inner product taken by the source field's own quadrature.
     Both the projection and the sum over m run as one FFT in angle, with
     mode m in bin m mod n (n = n_theta, then n_s), which reproduces the
-    per-mode sums on any grid. sigma_m, A_m and arg H_m all come from one
-    build_spectrum. Degenerate modes (A_m = 0) are skipped with a warning.
+    per-mode sums on any grid. sigma_m, A_m, arg H_m and the ring rows
+    all come from one Bessel pass, which the result carries as its plan.
+    Degenerate modes (A_m = 0) are skipped with a warning.
     """
     g = s.geometry
     modes = int(modes)
-    table = build_spectrum(g, max(modes, 1))
+    rows = _bessel_rows([g], [max(modes, 1)], rho=s.rho)[0]
+    table = _spectrum(g, max(modes, 1), rows)
     if n_s is None:
         n_s = 2 * max(modes, default_m_max(g.kappa0)) + 2
     n_s = int(n_s)
@@ -310,11 +313,12 @@ def apply_forward_analytic(s: SourceField, modes: int,
     bins = np.zeros(n_s, dtype=complex)
     if ms.size:
         coef = _psi_project(s.area_weights * s.values, ms,
-                            _psi_radial(ms, table, s.rho))
+                            _psi_radial(ms, table, s.rho, rows[-1]))
         np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
                   * np.exp(1j * _signed_phase(table.phase, ms))
                   / math.sqrt(2.0 * math.pi * g.R))
-    return BoundaryData(geometry=g, values=np.fft.ifft(bins, norm="forward"))
+    return BoundaryData(geometry=g, values=np.fft.ifft(bins, norm="forward"),
+                        plan=_Plan(table, s.rho, rows[-1]))
 
 
 def synthesize_measurement(s: SourceField, noise_level: float, seed: int,
@@ -339,5 +343,4 @@ def synthesize_measurement(s: SourceField, noise_level: float, seed: int,
     rms = math.sqrt(float(np.mean(np.abs(clean.values)**2)))
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
     values = clean.values + noise_level * rms * noise
-    return BoundaryData(geometry=g, values=values,
-                        noise_level=float(noise_level))
+    return replace(clean, values=values, noise_level=float(noise_level))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import (_HANKEL_FROM, _NEUMANN_TOP, _y_table, bessel_j_table,
-                      hankel_arg, hankel_log_abs2, hankel_phase_row)
+                      hankel_arg, hankel_log_abs2)
 
 __all__ = [
     "ProblemGeometry",
@@ -161,23 +161,21 @@ class SpectrumTable:
         return len(self.m)
 
 
-def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
+def _bessel_rows(gs, m_maxes, at_kappa0: bool = False,
+                 rho=None) -> list[tuple]:
     """The Bessel rows of several geometries from one pass.
 
-    For geometry p with horizon m_max_p: the J rows at kappa0 and at kappa
-    to _j_horizon, from one bessel_j_table call over all of them (a row is
-    shared where kappa and horizon coincide, as they do for kappa =
-    kappa0), and the Y row at kappa to m_max_p, from one bessel_y_table
-    pass. With at_kappa0, which the bounds of report and run_sweep need,
-    the same pass also gives the Y row at kappa0 to ceil(kappa0_p) + 2
-    (shared where kappa = kappa0). A Y lane is 0 past the last order any
-    geometry needs of it, so it takes no rescaling steps there. The J
-    rows that seed the Y rows below x = 25 (Neumann's series) join the
-    one bessel_j_table call. Each entry is (J at kappa0, J at kappa, Y
-    mantissa and exponent at kappa), followed with at_kappa0 by the Y
-    mantissa and exponent at kappa0. Each row depends on its own argument
-    and horizon alone, so a geometry gets the same bits in a batch as on
-    its own, and the Y rows are bessel_y_table's up to the orders needed.
+    Entry p is (J at kappa0_p, J at kappa_p, Y mantissa and exponent at
+    kappa_p to m_max_p), then with at_kappa0 (the bounds of report and
+    run_sweep) the Y mantissa and exponent at kappa0_p to ceil(kappa0_p)
+    + 2, and with rho (the radii of a source grid) the ring rows
+    J_m(k_p rho_i). All J rows run to _j_horizon in one bessel_j_table
+    call, with those that seed Y below x = 25 (Neumann's series), and all
+    Y rows in one pass, each lane 0 past the last order needed of it; a
+    lane is shared wherever argument and horizon coincide. Each row
+    depends on its own argument and horizon alone, so a geometry gets the
+    same bits in a batch as on its own, and its Y rows are
+    bessel_y_table's up to the orders needed.
     """
     top = max(m_maxes)
     if at_kappa0:
@@ -200,11 +198,15 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
     seed_lanes = [j_lanes.setdefault((x, _NEUMANN_TOP), len(j_lanes))
                   for x in y_x if x < _HANKEL_FROM]
     x, h = zip(*j_lanes)
+    for g, m_max in zip(gs, m_maxes) if rho is not None else ():
+        x += tuple((g.k * rho).tolist())         # one block of rings each
+        h += (_j_horizon(g.kappa0, m_max),) * len(rho)
     j = bessel_j_table(np.array(h), np.array(x))
     y, e = _y_table(top, np.array(y_x), j[seed_lanes],
                     [y_last[x] for x in y_x])
-    return [(j[a], j[b], *(r for c in ys for r in (y[c], e[c])))
-            for (a, b), ys in picks]
+    rings = np.split(j[len(j_lanes):], len(gs)) if rho is not None else []
+    return [(j[a], j[b], *(r for c in ys for r in (y[c], e[c])),
+             *rings[p:p + 1]) for p, ((a, b), ys) in enumerate(picks)]
 
 
 def _log_spectrum(g: ProblemGeometry, m_max: int, rows):
@@ -249,6 +251,26 @@ def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTabl
     return _spectrum(g, m_max, _bessel_rows([g], [m_max])[0])
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A spectrum and its ring rows J_m(k rho_i) from one _bessel_rows pass."""
+
+    table: SpectrumTable
+    rho: np.ndarray
+    rings: np.ndarray
+
+
+def _planned(plan: _Plan | None, g: ProblemGeometry, m_max: int, rho=None):
+    """build_spectrum(g, m_max) and the ring rows _psi_radial would build
+    for rho, or None: plan's wherever they are the same bits, that is for
+    g and m_max at plan's _j_horizon, and for rho bitwise plan.rho."""
+    if (plan is None or plan.table.geometry != g or plan.table.m_max < m_max
+            or _j_horizon(g.kappa0, plan.table.m_max)
+            != _j_horizon(g.kappa0, m_max)):
+        return build_spectrum(g, m_max), None
+    return plan.table, plan.rings if np.array_equal(plan.rho, rho) else None
+
+
 def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     """Right singular function psi_m at polar points of the source disk.
 
@@ -274,17 +296,19 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     return complex(out) if out.ndim == 0 else out
 
 
-def _psi_radial(ms, table: SpectrumTable, rho) -> np.ndarray:
+def _psi_radial(ms, table: SpectrumTable, rho, rings=None) -> np.ndarray:
     """Radial factors J_m(k rho_i) / (sqrt(pi) R0 A_m) of nondegenerate
-    modes psi_m, (n_r, len(ms)), from one bessel_j_table (Miller's downward
-    recurrence over all rings), J_{-m} = (-1)^m J_m and the A_m row of
-    table, which must reach max |m|. Within 1e-12 of each column's largest
-    entry of jv."""
+    modes psi_m, (n_r, len(ms)), from the ring rows J_m(k rho_i) (rings,
+    or one bessel_j_table to _j_horizon(kappa0, max |m|)), J_{-m} =
+    (-1)^m J_m and the A_m row of table, which must reach max |m|. Within
+    1e-12 of each column's largest entry of jv."""
     ms = np.asarray(ms)
     g = table.geometry
-    jm = bessel_j_table(int(np.abs(ms).max()), g.k * rho)
+    if rings is None:
+        rings = bessel_j_table(_j_horizon(g.kappa0, int(np.abs(ms).max())),
+                               g.k * rho)
     sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
-    return (jm[:, np.abs(ms)] * sign
+    return (rings[:, np.abs(ms)] * sign
             / (math.sqrt(math.pi) * g.R0 * table.a[np.abs(ms)]))
 
 
@@ -292,14 +316,18 @@ def _psi_synthesize(w, ms, radial, n_theta: int) -> np.ndarray:
     """sum_m w_m psi_m at (rho_i, 2 pi j / n_theta). Mode m lands in FFT bin
     m mod n_theta, so aliased grids get the per-mode sums too."""
     bins = np.zeros((len(radial), n_theta), dtype=complex)
-    np.add.at(bins.T, np.asarray(ms) % n_theta, (radial * w).T)
+    at = np.asarray(ms) % n_theta
+    if np.unique(at).size == at.size:
+        bins[:, at] = radial * w
+    else:
+        np.add.at(bins.T, at, (radial * w).T)
     return np.fft.ifft(bins, axis=1, norm="forward")
 
 
 def _psi_project(P, ms, radial) -> np.ndarray:
     """sum_ij P_ij conj(psi_m(rho_i, 2 pi j / n_theta)) for every m."""
-    F = np.fft.fft(P, axis=1)
-    return np.sum(radial * F[:, np.asarray(ms) % P.shape[1]], axis=0)
+    F = np.fft.fft(P, axis=1)[:, np.asarray(ms) % P.shape[1]]
+    return np.sum(radial * F, axis=0)
 
 
 def _signed_phase(phase: np.ndarray, ms) -> np.ndarray:
@@ -313,16 +341,10 @@ def _signed_phase(phase: np.ndarray, ms) -> np.ndarray:
     return ph
 
 
-def _signed_hankel_phase_row(ms, kappa: float) -> np.ndarray:
-    """arg H_m^(1)(kappa) for every m in ms, from one hankel_phase_row."""
-    return _signed_phase(hankel_phase_row(int(np.abs(np.asarray(ms)).max()),
-                                          kappa), ms)
-
-
 def phi_eval(m: int, g: ProblemGeometry, theta):
     """Left singular function phi_m at angles theta of the measurement circle."""
     m = int(m)
     theta = np.asarray(theta, dtype=float)
-    ph = float(_signed_hankel_phase_row([m], g.kappa)[0])
+    ph = float(_signed_phase(build_spectrum(g, max(abs(m), 1)).phase, [m])[0])
     out = np.exp(1j * (ph + m * theta)) / math.sqrt(2.0 * math.pi * g.R)
     return complex(out) if out.ndim == 0 else out

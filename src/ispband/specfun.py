@@ -17,8 +17,8 @@ there and the phase is -pi/2 to every digit.
 The Y table needs Y_0 and Y_1 to start from. Below x = 25 they come from
 Neumann's series (DLMF 10.8.2, and its derivative for Y_1) over one J
 table; from 25 on, from Hankel's expansion (DLMF 10.17.3-4). Nothing on
-these paths calls scipy: only the zero search, which bisects scipy's jv
-and yv, imports it, and only when it runs.
+these paths calls scipy: only the zero search (jv, yv) and the dense
+kernel of forward.assemble_forward (j0, hankel1) import it, when they run.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import numpy as np
 
 __all__ = [
     "ZeroRecord",
-    "log_hankel_abs2_row",
-    "hankel_phase_row",
     "hankel_log_abs2",
     "hankel_arg",
     "bessel_j_table",
@@ -103,32 +101,6 @@ def _check_order(m) -> int:
     if k < 0 or k != m:
         raise ValueError(_ORDER_MESSAGE)
     return k
-
-
-def _check_arg(x) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"argument must be a positive finite real, got {x!r}")
-    return x
-
-
-def _hankel_tables(m_max, x):
-    """The J row and the Y row (mantissa and exponent) of one argument."""
-    m_max, x = _check_order(m_max), _check_arg(x)
-    return (bessel_j_table(m_max, x), *bessel_y_table(m_max, x))
-
-
-def log_hankel_abs2_row(m_max: int, x: float) -> np.ndarray:
-    """Vector of log|H_m^(1)(x)|^2 for m = 0 .. m_max, from one J row and
-    one Y row (bessel_j_table, bessel_y_table), finite for m <= 1e4 and
-    1.2e-304 <= x <= 1e4. ArithmeticError where Y_m overflows anyway."""
-    return hankel_log_abs2(*_hankel_tables(m_max, x))
-
-
-def hankel_phase_row(m_max: int, x: float) -> np.ndarray:
-    """Vector of arg H_m^(1)(x) in (-pi, pi] for m = 0 .. m_max, from the
-    same two rows as log_hankel_abs2_row."""
-    return hankel_arg(*_hankel_tables(m_max, x))
 
 
 def _check_y(y) -> None:
@@ -280,9 +252,9 @@ def bessel_y_table(m_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     pair is divided by the power of two that brings |Y_m| into [0.5, 1),
     which is exact, and the power moves into e. One step multiplies |Y|
     by at most 2m/x + 1, so no entry overflows for m <= 1e4 and
-    x >= 1.2e-304. An entry depends on x_i and
-    m alone, never on m_max or the other arguments, so a longer table
-    extends a shorter one bit for bit. Below x = 3.6e-309, where
+    x >= 1.2e-304. An entry depends on x_i and m alone, never on m_max or
+    the other arguments, so a longer table extends a shorter one bit for
+    bit. Below x = 3.6e-309, where
     Y_1(x) ~ -2 / (pi x) overflows, and wherever a step overflows all the
     same, the entries are not finite; hankel_log_abs2 and hankel_arg
     refuse them.

@@ -17,9 +17,9 @@ import numpy as np
 
 from .bandwidth import bandwidth, bound_lower, bound_upper
 from .forward import SourceField, BoundaryData, source_grid
-from .singular_system import (ProblemGeometry, _psi_project, _psi_radial,
-                              _psi_synthesize, _signed_hankel_phase_row,
-                              build_spectrum)
+from .singular_system import (ProblemGeometry, _Plan, _planned,
+                              _psi_project, _psi_radial, _psi_synthesize,
+                              _signed_phase, build_spectrum)
 
 __all__ = [
     "SigmaUnderflowError",
@@ -44,6 +44,7 @@ class ModalCoefficients:
     geometry: ProblemGeometry
     m_max: int
     c: np.ndarray = field(repr=False)
+    plan: _Plan | None = field(default=None, repr=False, compare=False)
 
     def coeff(self, m: int) -> complex:
         if abs(m) > self.m_max:
@@ -77,12 +78,13 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
             f"n_s={n_s} cannot resolve modes up to {m_max} without aliasing; "
             f"need n_s >= {2 * m_max + 1}")
     g = U.geometry
+    table, _ = _planned(U.plan, g, max(m_max, 1))
     bins = np.fft.fft(U.values)
     front = math.sqrt(2.0 * math.pi * g.R) / n_s
     ms = np.arange(-m_max, m_max + 1)
-    c = (front * np.exp(-1j * _signed_hankel_phase_row(ms, g.kappa))
+    c = (front * np.exp(-1j * _signed_phase(table.phase, ms))
          * bins[ms % n_s])
-    return ModalCoefficients(geometry=g, m_max=m_max, c=c)
+    return ModalCoefficients(geometry=g, m_max=m_max, c=c, plan=U.plan)
 
 
 def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = None,
@@ -108,17 +110,17 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
         raise ValueError(
             f"n_theta={n_theta} cannot resolve modes up to {N} without "
             f"aliasing; need n_theta >= {2 * N + 1}")
-    table = build_spectrum(g, max(N, 1))
+    grid = source_grid(g, n_r, n_theta)
+    table, rings = _planned(c.plan, g, max(N, 1), grid.rho)
     # refuse to divide by anything that lost all precision
     for m in range(N + 1):
         if not np.isfinite(table.log_sigma[m]) or table.sigma[m] == 0.0:
             raise SigmaUnderflowError(
                 f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
                 f"kappa={g.kappa:g}; mode {m} is unusable")
-    grid = source_grid(g, n_r, n_theta)
     ms = np.arange(-N, N + 1)
     sigma, cm = table.sigma[np.abs(ms)], c.c[ms + c.m_max]
-    radial = _psi_radial(ms, table, grid.rho)
+    radial = _psi_radial(ms, table, grid.rho, rings)
     shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
                                                 n_theta))
     # modal misfit of the reconstruction against the retained data

@@ -7,7 +7,7 @@ import numpy as np
 from scipy import integrate, special
 
 from ispband.bandwidth import _TIE_TOL
-from ispband.specfun import _check_arg, _check_order
+from ispband.specfun import _check_order
 
 
 def zero_threshold_bound(kappa0: float, zero_of) -> int:
@@ -49,7 +49,9 @@ def nicholson_abs2_oracle(m, x, rtol: float = 1e-11) -> float:
         message reports the tolerance actually achieved.
     """
     m = _check_order(m)
-    x = _check_arg(x)
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise ValueError(f"argument must be a positive finite real, got {x!r}")
 
     def log_integrand(t):
         z = 2.0 * x * np.sinh(t)

@@ -16,11 +16,10 @@ from scipy.special import jv
 import ispband as ib
 from ispband import experiments as ex
 from ispband import singular_system as ss
-from ispband import specfun as sf
 
 from conftest import disk_rel_l2
 from oracles import nicholson_abs2_oracle
-from test_specfun import order_roots
+from test_specfun import log_row, order_roots
 
 TEN_PI = 10.0 * math.pi
 
@@ -244,13 +243,13 @@ def test_criterion_08_singular_system_properties(g_equal_10pi):
         ident_dev = max(ident_dev, abs(diff - prod) / scale2)
     ok &= ident_dev <= 1e-12
 
-    mono_ok = bool(np.all(np.diff(sf.log_hankel_abs2_row(100, TEN_PI)) > 0))
+    mono_ok = bool(np.all(np.diff(log_row(100, TEN_PI)) > 0))
     ok &= mono_ok
 
     nich_dev = 0.0
     for m, kappa in zip(rng.integers(0, 120, size=20),
                         rng.uniform(3.0, 80.0, size=20)):
-        a = sf.log_hankel_abs2_row(int(m), float(kappa))[int(m)]
+        a = log_row(int(m), float(kappa))[int(m)]
         b = nicholson_abs2_oracle(int(m), float(kappa))
         nich_dev = max(nich_dev, abs(a - b) / max(1.0, abs(a)))
     ok &= nich_dev <= 1e-6

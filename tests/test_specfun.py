@@ -28,9 +28,21 @@ def mp_log_abs2_and_phase(m: int, x: float) -> tuple[float, float]:
         return float(mp.log(j * j + y * y)), float(mp.atan2(y, j))
 
 
+def log_row(m_max, x) -> np.ndarray:
+    """log|H_m|^2 for m = 0 .. m_max at one x, from the J and Y tables."""
+    return sf.hankel_log_abs2(sf.bessel_j_table(m_max, x),
+                              *sf.bessel_y_table(m_max, x))
+
+
+def arg_row(m_max, x) -> np.ndarray:
+    """arg H_m for m = 0 .. m_max at one x, from the J and Y tables."""
+    return sf.hankel_arg(sf.bessel_j_table(m_max, x),
+                         *sf.bessel_y_table(m_max, x))
+
+
 def rows_at(m: int, x: float) -> tuple[float, float]:
     """log|H_m|^2 and arg H_m read from the two rows."""
-    return sf.log_hankel_abs2_row(m, x)[m], sf.hankel_phase_row(m, x)[m]
+    return log_row(m, x)[m], arg_row(m, x)[m]
 
 
 class TestBesselValues:
@@ -87,7 +99,7 @@ class TestLogHankel:
     def test_moderate_orders_match_direct_formula(self):
         for m, x in [(0, 1.0), (4, 12.0), (25, 31.4), (60, 60.0)]:
             direct = math.log(special.jv(m, x) ** 2 + special.yv(m, x) ** 2)
-            got = sf.log_hankel_abs2_row(m, x)[m]
+            got = log_row(m, x)[m]
             assert got == pytest.approx(direct, rel=1e-12)
 
     def test_saturated_corners_match_high_precision(self):
@@ -100,36 +112,36 @@ class TestLogHankel:
             (10000, 10000.0, -6.3629513075283057),
         ]
         for m, x, ref in frozen:
-            got = sf.log_hankel_abs2_row(m, x)[m]
+            got = log_row(m, x)[m]
             assert got == pytest.approx(ref, rel=1e-12)
 
     def test_small_order_saturation_live(self):
         for m, x in [(300, 2.0), (800, 700.0), (1500, 1490.0)]:
-            assert sf.log_hankel_abs2_row(m, x)[m] == pytest.approx(
+            assert log_row(m, x)[m] == pytest.approx(
                 mp_log_abs_h2(m, x), rel=1e-11, abs=1e-10
             )
 
     def test_large_argument_envelope(self):
         x = 1000.0
         ref = math.log(2.0 / (math.pi * x))
-        got = sf.log_hankel_abs2_row(3, x)[3]
+        got = log_row(3, x)[3]
         assert abs(got - ref) <= 0.02 * abs(ref)
 
     def test_monotone_in_order(self):
         for x in (0.5, 4.0, 10.0 * math.pi):
-            row = sf.log_hankel_abs2_row(120, x)
+            row = log_row(120, x)
             assert np.all(np.diff(row) > 0.0)
 
     def test_row_consistent_with_scalar(self):
         # entry m of a long row equals the last entry of the row ending at m
         x = 8.0
-        row = sf.log_hankel_abs2_row(400, x)
+        row = log_row(400, x)
         for m in (0, 3, 17, 80, 250, 400):
-            assert row[m] == pytest.approx(sf.log_hankel_abs2_row(m, x)[m],
+            assert row[m] == pytest.approx(log_row(m, x)[m],
                                            rel=1e-12)
 
     def test_domain_validation(self):
-        for row in (sf.log_hankel_abs2_row, sf.hankel_phase_row):
+        for row in (log_row, arg_row):
             with pytest.raises(ValueError):
                 row(3, 0.0)
             with pytest.raises(ValueError):
@@ -140,8 +152,8 @@ class TestLogHankel:
                 row(-2, 1.0)
 
     def test_order_zero_rows_hold_one_entry(self):
-        assert sf.log_hankel_abs2_row(0, 1.0).shape == (1,)
-        assert sf.hankel_phase_row(0, 1.0).shape == (1,)
+        assert log_row(0, 1.0).shape == (1,)
+        assert arg_row(0, 1.0).shape == (1,)
 
 
 class TestHankelPhase:
@@ -149,7 +161,7 @@ class TestHankelPhase:
         for m, x in [(0, 1.0), (7, 20.0), (31, 31.4), (100, 120.0)]:
             with mp.workprec(200):
                 ref = float(mp.arg(mp.hankel1(m, x)))
-            got = sf.hankel_phase_row(m, x)[m]
+            got = arg_row(m, x)[m]
             delta = (got - ref + math.pi) % (2.0 * math.pi) - math.pi
             assert abs(delta) < 1e-10
 
@@ -162,7 +174,7 @@ class TestHankelPhase:
             (1000, 900.0, -1.5707963267948966),
         ]
         for m, x, ref in frozen:
-            assert sf.hankel_phase_row(m, x)[m] == pytest.approx(ref, abs=1e-12)
+            assert arg_row(m, x)[m] == pytest.approx(ref, abs=1e-12)
 
 
 class TestBesselTable:
@@ -217,16 +229,16 @@ class TestRecurrenceRows:
 
     def test_accuracy_against_mpmath(self):
         # jv/yv rows were off by 8.1e-13 in log|H_119(1000)|^2
-        log_row = sf.log_hankel_abs2_row(1070, 1000.0)
-        arg_row = sf.hankel_phase_row(1070, 1000.0)
+        logs = log_row(1070, 1000.0)
+        args = arg_row(1070, 1000.0)
         for m in (119, 1062):
             ref_log, ref_arg = mp_log_abs2_and_phase(m, 1000.0)
-            assert abs(log_row[m] - ref_log) <= 1e-13
-            assert abs(arg_row[m] - ref_arg) <= 1e-13
+            assert abs(logs[m] - ref_log) <= 1e-13
+            assert abs(args[m] - ref_arg) <= 1e-13
 
     def test_overflowing_y_is_refused(self):
         # yv(1, x) overflows below x = 3.6e-309
-        for row in (sf.log_hankel_abs2_row, sf.hankel_phase_row):
+        for row in (log_row, arg_row):
             with pytest.raises(ArithmeticError):
                 row(3, 1e-310)
 
@@ -252,9 +264,9 @@ class TestRecurrenceRows:
                     worst = max(worst, err / max(float(abs(ref)), scale))
         assert worst <= 4e-15
         # Y_1 ~ -2 / (pi x) is finite down to 3.6e-309, and not below
-        assert np.all(np.isfinite(sf.log_hankel_abs2_row(1, 3.6e-309)))
+        assert np.all(np.isfinite(log_row(1, 3.6e-309)))
         with pytest.raises(ArithmeticError):
-            sf.log_hankel_abs2_row(1, 3.5e-309)
+            log_row(1, 3.5e-309)
 
     def test_y_table_extends_bit_for_bit(self):
         # an entry depends on its x and m alone: a longer table, or one
@@ -307,7 +319,7 @@ class TestNicholsonOracle:
         kappas = rng.uniform(3.0, 80.0, size=20)
         orders = rng.integers(0, 120, size=20)
         for m, x in zip(orders, kappas):
-            a = sf.log_hankel_abs2_row(int(m), float(x))[int(m)]
+            a = log_row(int(m), float(x))[int(m)]
             b = nicholson_abs2_oracle(int(m), float(x))
             assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
 
@@ -322,7 +334,7 @@ class TestNicholsonOracle:
 
     def test_deep_evanescent_point(self):
         a = nicholson_abs2_oracle(60, 10.0)
-        b = sf.log_hankel_abs2_row(60, 10.0)[60]
+        b = log_row(60, 10.0)[60]
         assert abs(a - b) <= 1e-6 * abs(b)
 
 
@@ -401,14 +413,14 @@ class TestFirstZeros:
 
     def test_non_integer_orders_refused(self):
         for call in (lambda m: sf.first_zero_j(m), lambda m: sf.first_zero_y(m),
-                     lambda m: sf.log_hankel_abs2_row(m, 1.0),
-                     lambda m: sf.hankel_phase_row(m, 1.0)):
+                     lambda m: log_row(m, 1.0),
+                     lambda m: arg_row(m, 1.0)):
             for m in (2.5, 2.7, math.nan, math.inf, "3"):
                 with pytest.raises(ValueError, match="order must be a nonnegative"):
                     call(m)
         assert sf.first_zero_j(np.int64(3)) == sf.first_zero_j(3)
         assert sf.first_zero_y(np.int64(3)) == sf.first_zero_y(3)
-        assert sf.log_hankel_abs2_row(np.int64(2), 1.0).shape == (3,)
+        assert log_row(np.int64(2), 1.0).shape == (3,)
 
 
 def order_roots(kappa0: float) -> np.ndarray:

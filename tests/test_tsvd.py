@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ispband as ib
 from ispband import singular_system as ss
+from ispband import specfun as sf
 
 from conftest import disk_rel_l2
 
@@ -218,3 +220,94 @@ class TestPickTruncation:
             ib.pick_truncation(g_equal_10pi, "N", n=-1)
         with pytest.raises(ValueError):
             ib.pick_truncation(g_equal_10pi, "waterline")
+
+
+class TestForwardPlan:
+    """The Bessel rows that apply_forward_analytic builds travel with its
+    data to modal_decompose and tsvd_reconstruct: they save passes and
+    change no bit."""
+
+    N_R = 48
+
+    def _data(self, g, noise, modes=None):
+        horizon = ib.default_m_max(g.kappa0) if modes is None else modes
+        n = 2 * horizon + 2
+        truth = ib.source_grid(g, self.N_R, n,
+                               fn=psi_mix(g, {2: 1.0, -5: 0.5 - 0.25j}))
+        return truth, horizon, n
+
+    @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_two_bessel_passes_per_op(self, monkeypatch, kappa0, kappa,
+                                      noise):
+        # one pass in the forward map (J at kappa0, kappa and the rings,
+        # Y at kappa, and below kappa = 25 the J rows of the Y seeds) and
+        # one in pick_truncation's own spectrum
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        truth, horizon, n = self._data(g, noise)
+        counts = {"J": 0, "Y": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        y_table = counted("Y", sf._y_table)
+        monkeypatch.setattr(sf, "_miller_rows", counted("J", sf._miller_rows))
+        monkeypatch.setattr(sf, "_y_table", y_table)
+        monkeypatch.setattr(ss, "_y_table", y_table)
+        data = ib.synthesize_measurement(truth, noise, 5, modes=horizon,
+                                         n_s=n)
+        c = ib.modal_decompose(data, horizon)
+        rec = ib.tsvd_reconstruct(c, ib.pick_truncation(g, "B"), g,
+                                  n_r=self.N_R, n_theta=n)
+        assert counts == {"J": 2, "Y": 2}
+        assert rec.residual <= 1e-8
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_plan_changes_no_bits(self, g_equal_10pi, noise):
+        g = g_equal_10pi
+        truth, horizon, n = self._data(g, noise)
+        data = ib.synthesize_measurement(truth, noise, 5, modes=horizon,
+                                         n_s=n)
+        assert data.plan is not None
+        bare = replace(data, plan=None)
+        N = ib.pick_truncation(g, "B")
+        for m_max in (horizon, 40):
+            c, c_bare = (ib.modal_decompose(d, m_max) for d in (data, bare))
+            assert c.plan is data.plan and c_bare.plan is None
+            assert np.array_equal(c.c, c_bare.c)
+            for n_r in (self.N_R, self.N_R + 8):     # rings reused, rebuilt
+                rec, rec_bare = (ib.tsvd_reconstruct(x, N, g, n_r=n_r,
+                                                     n_theta=n)
+                                 for x in (c, c_bare))
+                assert np.array_equal(rec.source.values,
+                                      rec_bare.source.values)
+                assert rec.residual == rec_bare.residual
+                assert rec.residual <= 1e-8
+
+    def test_plan_past_the_default_horizon_is_not_reused(self, g_equal_10pi):
+        # a spectrum to modes > default_m_max runs its J rows to another
+        # horizon than the inverse's own, so the inverse builds its own
+        g = g_equal_10pi
+        modes = ib.default_m_max(g.kappa0) + 10
+        truth, _, n = self._data(g, 0.0, modes)
+        data = ib.synthesize_measurement(truth, 0.0, 5, modes=modes, n_s=n)
+        N = ib.pick_truncation(g, "B")
+        recs = [ib.tsvd_reconstruct(ib.modal_decompose(d, modes), N, g,
+                                    n_r=self.N_R, n_theta=n)
+                for d in (data, replace(data, plan=None))]
+        assert np.array_equal(recs[0].source.values, recs[1].source.values)
+        assert recs[0].residual == recs[1].residual <= 1e-8
+
+    def test_hand_made_data_falls_back(self, g_equal_10pi):
+        g = g_equal_10pi
+        truth, horizon, n = self._data(g, 0.0)
+        values = ib.apply_forward_analytic(truth, horizon, n_s=n).values
+        bd = ib.BoundaryData(geometry=g, values=values.copy())
+        assert bd.plan is None
+        rec = ib.tsvd_reconstruct(ib.modal_decompose(bd, horizon),
+                                  ib.pick_truncation(g, "B"), g,
+                                  n_r=self.N_R + 8, n_theta=n)
+        assert rec.residual <= 1e-8
