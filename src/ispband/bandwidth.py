@@ -23,8 +23,9 @@ is kept by the Newton distance f_M / f_M' from the first zero of f_M
 to kappa0, with f_M' = (M/kappa0) f_M - f_{M+1} (DLMF 10.6.2): by the same
 interlacing f_M' has no zero between that zero and kappa0, so the
 distance is positive, and where it is at most _TIE_TOL the bound is M
-itself. The rows read are the J and Y rows at kappa0 that report and
-run_sweep build for the spectrum anyway.
+itself. The rows read are the J and Y rows at kappa0 that _reports
+takes from the Bessel pass of the spectrum, for report and run_sweep
+alike; bound_lower and bound_upper build their own.
 
 Both bounds have cheap closed-form surrogates: B~- from inverting the
 large-order expansion j_{m,1} ~ m + a_- m^(1/3) (a cubic in m^(1/3)),
@@ -142,20 +143,6 @@ def _sign_bounds(f: np.ndarray, kappa0: np.ndarray, sign: float,
     return np.where(ok, last + 1 - tie, -1)
 
 
-def _row_bounds(rows, kappa0s) -> tuple[np.ndarray, np.ndarray]:
-    """B_- and B_+ of every _bessel_rows entry from its J and Y rows at
-    kappa0, in one scan over all of them; -1 as in _sign_bounds."""
-    kappa0 = np.asarray(kappa0s, dtype=float)
-    n = math.ceil(kappa0.max()) + 1
-    j, y = (np.array([r[i][:n] for r in rows]) for i in (0, 4))
-
-    def exponents(lanes, orders):
-        return np.array([rows[p][5][m] for p, m in zip(lanes, orders)])
-
-    return (_sign_bounds(j, kappa0, -1.0),
-            _sign_bounds(y, kappa0, 1.0, exponents))
-
-
 def _check_kappa0(kappa0) -> np.ndarray:
     k = np.asarray(kappa0, dtype=float)
     if not np.all(np.isfinite(k) & (k > 0.0)):
@@ -223,32 +210,39 @@ class BandwidthReport:
 
 
 def report(g: ProblemGeometry, m_max: int | None = None) -> BandwidthReport:
-    """Bandwidth and all four bounds from a single Bessel pass."""
-    m_max = _horizon(g, m_max)
-    rows = _bessel_rows([g], [m_max], at_kappa0=True)
-    (b_minus,), (b_plus,) = _row_bounds(rows, [g.kappa0])
-    return _report(g, _log_spectrum(g, m_max, rows[0])[2], int(b_minus),
-                   int(b_plus))
+    """Bandwidth and all four bounds from a single Bessel pass: _reports
+    of a batch of one."""
+    (rep,) = _reports([g], [_horizon(g, m_max)])
+    return rep
 
 
-def _report(g: ProblemGeometry, log_sigma: np.ndarray, b_minus: int,
-            b_plus: int) -> BandwidthReport:
-    """Bandwidth and all four bounds of g from its log sigma row and the
-    two bounds _row_bounds read for it."""
-    b = _band_edge(log_sigma, g.kappa0)
-    if b_minus < 0 or b_plus < 0:
-        raise ArithmeticError(
-            f"Bessel rows at kappa0={g.kappa0:g} are not finite where the "
-            "bounds read them")
-    return BandwidthReport(
-        geometry=g,
-        B=b,
-        B_minus=b_minus,
-        B_plus=b_plus,
-        B_tilde_minus=bound_lower_approx(g.kappa0),
-        B_tilde_plus=bound_upper_approx(g.kappa0),
-        horizon=len(log_sigma) - 1,
-    )
+def _reports(gs, m_maxes):
+    """The BandwidthReport of each geometry g to m_max from one
+    _bessel_rows pass and one scan of all their J and Y rows at kappa0.
+    The reports come back lazily, in order: each is assembled, and
+    raises if it must, only when it is taken. A report gets the same
+    bits in a batch as on its own."""
+    rows = _bessel_rows(gs, m_maxes, at_kappa0=True)
+    kappa0 = np.array([g.kappa0 for g in gs])
+    n = math.ceil(kappa0.max()) + 1
+    j, y = (np.array([r[i][:n] for r in rows]) for i in (0, 4))
+    b_minus = _sign_bounds(j, kappa0, -1.0).tolist()
+    b_plus = _sign_bounds(y, kappa0, 1.0, lambda lanes, orders: np.array(
+        [rows[p][5][m] for p, m in zip(lanes, orders)])).tolist()
+
+    def one(p: int) -> BandwidthReport:
+        g = gs[p]
+        b = _band_edge(_log_spectrum(g, m_maxes[p], rows[p])[2], g.kappa0)
+        if b_minus[p] < 0 or b_plus[p] < 0:
+            raise ArithmeticError(
+                f"Bessel rows at kappa0={g.kappa0:g} are not finite where "
+                "the bounds read them")
+        return BandwidthReport(
+            geometry=g, B=b, B_minus=b_minus[p], B_plus=b_plus[p],
+            B_tilde_minus=bound_lower_approx(g.kappa0),
+            B_tilde_plus=bound_upper_approx(g.kappa0), horizon=m_maxes[p])
+
+    return map(one, range(len(gs)))
 
 
 def max_angular_sampling(g: ProblemGeometry) -> float:

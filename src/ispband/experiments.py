@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import HorizonError, _report, _row_bounds, bandwidth
-from .singular_system import (ProblemGeometry, _bessel_rows, _log_spectrum,
-                              build_spectrum, default_m_max)
+from .bandwidth import HorizonError, _reports, bandwidth
+from .singular_system import ProblemGeometry, build_spectrum, default_m_max
 
 __all__ = [
     "SweepRecord",
@@ -110,11 +109,11 @@ def run_sweep(n_points: int = 300,
 
     With equal_sizes the source fills the measurement disk (kappa0 =
     kappa); otherwise kappa0 = kappa / ratio for the given ratio >= 1.
-    The points go through the Bessel pass _SWEEP_BLOCK at a time, and the
-    bounds of a block come from one scan of its rows at kappa0; each point
-    gets the log sigma row and bounds, and so the record, that report
-    gives it alone. A failing point raises its own exception class with
-    its kappa in the message.
+    The points go _SWEEP_BLOCK at a time through bandwidth._reports, the
+    batched report behind report: one Bessel pass and one bound scan per
+    block, so each point gets the record that report gives it alone. A
+    failing point raises its own exception class with its kappa in the
+    message.
     """
     n_points = int(n_points)
     if n_points < 2:
@@ -132,14 +131,10 @@ def run_sweep(n_points: int = 300,
         block = kappas[first:first + _SWEEP_BLOCK].tolist()
         gs = [ProblemGeometry.from_size_params(kappa / ratio, kappa)
               for kappa in block]
-        horizons = [default_m_max(g.kappa0) for g in gs]
-        rows = _bessel_rows(gs, horizons, at_kappa0=True)
-        b_minus, b_plus = _row_bounds(rows, [g.kappa0 for g in gs])
-        for kappa, g, m_max, r, bm, bp in zip(block, gs, horizons, rows,
-                                              b_minus.tolist(),
-                                              b_plus.tolist()):
+        reports = _reports(gs, [default_m_max(g.kappa0) for g in gs])
+        for kappa in block:
             try:
-                rep = _report(g, _log_spectrum(g, m_max, r)[2], bm, bp)
+                rep = next(reports)
             except (ArithmeticError, HorizonError, ValueError) as exc:
                 # the class picks the CLI's exit code, so keep it
                 raise type(exc)(

@@ -38,9 +38,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .singular_system import (ProblemGeometry, _bessel_rows, _Plan,
+from .singular_system import (ProblemGeometry, _Plan, _planned,
                               _psi_project, _psi_radial, _signed_phase,
-                              _spectrum, default_m_max)
+                              default_m_max)
 
 __all__ = [
     "SourceField",
@@ -300,8 +300,8 @@ def apply_forward_analytic(s: SourceField, modes: int,
     """
     g = s.geometry
     modes = int(modes)
-    rows = _bessel_rows([g], [max(modes, 1)], rho=s.rho)[0]
-    table = _spectrum(g, max(modes, 1), rows)
+    plan = _planned(None, g, max(modes, 1), s.rho)
+    table = plan.table
     if n_s is None:
         n_s = 2 * max(modes, default_m_max(g.kappa0)) + 2
     n_s = int(n_s)
@@ -313,12 +313,12 @@ def apply_forward_analytic(s: SourceField, modes: int,
     bins = np.zeros(n_s, dtype=complex)
     if ms.size:
         coef = _psi_project(s.area_weights * s.values, ms,
-                            _psi_radial(ms, table, s.rho, rows[-1]))
+                            _psi_radial(ms, plan))
         np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
                   * np.exp(1j * _signed_phase(table.phase, ms))
                   / math.sqrt(2.0 * math.pi * g.R))
     return BoundaryData(geometry=g, values=np.fft.ifft(bins, norm="forward"),
-                        plan=_Plan(table, s.rho, rows[-1]))
+                        plan=plan)
 
 
 def synthesize_measurement(s: SourceField, noise_level: float, seed: int,

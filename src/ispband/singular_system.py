@@ -166,11 +166,11 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False,
     """The Bessel rows of several geometries from one pass.
 
     Entry p is (J at kappa0_p, J at kappa_p, Y mantissa and exponent at
-    kappa_p to m_max_p), then with at_kappa0 (the bounds of report and
-    run_sweep) the Y mantissa and exponent at kappa0_p to ceil(kappa0_p)
-    + 2, and with rho (the radii of a source grid) the ring rows
-    J_m(k_p rho_i). All J rows run to _j_horizon in one bessel_j_table
-    call, with those that seed Y below x = 25 (Neumann's series), and all
+    kappa_p to m_max_p), then with at_kappa0 (for bandwidth._reports) the
+    Y mantissa and exponent at kappa0_p to ceil(kappa0_p) + 2, and with
+    rho (for _planned) the ring rows J_m(k_p rho_i). All J rows, ring
+    rows included, run to _j_horizon in one bessel_j_table call, with
+    those that seed Y below x = 25 (Neumann's series), and all
     Y rows in one pass, each lane 0 past the last order needed of it; a
     lane is shared wherever argument and horizon coincide. Each row
     depends on its own argument and horizon alone, so a geometry gets the
@@ -253,22 +253,29 @@ def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTabl
 
 @dataclass(frozen=True)
 class _Plan:
-    """A spectrum and its ring rows J_m(k rho_i) from one _bessel_rows pass."""
+    """A spectrum and its ring rows J_m(k rho_i) (None without rho) from
+    one _bessel_rows pass."""
 
     table: SpectrumTable
-    rho: np.ndarray
-    rings: np.ndarray
+    rho: np.ndarray | None
+    rings: np.ndarray | None
 
 
-def _planned(plan: _Plan | None, g: ProblemGeometry, m_max: int, rho=None):
-    """build_spectrum(g, m_max) and the ring rows _psi_radial would build
-    for rho, or None: plan's wherever they are the same bits, that is for
-    g and m_max at plan's _j_horizon, and for rho bitwise plan.rho."""
-    if (plan is None or plan.table.geometry != g or plan.table.m_max < m_max
-            or _j_horizon(g.kappa0, plan.table.m_max)
-            != _j_horizon(g.kappa0, m_max)):
-        return build_spectrum(g, m_max), None
-    return plan.table, plan.rings if np.array_equal(plan.rho, rho) else None
+def _planned(plan: _Plan | None, g: ProblemGeometry, m_max: int,
+             rho=None) -> _Plan:
+    """The one source of spectra and ring rows for the forward map and the
+    inverse: plan wherever it has the bits of build_spectrum(g, m_max) and
+    of the ring rows of rho, that is for g and m_max at plan's _j_horizon
+    and rho bitwise plan.rho; else a new plan from one _bessel_rows pass."""
+    if (plan is not None and plan.table.geometry == g
+            and plan.table.m_max >= m_max
+            and _j_horizon(g.kappa0, plan.table.m_max)
+            == _j_horizon(g.kappa0, m_max)
+            and (rho is None or np.array_equal(plan.rho, rho))):
+        return plan
+    rows = _bessel_rows([g], [m_max], rho=rho)[0]
+    return _Plan(_spectrum(g, m_max, rows), rho,
+                 rows[4] if rho is not None else None)
 
 
 def psi_eval(m: int, g: ProblemGeometry, rho, theta):
@@ -296,20 +303,16 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     return complex(out) if out.ndim == 0 else out
 
 
-def _psi_radial(ms, table: SpectrumTable, rho, rings=None) -> np.ndarray:
+def _psi_radial(ms, plan: _Plan) -> np.ndarray:
     """Radial factors J_m(k rho_i) / (sqrt(pi) R0 A_m) of nondegenerate
-    modes psi_m, (n_r, len(ms)), from the ring rows J_m(k rho_i) (rings,
-    or one bessel_j_table to _j_horizon(kappa0, max |m|)), J_{-m} =
-    (-1)^m J_m and the A_m row of table, which must reach max |m|. Within
-    1e-12 of each column's largest entry of jv."""
+    modes psi_m, (n_r, len(ms)), from the ring rows and A_m row of plan,
+    which must reach max |m|, and J_{-m} = (-1)^m J_m. Within 1e-12 of
+    each column's largest entry of jv."""
     ms = np.asarray(ms)
-    g = table.geometry
-    if rings is None:
-        rings = bessel_j_table(_j_horizon(g.kappa0, int(np.abs(ms).max())),
-                               g.k * rho)
+    g, a = plan.table.geometry, plan.table.a
     sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
-    return (rings[:, np.abs(ms)] * sign
-            / (math.sqrt(math.pi) * g.R0 * table.a[np.abs(ms)]))
+    return (plan.rings[:, np.abs(ms)] * sign
+            / (math.sqrt(math.pi) * g.R0 * a[np.abs(ms)]))
 
 
 def _psi_synthesize(w, ms, radial, n_theta: int) -> np.ndarray:

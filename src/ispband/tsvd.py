@@ -78,7 +78,7 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
             f"n_s={n_s} cannot resolve modes up to {m_max} without aliasing; "
             f"need n_s >= {2 * m_max + 1}")
     g = U.geometry
-    table, _ = _planned(U.plan, g, max(m_max, 1))
+    table = _planned(U.plan, g, max(m_max, 1)).table
     bins = np.fft.fft(U.values)
     front = math.sqrt(2.0 * math.pi * g.R) / n_s
     ms = np.arange(-m_max, m_max + 1)
@@ -111,16 +111,18 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
             f"n_theta={n_theta} cannot resolve modes up to {N} without "
             f"aliasing; need n_theta >= {2 * N + 1}")
     grid = source_grid(g, n_r, n_theta)
-    table, rings = _planned(c.plan, g, max(N, 1), grid.rho)
+    plan = _planned(c.plan, g, max(N, 1), grid.rho)
+    table = plan.table
     # refuse to divide by anything that lost all precision
-    for m in range(N + 1):
-        if not np.isfinite(table.log_sigma[m]) or table.sigma[m] == 0.0:
-            raise SigmaUnderflowError(
-                f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
-                f"kappa={g.kappa:g}; mode {m} is unusable")
+    bad = ~np.isfinite(table.log_sigma[:N + 1]) | (table.sigma[:N + 1] == 0.0)
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise SigmaUnderflowError(
+            f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
+            f"kappa={g.kappa:g}; mode {m} is unusable")
     ms = np.arange(-N, N + 1)
     sigma, cm = table.sigma[np.abs(ms)], c.c[ms + c.m_max]
-    radial = _psi_radial(ms, table, grid.rho, rings)
+    radial = _psi_radial(ms, plan)
     shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
                                                 n_theta))
     # modal misfit of the reconstruction against the retained data

@@ -7,6 +7,7 @@ import pytest
 import ispband as ib
 from ispband import experiments as ex
 from ispband import singular_system as ss
+from ispband import specfun as sf
 
 TEN_PI = 10.0 * math.pi
 
@@ -110,8 +111,38 @@ class TestBatchedSweep:
         for r in records:
             rep = ib.report(ib.ProblemGeometry.from_size_params(r.kappa0,
                                                                 r.kappa))
-            assert (r.B, r.B_minus, r.B_plus) == (rep.B, rep.B_minus,
-                                                  rep.B_plus)
+            assert ((r.B, r.B_minus, r.B_plus, r.B_tilde_minus,
+                     r.B_tilde_plus)
+                    == (rep.B, rep.B_minus, rep.B_plus, rep.B_tilde_minus,
+                        rep.B_tilde_plus))
+
+    def test_non_finite_y_fails_its_own_point(self, monkeypatch):
+        # a nan in the Y lane at kappa0 of one point inside a block (at
+        # R/R0 = 3, so no lane at kappa shares it) fails that point alone:
+        # run_sweep names its kappa, report fails unwrapped, and the next
+        # point of the block still gets its record
+        args = (7, (30.0, 90.0), False, 3.0)
+        records = ex.run_sweep(*args)
+        bad, next_ = (ib.ProblemGeometry.from_size_params(r.kappa0, r.kappa)
+                      for r in records[3:5])
+        real = sf._y_table
+
+        def table(m_max, x, *seed_rows):
+            y, e = real(m_max, x, *seed_rows)
+            y = np.array(y)
+            y[np.asarray(x) == bad.kappa0, 5] = math.nan
+            return y, e
+
+        monkeypatch.setattr(ss, "_y_table", table)
+        with pytest.raises(ArithmeticError,
+                           match=r"sweep failed at kappa=60: .*not finite"):
+            ex.run_sweep(*args)
+        with pytest.raises(ArithmeticError, match="not finite") as err:
+            ib.report(bad)
+        assert "sweep failed" not in str(err.value)
+        rep = ib.report(next_)
+        assert (rep.B, rep.B_minus, rep.B_plus) == (
+            records[4].B, records[4].B_minus, records[4].B_plus)
 
     def test_failing_point_keeps_its_class(self):
         with pytest.raises(ib.HorizonError, match="kappa=1e-300"):

@@ -308,7 +308,8 @@ class TestModalTransform:
         w = rng.standard_normal(len(ms)) + 1j * rng.standard_normal(len(ms))
         P = (rng.standard_normal((n_r, n_theta))
              + 1j * rng.standard_normal((n_r, n_theta)))
-        return rho, w, P, ss._psi_radial(ms, ss.build_spectrum(g), rho)
+        plan = ss._planned(None, g, ss.default_m_max(g.kappa0), rho)
+        return rho, w, P, ss._psi_radial(ms, plan)
 
     @pytest.mark.parametrize("n_theta, ms", [
         (64, np.arange(-20, 21)),              # resolved: n_theta >= 2N + 1
@@ -329,7 +330,8 @@ class TestModalTransform:
         g = g_equal_10pi
         rho = ib.source_grid(g, 16, 2).rho
         ms = np.arange(-40, 41)
-        radial = ss._psi_radial(ms, ss.build_spectrum(g), rho)
+        plan = ss._planned(None, g, ss.default_m_max(g.kappa0), rho)
+        radial = ss._psi_radial(ms, plan)
         # column -m is (-1)^m times column m, bit for bit
         sign = np.where(ms[41:] % 2 == 1, -1.0, 1.0)
         assert np.array_equal(radial[:, 39::-1], radial[:, 41:] * sign)

@@ -164,7 +164,9 @@ class TestReconstruction:
         g = ib.ProblemGeometry(k=1.0, R0=0.5, R=50.0)
         c = ib.ModalCoefficients(geometry=g, m_max=190,
                                  c=np.zeros(381, dtype=complex))
-        with pytest.raises(ib.SigmaUnderflowError, match="unusable"):
+        # the first unusable order is named: A_78(0.5) underflows
+        with pytest.raises(ib.SigmaUnderflowError,
+                           match="sigma_78 underflows.*mode 78 is unusable"):
             ib.tsvd_reconstruct(c, 190)
 
 
