@@ -64,9 +64,9 @@ class SourceField:
     """Complex samples of a source on the polar quadrature grid of the disk.
 
     values[i, j] belongs to the node (rho[i], theta[j] = 2 pi j / n_theta;
-    the modal transforms rely on it, checked to 1e-12 rad). area_weights
-    carries the full 2D quadrature weight of each node and sums to the
-    disk area within round-off.
+    the modal transforms rely on it, checked to 1e-12 rad). Node (i, j)
+    weighs radial_weights[i] rho[i] 2 pi / n_theta, and these sum to the
+    disk area within round-off; area_weights derives that grid on demand.
     """
 
     geometry: ProblemGeometry
@@ -79,7 +79,8 @@ class SourceField:
         if np.any(self.radial_weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
         area = math.pi * self.geometry.R0**2
-        if abs(self.area_weights.sum() - area) > 1e-12 * area:
+        ring_area = 2.0 * math.pi * np.sum(self.radial_weights * self.rho)
+        if abs(ring_area - area) > 1e-12 * area:
             raise ValueError("quadrature weights do not integrate the disk area")
         if self.values.shape != (len(self.rho), len(self.theta)):
             raise ValueError("values must be shaped (n_r, n_theta)")
@@ -291,8 +292,9 @@ def apply_forward_analytic(s: SourceField, modes: int,
     """Forward map through the closed-form singular system.
 
     U(theta_j) = sum over |m| <= modes of sigma_{|m|} (s, psi_m) phi_m,
-    with the inner product taken by the source field's own quadrature.
-    Both the projection and the sum over m run as one FFT in angle, with
+    with the inner product taken by the source field's own quadrature. Its
+    weight w_i rho_i 2 pi / n_theta is one factor per ring, folded into
+    the radial table. The projection and the sum over m run as one FFT, with
     mode m in bin m mod n (n = n_theta, then n_s), which reproduces the
     per-mode sums on any grid. sigma_m, A_m, arg H_m and the ring rows
     all come from one Bessel pass, which the result carries as its plan.
@@ -312,8 +314,9 @@ def apply_forward_analytic(s: SourceField, modes: int,
     ms = ms[table.a[np.abs(ms)] != 0.0]
     bins = np.zeros(n_s, dtype=complex)
     if ms.size:
-        coef = _psi_project(s.area_weights * s.values, ms,
-                            _psi_radial(ms, plan))
+        weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
+        coef = _psi_project(s.values, ms,
+                            weight[:, None] * _psi_radial(ms, plan))
         np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
                   * np.exp(1j * _signed_phase(table.phase, ms))
                   / math.sqrt(2.0 * math.pi * g.R))

@@ -266,16 +266,18 @@ def _planned(plan: _Plan | None, g: ProblemGeometry, m_max: int,
     """The one source of spectra and ring rows for the forward map and the
     inverse: plan wherever it has the bits of build_spectrum(g, m_max) and
     of the ring rows of rho, that is for g and m_max at plan's _j_horizon
-    and rho bitwise plan.rho; else a new plan from one _bessel_rows pass."""
-    if (plan is not None and plan.table.geometry == g
-            and plan.table.m_max >= m_max
-            and _j_horizon(g.kappa0, plan.table.m_max)
-            == _j_horizon(g.kappa0, m_max)
-            and (rho is None or np.array_equal(plan.rho, rho))):
+    and rho bitwise plan.rho; plan's spectrum with new ring rows where
+    only rho differs (a ring row depends on its argument and horizon
+    alone); else a new plan from one _bessel_rows pass."""
+    h = _j_horizon(g.kappa0, m_max)
+    if (plan is None or plan.table.geometry != g or plan.table.m_max < m_max
+            or _j_horizon(g.kappa0, plan.table.m_max) != h):
+        rows = _bessel_rows([g], [m_max], rho=rho)[0]
+        return _Plan(_spectrum(g, m_max, rows), rho,
+                     rows[4] if rho is not None else None)
+    if rho is None or np.array_equal(plan.rho, rho):
         return plan
-    rows = _bessel_rows([g], [m_max], rho=rho)[0]
-    return _Plan(_spectrum(g, m_max, rows), rho,
-                 rows[4] if rho is not None else None)
+    return _Plan(plan.table, rho, bessel_j_table(h, g.k * rho))
 
 
 def psi_eval(m: int, g: ProblemGeometry, rho, theta):

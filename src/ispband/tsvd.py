@@ -18,8 +18,8 @@ import numpy as np
 from .bandwidth import bandwidth, bound_lower, bound_upper
 from .forward import SourceField, BoundaryData, source_grid
 from .singular_system import (ProblemGeometry, _Plan, _planned,
-                              _psi_project, _psi_radial, _psi_synthesize,
-                              _signed_phase, build_spectrum)
+                              _psi_radial, _psi_synthesize, _signed_phase,
+                              build_spectrum)
 
 __all__ = [
     "SigmaUnderflowError",
@@ -94,8 +94,12 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
 
     shat = sum over |m| <= N of c_m / sigma_{|m|} psi_m. The residual is
     the relative misfit between the retained coefficients and the modal
-    content of the reconstruction pushed back through the forward map
-    (quadrature-level zero when the grid resolves every retained mode).
+    content of shat pushed back through the forward map. With
+    n_theta >= 2N + 1 no two modes share an FFT bin, so that content is
+    exactly (c_m / sigma_m) ||psi_m||_h^2, and the residual is the
+    |c_m|^2-weighted RMS of ||psi_m||_h^2 - 1, from the discrete norms
+    2 pi sum_i w_i rho_i radial[i, m]^2 of the ring table (round-off
+    when the grid resolves every retained mode).
     """
     N = int(N)
     if N < 0:
@@ -125,11 +129,10 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     radial = _psi_radial(ms, plan)
     shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
                                                 n_theta))
-    # modal misfit of the reconstruction against the retained data
-    coef = _psi_project(shat.area_weights * shat.values, ms, radial)
+    norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho) @ radial**2)
     den = float(np.sum(np.abs(cm)**2))
-    residual = (math.sqrt(float(np.sum(np.abs(sigma * coef - cm)**2)) / den)
-                if den > 0.0 else 0.0)
+    residual = (math.sqrt(float(np.sum((np.abs(cm) * (norms - 1.0))**2))
+                          / den) if den > 0.0 else 0.0)
     return Reconstruction(source=shat, N=N, residual=residual, policy=policy)
 
 

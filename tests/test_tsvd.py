@@ -23,6 +23,23 @@ def psi_mix(g, modes):
     return fn
 
 
+def _count_passes(monkeypatch) -> dict:
+    """Count the J (Miller) and Y table passes made from here on."""
+    counts = {"J": 0, "Y": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    y_table = counted("Y", sf._y_table)
+    monkeypatch.setattr(sf, "_miller_rows", counted("J", sf._miller_rows))
+    monkeypatch.setattr(sf, "_y_table", y_table)
+    monkeypatch.setattr(ss, "_y_table", y_table)
+    return counts
+
+
 class TestModalDecompose:
     def test_pure_left_function_hits_one_bin(self, g_equal_10pi):
         g = g_equal_10pi
@@ -247,18 +264,7 @@ class TestForwardPlan:
         # one in pick_truncation's own spectrum
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         truth, horizon, n = self._data(g, noise)
-        counts = {"J": 0, "Y": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        y_table = counted("Y", sf._y_table)
-        monkeypatch.setattr(sf, "_miller_rows", counted("J", sf._miller_rows))
-        monkeypatch.setattr(sf, "_y_table", y_table)
-        monkeypatch.setattr(ss, "_y_table", y_table)
+        counts = _count_passes(monkeypatch)
         data = ib.synthesize_measurement(truth, noise, 5, modes=horizon,
                                          n_s=n)
         c = ib.modal_decompose(data, horizon)
@@ -266,6 +272,25 @@ class TestForwardPlan:
                                   n_r=self.N_R, n_theta=n)
         assert counts == {"J": 2, "Y": 2}
         assert rec.residual <= 1e-8
+
+    @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
+    def test_new_radii_rebuild_ring_rows_only(self, monkeypatch, kappa0,
+                                              kappa):
+        # the forward plan's spectrum is kept, and only the ring rows of
+        # the other radii are built: one J pass and no Y pass
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        truth, horizon, n = self._data(g, 0.0)
+        data = ib.synthesize_measurement(truth, 0.0, 5, modes=horizon, n_s=n)
+        c = ib.modal_decompose(data, horizon)
+        c_bare = ib.modal_decompose(replace(data, plan=None), horizon)
+        N = ib.pick_truncation(g, "B")
+        counts = _count_passes(monkeypatch)
+        rec = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R + 8, n_theta=n)
+        assert counts == {"J": 1, "Y": 0}
+        fresh = ib.tsvd_reconstruct(c_bare, N, g, n_r=self.N_R + 8,
+                                    n_theta=n)
+        assert np.array_equal(rec.source.values, fresh.source.values)
+        assert rec.residual == fresh.residual <= 1e-8
 
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_plan_changes_no_bits(self, g_equal_10pi, noise):
@@ -313,3 +338,74 @@ class TestForwardPlan:
                                   ib.pick_truncation(g, "B"), g,
                                   n_r=self.N_R + 8, n_theta=n)
         assert rec.residual <= 1e-8
+
+
+class TestModeNorms:
+    """tsvd_reconstruct's residual from the discrete mode norms, and a
+    reconstruct path that weighs by ring and builds no weight grid."""
+
+    @staticmethod
+    def _op(kappa0, kappa, n_r, n_theta, noise, policy, modes):
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        horizon = ib.default_m_max(g.kappa0)
+        n_s = 2 * horizon + 2
+        n_theta = n_s if n_theta is None else n_theta
+        truth = ib.source_grid(g, n_r, n_theta, fn=psi_mix(g, modes))
+        data = ib.synthesize_measurement(truth, noise, 3, modes=horizon,
+                                         n_s=n_s)
+        c = ib.modal_decompose(data, horizon)
+        N = ib.pick_truncation(g, policy)
+        return c, ib.tsvd_reconstruct(c, N, g, n_r=n_r, n_theta=n_theta,
+                                      policy=policy)
+
+    @staticmethod
+    def _projected_residual(c, rec):
+        """The residual by its definition: project the reconstruction back
+        through the area-weight grid and compare with the retained data."""
+        g, src, N = c.geometry, rec.source, rec.N
+        ms = np.arange(-N, N + 1)
+        plan = ss._planned(None, g, max(N, 1), src.rho)
+        sigma, cm = plan.table.sigma[np.abs(ms)], c.c[ms + c.m_max]
+        coef = ss._psi_project(src.area_weights * src.values, ms,
+                               ss._psi_radial(ms, plan))
+        return math.sqrt(float(np.sum(np.abs(sigma * coef - cm)**2))
+                         / float(np.sum(np.abs(cm)**2)))
+
+    @pytest.mark.parametrize("kappa0, kappa, n_r, n_theta, noise, policy", [
+        (100.0 * math.pi, 100.0 * math.pi, 256, 800, 0.0, "B"),
+        (5.0 * math.pi, 10.0 * math.pi, 64, None, 0.01, "B-"),
+    ])
+    def test_matches_projection_on_resolved_grids(self, kappa0, kappa, n_r,
+                                                  n_theta, noise, policy):
+        # the geometries and grids of the benchmark's reconstruct ops
+        c, rec = self._op(kappa0, kappa, n_r, n_theta, noise, policy,
+                          {3: 1.0, -7: 0.5 - 0.25j, 12: 0.3j})
+        assert abs(rec.residual - self._projected_residual(c, rec)) <= 1e-14
+
+    def test_matches_projection_on_an_under_resolved_grid(self):
+        # 64 rings leave |norm - 1| up to 0.40 among the retained modes at
+        # kappa0 = 100 pi: the residual is large, and still the same
+        c, rec = self._op(100.0 * math.pi, 100.0 * math.pi, 64, None, 0.0,
+                          "B", {2: 1.0, -9: 0.5j})
+        ref = self._projected_residual(c, rec)
+        assert abs(rec.residual - ref) <= 1e-12 * ref
+        assert rec.residual > 1e-2
+
+    def test_reconstruct_path_builds_no_weight_grid(self, monkeypatch,
+                                                    g_equal_10pi):
+        g = g_equal_10pi
+        horizon = ib.default_m_max(g.kappa0)
+        n = 2 * horizon + 2
+        truth = ib.source_grid(g, 48, n, fn=psi_mix(g, {2: 1.0, -5: 0.5j}))
+
+        def refuse(_):
+            raise AssertionError("the (n_r, n_theta) weight grid was built")
+
+        monkeypatch.setattr(ib.SourceField, "area_weights", property(refuse))
+        data = ib.synthesize_measurement(truth, 0.01, 5, modes=horizon,
+                                         n_s=n)
+        c = ib.modal_decompose(data, horizon)
+        N = ib.pick_truncation(g, "B")
+        for n_r in (48, 56):                 # forward rings, other rings
+            rec = ib.tsvd_reconstruct(c, N, g, n_r=n_r, n_theta=n)
+            assert rec.residual <= 1e-8
