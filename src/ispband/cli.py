@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--policy", choices=("B", "B-", "B+", "N"), default="B",
                        help="truncation policy")
     p_rec.add_argument("--N", type=int, default=None,
-                       help="manual truncation (policy N)")
+                       help="manual truncation (needs --policy N)")
     p_rec.add_argument("--nr", type=int, default=None,
                        help="radial grid size (default: from kappa0)")
     p_rec.add_argument("--ntheta", type=int, default=None,
@@ -210,11 +210,13 @@ def _cmd_reconstruct(args, parser) -> int:
     g = _geometry_from(args, parser)
     if args.noise < 0.0:
         parser.error("--noise must be nonnegative")
+    if args.N is not None and args.policy != "N":
+        parser.error(f"--N is a manual truncation and needs --policy N, "
+                     f"not --policy {args.policy}")
     terms = _parse_source_spec(args.source)
     m_top = max(abs(m) for _, m in terms)
     horizon = max(default_m_max(g.kappa0), m_top)
-    n_trunc = pick_truncation(g, args.policy,
-                              n=args.N if args.policy == "N" else None)
+    n_trunc = pick_truncation(g, args.policy, n=args.N)
     n_r, n_ang = _resolving_grids(g, horizon, n_trunc)
     n_r = args.nr if args.nr is not None else n_r
     n_theta = args.ntheta if args.ntheta is not None else n_ang

@@ -330,7 +330,13 @@ def _psi_synthesize(w, ms, radial, n_theta: int) -> np.ndarray:
 
 
 def _psi_project(P, ms, radial) -> np.ndarray:
-    """sum_ij P_ij conj(psi_m(rho_i, 2 pi j / n_theta)) for every m."""
+    """sum_ij P_ij conj(psi_m(rho_i, 2 pi j / n_theta)) for every m.
+
+    radial comes from the F-ordered bessel_j_table, so the product is
+    column-major and np.sum(axis=0) adds pairwise along the rings of each
+    column. A C-ordered product sums in another order and changes the
+    last bits of the result.
+    """
     F = np.fft.fft(P, axis=1)[:, np.asarray(ms) % P.shape[1]]
     return np.sum(radial * F, axis=0)
 

@@ -156,6 +156,11 @@ def bessel_j_table(m_max, x) -> np.ndarray:
     kappa0 up to 1000 on Gauss-Legendre rings). Arguments below
     _SERIES_BELOW take the leading series term, which gives the exact row
     (1, 0, 0, ...) at 0.
+
+    The table is a transposed view of the (orders, arguments) pass, so it
+    is F-ordered: the entries of one order lie contiguous across the
+    arguments. The radial tables cut from it are column-major, and sums
+    over the rings (_psi_project) run along that axis.
     """
     orders = np.asarray(m_max)
     if orders.ndim == 0:

@@ -10,6 +10,7 @@ band-edge integers from the bandwidth module are the natural policies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -100,6 +101,9 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     |c_m|^2-weighted RMS of ||psi_m||_h^2 - 1, from the discrete norms
     2 pi sum_i w_i rho_i radial[i, m]^2 of the ring table (round-off
     when the grid resolves every retained mode).
+
+    g, if given, must equal c.geometry: the coefficients are divided by
+    that geometry's sigma, so any other one is refused.
     """
     N = int(N)
     if N < 0:
@@ -108,6 +112,9 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
         raise ValueError(f"truncation {N} exceeds available modes {c.m_max}")
     if g is None:
         g = c.geometry
+    elif g != c.geometry:
+        raise ValueError(f"geometry {g} is not the coefficients' geometry "
+                         f"{c.geometry}")
     if n_theta is None:
         n_theta = max(64, 2 * N + 8)
     if n_theta < 2 * N + 1:
@@ -141,7 +148,12 @@ def pick_truncation(g: ProblemGeometry, policy: str,
     """Map a truncation policy to its integer.
 
     policy is one of "B", "B-", "B+" (band-edge integers of the geometry)
-    or "N" (manual, takes n).
+    or "N" (manual, takes n). The band-edge integers are memoized per
+    (geometry, policy), for the last _BAND_EDGE_MEMO pairs used, so only
+    the first call for a pair runs a Bessel pass, at the cost it had
+    before the memo. Geometries compare by value, so an equal geometry
+    hits the same entry. An exception is never memoized: the next call
+    runs the pass again and raises again.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
@@ -149,6 +161,15 @@ def pick_truncation(g: ProblemGeometry, policy: str,
         if n is None or int(n) < 0:
             raise ValueError("manual policy needs a nonnegative N")
         return int(n)
+    return _band_edge(g, policy)
+
+
+_BAND_EDGE_MEMO = 256
+
+
+@functools.lru_cache(maxsize=_BAND_EDGE_MEMO)
+def _band_edge(g: ProblemGeometry, policy: str) -> int:
+    """B, B- or B+ of g, by the pass pick_truncation memoizes."""
     if policy == "B":
         return bandwidth(build_spectrum(g))
     if policy == "B-":

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 import ispband as ib
+from ispband import tsvd
 
 TEN_PI = 10.0 * math.pi
+
+
+@pytest.fixture(autouse=True)
+def cold_truncation_memo():
+    """Every test starts with no memoized band-edge integer, so the Bessel
+    passes a test counts do not depend on the tests run before it."""
+    tsvd._band_edge.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -201,6 +201,15 @@ class TestReconstructCommand:
         assert out1 == out2
         assert f1.read_text() == f2.read_text()
 
+    def test_manual_N_needs_policy_N(self, capsys):
+        # --N without --policy N once ran policy B at N = 7 with exit 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reconstruct", "--kappa0", "10", "--kappa", "10",
+                      "--N", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--N" in err and "--policy N" in err
+
     def test_bad_source_spec(self, capsys):
         code, _, err = run_cli(capsys, "reconstruct", "--kappa0", "4",
                                "--kappa", "4", "--source", "wave:3")

@@ -7,6 +7,7 @@ import pytest
 import ispband as ib
 from ispband import singular_system as ss
 from ispband import specfun as sf
+from ispband import tsvd
 
 from conftest import disk_rel_l2
 
@@ -177,6 +178,22 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="n_theta >= 17"):
             ib.tsvd_reconstruct(c, 8, n_r=8, n_theta=16)
 
+    def test_other_geometry_refused(self, g_equal_10pi):
+        # dividing by another geometry's sigma once gave a source 4.7x
+        # off in relative L2, with a round-off residual and no error
+        g = g_equal_10pi
+        c = ib.modal_decompose(
+            ib.BoundaryData(geometry=g, values=np.zeros(64, dtype=complex)),
+            8)
+        other = ib.ProblemGeometry.from_size_params(TEN_PI, 2.0 * TEN_PI)
+        with pytest.raises(ValueError) as exc:
+            ib.tsvd_reconstruct(c, 5, other, n_r=16)
+        assert str(other) in str(exc.value) and str(g) in str(exc.value)
+        same = ib.ProblemGeometry(k=g.k, R0=g.R0, R=g.R)   # equal, not g
+        assert same is not g
+        rec = ib.tsvd_reconstruct(c, 5, same, n_r=16)
+        assert rec.source.geometry == g
+
     def test_sigma_underflow_names_mode(self):
         g = ib.ProblemGeometry(k=1.0, R0=0.5, R=50.0)
         c = ib.ModalCoefficients(geometry=g, m_max=190,
@@ -233,12 +250,60 @@ class TestPickTruncation:
         assert ib.pick_truncation(g, "N", n=0) == 0
 
     def test_validation(self, g_equal_10pi):
-        with pytest.raises(ValueError):
-            ib.pick_truncation(g_equal_10pi, "N")
-        with pytest.raises(ValueError):
-            ib.pick_truncation(g_equal_10pi, "N", n=-1)
-        with pytest.raises(ValueError):
-            ib.pick_truncation(g_equal_10pi, "waterline")
+        # a warm memo changes none of the manual policy's refusals
+        for warm in (False, True):
+            if warm:
+                ib.pick_truncation(g_equal_10pi, "B")
+            with pytest.raises(ValueError):
+                ib.pick_truncation(g_equal_10pi, "N")
+            with pytest.raises(ValueError):
+                ib.pick_truncation(g_equal_10pi, "N", n=-1)
+            with pytest.raises(ValueError):
+                ib.pick_truncation(g_equal_10pi, "waterline")
+            assert ib.pick_truncation(g_equal_10pi, "N", n=3) == 3
+
+    @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI),
+                                               (5.0 * math.pi, TEN_PI),
+                                               (100.0 * math.pi,
+                                                100.0 * math.pi)])
+    @pytest.mark.parametrize("policy", ["B", "B-", "B+"])
+    def test_memo_runs_no_pass_and_keeps_the_integer(self, monkeypatch,
+                                                     kappa0, kappa, policy):
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        direct = {"B": lambda: ib.bandwidth(ib.build_spectrum(g)),
+                  "B-": lambda: ib.bound_lower(g.kappa0),
+                  "B+": lambda: ib.bound_upper(g.kappa0)}[policy]()
+        assert ib.pick_truncation(g, policy) == direct
+        counts = _count_passes(monkeypatch)
+        same = ib.ProblemGeometry(k=g.k, R0=g.R0, R=g.R)   # equal, not g
+        assert ib.pick_truncation(g, policy) == direct
+        assert ib.pick_truncation(same, policy) == direct
+        assert counts == {"J": 0, "Y": 0}
+
+    def test_exceptions_are_not_memoized(self, monkeypatch, g_equal_10pi):
+        # a route that fails once is run again on the next call
+        calls = []
+
+        def fails_once(kappa0):
+            calls.append(kappa0)
+            if len(calls) == 1:
+                raise ArithmeticError("transient")
+            return ib.bound_upper(kappa0)
+
+        monkeypatch.setattr(tsvd, "bound_upper", fails_once)
+        with pytest.raises(ArithmeticError, match="transient"):
+            ib.pick_truncation(g_equal_10pi, "B+")
+        assert ib.pick_truncation(g_equal_10pi, "B+") == 29
+        assert ib.pick_truncation(g_equal_10pi, "B+") == 29
+        assert len(calls) == 2
+        # a geometry whose spectrum always fails runs its pass, and
+        # raises, on every call
+        g = ib.ProblemGeometry.from_size_params(1e-300, 1e-300)
+        counts = _count_passes(monkeypatch)
+        for n_calls in (1, 2):
+            with pytest.raises(ib.HorizonError):
+                ib.pick_truncation(g, "B")
+            assert counts["J"] == n_calls
 
 
 class TestForwardPlan:
@@ -261,7 +326,7 @@ class TestForwardPlan:
                                       noise):
         # one pass in the forward map (J at kappa0, kappa and the rings,
         # Y at kappa, and below kappa = 25 the J rows of the Y seeds) and
-        # one in pick_truncation's own spectrum
+        # one in pick_truncation's own spectrum, which the cold memo runs
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         truth, horizon, n = self._data(g, noise)
         counts = _count_passes(monkeypatch)
@@ -272,6 +337,30 @@ class TestForwardPlan:
                                   n_r=self.N_R, n_theta=n)
         assert counts == {"J": 2, "Y": 2}
         assert rec.residual <= 1e-8
+
+    @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_warm_memo_leaves_the_forward_pass(self, monkeypatch, kappa0,
+                                               kappa, noise):
+        # once the truncation of a geometry is known, an op runs the
+        # forward map's pass alone and gives the bits of the cold op
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        truth, horizon, n = self._data(g, noise)
+
+        def op():
+            data = ib.synthesize_measurement(truth, noise, 5, modes=horizon,
+                                             n_s=n)
+            c = ib.modal_decompose(data, horizon)
+            return ib.tsvd_reconstruct(c, ib.pick_truncation(g, "B"), g,
+                                       n_r=self.N_R, n_theta=n)
+
+        cold = op()
+        counts = _count_passes(monkeypatch)
+        warm = op()
+        assert counts == {"J": 1, "Y": 1}
+        assert warm.N == cold.N
+        assert np.array_equal(warm.source.values, cold.source.values)
+        assert warm.residual == cold.residual <= 1e-8
 
     @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
     def test_new_radii_rebuild_ring_rows_only(self, monkeypatch, kappa0,
