@@ -115,17 +115,17 @@ def _band_edge(ls: np.ndarray, kappa0: float) -> int:
 
 
 def _sign_bounds(f: np.ndarray, kappa0: np.ndarray, sign: float,
-                 exponents=None) -> np.ndarray:
+                 e=None) -> np.ndarray:
     """The bound of each lane i from its row f[i, m] ~ F_m(kappa0_i),
-    m = 0 .. ceil(max kappa0) at least: one more than the last order
+    m = 0 .. ceil(kappa0_i) at least: one more than the last order
     m < kappa0_i with sign F_m(kappa0_i) > 0, or that order M itself
     where its Newton distance to the first zero of F_M is at most
     _TIE_TOL; 0 where no order has that sign. -1 where an entry it reads
     is not finite, so that such a row never picks a bound.
 
-    f may be a mantissa table, as bessel_y_table gives it: the signs are
-    those of f, and exponents(lanes, orders), if given, returns the
-    power-of-two exponents of the two entries per lane the tie rule reads.
+    f may be a mantissa table with its exponent table e, as
+    bessel_y_table gives them: the signs are those of f, and the tie rule
+    reads f 2^e.
     """
     scan = np.arange(f.shape[1]) < np.ceil(kappa0)[:, None]
     hit = scan & (sign * f > 0.0)
@@ -133,8 +133,8 @@ def _sign_bounds(f: np.ndarray, kappa0: np.ndarray, sign: float,
                     f.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1), -1)
     lanes, at = np.arange(len(f)), np.maximum(last, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        g_at, g_up = (sign * (f[lanes, m] if exponents is None else
-                              np.ldexp(f[lanes, m], exponents(lanes, m)))
+        g_at, g_up = (sign * (f[lanes, m] if e is None else
+                              np.ldexp(f[lanes, m], e[lanes, m]))
                       for m in (at, at + 1))
         slope = (at / kappa0) * g_at - g_up          # sign F_M'(kappa0)
         tie = (last >= 0) & (slope > 0.0) & (g_at <= _TIE_TOL * slope)
@@ -160,7 +160,7 @@ def _bound_result(b: np.ndarray, kappa0, kind: str):
 
 def bound_lower(kappa0):
     """B_- : first order whose J zero clears kappa0, from the signs of
-    one J row at kappa0 to ceil(kappa0) + 2 (see the module docstring).
+    the J row at kappa0 to ceil(kappa0) + 2 (see the module docstring).
     kappa0 is one size parameter or an array of them, one lane each."""
     k = _check_kappa0(kappa0).reshape(-1)
     j = bessel_j_table(np.ceil(k).astype(np.int64) + 2, k)
@@ -169,11 +169,10 @@ def bound_lower(kappa0):
 
 def bound_upper(kappa0):
     """B_+ : first order whose Y zero clears kappa0, from the signs of
-    one Y row at kappa0 to ceil(kappa0) + 2; as bound_lower."""
+    the Y row at kappa0 to ceil(kappa0) + 2; as bound_lower."""
     k = _check_kappa0(kappa0).reshape(-1)
-    y, e = bessel_y_table(math.ceil(k.max()) + 2, k)
-    b = _sign_bounds(y, k, 1.0, lambda lanes, m: e[lanes, m])
-    return _bound_result(b, kappa0, "Y")
+    y, e = bessel_y_table(np.ceil(k).astype(np.int64) + 2, k)
+    return _bound_result(_sign_bounds(y, k, 1.0, e), kappa0, "Y")
 
 
 def bound_lower_approx(kappa0: float) -> int:
@@ -225,10 +224,11 @@ def _reports(gs, m_maxes):
     rows = _bessel_rows(gs, m_maxes, at_kappa0=True)
     kappa0 = np.array([g.kappa0 for g in gs])
     n = math.ceil(kappa0.max()) + 1
-    j, y = (np.array([r[i][:n] for r in rows]) for i in (0, 4))
-    b_minus = _sign_bounds(j, kappa0, -1.0).tolist()
-    b_plus = _sign_bounds(y, kappa0, 1.0, lambda lanes, orders: np.array(
-        [rows[p][5][m] for p, m in zip(lanes, orders)])).tolist()
+    # the J stack goes before the Y stacks come, so the three never coexist
+    b_minus = _sign_bounds(np.array([r[0][:n] for r in rows]), kappa0,
+                           -1.0).tolist()
+    y, e = (np.array([r[i][:n] for r in rows]) for i in (4, 5))
+    b_plus = _sign_bounds(y, kappa0, 1.0, e).tolist()
 
     def one(p: int) -> BandwidthReport:
         g = gs[p]

@@ -56,11 +56,8 @@ def _header(columns) -> str:
     return ",".join(name for name, _ in columns)
 
 
-SPECTRUM_HEADER = _header(_SPECTRUM)
 SWEEP_HEADER = _header(_SWEEP)
 FITS_HEADER = _header(_FITS)
-BOUNDARY_HEADER = _header(_BOUNDARY)
-SOURCE_HEADER = _header(_GRID)
 
 
 def _g17(x) -> str:

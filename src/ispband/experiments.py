@@ -18,6 +18,7 @@ import numpy as np
 
 from .bandwidth import HorizonError, _reports, bandwidth
 from .singular_system import ProblemGeometry, build_spectrum, default_m_max
+from .specfun import _check_count
 
 __all__ = [
     "SweepRecord",
@@ -107,20 +108,20 @@ def run_sweep(n_points: int = 300,
               ratio: float = 1.0) -> list[SweepRecord]:
     """Band edges over a uniform inclusive kappa grid.
 
-    With equal_sizes the source fills the measurement disk (kappa0 =
-    kappa); otherwise kappa0 = kappa / ratio for the given ratio >= 1.
-    The points go _SWEEP_BLOCK at a time through bandwidth._reports, the
-    batched report behind report: one Bessel pass and one bound scan per
-    block, so each point gets the record that report gives it alone. A
-    failing point raises its own exception class with its kappa in the
-    message.
+    n_points is an integer of at least 2. With equal_sizes the source
+    fills the measurement disk (kappa0 = kappa) and ratio must be 1;
+    otherwise kappa0 = kappa / ratio for the given ratio >= 1. The points
+    go _SWEEP_BLOCK at a time through bandwidth._reports, the batched
+    report behind report: one Bessel pass and one bound scan per block,
+    so each point gets the record that report gives it alone. A failing
+    point raises its own exception class with its kappa in the message.
     """
-    n_points = int(n_points)
+    n_points = _check_count(n_points, "need an integer n_points")
     if n_points < 2:
         raise ValueError("need at least 2 sweep points")
-    if equal_sizes:
-        ratio = 1.0
-    elif ratio < 1.0:
+    if equal_sizes and ratio != 1.0:
+        raise ValueError(f"ratio={ratio!r} needs equal_sizes=False")
+    if ratio < 1.0:
         raise ValueError("ratio must be >= 1")
     lo, hi = float(kappa_range[0]), float(kappa_range[1])
     if not (0.0 < lo < hi):

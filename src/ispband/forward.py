@@ -41,6 +41,7 @@ import numpy as np
 from .singular_system import (ProblemGeometry, _Plan, _planned,
                               _psi_project, _psi_radial, _signed_phase,
                               default_m_max)
+from .specfun import _check_count
 
 __all__ = [
     "SourceField",
@@ -301,7 +302,7 @@ def apply_forward_analytic(s: SourceField, modes: int,
     Degenerate modes (A_m = 0) are skipped with a warning.
     """
     g = s.geometry
-    modes = int(modes)
+    modes = _check_count(modes, "modes must be a nonnegative integer")
     plan = _planned(None, g, max(modes, 1), s.rho)
     table = plan.table
     if n_s is None:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import (_HANKEL_FROM, _NEUMANN_TOP, _y_table, bessel_j_table,
-                      hankel_arg, hankel_log_abs2)
+from .specfun import (_HANKEL_FROM, _NEUMANN_TOP, _check_count, _y_table,
+                      bessel_j_table, hankel_arg, hankel_log_abs2)
 
 __all__ = [
     "ProblemGeometry",
@@ -170,18 +170,14 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False,
     Y mantissa and exponent at kappa0_p to ceil(kappa0_p) + 2, and with
     rho (for _planned) the ring rows J_m(k_p rho_i). All J rows, ring
     rows included, run to _j_horizon in one bessel_j_table call, with
-    those that seed Y below x = 25 (Neumann's series), and all
-    Y rows in one pass, each lane 0 past the last order needed of it; a
-    lane is shared wherever argument and horizon coincide. Each row
-    depends on its own argument and horizon alone, so a geometry gets the
-    same bits in a batch as on its own, and its Y rows are
-    bessel_y_table's up to the orders needed.
+    those that seed Y below x = 25 (Neumann's series). All Y rows take
+    one Y pass with one lane per argument, run to the last order any
+    geometry needs of it and 0 past it. Each row depends on its own
+    argument and horizon alone, so a geometry gets the same bits in a
+    batch as on its own, and its Y rows are bessel_y_table's up to the
+    orders needed.
     """
-    top = max(m_maxes)
-    if at_kappa0:
-        top = max(top, max(math.ceil(g.kappa0) for g in gs) + 2)
     j_lanes: dict[tuple[float, int], int] = {}
-    y_lanes: dict[float, int] = {}          # argument -> lane
     y_last: dict[float, int] = {}           # argument -> last order needed
     picks = []
     for g, m_max in zip(gs, m_maxes):
@@ -192,20 +188,19 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False,
         for x, last in y_args:
             y_last[x] = max(y_last.get(x, 0), last)
         picks.append(([j_lanes.setdefault((x, h), len(j_lanes))
-                       for x in (g.kappa0, g.kappa)],
-                      [y_lanes.setdefault(x, len(y_lanes)) for x, _ in y_args]))
-    y_x = list(y_lanes)
+                       for x in (g.kappa0, g.kappa)], [x for x, _ in y_args]))
     seed_lanes = [j_lanes.setdefault((x, _NEUMANN_TOP), len(j_lanes))
-                  for x in y_x if x < _HANKEL_FROM]
+                  for x in y_last if x < _HANKEL_FROM]
     x, h = zip(*j_lanes)
     for g, m_max in zip(gs, m_maxes) if rho is not None else ():
         x += tuple((g.k * rho).tolist())         # one block of rings each
         h += (_j_horizon(g.kappa0, m_max),) * len(rho)
     j = bessel_j_table(np.array(h), np.array(x))
-    y, e = _y_table(top, np.array(y_x), j[seed_lanes],
-                    [y_last[x] for x in y_x])
+    y_rows = dict(zip(y_last, zip(*_y_table(
+        np.array(list(y_last.values())), np.array(list(y_last)),
+        j[seed_lanes]))))
     rings = np.split(j[len(j_lanes):], len(gs)) if rho is not None else []
-    return [(j[a], j[b], *(r for c in ys for r in (y[c], e[c])),
+    return [(j[a], j[b], *(r for c in ys for r in y_rows[c]),
              *rings[p:p + 1]) for p, ((a, b), ys) in enumerate(picks)]
 
 
@@ -237,11 +232,10 @@ def _spectrum(g: ProblemGeometry, m_max: int, rows) -> SpectrumTable:
 def _horizon(g: ProblemGeometry, m_max) -> int:
     """The spectrum horizon asked for, default_m_max(kappa0) if None."""
     if m_max is None:
-        m_max = default_m_max(g.kappa0)
-    m_max = int(m_max)
-    if m_max < 1:
+        return default_m_max(g.kappa0)
+    if _check_count(m_max, "m_max must be an integer") < 1:
         raise ValueError("m_max must be at least 1")
-    return m_max
+    return int(m_max)
 
 
 def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTable:

@@ -93,14 +93,33 @@ _ORDER_MESSAGE = ("order must be a nonnegative integer; map negative "
                   "orders through J_{-m} = (-1)^m J_m at the call site")
 
 
-def _check_order(m) -> int:
+def _check_count(n, message: str) -> int:
+    """n as an int, for every order and count the package takes: 3,
+    np.int64(3) and 3.0 pass; 2.5, -3, nan and None raise ValueError."""
     try:
-        k = int(m)
+        k = int(n)
     except (TypeError, ValueError, OverflowError):
         k = -1
-    if k < 0 or k != m:
-        raise ValueError(_ORDER_MESSAGE)
+    if k < 0 or k != n:
+        raise ValueError(message)
     return k
+
+
+def _check_order(m) -> int:
+    return _check_count(m, _ORDER_MESSAGE)
+
+
+def _lanes(m_max, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """x as floats, flat x, the order of each flat argument and the
+    largest order, from m_max as both tables take it."""
+    orders = np.asarray(m_max)
+    if orders.ndim == 0:
+        orders = np.asarray(_check_order(m_max))
+    elif not np.issubdtype(orders.dtype, np.integer) or np.any(orders < 0):
+        raise ValueError(_ORDER_MESSAGE)
+    x = np.asarray(x, dtype=float)
+    return (x, x.reshape(-1), np.broadcast_to(orders, x.shape).reshape(-1),
+            int(orders.max(initial=0)))
 
 
 def _check_y(y) -> None:
@@ -162,17 +181,9 @@ def bessel_j_table(m_max, x) -> np.ndarray:
     arguments. The radial tables cut from it are column-major, and sums
     over the rings (_psi_project) run along that axis.
     """
-    orders = np.asarray(m_max)
-    if orders.ndim == 0:
-        orders = np.asarray(_check_order(m_max))
-    elif not np.issubdtype(orders.dtype, np.integer) or np.any(orders < 0):
-        raise ValueError(_ORDER_MESSAGE)
-    top = int(orders.max(initial=0))
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
+    x, flat, orders, top = _lanes(m_max, x)
     if not np.all(np.isfinite(flat) & (flat >= 0.0)):
         raise ValueError("arguments must be nonnegative finite reals")
-    orders = np.broadcast_to(orders, x.shape).reshape(-1)
     rows = _miller_rows(orders, flat, top)
     rows[((rows < _J_FLOOR) & (rows > -_J_FLOOR))
          | (np.arange(top + 1)[:, None] > orders)] = 0.0
@@ -245,10 +256,12 @@ def _miller_rows(orders: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:
     return rows
 
 
-def bessel_y_table(m_max: int, x) -> tuple[np.ndarray, np.ndarray]:
+def bessel_y_table(m_max, x) -> tuple[np.ndarray, np.ndarray]:
     """Y_m(x_i) = y 2^e for m = 0 .. m_max at every x_i > 0: the mantissa
     table y and the integer exponent table e, both of shape
-    x.shape + (m_max + 1,) and C-contiguous.
+    x.shape + (m_max + 1,) and C-contiguous. m_max is one order or an
+    integer array of orders, as for bessel_j_table; y of x_i is 0 past
+    its own m_max_i, so a short lane takes no rescaling steps.
 
     One upward pass Y_{m+1} = (2m/x) Y_m - Y_{m-1}, a vector step across
     all x, seeded by _y_seeds; upward is the stable direction for Y, the
@@ -257,9 +270,9 @@ def bessel_y_table(m_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     pair is divided by the power of two that brings |Y_m| into [0.5, 1),
     which is exact, and the power moves into e. One step multiplies |Y|
     by at most 2m/x + 1, so no entry overflows for m <= 1e4 and
-    x >= 1.2e-304. An entry depends on x_i and m alone, never on m_max or
-    the other arguments, so a longer table extends a shorter one bit for
-    bit. Below x = 3.6e-309, where
+    x >= 1.2e-304. An entry up to m_max_i depends on x_i and m alone,
+    never on the orders or the other arguments, so a longer table extends
+    a shorter one bit for bit. Below x = 3.6e-309, where
     Y_1(x) ~ -2 / (pi x) overflows, and wherever a step overflows all the
     same, the entries are not finite; hankel_log_abs2 and hankel_arg
     refuse them.
@@ -267,31 +280,25 @@ def bessel_y_table(m_max: int, x) -> tuple[np.ndarray, np.ndarray]:
     return _y_table(m_max, x, None)
 
 
-def _y_table(m_max, x, neumann_j,
-             last=None) -> tuple[np.ndarray, np.ndarray]:
-    """bessel_y_table, with neumann_j as in _y_seeds. last, if given,
-    holds one last order per argument: the argument's entries past it are
-    0, so that a lane needed only to a low order takes no rescaling steps
-    (its entries up to that order are bessel_y_table's)."""
-    m_max = _check_order(m_max)
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
+def _y_table(m_max, x, neumann_j) -> tuple[np.ndarray, np.ndarray]:
+    """bessel_y_table, with neumann_j as in _y_seeds."""
+    x, flat, orders, top = _lanes(m_max, x)
     if not np.all(np.isfinite(flat) & (flat > 0.0)):
         raise ValueError("arguments must be positive finite reals")
-    y = np.empty((flat.size, m_max + 1))
-    e = np.zeros((flat.size, m_max + 1), dtype=np.int64)   # steps, then sums
+    y = np.empty((flat.size, top + 1))
+    e = np.zeros((flat.size, top + 1), dtype=np.int64)     # steps, then sums
     seeds = _y_seeds(flat, neumann_j)
     y[:, 0] = seeds[0]
     limit = _RESCALE_AT * np.minimum(1.0, flat)
     growth = 2.0 / float(flat.min()) if flat.size else 0.0
     bound = math.inf                    # >= every |Y_m| / limit, as the
     y_lo, y_hi = seeds                  # bound in _miller_rows; Y_{m-1}, Y_m
-    ends: dict[int, list[int]] = {}
-    for i, order in enumerate([] if last is None else last):
+    ends: dict[int, list[int]] = {}     # order -> lanes that end before it
+    for i, order in enumerate(orders.tolist()):
         ends.setdefault(order + 1, []).append(i)
     rescaled = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, m_max + 1):
+        for m in range(1, top + 1):
             if m > 1:
                 y_lo, y_hi = y_hi, (2.0 * (m - 1) / flat) * y_hi - y_lo
                 bound *= growth * (m - 1) + 1.0
@@ -314,7 +321,7 @@ def _y_table(m_max, x, neumann_j,
             y[:, m] = y_hi
     if rescaled:                        # else e stays untouched zeros
         np.cumsum(e, axis=1, out=e)
-    shape = x.shape + (m_max + 1,)
+    shape = x.shape + (top + 1,)
     return y.reshape(shape), e.reshape(shape)
 
 

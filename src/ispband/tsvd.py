@@ -21,6 +21,7 @@ from .forward import SourceField, BoundaryData, source_grid
 from .singular_system import (ProblemGeometry, _Plan, _planned,
                               _psi_radial, _psi_synthesize, _signed_phase,
                               build_spectrum)
+from .specfun import _check_count
 
 __all__ = [
     "SigmaUnderflowError",
@@ -70,9 +71,7 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
     for all m at once via the FFT; exact for trigonometric polynomials of
     degree below N_s - m_max.
     """
-    m_max = int(m_max)
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+    m_max = _check_count(m_max, "m_max must be a nonnegative integer")
     n_s = U.n_s
     if n_s < 2 * m_max + 1:
         raise ValueError(
@@ -105,9 +104,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     g, if given, must equal c.geometry: the coefficients are divided by
     that geometry's sigma, so any other one is refused.
     """
-    N = int(N)
-    if N < 0:
-        raise ValueError("truncation index must be nonnegative")
+    N = _check_count(N, "truncation index must be a nonnegative integer")
     if N > c.m_max:
         raise ValueError(f"truncation {N} exceeds available modes {c.m_max}")
     if g is None:
@@ -158,9 +155,7 @@ def pick_truncation(g: ProblemGeometry, policy: str,
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
     if policy == "N":
-        if n is None or int(n) < 0:
-            raise ValueError("manual policy needs a nonnegative N")
-        return int(n)
+        return _check_count(n, "manual policy needs a nonnegative integer N")
     return _band_edge(g, policy)
 
 

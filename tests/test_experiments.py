@@ -65,6 +65,14 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             ex.run_sweep(n_points=5, equal_sizes=False, ratio=0.5)
 
+    def test_ratio_needs_unequal_sizes(self):
+        # equal sizes sweep kappa0 = kappa, so a ratio there is refused,
+        # not silently dropped
+        with pytest.raises(ValueError, match="equal_sizes=False"):
+            ex.run_sweep(3, (20.0, 40.0), ratio=2.0)
+        assert (ex.run_sweep(3, (20.0, 40.0), ratio=1.0)
+                == ex.run_sweep(3, (20.0, 40.0)))
+
 
 class _CountingSpecial:
     """scipy.special with every function call counted by name."""

@@ -312,6 +312,30 @@ class TestRecurrenceRows:
         with pytest.raises(ValueError, match="order must be a nonnegative"):
             sf.bessel_j_table(np.array([3, -1]), [1.0, 2.0])
 
+    def test_y_rows_take_per_argument_orders(self):
+        # the Y table takes m_max as the J table does: each lane is its
+        # own scalar-order table up to its order and 0 past it, also where
+        # the longer lanes rescale
+        x = np.array([[1e-300, 0.3, 7.0], [1000.0, 24.9, 0.3]])
+        orders = np.array([[40, 1200, 3], [0, 600, 2000]])
+        y, e = sf.bessel_y_table(orders, x)
+        assert y.shape == e.shape == (2, 3, 2001)
+        assert e.max() > 0
+        for xi, o, y_row, e_row in zip(x.ravel(), orders.ravel(),
+                                       y.reshape(6, -1), e.reshape(6, -1)):
+            y_ref, e_ref = sf.bessel_y_table(int(o), xi)
+            assert np.array_equal(y_row[:o + 1], y_ref)
+            assert np.array_equal(e_row[:o + 1], e_ref)
+            assert np.all(y_row[o + 1:] == 0.0)
+        # one order broadcasts against every argument
+        y, e = sf.bessel_y_table(np.array(30), x[0])
+        assert np.array_equal(y, sf.bessel_y_table(30, x[0])[0])
+        for m in (np.array([3, -1]), np.array([3.0, 2.0]), np.array([2.5, 1])):
+            for table in (sf.bessel_j_table, sf.bessel_y_table):
+                with pytest.raises(ValueError,
+                                   match="order must be a nonnegative"):
+                    table(m, [1.0, 2.0])
+
 
 class TestNicholsonOracle:
     def test_agrees_with_implementation(self):

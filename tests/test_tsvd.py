@@ -498,3 +498,31 @@ class TestModeNorms:
         for n_r in (48, 56):                 # forward rings, other rings
             rec = ib.tsvd_reconstruct(c, N, g, n_r=n_r, n_theta=n)
             assert rec.residual <= 1e-8
+
+
+def _count_calls(g) -> dict:
+    """Each call that takes a count, as a function of that count."""
+    src = ib.source_grid(g, 16, 64, psi_mix(g, {2: 1.0}))
+    data = ib.apply_forward_analytic(src, 40, n_s=128)
+    coeffs = ib.modal_decompose(data, 40)
+    return {
+        "modes": lambda n: ib.apply_forward_analytic(src, n, n_s=128).n_s,
+        "n": lambda n: ib.pick_truncation(g, "N", n=n),
+        "N": lambda n: ib.tsvd_reconstruct(coeffs, n).N,
+        "m_max": lambda n: ib.modal_decompose(data, n).m_max,
+        "horizon": lambda n: ib.build_spectrum(g, n).m_max,
+        "n_points": lambda n: len(ib.run_sweep(n, (2.0, 10.0))),
+    }
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("modes", -3), ("n", 2.5), ("N", 20.9), ("m_max", 30.7),
+    ("horizon", 60.5), ("n_points", 2.5)])
+def test_counts_are_refused_not_floored(g_equal_10pi, name, bad):
+    # counts follow the order rule of the Bessel tables: 3, np.int64(3)
+    # and 3.0 are 3, and a negative or fractional count is refused
+    call = _count_calls(g_equal_10pi)[name]
+    with pytest.raises(ValueError):
+        call(bad)
+    want = 128 if name == "modes" else 3
+    assert [call(n) for n in (3, np.int64(3), 3.0)] == [want] * 3
