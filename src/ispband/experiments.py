@@ -116,9 +116,7 @@ def run_sweep(n_points: int = 300,
     so each point gets the record that report gives it alone. A failing
     point raises its own exception class with its kappa in the message.
     """
-    n_points = _check_count(n_points, "need an integer n_points")
-    if n_points < 2:
-        raise ValueError("need at least 2 sweep points")
+    n_points = _check_count(n_points, "need an integer n_points >= 2", 2)
     if equal_sizes and ratio != 1.0:
         raise ValueError(f"ratio={ratio!r} needs equal_sizes=False")
     if ratio < 1.0:

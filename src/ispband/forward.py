@@ -168,17 +168,17 @@ def source_grid(g: ProblemGeometry, n_r: int, n_theta: int,
 
     fn receives broadcast-ready arrays shaped (n_r, 1) and (1, n_theta).
     """
-    if n_r < 2 or n_theta < 2:
-        raise ValueError("grid must have at least 2 nodes per direction")
-    x, w = _gauss_legendre(int(n_r))
+    n_r, n_theta = (_check_count(n, "grid sizes must be integers >= 2", 2)
+                    for n in (n_r, n_theta))
+    x, w = _gauss_legendre(n_r)
     rho = 0.5 * g.R0 * (x + 1.0)
     wr = 0.5 * g.R0 * w
-    theta = 2.0 * math.pi * np.arange(int(n_theta)) / int(n_theta)
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     if fn is None:
-        values = np.zeros((int(n_r), int(n_theta)), dtype=complex)
+        values = np.zeros((n_r, n_theta), dtype=complex)
     else:
         values = np.asarray(fn(rho[:, None], theta[None, :]), dtype=complex)
-        values = np.broadcast_to(values, (int(n_r), int(n_theta))).copy()
+        values = np.broadcast_to(values, (n_r, n_theta)).copy()
     return SourceField(geometry=g, rho=rho, radial_weights=wr,
                        theta=theta, values=values)
 
@@ -257,7 +257,8 @@ def assemble_forward(g: ProblemGeometry, n_r: int, n_theta: int,
     Away from the rim K_a agrees with the point kernel up to the truncated
     tail, of size (rho_a / R)^Q / Q.
     """
-    n_r, n_theta, n_s = int(n_r), int(n_theta), int(n_s)
+    n_r, n_theta, n_s = (_check_count(n, "grid sizes must be integers")
+                         for n in (n_r, n_theta, n_s))
     if n_r < 8:
         raise ValueError("n_r must be at least 8")
     if n_theta < 2 * math.ceil(g.kappa0) + 16:
@@ -307,7 +308,7 @@ def apply_forward_analytic(s: SourceField, modes: int,
     table = plan.table
     if n_s is None:
         n_s = 2 * max(modes, default_m_max(g.kappa0)) + 2
-    n_s = int(n_s)
+    n_s = _check_count(n_s, "n_s must be a positive integer", 1)
     ms = np.arange(-modes, modes + 1)
     for m in ms[table.a[np.abs(ms)] == 0.0]:
         warnings.warn(f"skipping degenerate mode m={m} (A_m = 0)",
@@ -316,8 +317,8 @@ def apply_forward_analytic(s: SourceField, modes: int,
     bins = np.zeros(n_s, dtype=complex)
     if ms.size:
         weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
-        coef = _psi_project(s.values, ms,
-                            weight[:, None] * _psi_radial(ms, plan))
+        radial = _psi_radial(ms, plan.rings, table.a, g.R0)
+        coef = _psi_project(s.values, ms, weight[:, None] * radial)
         np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
                   * np.exp(1j * _signed_phase(table.phase, ms))
                   / math.sqrt(2.0 * math.pi * g.R))

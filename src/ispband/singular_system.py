@@ -233,9 +233,7 @@ def _horizon(g: ProblemGeometry, m_max) -> int:
     """The spectrum horizon asked for, default_m_max(kappa0) if None."""
     if m_max is None:
         return default_m_max(g.kappa0)
-    if _check_count(m_max, "m_max must be an integer") < 1:
-        raise ValueError("m_max must be at least 1")
-    return int(m_max)
+    return _check_count(m_max, "m_max must be an integer of at least 1", 1)
 
 
 def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTable:
@@ -277,49 +275,47 @@ def _planned(plan: _Plan | None, g: ProblemGeometry, m_max: int,
 def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     """Right singular function psi_m at polar points of the source disk.
 
-    rho and theta broadcast against each other. Requires |rho| <= R0 and a
-    nondegenerate mode (A_{|m|}(kappa0) > 0). J_m comes from one
-    bessel_j_table over the distinct radii, J_{-m} = (-1)^m J_m.
+    rho and theta broadcast against each other. Requires an integer m,
+    |rho| <= R0 and a nondegenerate mode (A_{|m|}(kappa0) > 0). One
+    bessel_j_table call gives J at kappa0 to _j_horizon, as a_m reads it,
+    and J_{|m|} at the distinct radii; _psi_radial does the rest.
     """
-    m = int(m)
+    m = _check_count(m, "mode order must be an integer", -math.inf)
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(rho < 0.0) or np.any(rho > g.R0 * (1.0 + 1e-12)):
         raise ValueError("psi_eval points must lie in the source disk")
-    a = a_m(abs(m), g.kappa0)
-    if a == 0.0:
+    n = abs(m)
+    radii, at = np.unique(g.k * rho, return_inverse=True)
+    j = bessel_j_table(np.r_[_j_horizon(g.kappa0, n), np.full(radii.size, n)],
+                       np.r_[g.kappa0, radii])
+    a = _a_from_row(j[0], np.arange(n + 1), g.kappa0)
+    if a[n] == 0.0:
         raise ArithmeticError(
             f"mode m={m} is degenerate at kappa0={g.kappa0:g} (A_m = 0)")
-    radii, at = np.unique(g.k * rho, return_inverse=True)
-    jm = bessel_j_table(abs(m), radii)[:, abs(m)][at].reshape(rho.shape)
-    if m < 0 and m % 2 == 1:
-        jm = -jm
-    vals = jm * np.exp(1j * m * theta)
-    out = vals / (math.sqrt(math.pi) * g.R0 * a)
+    radial = _psi_radial([m], j[1:], a, g.R0)[at, 0].reshape(rho.shape)
+    out = radial * np.exp(1j * m * theta)
     return complex(out) if out.ndim == 0 else out
 
 
-def _psi_radial(ms, plan: _Plan) -> np.ndarray:
+def _psi_radial(ms, rings, a, R0: float) -> np.ndarray:
     """Radial factors J_m(k rho_i) / (sqrt(pi) R0 A_m) of nondegenerate
-    modes psi_m, (n_r, len(ms)), from the ring rows and A_m row of plan,
-    which must reach max |m|, and J_{-m} = (-1)^m J_m. Within 1e-12 of
-    each column's largest entry of jv."""
+    modes psi_m, (n_r, len(ms)), from the ring rows rings[i, |m|] =
+    J_|m|(k rho_i) and A row a[|m|], both reaching max |m|, and
+    J_{-m} = (-1)^m J_m; psi_eval and the modal transform both read it.
+    Within 1e-12 of each column's largest entry of jv."""
     ms = np.asarray(ms)
-    g, a = plan.table.geometry, plan.table.a
     sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
-    return (plan.rings[:, np.abs(ms)] * sign
-            / (math.sqrt(math.pi) * g.R0 * a[np.abs(ms)]))
+    return (rings[:, np.abs(ms)] * sign
+            / (math.sqrt(math.pi) * R0 * a[np.abs(ms)]))
 
 
 def _psi_synthesize(w, ms, radial, n_theta: int) -> np.ndarray:
     """sum_m w_m psi_m at (rho_i, 2 pi j / n_theta). Mode m lands in FFT bin
-    m mod n_theta, so aliased grids get the per-mode sums too."""
+    m mod n_theta, and no two modes of ms may share a bin: for
+    ms = -N .. N that is n_theta >= 2N + 1, which tsvd_reconstruct checks."""
     bins = np.zeros((len(radial), n_theta), dtype=complex)
-    at = np.asarray(ms) % n_theta
-    if np.unique(at).size == at.size:
-        bins[:, at] = radial * w
-    else:
-        np.add.at(bins.T, at, (radial * w).T)
+    bins[:, np.asarray(ms) % n_theta] = radial * w
     return np.fft.ifft(bins, axis=1, norm="forward")
 
 
@@ -348,7 +344,7 @@ def _signed_phase(phase: np.ndarray, ms) -> np.ndarray:
 
 def phi_eval(m: int, g: ProblemGeometry, theta):
     """Left singular function phi_m at angles theta of the measurement circle."""
-    m = int(m)
+    m = _check_count(m, "mode order must be an integer", -math.inf)
     theta = np.asarray(theta, dtype=float)
     ph = float(_signed_phase(build_spectrum(g, max(abs(m), 1)).phase, [m])[0])
     out = np.exp(1j * (ph + m * theta)) / math.sqrt(2.0 * math.pi * g.R)

@@ -93,14 +93,15 @@ _ORDER_MESSAGE = ("order must be a nonnegative integer; map negative "
                   "orders through J_{-m} = (-1)^m J_m at the call site")
 
 
-def _check_count(n, message: str) -> int:
-    """n as an int, for every order and count the package takes: 3,
-    np.int64(3) and 3.0 pass; 2.5, -3, nan and None raise ValueError."""
+def _check_count(n, message: str, low: float = 0) -> int:
+    """n as an int of at least low, for every order and count the package
+    takes: 3, np.int64(3) and 3.0 pass; 2.5, nan, None and counts below
+    low raise ValueError. Signed orders take low = -inf."""
     try:
         k = int(n)
     except (TypeError, ValueError, OverflowError):
-        k = -1
-    if k < 0 or k != n:
+        raise ValueError(message) from None
+    if k != n or k < low:
         raise ValueError(message)
     return k
 

@@ -130,7 +130,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
             f"kappa={g.kappa:g}; mode {m} is unusable")
     ms = np.arange(-N, N + 1)
     sigma, cm = table.sigma[np.abs(ms)], c.c[ms + c.m_max]
-    radial = _psi_radial(ms, plan)
+    radial = _psi_radial(ms, plan.rings, table.a, g.R0)
     shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
                                                 n_theta))
     norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho) @ radial**2)

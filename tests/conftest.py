@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import ispband as ib
+from ispband import singular_system as ss
+from ispband import specfun as sf
 from ispband import tsvd
 
 TEN_PI = 10.0 * math.pi
@@ -15,6 +17,27 @@ def cold_truncation_memo():
     """Every test starts with no memoized band-edge integer, so the Bessel
     passes a test counts do not depend on the tests run before it."""
     tsvd._band_edge.cache_clear()
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """start() counts the J (Miller) and Y table passes made from then on,
+    in the dict it returns."""
+    def start() -> dict:
+        counts = {"J": 0, "Y": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        y_table = counted("Y", sf._y_table)
+        monkeypatch.setattr(sf, "_miller_rows", counted("J", sf._miller_rows))
+        monkeypatch.setattr(sf, "_y_table", y_table)
+        monkeypatch.setattr(ss, "_y_table", y_table)
+        return counts
+    return start
 
 
 @pytest.fixture(scope="session")

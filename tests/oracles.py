@@ -72,3 +72,14 @@ def nicholson_abs2_oracle(m, x, rtol: float = 1e-11) -> float:
             f"Nicholson quadrature did not converge at (m={m}, x={x:g}); "
             f"achieved relative tolerance {achieved:.2e}")
     return math.log(8.0 / math.pi**2) + gmax + math.log(val)
+
+
+def psi_oracle(m: int, g, rho, theta):
+    """psi_m(rho, theta) = J_m(k rho) e^{i m theta} / (sqrt(pi) R0 A_m),
+    with A_m = sqrt(J_m^2 - J_{m-1} J_{m+1}) at kappa0 and every Bessel
+    value from scipy's jv at the signed order itself."""
+    j = [special.jv(m + d, g.kappa0) for d in (-1, 0, 1)]
+    a = math.sqrt(j[1] ** 2 - j[0] * j[2])
+    return (special.jv(m, g.k * np.asarray(rho))
+            * np.exp(1j * m * np.asarray(theta))
+            / (math.sqrt(math.pi) * g.R0 * a))

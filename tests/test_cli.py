@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import ispband as ib
 from ispband import cli, csvio
 
 
@@ -222,6 +223,44 @@ class TestReconstructCommand:
                                "--N", "30", "--source", "mode:0")
         assert code == 4
         assert "error" in err
+
+    def test_csv_is_the_library_route_bit_for_bit(self, capsys, tmp_path):
+        # the route a benchmark recomputes the command's output by: truth
+        # from psi_eval, forward map, modal decomposition and TSVD at B
+        kappa0, kappa = 23.7, 38.1
+        terms = [(0.412 - 0.733j, 4), (-0.25 - 0.5j, -11)]
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        horizon = ib.default_m_max(g.kappa0)
+        n = 2 * horizon + 2
+        target = tmp_path / "reconstruction.csv"
+        code, _, _ = run_cli(
+            capsys, "reconstruct", "--kappa0", repr(kappa0), "--kappa",
+            repr(kappa), "--source=0.412-0.733i*mode:4+-0.25-0.5i*mode:-11",
+            "--policy", "B", "--nr", "64", "--ntheta", str(n), "--ns",
+            str(n), "--out", str(target))
+        assert code == 0
+        truth = ib.source_grid(
+            g, 64, n, fn=lambda rho, th: sum(c * ib.psi_eval(m, g, rho, th)
+                                             for c, m in terms))
+        data = ib.synthesize_measurement(truth, 0.0, 0, modes=horizon, n_s=n)
+        coeffs = ib.modal_decompose(data, horizon)
+        rec = ib.tsvd_reconstruct(coeffs, ib.pick_truncation(g, "B"), g,
+                                  n_r=64, n_theta=n, policy="B")
+        got = csvio.read_reconstruction(str(target))
+        assert (got.N, got.policy, got.residual) == (rec.N, "B", rec.residual)
+        assert np.array_equal(got.source.values, rec.source.values)
+
+    def test_cold_default_run_takes_four_j_and_two_y_passes(
+            self, capsys, count_passes, tmp_path):
+        # B's spectrum 1 J + 1 Y, one J per psi_eval of the two default
+        # source terms, the forward map 1 J + 1 Y; the TSVD reuses the
+        # forward map's ring rows
+        counts = count_passes()
+        code, _, _ = run_cli(capsys, "reconstruct", "--kappa0",
+                             str(10 * math.pi), "--kappa", str(10 * math.pi),
+                             "--out", str(tmp_path / "rec.csv"))
+        assert code == 0
+        assert counts == {"J": 4, "Y": 2}
 
     def test_custom_source_spec(self, capsys):
         code, out, _ = run_cli(capsys, "reconstruct", "--kappa0",

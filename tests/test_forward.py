@@ -107,6 +107,16 @@ class TestAssembleForward:
         with pytest.raises(ValueError):
             ib.assemble_forward(g, 8, need, need - 1)
 
+    def test_counts_are_refused_not_floored(self, g_equal_10pi, g_small_4):
+        # (8.5, 80.2, 80.9) used to build an 80 x 640 matrix
+        for sizes in ((8.5, 80, 80), (8, 80.2, 80), (8, 80, 80.9),
+                      (8.5, 80.2, 80.9)):
+            with pytest.raises(ValueError, match="integers"):
+                ib.assemble_forward(g_equal_10pi, *sizes)
+        a = ib.assemble_forward(g_small_4, 8.0, np.int64(32), 32.0)
+        assert (a.n_r, a.n_theta, a.n_s) == (8, 32, 32)
+        assert a.entries.shape == (32, 8 * 32)
+
     def test_shape_weights_determinism(self, g_small_4):
         a = ib.assemble_forward(g_small_4, 8, 32, 32)
         b = ib.assemble_forward(g_small_4, 8, 32, 32)

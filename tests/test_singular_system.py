@@ -12,6 +12,7 @@ import ispband as ib
 from ispband import singular_system as ss
 from ispband import specfun as sf
 
+from oracles import psi_oracle
 from test_specfun import arg_row
 
 mp.mp.dps = 30
@@ -232,6 +233,40 @@ class TestSingularFunctions:
         with pytest.raises(ValueError):
             ss.psi_eval(0, g, 1.5 * g.R0, 0.0)
 
+    @pytest.mark.parametrize("geometry", ["g_equal_10pi", "g_far_10pi"])
+    def test_psi_matches_jv_off_the_grid(self, request, geometry):
+        # an oracle that shares no code with psi_eval: jv at the signed
+        # order, random points off every quadrature grid, rim and centre
+        g = request.getfixturevalue(geometry)
+        rng = np.random.default_rng(17)
+        rho = g.R0 * np.r_[0.0, np.sqrt(rng.uniform(size=300)), 1.0]
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=rho.size)
+        for m in (0, 5, -7, -8, 26):
+            got = ss.psi_eval(m, g, rho, theta)
+            ref = psi_oracle(m, g, rho, theta)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_psi_eval_takes_one_j_pass(self, count_passes, g_equal_10pi):
+        # the J row at kappa0 behind A_m and the ring rows share one call
+        g = g_equal_10pi
+        grid = ib.source_grid(g, 32, 16)
+        for m in (0, -7, 26, 120):     # 120: past the default horizon
+            counts = count_passes()
+            ss.psi_eval(m, g, grid.rho[:, None], grid.theta[None, :])
+            assert counts == {"J": 1, "Y": 0}
+
+    def test_orders_refused_not_floored(self, g_equal_10pi):
+        g = g_equal_10pi
+        for bad in (2.7, -3.5, math.nan, None, "3"):
+            with pytest.raises(ValueError, match="mode order"):
+                ss.psi_eval(bad, g, 0.5 * g.R0, 0.3)
+            with pytest.raises(ValueError, match="mode order"):
+                ss.phi_eval(bad, g, 0.3)
+        for m in (-3.0, np.int64(-3)):
+            assert ss.psi_eval(m, g, 0.5 * g.R0, 0.3) == ss.psi_eval(
+                -3, g, 0.5 * g.R0, 0.3)
+            assert ss.phi_eval(m, g, 0.3) == ss.phi_eval(-3, g, 0.3)
+
     def test_degenerate_mode_rejected(self):
         g = ib.ProblemGeometry(k=1.0, R0=0.5, R=1.0)
         with pytest.raises(ArithmeticError):
@@ -298,8 +333,18 @@ def _loop_project(P, ms, g, rho):
                      for m in ms])
 
 
+def _synthesize_at(w, ms, radial, n_theta):
+    """_psi_synthesize at the angles 2 pi j / n_theta, also where modes of
+    ms share a bin there: it runs on the smallest multiple of n_theta that
+    gives each mode its own bin, and every step-th angle is kept."""
+    step = -(-(int(np.ptp(ms)) + 1) // n_theta)
+    return ss._psi_synthesize(w, ms, radial, step * n_theta)[:, ::step]
+
+
 class TestModalTransform:
-    """The Bessel-table-times-FFT transform against per-mode psi_eval sums."""
+    """The Bessel-table-times-FFT transform against per-mode psi_eval sums.
+    Synthesis takes resolved grids only; on an aliased n_theta it is read
+    off a resolved multiple of it, while the projection aliases."""
 
     @staticmethod
     def _case(g, n_r, n_theta, ms, seed):
@@ -309,7 +354,7 @@ class TestModalTransform:
         P = (rng.standard_normal((n_r, n_theta))
              + 1j * rng.standard_normal((n_r, n_theta)))
         plan = ss._planned(None, g, ss.default_m_max(g.kappa0), rho)
-        return rho, w, P, ss._psi_radial(ms, plan)
+        return rho, w, P, ss._psi_radial(ms, plan.rings, plan.table.a, g.R0)
 
     @pytest.mark.parametrize("n_theta, ms", [
         (64, np.arange(-20, 21)),              # resolved: n_theta >= 2N + 1
@@ -319,7 +364,7 @@ class TestModalTransform:
     def test_matches_per_mode_loops(self, g_equal_10pi, n_theta, ms):
         g = g_equal_10pi
         rho, w, P, radial = self._case(g, 24, n_theta, ms, seed=4)
-        synth = ss._psi_synthesize(w, ms, radial, n_theta)
+        synth = _synthesize_at(w, ms, radial, n_theta)
         ref = _loop_synthesize(w, ms, g, rho, n_theta)
         assert np.max(np.abs(synth - ref)) <= 1e-12 * np.max(np.abs(ref))
         proj = ss._psi_project(P, ms, radial)
@@ -331,7 +376,7 @@ class TestModalTransform:
         rho = ib.source_grid(g, 16, 2).rho
         ms = np.arange(-40, 41)
         plan = ss._planned(None, g, ss.default_m_max(g.kappa0), rho)
-        radial = ss._psi_radial(ms, plan)
+        radial = ss._psi_radial(ms, plan.rings, plan.table.a, g.R0)
         # column -m is (-1)^m times column m, bit for bit
         sign = np.where(ms[41:] % 2 == 1, -1.0, 1.0)
         assert np.array_equal(radial[:, 39::-1], radial[:, 41:] * sign)
@@ -345,7 +390,7 @@ class TestModalTransform:
     def test_adjoint_pair(self, g_equal_10pi, n_theta):
         ms = np.arange(-20, 21)
         _, w, P, radial = self._case(g_equal_10pi, 24, n_theta, ms, seed=9)
-        lhs = np.sum(ss._psi_synthesize(w, ms, radial, n_theta) * np.conj(P))
+        lhs = np.sum(_synthesize_at(w, ms, radial, n_theta) * np.conj(P))
         rhs = np.sum(w * np.conj(ss._psi_project(P, ms, radial)))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 

@@ -6,7 +6,6 @@ import pytest
 
 import ispband as ib
 from ispband import singular_system as ss
-from ispband import specfun as sf
 from ispband import tsvd
 
 from conftest import disk_rel_l2
@@ -22,23 +21,6 @@ def psi_mix(g, modes):
             out = out + w * ss.psi_eval(m, g, r, t)
         return out
     return fn
-
-
-def _count_passes(monkeypatch) -> dict:
-    """Count the J (Miller) and Y table passes made from here on."""
-    counts = {"J": 0, "Y": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    y_table = counted("Y", sf._y_table)
-    monkeypatch.setattr(sf, "_miller_rows", counted("J", sf._miller_rows))
-    monkeypatch.setattr(sf, "_y_table", y_table)
-    monkeypatch.setattr(ss, "_y_table", y_table)
-    return counts
 
 
 class TestModalDecompose:
@@ -267,20 +249,21 @@ class TestPickTruncation:
                                                (100.0 * math.pi,
                                                 100.0 * math.pi)])
     @pytest.mark.parametrize("policy", ["B", "B-", "B+"])
-    def test_memo_runs_no_pass_and_keeps_the_integer(self, monkeypatch,
+    def test_memo_runs_no_pass_and_keeps_the_integer(self, count_passes,
                                                      kappa0, kappa, policy):
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         direct = {"B": lambda: ib.bandwidth(ib.build_spectrum(g)),
                   "B-": lambda: ib.bound_lower(g.kappa0),
                   "B+": lambda: ib.bound_upper(g.kappa0)}[policy]()
         assert ib.pick_truncation(g, policy) == direct
-        counts = _count_passes(monkeypatch)
+        counts = count_passes()
         same = ib.ProblemGeometry(k=g.k, R0=g.R0, R=g.R)   # equal, not g
         assert ib.pick_truncation(g, policy) == direct
         assert ib.pick_truncation(same, policy) == direct
         assert counts == {"J": 0, "Y": 0}
 
-    def test_exceptions_are_not_memoized(self, monkeypatch, g_equal_10pi):
+    def test_exceptions_are_not_memoized(self, monkeypatch, count_passes,
+                                         g_equal_10pi):
         # a route that fails once is run again on the next call
         calls = []
 
@@ -299,7 +282,7 @@ class TestPickTruncation:
         # a geometry whose spectrum always fails runs its pass, and
         # raises, on every call
         g = ib.ProblemGeometry.from_size_params(1e-300, 1e-300)
-        counts = _count_passes(monkeypatch)
+        counts = count_passes()
         for n_calls in (1, 2):
             with pytest.raises(ib.HorizonError):
                 ib.pick_truncation(g, "B")
@@ -322,14 +305,14 @@ class TestForwardPlan:
 
     @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
     @pytest.mark.parametrize("noise", [0.0, 0.01])
-    def test_two_bessel_passes_per_op(self, monkeypatch, kappa0, kappa,
+    def test_two_bessel_passes_per_op(self, count_passes, kappa0, kappa,
                                       noise):
         # one pass in the forward map (J at kappa0, kappa and the rings,
         # Y at kappa, and below kappa = 25 the J rows of the Y seeds) and
         # one in pick_truncation's own spectrum, which the cold memo runs
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         truth, horizon, n = self._data(g, noise)
-        counts = _count_passes(monkeypatch)
+        counts = count_passes()
         data = ib.synthesize_measurement(truth, noise, 5, modes=horizon,
                                          n_s=n)
         c = ib.modal_decompose(data, horizon)
@@ -340,7 +323,7 @@ class TestForwardPlan:
 
     @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
     @pytest.mark.parametrize("noise", [0.0, 0.01])
-    def test_warm_memo_leaves_the_forward_pass(self, monkeypatch, kappa0,
+    def test_warm_memo_leaves_the_forward_pass(self, count_passes, kappa0,
                                                kappa, noise):
         # once the truncation of a geometry is known, an op runs the
         # forward map's pass alone and gives the bits of the cold op
@@ -355,7 +338,7 @@ class TestForwardPlan:
                                        n_r=self.N_R, n_theta=n)
 
         cold = op()
-        counts = _count_passes(monkeypatch)
+        counts = count_passes()
         warm = op()
         assert counts == {"J": 1, "Y": 1}
         assert warm.N == cold.N
@@ -363,7 +346,7 @@ class TestForwardPlan:
         assert warm.residual == cold.residual <= 1e-8
 
     @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
-    def test_new_radii_rebuild_ring_rows_only(self, monkeypatch, kappa0,
+    def test_new_radii_rebuild_ring_rows_only(self, count_passes, kappa0,
                                               kappa):
         # the forward plan's spectrum is kept, and only the ring rows of
         # the other radii are built: one J pass and no Y pass
@@ -373,7 +356,7 @@ class TestForwardPlan:
         c = ib.modal_decompose(data, horizon)
         c_bare = ib.modal_decompose(replace(data, plan=None), horizon)
         N = ib.pick_truncation(g, "B")
-        counts = _count_passes(monkeypatch)
+        counts = count_passes()
         rec = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R + 8, n_theta=n)
         assert counts == {"J": 1, "Y": 0}
         fresh = ib.tsvd_reconstruct(c_bare, N, g, n_r=self.N_R + 8,
@@ -455,8 +438,8 @@ class TestModeNorms:
         ms = np.arange(-N, N + 1)
         plan = ss._planned(None, g, max(N, 1), src.rho)
         sigma, cm = plan.table.sigma[np.abs(ms)], c.c[ms + c.m_max]
-        coef = ss._psi_project(src.area_weights * src.values, ms,
-                               ss._psi_radial(ms, plan))
+        radial = ss._psi_radial(ms, plan.rings, plan.table.a, g.R0)
+        coef = ss._psi_project(src.area_weights * src.values, ms, radial)
         return math.sqrt(float(np.sum(np.abs(sigma * coef - cm)**2))
                          / float(np.sum(np.abs(cm)**2)))
 
@@ -512,12 +495,16 @@ def _count_calls(g) -> dict:
         "m_max": lambda n: ib.modal_decompose(data, n).m_max,
         "horizon": lambda n: ib.build_spectrum(g, n).m_max,
         "n_points": lambda n: len(ib.run_sweep(n, (2.0, 10.0))),
+        "n_r": lambda n: ib.source_grid(g, n, 64).n_r,
+        "n_theta": lambda n: ib.source_grid(g, 16, n).n_theta,
+        "n_s": lambda n: ib.apply_forward_analytic(src, 20, n_s=n).n_s,
     }
 
 
 @pytest.mark.parametrize("name, bad", [
     ("modes", -3), ("n", 2.5), ("N", 20.9), ("m_max", 30.7),
-    ("horizon", 60.5), ("n_points", 2.5)])
+    ("horizon", 60.5), ("n_points", 2.5), ("n_r", 16.9), ("n_theta", 64.7),
+    ("n_s", 100.6), ("n_s", 0)])
 def test_counts_are_refused_not_floored(g_equal_10pi, name, bad):
     # counts follow the order rule of the Bessel tables: 3, np.int64(3)
     # and 3.0 are 3, and a negative or fractional count is refused
