@@ -181,8 +181,7 @@ def bound_lower_approx(kappa0: float) -> int:
     Inverts kappa0 = n^3 + a_- n with n = m^(1/3) through the depressed
     cubic's real root and returns ceil(n^3).
     """
-    if not (math.isfinite(kappa0) and kappa0 > 0.0):
-        raise ValueError(f"kappa0 must be positive, got {kappa0!r}")
+    _check_kappa0(kappa0)
     t = (108.0 * kappa0
          + 12.0 * math.sqrt(12.0 * A_MINUS**3 + 81.0 * kappa0**2)) ** (1.0 / 3.0)
     n = t / 6.0 - 2.0 * A_MINUS / t
@@ -191,8 +190,7 @@ def bound_lower_approx(kappa0: float) -> int:
 
 def bound_upper_approx(kappa0: float) -> int:
     """Closed-form surrogate for B_+ : ceil(kappa0)."""
-    if not (math.isfinite(kappa0) and kappa0 > 0.0):
-        raise ValueError(f"kappa0 must be positive, got {kappa0!r}")
+    _check_kappa0(kappa0)
     return int(math.ceil(kappa0))
 
 

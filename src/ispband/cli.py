@@ -14,6 +14,7 @@ short, 4 for numeric failures such as singular-value underflow.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import logging
 import math
@@ -74,6 +75,7 @@ def _parse_source_spec(spec: str) -> list[tuple[complex, int]]:
 
     Terms joined by ``+``; each term is ``mode:M`` or ``COEFF*mode:M``
     with COEFF a complex literal (``i`` accepted for the imaginary unit).
+    Every coefficient must be finite, and one must be nonzero.
     """
     terms = []
     for raw in spec.split("+"):
@@ -82,9 +84,13 @@ def _parse_source_spec(spec: str) -> list[tuple[complex, int]]:
             raise ValueError(f"empty term in source spec {spec!r}")
         coeff_s, star, mode_s = raw.rpartition("*")
         coeff = complex(coeff_s.replace("i", "j")) if star else 1.0 + 0.0j
+        if not cmath.isfinite(coeff):
+            raise ValueError(f"coefficient of {raw!r} is not finite")
         if not mode_s.startswith("mode:"):
             raise ValueError(f"bad term {raw!r}; expected [COEFF*]mode:M")
         terms.append((coeff, int(mode_s[len("mode:"):])))
+    if not any(coeff for coeff, _ in terms):
+        raise ValueError(f"source spec {spec!r} has no nonzero term")
     return terms
 
 
@@ -150,10 +156,6 @@ def _cmd_spectrum(args, parser) -> int:
 def _cmd_bandwidth(args, parser) -> int:
     g = _geometry_from(args, parser)
     rep = report(g, args.mmax)
-    fields = {
-        "B": rep.B, "B-": rep.B_minus, "B+": rep.B_plus,
-        "Btilde-": rep.B_tilde_minus, "Btilde+": rep.B_tilde_plus,
-    }
     if rep.B_minus >= 1:
         dtheta = math.pi / rep.B_minus      # = max_angular_sampling(g)
         note = f"max angular step pi/B- = {dtheta:.17g}"
@@ -161,15 +163,12 @@ def _cmd_bandwidth(args, parser) -> int:
         dtheta = None
         note = "no stable band (B- = 0); angular sampling bound undefined"
     if args.format == "json":
-        payload = {"B": rep.B, "B_minus": rep.B_minus, "B_plus": rep.B_plus,
-                   "B_tilde_minus": rep.B_tilde_minus,
-                   "B_tilde_plus": rep.B_tilde_plus,
-                   "max_angular_step": dtheta,
-                   "kappa0": g.kappa0, "kappa": g.kappa,
-                   "horizon": rep.horizon}
-        print(json.dumps(payload, sort_keys=True))
+        payload = {k: v for k, v in vars(rep).items() if k != "geometry"}
+        print(json.dumps(dict(payload, max_angular_step=dtheta,
+                              kappa0=g.kappa0, kappa=g.kappa), sort_keys=True))
     else:
-        print(" ".join(f"{k}={v}" for k, v in fields.items()))
+        print(f"B={rep.B} B-={rep.B_minus} B+={rep.B_plus} "
+              f"Btilde-={rep.B_tilde_minus} Btilde+={rep.B_tilde_plus}")
         print(note)
     return EXIT_OK
 
@@ -208,8 +207,8 @@ def _resolving_grids(g: ProblemGeometry, horizon: int,
 
 def _cmd_reconstruct(args, parser) -> int:
     g = _geometry_from(args, parser)
-    if args.noise < 0.0:
-        parser.error("--noise must be nonnegative")
+    if not (math.isfinite(args.noise) and args.noise >= 0.0):
+        parser.error("--noise must be finite and nonnegative")
     if args.N is not None and args.policy != "N":
         parser.error(f"--N is a manual truncation and needs --policy N, "
                      f"not --policy {args.policy}")

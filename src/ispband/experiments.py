@@ -145,15 +145,13 @@ def run_sweep(n_points: int = 300,
 
 def fit_linear(records: list[SweepRecord], target: str) -> RegressionFit:
     """Least-squares line through (kappa, target) over the sweep records."""
-    pick = {"B": lambda r: r.B,
-            "B-": lambda r: r.B_minus,
-            "B+": lambda r: r.B_plus}
+    pick = {"B": "B", "B-": "B_minus", "B+": "B_plus"}
     if target not in pick:
         raise ValueError(f"unknown fit target {target!r}")
     if len(records) < 2:
         raise ValueError("need at least 2 records to fit")
     x = np.array([r.kappa for r in records])
-    y = np.array([float(pick[target](r)) for r in records])
+    y = np.array([float(getattr(r, pick[target])) for r in records])
     sxx = float(np.sum((x - x.mean())**2))
     if sxx == 0.0:
         raise ValueError("degenerate fit: all kappa values are equal")

@@ -40,7 +40,7 @@ import numpy as np
 
 from .singular_system import (ProblemGeometry, _Plan, _planned,
                               _psi_project, _psi_radial, _signed_phase,
-                              default_m_max)
+                              _spectrum_table, default_m_max)
 from .specfun import _check_count
 
 __all__ = [
@@ -119,8 +119,10 @@ class BoundaryData:
     plan: _Plan | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.noise_level < 0.0:
-            raise ValueError("noise_level must be nonnegative")
+        if not (math.isfinite(self.noise_level) and self.noise_level >= 0.0):
+            raise ValueError("noise_level must be finite and nonnegative")
+        if not np.isfinite(self.values).all():
+            raise ValueError("boundary values must be finite")
 
     @property
     def n_s(self) -> int:
@@ -298,14 +300,15 @@ def apply_forward_analytic(s: SourceField, modes: int,
     weight w_i rho_i 2 pi / n_theta is one factor per ring, folded into
     the radial table. The projection and the sum over m run as one FFT, with
     mode m in bin m mod n (n = n_theta, then n_s), which reproduces the
-    per-mode sums on any grid. sigma_m, A_m, arg H_m and the ring rows
-    all come from one Bessel pass, which the result carries as its plan.
-    Degenerate modes (A_m = 0) are skipped with a warning.
+    per-mode sums on any grid. sigma_m, A_m and arg H_m come from the
+    memoized spectrum, the ring rows from one J pass, which the result
+    carries as its plan. Degenerate modes (A_m = 0) are skipped with a
+    warning.
     """
     g = s.geometry
     modes = _check_count(modes, "modes must be a nonnegative integer")
+    table = _spectrum_table(g, max(modes, 1))
     plan = _planned(None, g, max(modes, 1), s.rho)
-    table = plan.table
     if n_s is None:
         n_s = 2 * max(modes, default_m_max(g.kappa0)) + 2
     n_s = _check_count(n_s, "n_s must be a positive integer", 1)
@@ -335,8 +338,6 @@ def synthesize_measurement(s: SourceField, noise_level: float, seed: int,
     noise_level times the RMS of the clean trace; it is drawn once from a
     seeded generator, so fixed arguments give bitwise identical output.
     """
-    if noise_level < 0.0:
-        raise ValueError("noise_level must be nonnegative")
     g = s.geometry
     if modes is None:
         modes = default_m_max(g.kappa0)

@@ -21,8 +21,9 @@ stops happening.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,7 +143,8 @@ class SpectrumTable:
 
     sigma carries exp(log_sigma) where representable and 0 on underflow;
     ranking and bandwidth logic must use log_sigma. phase holds
-    arg H_m^(1)(kappa), the phase of phi_m.
+    arg H_m^(1)(kappa), the phase of phi_m. build_spectrum returns a fresh
+    table; the package shares read-only ones (_spectrum_table).
     """
 
     geometry: ProblemGeometry
@@ -161,21 +163,18 @@ class SpectrumTable:
         return len(self.m)
 
 
-def _bessel_rows(gs, m_maxes, at_kappa0: bool = False,
-                 rho=None) -> list[tuple]:
+def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
     """The Bessel rows of several geometries from one pass.
 
     Entry p is (J at kappa0_p, J at kappa_p, Y mantissa and exponent at
     kappa_p to m_max_p), then with at_kappa0 (for bandwidth._reports) the
-    Y mantissa and exponent at kappa0_p to ceil(kappa0_p) + 2, and with
-    rho (for _planned) the ring rows J_m(k_p rho_i). All J rows, ring
-    rows included, run to _j_horizon in one bessel_j_table call, with
-    those that seed Y below x = 25 (Neumann's series). All Y rows take
-    one Y pass with one lane per argument, run to the last order any
-    geometry needs of it and 0 past it. Each row depends on its own
-    argument and horizon alone, so a geometry gets the same bits in a
-    batch as on its own, and its Y rows are bessel_y_table's up to the
-    orders needed.
+    Y mantissa and exponent at kappa0_p to ceil(kappa0_p) + 2. All J rows
+    run to _j_horizon in one bessel_j_table call, with those that seed Y
+    below x = 25 (Neumann's series). All Y rows take one Y pass with one
+    lane per argument, run to the last order any geometry needs of it and
+    0 past it. Each row depends on its own argument and horizon alone, so
+    a geometry gets the same bits in a batch as on its own, and its Y rows
+    are bessel_y_table's up to the orders needed.
     """
     j_lanes: dict[tuple[float, int], int] = {}
     y_last: dict[float, int] = {}           # argument -> last order needed
@@ -192,16 +191,12 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False,
     seed_lanes = [j_lanes.setdefault((x, _NEUMANN_TOP), len(j_lanes))
                   for x in y_last if x < _HANKEL_FROM]
     x, h = zip(*j_lanes)
-    for g, m_max in zip(gs, m_maxes) if rho is not None else ():
-        x += tuple((g.k * rho).tolist())         # one block of rings each
-        h += (_j_horizon(g.kappa0, m_max),) * len(rho)
     j = bessel_j_table(np.array(h), np.array(x))
     y_rows = dict(zip(y_last, zip(*_y_table(
         np.array(list(y_last.values())), np.array(list(y_last)),
         j[seed_lanes]))))
-    rings = np.split(j[len(j_lanes):], len(gs)) if rho is not None else []
-    return [(j[a], j[b], *(r for c in ys for r in y_rows[c]),
-             *rings[p:p + 1]) for p, ((a, b), ys) in enumerate(picks)]
+    return [(j[a], j[b], *(r for c in ys for r in y_rows[c]))
+            for (a, b), ys in picks]
 
 
 def _log_spectrum(g: ProblemGeometry, m_max: int, rows):
@@ -243,33 +238,50 @@ def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTabl
     return _spectrum(g, m_max, _bessel_rows([g], [m_max])[0])
 
 
+# Tables _memo_table keeps, one per (geometry, J horizon), least recently
+# used out first. At six 8-byte columns per row a default-horizon table at
+# kappa0 = 1000 (1071 rows) takes 51 KB, and a full memo of them 3.3 MB.
+_SPECTRUM_MEMO = 64
+_COLUMNS = ("m", "a", "log_abs_h2", "log_sigma", "sigma", "phase")
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_MEMO)
+def _memo_table(g: ProblemGeometry, h: int) -> SpectrumTable:
+    table = build_spectrum(g, h - 1)
+    for name in _COLUMNS:
+        getattr(table, name).flags.writeable = False
+    return table
+
+
+def _spectrum_table(g: ProblemGeometry, m_max: int) -> SpectrumTable:
+    """build_spectrum(g, m_max >= 1), read-only, as a prefix of the memoized
+    table of g to _j_horizon(kappa0, m_max) - 1; bitwise, since a J row
+    depends on its argument and horizon alone and a longer Y row extends a
+    shorter one bit for bit. Read by the maps, phi_eval and pick_truncation."""
+    table = _memo_table(g, _j_horizon(g.kappa0, m_max))
+    return replace(table, **{name: getattr(table, name)[:m_max + 1]
+                             for name in _COLUMNS})
+
+
 @dataclass(frozen=True)
 class _Plan:
-    """A spectrum and its ring rows J_m(k rho_i) (None without rho) from
-    one _bessel_rows pass."""
+    """Ring rows J_m(k rho_i) to the J horizon, for the forward map's data."""
 
-    table: SpectrumTable
-    rho: np.ndarray | None
-    rings: np.ndarray | None
+    k: float
+    horizon: int
+    rho: np.ndarray
+    rings: np.ndarray
 
 
-def _planned(plan: _Plan | None, g: ProblemGeometry, m_max: int,
-             rho=None) -> _Plan:
-    """The one source of spectra and ring rows for the forward map and the
-    inverse: plan wherever it has the bits of build_spectrum(g, m_max) and
-    of the ring rows of rho, that is for g and m_max at plan's _j_horizon
-    and rho bitwise plan.rho; plan's spectrum with new ring rows where
-    only rho differs (a ring row depends on its argument and horizon
-    alone); else a new plan from one _bessel_rows pass."""
+def _planned(plan: _Plan | None, g: ProblemGeometry, m_max: int, rho) -> _Plan:
+    """The ring rows of rho for g's spectrum to m_max: plan's where k, the
+    J horizon and rho match it bitwise (a ring row depends on its argument
+    and horizon alone), else one bessel_j_table call."""
     h = _j_horizon(g.kappa0, m_max)
-    if (plan is None or plan.table.geometry != g or plan.table.m_max < m_max
-            or _j_horizon(g.kappa0, plan.table.m_max) != h):
-        rows = _bessel_rows([g], [m_max], rho=rho)[0]
-        return _Plan(_spectrum(g, m_max, rows), rho,
-                     rows[4] if rho is not None else None)
-    if rho is None or np.array_equal(plan.rho, rho):
+    if (plan is not None and plan.k == g.k and plan.horizon == h
+            and np.array_equal(plan.rho, rho)):
         return plan
-    return _Plan(plan.table, rho, bessel_j_table(h, g.k * rho))
+    return _Plan(g.k, h, rho, bessel_j_table(h, g.k * rho))
 
 
 def psi_eval(m: int, g: ProblemGeometry, rho, theta):
@@ -346,6 +358,7 @@ def phi_eval(m: int, g: ProblemGeometry, theta):
     """Left singular function phi_m at angles theta of the measurement circle."""
     m = _check_count(m, "mode order must be an integer", -math.inf)
     theta = np.asarray(theta, dtype=float)
-    ph = float(_signed_phase(build_spectrum(g, max(abs(m), 1)).phase, [m])[0])
+    ph = float(_signed_phase(_spectrum_table(g, max(abs(m), 1)).phase,
+                             [m])[0])
     out = np.exp(1j * (ph + m * theta)) / math.sqrt(2.0 * math.pi * g.R)
     return complex(out) if out.ndim == 0 else out

@@ -10,7 +10,6 @@ band-edge integers from the bandwidth module are the natural policies.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +19,7 @@ from .bandwidth import bandwidth, bound_lower, bound_upper
 from .forward import SourceField, BoundaryData, source_grid
 from .singular_system import (ProblemGeometry, _Plan, _planned,
                               _psi_radial, _psi_synthesize, _signed_phase,
-                              build_spectrum)
+                              _spectrum_table, default_m_max)
 from .specfun import _check_count
 
 __all__ = [
@@ -78,7 +77,7 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
             f"n_s={n_s} cannot resolve modes up to {m_max} without aliasing; "
             f"need n_s >= {2 * m_max + 1}")
     g = U.geometry
-    table = _planned(U.plan, g, max(m_max, 1)).table
+    table = _spectrum_table(g, max(m_max, 1))
     bins = np.fft.fft(U.values)
     front = math.sqrt(2.0 * math.pi * g.R) / n_s
     ms = np.arange(-m_max, m_max + 1)
@@ -112,6 +111,10 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     elif g != c.geometry:
         raise ValueError(f"geometry {g} is not the coefficients' geometry "
                          f"{c.geometry}")
+    ms = np.arange(-N, N + 1)
+    cm = c.c[ms + c.m_max]
+    if not np.isfinite(cm).all():
+        raise ValueError(f"c_{ms[np.argmin(np.isfinite(cm))]} is not finite")
     if n_theta is None:
         n_theta = max(64, 2 * N + 8)
     if n_theta < 2 * N + 1:
@@ -119,8 +122,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
             f"n_theta={n_theta} cannot resolve modes up to {N} without "
             f"aliasing; need n_theta >= {2 * N + 1}")
     grid = source_grid(g, n_r, n_theta)
-    plan = _planned(c.plan, g, max(N, 1), grid.rho)
-    table = plan.table
+    table = _spectrum_table(g, max(N, 1))
     # refuse to divide by anything that lost all precision
     bad = ~np.isfinite(table.log_sigma[:N + 1]) | (table.sigma[:N + 1] == 0.0)
     if bad.any():
@@ -128,9 +130,9 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
         raise SigmaUnderflowError(
             f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
             f"kappa={g.kappa:g}; mode {m} is unusable")
-    ms = np.arange(-N, N + 1)
-    sigma, cm = table.sigma[np.abs(ms)], c.c[ms + c.m_max]
-    radial = _psi_radial(ms, plan.rings, table.a, g.R0)
+    sigma = table.sigma[np.abs(ms)]
+    radial = _psi_radial(ms, _planned(c.plan, g, max(N, 1), grid.rho).rings,
+                         table.a, g.R0)
     shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
                                                 n_theta))
     norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho) @ radial**2)
@@ -145,28 +147,16 @@ def pick_truncation(g: ProblemGeometry, policy: str,
     """Map a truncation policy to its integer.
 
     policy is one of "B", "B-", "B+" (band-edge integers of the geometry)
-    or "N" (manual, takes n). The band-edge integers are memoized per
-    (geometry, policy), for the last _BAND_EDGE_MEMO pairs used, so only
-    the first call for a pair runs a Bessel pass, at the cost it had
-    before the memo. Geometries compare by value, so an equal geometry
-    hits the same entry. An exception is never memoized: the next call
-    runs the pass again and raises again.
+    or "N" (manual, takes n; no other policy does). B reads the memoized
+    spectrum of g, and makes no Bessel pass once that exists; B- and B+
+    run bound_lower and bound_upper, one short row at kappa0, each call.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {_POLICIES}")
     if policy == "N":
         return _check_count(n, "manual policy needs a nonnegative integer N")
-    return _band_edge(g, policy)
-
-
-_BAND_EDGE_MEMO = 256
-
-
-@functools.lru_cache(maxsize=_BAND_EDGE_MEMO)
-def _band_edge(g: ProblemGeometry, policy: str) -> int:
-    """B, B- or B+ of g, by the pass pick_truncation memoizes."""
+    if n is not None:
+        raise ValueError(f"n={n!r} needs policy 'N', not {policy!r}")
     if policy == "B":
-        return bandwidth(build_spectrum(g))
-    if policy == "B-":
-        return bound_lower(g.kappa0)
-    return bound_upper(g.kappa0)
+        return bandwidth(_spectrum_table(g, default_m_max(g.kappa0)))
+    return (bound_lower if policy == "B-" else bound_upper)(g.kappa0)

@@ -7,16 +7,15 @@ import pytest
 import ispband as ib
 from ispband import singular_system as ss
 from ispband import specfun as sf
-from ispband import tsvd
 
 TEN_PI = 10.0 * math.pi
 
 
 @pytest.fixture(autouse=True)
-def cold_truncation_memo():
-    """Every test starts with no memoized band-edge integer, so the Bessel
-    passes a test counts do not depend on the tests run before it."""
-    tsvd._band_edge.cache_clear()
+def cold_spectrum_memo():
+    """Every test starts with no memoized spectrum, so the Bessel passes a
+    test counts do not depend on the tests run before it."""
+    ss._memo_table.cache_clear()
 
 
 @pytest.fixture

@@ -90,6 +90,15 @@ class TestBandwidthCommand:
         assert code == 3
         assert "error" in err
 
+    def test_cold_run_takes_one_j_and_one_y_pass(self, capsys,
+                                                 count_passes):
+        # report's one pass: J and Y at kappa0 and kappa together
+        counts = count_passes()
+        code, _, _ = run_cli(capsys, "bandwidth", "--kappa0",
+                             str(10 * math.pi), "--kappa", str(10 * math.pi))
+        assert code == 0
+        assert counts == {"J": 1, "Y": 1}
+
 
 class TestSpectrumCommand:
     def test_stdout_csv(self, capsys):
@@ -113,6 +122,14 @@ class TestSpectrumCommand:
         assert code == 0
         assert out == ""
         assert target.read_text().splitlines()[0].startswith("m,A_m")
+
+    def test_cold_run_takes_one_j_and_one_y_pass(self, capsys,
+                                                 count_passes):
+        counts = count_passes()
+        code, _, _ = run_cli(capsys, "spectrum", "--kappa0",
+                             str(10 * math.pi), "--kappa", str(10 * math.pi))
+        assert code == 0
+        assert counts == {"J": 1, "Y": 1}
 
 
 class TestSweepCommand:
@@ -145,6 +162,15 @@ class TestSweepCommand:
                                "--out", str(tmp_path))
         assert code == 3
         assert err.startswith("error: sweep failed at kappa=1e-300: ")
+
+    def test_one_j_and_one_y_pass_per_block(self, capsys, count_passes,
+                                            tmp_path):
+        # run_sweep takes its points in blocks of 64: 100 points, 2 blocks
+        counts = count_passes()
+        code, _, _ = run_cli(capsys, "sweep", "--n", "100",
+                             "--out", str(tmp_path))
+        assert code == 0
+        assert counts == {"J": 2, "Y": 2}
 
 
 class TestReconstructCommand:
@@ -250,17 +276,43 @@ class TestReconstructCommand:
         assert (got.N, got.policy, got.residual) == (rec.N, "B", rec.residual)
         assert np.array_equal(got.source.values, rec.source.values)
 
-    def test_cold_default_run_takes_four_j_and_two_y_passes(
+    def test_cold_default_run_takes_four_j_and_one_y_pass(
             self, capsys, count_passes, tmp_path):
-        # B's spectrum 1 J + 1 Y, one J per psi_eval of the two default
-        # source terms, the forward map 1 J + 1 Y; the TSVD reuses the
-        # forward map's ring rows
+        # the memoized spectrum 1 J + 1 Y (run by B, read by the forward
+        # map, the decomposition and the TSVD), one J per psi_eval of the
+        # two default source terms, the forward map's ring rows 1 J; the
+        # TSVD reuses the forward map's ring rows
         counts = count_passes()
         code, _, _ = run_cli(capsys, "reconstruct", "--kappa0",
                              str(10 * math.pi), "--kappa", str(10 * math.pi),
                              "--out", str(tmp_path / "rec.csv"))
         assert code == 0
-        assert counts == {"J": 4, "Y": 2}
+        assert counts == {"J": 4, "Y": 1}
+
+    @pytest.mark.parametrize("flag, reason", [
+        ("--noise=nan", "finite"), ("--noise=inf", "finite"),
+        ("--source=nan*mode:2", "finite"),
+        ("--source=1e400*mode:2", "finite"),
+        ("--source=0*mode:2", "nonzero"),
+        ("--source=0*mode:2+0j*mode:-3", "nonzero")])
+    def test_non_finite_or_zero_input_refused(self, capsys, count_passes,
+                                              tmp_path, flag, reason):
+        # each once ran to a nan rel_error with exit 0, or (a zero source)
+        # wrote the CSV and then failed with a division by zero
+        counts = count_passes()
+        target = tmp_path / "rec.csv"
+        argv = ["reconstruct", "--kappa0", "5", "--kappa", "5", flag,
+                "--out", str(target)]
+        if flag.startswith("--noise"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            code, err = exc.value.code, capsys.readouterr().err
+        else:
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert reason in err
+        assert counts == {"J": 0, "Y": 0}
+        assert not target.exists()
 
     def test_custom_source_spec(self, capsys):
         code, out, _ = run_cli(capsys, "reconstruct", "--kappa0",

@@ -86,6 +86,17 @@ class TestBoundaryCsv:
         assert back.geometry == bd.geometry
         assert text.splitlines()[1] == "index,re,im"
 
+    @pytest.mark.parametrize("row, meta", [
+        ("1,nan,0.5", "noise=0.01"), ("1,1,-inf", "noise=0.01"),
+        ("1,1,0.5", "noise=nan")])
+    def test_non_finite_file_refused(self, row, meta):
+        # a nan or inf once read back into data that tsvd_reconstruct
+        # turned into a zero residual
+        text = (f"# k=2 R0=0.5 R=1 n_s=2 {meta}\n"
+                f"index,re,im\n0,1,0.5\n{row}\n")
+        with pytest.raises(ValueError, match="finite"):
+            csvio.read_boundary(io.StringIO(text))
+
 
 class TestSourceCsv:
     def test_round_trip(self, g_equal_10pi):

@@ -95,6 +95,21 @@ class TestBoundaryData:
                             values=np.ones(4, dtype=complex),
                             noise_level=-0.1)
 
+    @pytest.mark.parametrize("values, noise", [
+        ([1.0, complex(math.nan, 0.0)], 0.0), ([1.0, math.inf], 0.0),
+        ([1.0, 2.0], math.nan), ([1.0, 2.0], math.inf)])
+    def test_non_finite_refused(self, g_equal_10pi, values, noise):
+        with pytest.raises(ValueError, match="finite"):
+            ib.BoundaryData(geometry=g_equal_10pi,
+                            values=np.array(values, dtype=complex),
+                            noise_level=noise)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf])
+    def test_measurement_refuses_non_finite_noise(self, g_equal_10pi, noise):
+        grid = ib.source_grid(g_equal_10pi, 8, 8, fn=lambda r, t: r)
+        with pytest.raises(ValueError, match="noise_level"):
+            ib.synthesize_measurement(grid, noise, seed=0)
+
 
 class TestAssembleForward:
     def test_preconditions(self, g_equal_10pi):

@@ -137,6 +137,33 @@ class TestSpectrum:
                 assert np.array_equal(y[:last + 1], y_ref)
                 assert np.array_equal(e[:last + 1], e_ref)
 
+    @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0),
+                                               (1000.0, 1000.0)])
+    def test_memo_prefix_is_build_spectrum(self, count_passes, kappa0,
+                                           kappa):
+        # the package's readers share one read-only table per geometry and
+        # J horizon, and each m_max reads a prefix of it with the bits of
+        # a fresh build_spectrum(g, m_max), which stays writable
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        top = ss.default_m_max(g.kappa0)
+        for m_max in (17, top, top + 30):
+            fresh = ss.build_spectrum(g, m_max)
+            shared = ss._spectrum_table(g, m_max)
+            assert shared.geometry == g and shared.m_max == m_max
+            for name in ss._COLUMNS:
+                got, ref = getattr(shared, name), getattr(fresh, name)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                assert ref.flags.writeable and not got.flags.writeable
+        # every m_max up to the default horizon reads one table, so one
+        # pass; a longer horizon takes a table and a pass of its own
+        ss._memo_table.cache_clear()
+        counts = count_passes()
+        for m_max in (1, 17, top):
+            ss._spectrum_table(g, m_max)
+        assert counts == {"J": 1, "Y": 1}
+        ss._spectrum_table(g, top + 30)
+        assert counts == {"J": 2, "Y": 2}
+
     def test_log_sigma_symmetry(self, g_equal_10pi):
         # sigma_{-m} = sigma_m because A_{-m} = A_m and |H_{-m}| = |H_m|
         g = g_equal_10pi
@@ -354,7 +381,8 @@ class TestModalTransform:
         P = (rng.standard_normal((n_r, n_theta))
              + 1j * rng.standard_normal((n_r, n_theta)))
         plan = ss._planned(None, g, ss.default_m_max(g.kappa0), rho)
-        return rho, w, P, ss._psi_radial(ms, plan.rings, plan.table.a, g.R0)
+        return rho, w, P, ss._psi_radial(ms, plan.rings,
+                                         ss.build_spectrum(g).a, g.R0)
 
     @pytest.mark.parametrize("n_theta, ms", [
         (64, np.arange(-20, 21)),              # resolved: n_theta >= 2N + 1
@@ -376,7 +404,7 @@ class TestModalTransform:
         rho = ib.source_grid(g, 16, 2).rho
         ms = np.arange(-40, 41)
         plan = ss._planned(None, g, ss.default_m_max(g.kappa0), rho)
-        radial = ss._psi_radial(ms, plan.rings, plan.table.a, g.R0)
+        radial = ss._psi_radial(ms, plan.rings, ss.build_spectrum(g).a, g.R0)
         # column -m is (-1)^m times column m, bit for bit
         sign = np.where(ms[41:] % 2 == 1, -1.0, 1.0)
         assert np.array_equal(radial[:, 39::-1], radial[:, 41:] * sign)

@@ -368,6 +368,7 @@ class TestFirstZeros:
         assert sf.first_zero_j(1).value == pytest.approx(3.831705970207512, abs=1e-10)
         assert sf.first_zero_y(0).value == pytest.approx(0.8935769662791675, abs=1e-10)
 
+    @pytest.mark.slow
     def test_matches_reference_roots(self):
         for m in (2, 5, 26, 29, 100, 315):
             ref_j = float(mp.besseljzero(m, 1))

@@ -123,6 +123,7 @@ class TestReconstruction:
         scale = float(np.max(np.abs(rec.source.values)))
         assert spread < 1e-10 * scale
 
+    @pytest.mark.slow
     def test_matches_discrete_svd_route(self, g_small_4):
         g = g_small_4
         n_r, n_theta, n_s = 64, 512, 512
@@ -185,6 +186,18 @@ class TestReconstruction:
                            match="sigma_78 underflows.*mode 78 is unusable"):
             ib.tsvd_reconstruct(c, 190)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                     complex(0.0, -math.inf)])
+    def test_non_finite_coefficients_refused(self, g_equal_10pi, bad):
+        # a non-finite coefficient once gave a residual of 0.0
+        values = np.zeros(17, dtype=complex)
+        values[8 - 3] = bad
+        c = ib.ModalCoefficients(geometry=g_equal_10pi, m_max=8, c=values)
+        with pytest.raises(ValueError, match="c_-3 is not finite"):
+            ib.tsvd_reconstruct(c, 5, n_r=16)
+        # a mode past the truncation is not read
+        assert ib.tsvd_reconstruct(c, 2, n_r=16).residual == 0.0
+
 
 class TestNoiseAmplification:
     def test_error_grows_past_the_band(self, g_equal_10pi):
@@ -244,6 +257,15 @@ class TestPickTruncation:
                 ib.pick_truncation(g_equal_10pi, "waterline")
             assert ib.pick_truncation(g_equal_10pi, "N", n=3) == 3
 
+    @pytest.mark.parametrize("policy", ["B", "B-", "B+"])
+    def test_n_needs_policy_N(self, count_passes, g_equal_10pi, policy):
+        # n once went unread under the band-edge policies: B with n=5 gave
+        # 27; now it is refused before any Bessel pass
+        counts = count_passes()
+        with pytest.raises(ValueError, match="policy 'N'"):
+            ib.pick_truncation(g_equal_10pi, policy, n=5)
+        assert counts == {"J": 0, "Y": 0}
+
     @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI),
                                                (5.0 * math.pi, TEN_PI),
                                                (100.0 * math.pi,
@@ -251,20 +273,29 @@ class TestPickTruncation:
     @pytest.mark.parametrize("policy", ["B", "B-", "B+"])
     def test_memo_runs_no_pass_and_keeps_the_integer(self, count_passes,
                                                      kappa0, kappa, policy):
+        # B reads the geometry's memoized spectrum, so a warm call, for g
+        # or for an equal geometry, runs no pass. B- and B+ keep no memo:
+        # each call runs the passes of its bound's own row and no more
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        same = ib.ProblemGeometry(k=g.k, R0=g.R0, R=g.R)   # equal, not g
+        counts = count_passes()
         direct = {"B": lambda: ib.bandwidth(ib.build_spectrum(g)),
                   "B-": lambda: ib.bound_lower(g.kappa0),
                   "B+": lambda: ib.bound_upper(g.kappa0)}[policy]()
+        bound_cost = dict(counts)
         assert ib.pick_truncation(g, policy) == direct
-        counts = count_passes()
-        same = ib.ProblemGeometry(k=g.k, R0=g.R0, R=g.R)   # equal, not g
+        counts.update(J=0, Y=0)
         assert ib.pick_truncation(g, policy) == direct
         assert ib.pick_truncation(same, policy) == direct
-        assert counts == {"J": 0, "Y": 0}
+        if policy == "B":
+            assert counts == {"J": 0, "Y": 0}
+        else:
+            assert counts == {k: 2 * v for k, v in bound_cost.items()}
 
     def test_exceptions_are_not_memoized(self, monkeypatch, count_passes,
                                          g_equal_10pi):
-        # a route that fails once is run again on the next call
+        # B+ keeps no memo: a route that fails once is run again on the
+        # next call, and on every call after it
         calls = []
 
         def fails_once(kappa0):
@@ -278,21 +309,38 @@ class TestPickTruncation:
             ib.pick_truncation(g_equal_10pi, "B+")
         assert ib.pick_truncation(g_equal_10pi, "B+") == 29
         assert ib.pick_truncation(g_equal_10pi, "B+") == 29
-        assert len(calls) == 2
-        # a geometry whose spectrum always fails runs its pass, and
-        # raises, on every call
+        assert len(calls) == 3
+        # a spectrum pass that fails is not memoized: the next call runs
+        # it again
+        builds = []
+        build = ss.build_spectrum
+
+        def spectrum_fails_once(g, m_max=None):
+            builds.append(m_max)
+            if len(builds) == 1:
+                raise ArithmeticError("transient spectrum")
+            return build(g, m_max)
+
+        monkeypatch.setattr(ss, "build_spectrum", spectrum_fails_once)
+        with pytest.raises(ArithmeticError, match="transient spectrum"):
+            ib.pick_truncation(g_equal_10pi, "B")
+        assert ib.pick_truncation(g_equal_10pi, "B") == 27
+        assert ib.pick_truncation(g_equal_10pi, "B") == 27
+        assert len(builds) == 2
+        # a spectrum whose band edge cannot be read is memoized, and B
+        # raises on every call, from its one pass
         g = ib.ProblemGeometry.from_size_params(1e-300, 1e-300)
         counts = count_passes()
-        for n_calls in (1, 2):
+        for _ in range(2):
             with pytest.raises(ib.HorizonError):
                 ib.pick_truncation(g, "B")
-            assert counts["J"] == n_calls
+        assert counts["J"] == 1
 
 
 class TestForwardPlan:
-    """The Bessel rows that apply_forward_analytic builds travel with its
-    data to modal_decompose and tsvd_reconstruct: they save passes and
-    change no bit."""
+    """The ring rows that apply_forward_analytic builds travel with its
+    data to modal_decompose and tsvd_reconstruct, and all of them read one
+    memoized spectrum per geometry: they save passes and change no bit."""
 
     N_R = 48
 
@@ -307,9 +355,10 @@ class TestForwardPlan:
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_two_bessel_passes_per_op(self, count_passes, kappa0, kappa,
                                       noise):
-        # one pass in the forward map (J at kappa0, kappa and the rings,
-        # Y at kappa, and below kappa = 25 the J rows of the Y seeds) and
-        # one in pick_truncation's own spectrum, which the cold memo runs
+        # the memoized spectrum's pass (J at kappa0 and kappa, Y at kappa,
+        # and below kappa = 25 the J rows of the Y seeds), which the forward
+        # map, modal_decompose, pick_truncation and the TSVD share, and the
+        # forward map's ring rows (one J pass), which the TSVD reuses
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         truth, horizon, n = self._data(g, noise)
         counts = count_passes()
@@ -318,15 +367,16 @@ class TestForwardPlan:
         c = ib.modal_decompose(data, horizon)
         rec = ib.tsvd_reconstruct(c, ib.pick_truncation(g, "B"), g,
                                   n_r=self.N_R, n_theta=n)
-        assert counts == {"J": 2, "Y": 2}
+        assert counts == {"J": 2, "Y": 1}
         assert rec.residual <= 1e-8
 
     @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_warm_memo_leaves_the_forward_pass(self, count_passes, kappa0,
                                                kappa, noise):
-        # once the truncation of a geometry is known, an op runs the
-        # forward map's pass alone and gives the bits of the cold op
+        # once the spectrum of a geometry is memoized, an op runs the
+        # forward map's ring rows alone (one J pass, no Y pass) and gives
+        # the bits of the cold op
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         truth, horizon, n = self._data(g, noise)
 
@@ -340,16 +390,33 @@ class TestForwardPlan:
         cold = op()
         counts = count_passes()
         warm = op()
-        assert counts == {"J": 1, "Y": 1}
+        assert counts == {"J": 1, "Y": 0}
         assert warm.N == cold.N
         assert np.array_equal(warm.source.values, cold.source.values)
         assert warm.residual == cold.residual <= 1e-8
 
+    def test_warm_table_readers_run_no_pass(self, count_passes,
+                                            g_equal_10pi):
+        # once a geometry's spectrum is memoized, B, the modal
+        # decomposition and phi_eval read it and run no Bessel pass
+        g = g_equal_10pi
+        horizon = ib.default_m_max(g.kappa0)
+        bd = ib.BoundaryData(geometry=g,
+                             values=np.ones(2 * horizon + 2, dtype=complex))
+        assert ib.pick_truncation(g, "B") == 27
+        counts = count_passes()
+        assert ib.pick_truncation(g, "B") == 27
+        for m_max in (horizon, 10):
+            ib.modal_decompose(bd, m_max)
+        for m in (0, -7, horizon):
+            ib.phi_eval(m, g, np.array([0.1, 0.2]))
+        assert counts == {"J": 0, "Y": 0}
+
     @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
     def test_new_radii_rebuild_ring_rows_only(self, count_passes, kappa0,
                                               kappa):
-        # the forward plan's spectrum is kept, and only the ring rows of
-        # the other radii are built: one J pass and no Y pass
+        # the memoized spectrum is kept, and only the ring rows of the
+        # other radii are built: one J pass and no Y pass
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         truth, horizon, n = self._data(g, 0.0)
         data = ib.synthesize_measurement(truth, 0.0, 5, modes=horizon, n_s=n)
@@ -437,8 +504,9 @@ class TestModeNorms:
         g, src, N = c.geometry, rec.source, rec.N
         ms = np.arange(-N, N + 1)
         plan = ss._planned(None, g, max(N, 1), src.rho)
-        sigma, cm = plan.table.sigma[np.abs(ms)], c.c[ms + c.m_max]
-        radial = ss._psi_radial(ms, plan.rings, plan.table.a, g.R0)
+        table = ss.build_spectrum(g, max(N, 1))
+        sigma, cm = table.sigma[np.abs(ms)], c.c[ms + c.m_max]
+        radial = ss._psi_radial(ms, plan.rings, table.a, g.R0)
         coef = ss._psi_project(src.area_weights * src.values, ms, radial)
         return math.sqrt(float(np.sum(np.abs(sigma * coef - cm)**2))
                          / float(np.sum(np.abs(cm)**2)))
