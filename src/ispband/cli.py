@@ -223,6 +223,10 @@ def _cmd_reconstruct(args, parser) -> int:
         g, n_r, n_theta,
         fn=lambda rho, th: sum(c * psi_eval(m, g, rho, th)
                                for c, m in terms))
+    wa = truth.area_weights
+    norm2 = float(np.sum(wa * np.abs(truth.values)**2))
+    if norm2 == 0.0:
+        raise ValueError(f"source {args.source!r} has zero norm on the grid")
     data = synthesize_measurement(truth, args.noise, args.seed, modes=horizon,
                                   n_s=args.ns if args.ns is not None else n_ang)
     coeffs = modal_decompose(data, horizon)
@@ -230,9 +234,7 @@ def _cmd_reconstruct(args, parser) -> int:
                            n_theta=n_theta, policy=args.policy)
     csvio.write_reconstruction(rec, args.out)
     diff = rec.source.values - truth.values
-    wa = truth.area_weights
-    rel = math.sqrt(float(np.sum(wa * np.abs(diff)**2))
-                    / float(np.sum(wa * np.abs(truth.values)**2)))
+    rel = math.sqrt(float(np.sum(wa * np.abs(diff)**2)) / norm2)
     print(f"N={rec.N} policy={args.policy} residual={rec.residual:.6e} "
           f"rel_error={rel:.6e}")
     return EXIT_OK

@@ -38,9 +38,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .singular_system import (ProblemGeometry, _Plan, _planned,
-                              _psi_project, _psi_radial, _signed_phase,
-                              _spectrum_table, default_m_max)
+from .singular_system import (ProblemGeometry, _planned, _psi_project,
+                              _psi_radial, _signed_phase, _spectrum_table,
+                              default_m_max)
 from .specfun import _check_count
 
 __all__ = [
@@ -116,11 +116,12 @@ class BoundaryData:
     geometry: ProblemGeometry
     values: np.ndarray = field(repr=False)
     noise_level: float = 0.0
-    plan: _Plan | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.noise_level) and self.noise_level >= 0.0):
             raise ValueError("noise_level must be finite and nonnegative")
+        if np.ndim(self.values) != 1:
+            raise ValueError("boundary values must be one-dimensional")
         if not np.isfinite(self.values).all():
             raise ValueError("boundary values must be finite")
 
@@ -301,14 +302,12 @@ def apply_forward_analytic(s: SourceField, modes: int,
     the radial table. The projection and the sum over m run as one FFT, with
     mode m in bin m mod n (n = n_theta, then n_s), which reproduces the
     per-mode sums on any grid. sigma_m, A_m and arg H_m come from the
-    memoized spectrum, the ring rows from one J pass, which the result
-    carries as its plan. Degenerate modes (A_m = 0) are skipped with a
-    warning.
+    memoized spectrum, the ring rows J_m(k rho_i) from the ring memo
+    (_planned). Degenerate modes (A_m = 0) are skipped with a warning.
     """
     g = s.geometry
     modes = _check_count(modes, "modes must be a nonnegative integer")
     table = _spectrum_table(g, max(modes, 1))
-    plan = _planned(None, g, max(modes, 1), s.rho)
     if n_s is None:
         n_s = 2 * max(modes, default_m_max(g.kappa0)) + 2
     n_s = _check_count(n_s, "n_s must be a positive integer", 1)
@@ -320,13 +319,12 @@ def apply_forward_analytic(s: SourceField, modes: int,
     bins = np.zeros(n_s, dtype=complex)
     if ms.size:
         weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
-        radial = _psi_radial(ms, plan.rings, table.a, g.R0)
+        radial = _psi_radial(ms, _planned(g, modes, s.rho), table.a, g.R0)
         coef = _psi_project(s.values, ms, weight[:, None] * radial)
         np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
                   * np.exp(1j * _signed_phase(table.phase, ms))
                   / math.sqrt(2.0 * math.pi * g.R))
-    return BoundaryData(geometry=g, values=np.fft.ifft(bins, norm="forward"),
-                        plan=plan)
+    return BoundaryData(geometry=g, values=np.fft.ifft(bins, norm="forward"))
 
 
 def synthesize_measurement(s: SourceField, noise_level: float, seed: int,

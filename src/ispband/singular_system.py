@@ -263,25 +263,25 @@ def _spectrum_table(g: ProblemGeometry, m_max: int) -> SpectrumTable:
                              for name in _COLUMNS})
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Ring rows J_m(k rho_i) to the J horizon, for the forward map's data."""
-
-    k: float
-    horizon: int
-    rho: np.ndarray
-    rings: np.ndarray
+# Ring tables _memo_rings keeps, least recently used out first. An entry
+# takes n_r (h + 1) 8 bytes: 0.77 MB for 256 rings to h = 377 (kappa0 =
+# 100 pi), 4.8 MB for the 556 rings of a default reconstruct at kappa0 = 1000.
+_RING_MEMO = 4
 
 
-def _planned(plan: _Plan | None, g: ProblemGeometry, m_max: int, rho) -> _Plan:
-    """The ring rows of rho for g's spectrum to m_max: plan's where k, the
-    J horizon and rho match it bitwise (a ring row depends on its argument
-    and horizon alone), else one bessel_j_table call."""
-    h = _j_horizon(g.kappa0, m_max)
-    if (plan is not None and plan.k == g.k and plan.horizon == h
-            and np.array_equal(plan.rho, rho)):
-        return plan
-    return _Plan(g.k, h, rho, bessel_j_table(h, g.k * rho))
+@functools.lru_cache(maxsize=_RING_MEMO)
+def _memo_rings(h: int, x: bytes) -> np.ndarray:
+    rings = bessel_j_table(h, np.frombuffer(x))
+    rings.flags.writeable = False
+    return rings
+
+
+def _planned(g: ProblemGeometry, m_max: int, rho) -> np.ndarray:
+    """Ring rows J_m(k rho_i), m = 0 .. _j_horizon(kappa0, m_max), read-only
+    from a memo keyed by that horizon and the bytes of k rho; bitwise
+    bessel_j_table's (a row depends on its argument and horizon alone)."""
+    return _memo_rings(_j_horizon(g.kappa0, m_max),
+                       (g.k * np.asarray(rho, dtype=float)).tobytes())
 
 
 def psi_eval(m: int, g: ProblemGeometry, rho, theta):

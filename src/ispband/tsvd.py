@@ -17,9 +17,9 @@ import numpy as np
 
 from .bandwidth import bandwidth, bound_lower, bound_upper
 from .forward import SourceField, BoundaryData, source_grid
-from .singular_system import (ProblemGeometry, _Plan, _planned,
-                              _psi_radial, _psi_synthesize, _signed_phase,
-                              _spectrum_table, default_m_max)
+from .singular_system import (ProblemGeometry, _planned, _psi_radial,
+                              _psi_synthesize, _signed_phase, _spectrum_table,
+                              default_m_max)
 from .specfun import _check_count
 
 __all__ = [
@@ -45,7 +45,6 @@ class ModalCoefficients:
     geometry: ProblemGeometry
     m_max: int
     c: np.ndarray = field(repr=False)
-    plan: _Plan | None = field(default=None, repr=False, compare=False)
 
     def coeff(self, m: int) -> complex:
         if abs(m) > self.m_max:
@@ -83,7 +82,7 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
     ms = np.arange(-m_max, m_max + 1)
     c = (front * np.exp(-1j * _signed_phase(table.phase, ms))
          * bins[ms % n_s])
-    return ModalCoefficients(geometry=g, m_max=m_max, c=c, plan=U.plan)
+    return ModalCoefficients(geometry=g, m_max=m_max, c=c)
 
 
 def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = None,
@@ -97,7 +96,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     n_theta >= 2N + 1 no two modes share an FFT bin, so that content is
     exactly (c_m / sigma_m) ||psi_m||_h^2, and the residual is the
     |c_m|^2-weighted RMS of ||psi_m||_h^2 - 1, from the discrete norms
-    2 pi sum_i w_i rho_i radial[i, m]^2 of the ring table (round-off
+    2 pi sum_i w_i rho_i radial[i, m]^2 on the memoized ring rows (round-off
     when the grid resolves every retained mode).
 
     g, if given, must equal c.geometry: the coefficients are divided by
@@ -131,8 +130,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
             f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
             f"kappa={g.kappa:g}; mode {m} is unusable")
     sigma = table.sigma[np.abs(ms)]
-    radial = _psi_radial(ms, _planned(c.plan, g, max(N, 1), grid.rho).rings,
-                         table.a, g.R0)
+    radial = _psi_radial(ms, _planned(g, N, grid.rho), table.a, g.R0)
     shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
                                                 n_theta))
     norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho) @ radial**2)

@@ -13,9 +13,11 @@ TEN_PI = 10.0 * math.pi
 
 @pytest.fixture(autouse=True)
 def cold_spectrum_memo():
-    """Every test starts with no memoized spectrum, so the Bessel passes a
-    test counts do not depend on the tests run before it."""
+    """Every test starts with no memoized spectrum and no memoized ring
+    rows, so the Bessel passes a test counts do not depend on the tests
+    run before it."""
     ss._memo_table.cache_clear()
+    ss._memo_rings.cache_clear()
 
 
 @pytest.fixture

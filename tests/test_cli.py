@@ -314,6 +314,18 @@ class TestReconstructCommand:
         assert counts == {"J": 0, "Y": 0}
         assert not target.exists()
 
+    @pytest.mark.parametrize("spec", ["mode:2+-1*mode:2", "1e-200*mode:2"])
+    def test_zero_norm_source_refused(self, capsys, tmp_path, spec):
+        # terms that cancel, or a truth whose |values|^2 underflow, once
+        # wrote the CSV and then failed with a division by zero (exit 4)
+        target = tmp_path / "rec.csv"
+        code, _, err = run_cli(capsys, "reconstruct", "--kappa0", "5",
+                               "--kappa", "5", f"--source={spec}",
+                               "--out", str(target))
+        assert code == 2
+        assert "zero norm" in err
+        assert not target.exists()
+
     def test_custom_source_spec(self, capsys):
         code, out, _ = run_cli(capsys, "reconstruct", "--kappa0",
                                str(10 * math.pi), "--kappa",

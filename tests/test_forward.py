@@ -104,6 +104,15 @@ class TestBoundaryData:
                             values=np.array(values, dtype=complex),
                             noise_level=noise)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_values_not_one_dimensional_refused(self, g_equal_10pi, width):
+        # an (n, 1) column once went through modal_decompose as a 21 x 21
+        # table of garbage coefficients
+        values = np.exp(0.1j * np.arange(100))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ib.BoundaryData(geometry=g_equal_10pi,
+                            values=np.repeat(values[:, None], width, axis=1))
+
     @pytest.mark.parametrize("noise", [math.nan, math.inf])
     def test_measurement_refuses_non_finite_noise(self, g_equal_10pi, noise):
         grid = ib.source_grid(g_equal_10pi, 8, 8, fn=lambda r, t: r)

@@ -217,6 +217,57 @@ class TestSpectrum:
             ss.build_spectrum(g_equal_10pi, -1)
 
 
+class TestRingMemo:
+    """_planned serves the ring rows J_m(k rho_i) from a small memo keyed
+    by the J horizon and the bytes of k rho."""
+
+    @pytest.mark.parametrize("kappa0, kappa, n_r", [
+        (TEN_PI, TEN_PI, 48), (8.0, 20.0, 17), (100.0 * math.pi,
+                                                100.0 * math.pi, 256)])
+    def test_hit_is_the_fresh_table_read_only(self, count_passes, kappa0,
+                                              kappa, n_r):
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        rho = ib.source_grid(g, n_r, 2).rho
+        m_max = ss.default_m_max(g.kappa0)
+        h = ss._j_horizon(g.kappa0, m_max)
+        cold = ss._planned(g, m_max, rho)
+        counts = count_passes()
+        warm = ss._planned(g, m_max, rho.copy())
+        assert counts == {"J": 0, "Y": 0}
+        assert warm is cold
+        fresh = sf.bessel_j_table(h, g.k * rho)
+        assert warm.dtype == fresh.dtype and np.array_equal(warm, fresh)
+        assert fresh.flags.writeable and not warm.flags.writeable
+        with pytest.raises(ValueError):
+            warm[0, 0] = 0.0
+
+    def test_other_horizon_radii_or_k_miss(self, count_passes,
+                                           g_equal_10pi):
+        g = g_equal_10pi
+        rho = ib.source_grid(g, 24, 2).rho
+        top = ss.default_m_max(g.kappa0)
+        base = ss._planned(g, top, rho)
+        # every m_max up to the default horizon shares one J horizon
+        assert ss._planned(g, 1, rho) is base
+        counts = count_passes()
+        others = [ss._planned(g, top + 5, rho),
+                  ss._planned(g, top, ib.source_grid(g, 25, 2).rho),
+                  ss._planned(ib.ProblemGeometry(k=2.0 * g.k, R0=g.R0 / 2.0,
+                                                 R=g.R / 2.0), top, rho)]
+        assert counts == {"J": 3, "Y": 0}
+        assert others[0].shape == (24, top + 7)
+        assert np.array_equal(others[2],
+                              sf.bessel_j_table(top + 1, 2.0 * g.k * rho))
+
+    def test_memo_is_bounded(self, g_equal_10pi):
+        g = g_equal_10pi
+        top = ss.default_m_max(g.kappa0)
+        for n_r in range(8, 8 + 2 * ss._RING_MEMO):
+            ss._planned(g, top, ib.source_grid(g, n_r, 2).rho)
+            assert ss._memo_rings.cache_info().currsize <= ss._RING_MEMO
+        assert ss._memo_rings.cache_info().maxsize == ss._RING_MEMO
+
+
 class TestSingularFunctions:
     def test_psi_normalization(self, g_equal_10pi):
         g = g_equal_10pi
@@ -380,9 +431,9 @@ class TestModalTransform:
         w = rng.standard_normal(len(ms)) + 1j * rng.standard_normal(len(ms))
         P = (rng.standard_normal((n_r, n_theta))
              + 1j * rng.standard_normal((n_r, n_theta)))
-        plan = ss._planned(None, g, ss.default_m_max(g.kappa0), rho)
-        return rho, w, P, ss._psi_radial(ms, plan.rings,
-                                         ss.build_spectrum(g).a, g.R0)
+        rings = ss._planned(g, ss.default_m_max(g.kappa0), rho)
+        return rho, w, P, ss._psi_radial(ms, rings, ss.build_spectrum(g).a,
+                                         g.R0)
 
     @pytest.mark.parametrize("n_theta, ms", [
         (64, np.arange(-20, 21)),              # resolved: n_theta >= 2N + 1
@@ -403,8 +454,8 @@ class TestModalTransform:
         g = g_equal_10pi
         rho = ib.source_grid(g, 16, 2).rho
         ms = np.arange(-40, 41)
-        plan = ss._planned(None, g, ss.default_m_max(g.kappa0), rho)
-        radial = ss._psi_radial(ms, plan.rings, ss.build_spectrum(g).a, g.R0)
+        rings = ss._planned(g, ss.default_m_max(g.kappa0), rho)
+        radial = ss._psi_radial(ms, rings, ss.build_spectrum(g).a, g.R0)
         # column -m is (-1)^m times column m, bit for bit
         sign = np.where(ms[41:] % 2 == 1, -1.0, 1.0)
         assert np.array_equal(radial[:, 39::-1], radial[:, 41:] * sign)

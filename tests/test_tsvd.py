@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,9 +337,10 @@ class TestPickTruncation:
 
 
 class TestForwardPlan:
-    """The ring rows that apply_forward_analytic builds travel with its
-    data to modal_decompose and tsvd_reconstruct, and all of them read one
-    memoized spectrum per geometry: they save passes and change no bit."""
+    """The forward map and tsvd_reconstruct read the ring rows J_m(k rho_i)
+    of a grid from one ring memo, and all of them read one memoized
+    spectrum per geometry: a warm op saves every pass, and its bits are
+    those of a cold one."""
 
     N_R = 48
 
@@ -351,6 +351,16 @@ class TestForwardPlan:
                                fn=psi_mix(g, {2: 1.0, -5: 0.5 - 0.25j}))
         return truth, horizon, n
 
+    @staticmethod
+    def _warm_and_cold(c, N, g, n_r, n_theta):
+        """tsvd_reconstruct from a warm ring memo, then from a cleared one."""
+        def run():
+            return ib.tsvd_reconstruct(c, N, g, n_r=n_r, n_theta=n_theta)
+        run()
+        warm = run()
+        ss._memo_rings.cache_clear()
+        return warm, run()
+
     @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_two_bessel_passes_per_op(self, count_passes, kappa0, kappa,
@@ -358,7 +368,8 @@ class TestForwardPlan:
         # the memoized spectrum's pass (J at kappa0 and kappa, Y at kappa,
         # and below kappa = 25 the J rows of the Y seeds), which the forward
         # map, modal_decompose, pick_truncation and the TSVD share, and the
-        # forward map's ring rows (one J pass), which the TSVD reuses
+        # forward map's ring rows (one J pass), which the TSVD reads from
+        # the ring memo
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         truth, horizon, n = self._data(g, noise)
         counts = count_passes()
@@ -374,9 +385,9 @@ class TestForwardPlan:
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_warm_memo_leaves_the_forward_pass(self, count_passes, kappa0,
                                                kappa, noise):
-        # once the spectrum of a geometry is memoized, an op runs the
-        # forward map's ring rows alone (one J pass, no Y pass) and gives
-        # the bits of the cold op
+        # once the spectrum of a geometry and the ring rows of its grid are
+        # memoized, an op runs no Bessel pass and gives the bits of the
+        # cold op
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         truth, horizon, n = self._data(g, noise)
 
@@ -390,7 +401,7 @@ class TestForwardPlan:
         cold = op()
         counts = count_passes()
         warm = op()
-        assert counts == {"J": 1, "Y": 0}
+        assert counts == {"J": 0, "Y": 0}
         assert warm.N == cold.N
         assert np.array_equal(warm.source.values, cold.source.values)
         assert warm.residual == cold.residual <= 1e-8
@@ -421,61 +432,66 @@ class TestForwardPlan:
         truth, horizon, n = self._data(g, 0.0)
         data = ib.synthesize_measurement(truth, 0.0, 5, modes=horizon, n_s=n)
         c = ib.modal_decompose(data, horizon)
-        c_bare = ib.modal_decompose(replace(data, plan=None), horizon)
         N = ib.pick_truncation(g, "B")
         counts = count_passes()
         rec = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R + 8, n_theta=n)
         assert counts == {"J": 1, "Y": 0}
-        fresh = ib.tsvd_reconstruct(c_bare, N, g, n_r=self.N_R + 8,
-                                    n_theta=n)
+        ss._memo_rings.cache_clear()
+        fresh = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R + 8, n_theta=n)
         assert np.array_equal(rec.source.values, fresh.source.values)
         assert rec.residual == fresh.residual <= 1e-8
 
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_plan_changes_no_bits(self, g_equal_10pi, noise):
+        # the memos change no bit: coefficients from a warm spectrum memo
+        # and a cleared one, reconstructions from a warm ring memo and a
+        # cleared one
         g = g_equal_10pi
         truth, horizon, n = self._data(g, noise)
         data = ib.synthesize_measurement(truth, noise, 5, modes=horizon,
                                          n_s=n)
-        assert data.plan is not None
-        bare = replace(data, plan=None)
         N = ib.pick_truncation(g, "B")
         for m_max in (horizon, 40):
-            c, c_bare = (ib.modal_decompose(d, m_max) for d in (data, bare))
-            assert c.plan is data.plan and c_bare.plan is None
-            assert np.array_equal(c.c, c_bare.c)
-            for n_r in (self.N_R, self.N_R + 8):     # rings reused, rebuilt
-                rec, rec_bare = (ib.tsvd_reconstruct(x, N, g, n_r=n_r,
-                                                     n_theta=n)
-                                 for x in (c, c_bare))
-                assert np.array_equal(rec.source.values,
-                                      rec_bare.source.values)
-                assert rec.residual == rec_bare.residual
-                assert rec.residual <= 1e-8
+            c = ib.modal_decompose(data, m_max)
+            ss._memo_table.cache_clear()
+            assert np.array_equal(c.c, ib.modal_decompose(data, m_max).c)
+            for n_r in (self.N_R, self.N_R + 8):   # forward's rings, others
+                warm, cold = self._warm_and_cold(c, N, g, n_r, n)
+                assert np.array_equal(warm.source.values, cold.source.values)
+                assert warm.residual == cold.residual
+                assert warm.residual <= 1e-8
 
-    def test_plan_past_the_default_horizon_is_not_reused(self, g_equal_10pi):
+    def test_plan_past_the_default_horizon_is_not_reused(self, count_passes,
+                                                         g_equal_10pi):
         # a spectrum to modes > default_m_max runs its J rows to another
         # horizon than the inverse's own, so the inverse builds its own
         g = g_equal_10pi
         modes = ib.default_m_max(g.kappa0) + 10
         truth, _, n = self._data(g, 0.0, modes)
         data = ib.synthesize_measurement(truth, 0.0, 5, modes=modes, n_s=n)
+        c = ib.modal_decompose(data, modes)
         N = ib.pick_truncation(g, "B")
-        recs = [ib.tsvd_reconstruct(ib.modal_decompose(d, modes), N, g,
-                                    n_r=self.N_R, n_theta=n)
-                for d in (data, replace(data, plan=None))]
-        assert np.array_equal(recs[0].source.values, recs[1].source.values)
-        assert recs[0].residual == recs[1].residual <= 1e-8
+        counts = count_passes()
+        ib.tsvd_reconstruct(c, N, g, n_r=self.N_R, n_theta=n)
+        assert counts == {"J": 1, "Y": 0}
+        warm, cold = self._warm_and_cold(c, N, g, self.N_R, n)
+        assert np.array_equal(warm.source.values, cold.source.values)
+        assert warm.residual == cold.residual <= 1e-8
 
-    def test_hand_made_data_falls_back(self, g_equal_10pi):
+    def test_hand_made_data_falls_back(self, count_passes, g_equal_10pi):
+        # data that did not come from the forward map (made by hand, read
+        # from a CSV) on the forward map's grid reuses its ring rows
         g = g_equal_10pi
         truth, horizon, n = self._data(g, 0.0)
         values = ib.apply_forward_analytic(truth, horizon, n_s=n).values
         bd = ib.BoundaryData(geometry=g, values=values.copy())
-        assert bd.plan is None
-        rec = ib.tsvd_reconstruct(ib.modal_decompose(bd, horizon),
-                                  ib.pick_truncation(g, "B"), g,
-                                  n_r=self.N_R + 8, n_theta=n)
+        c = ib.modal_decompose(bd, horizon)
+        N = ib.pick_truncation(g, "B")
+        counts = count_passes()
+        rec = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R, n_theta=n)
+        assert counts == {"J": 0, "Y": 0}
+        assert rec.residual <= 1e-8
+        rec = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R + 8, n_theta=n)
         assert rec.residual <= 1e-8
 
 
@@ -503,10 +519,10 @@ class TestModeNorms:
         through the area-weight grid and compare with the retained data."""
         g, src, N = c.geometry, rec.source, rec.N
         ms = np.arange(-N, N + 1)
-        plan = ss._planned(None, g, max(N, 1), src.rho)
         table = ss.build_spectrum(g, max(N, 1))
         sigma, cm = table.sigma[np.abs(ms)], c.c[ms + c.m_max]
-        radial = ss._psi_radial(ms, plan.rings, table.a, g.R0)
+        radial = ss._psi_radial(ms, ss._planned(g, max(N, 1), src.rho),
+                                table.a, g.R0)
         coef = ss._psi_project(src.area_weights * src.values, ms, radial)
         return math.sqrt(float(np.sum(np.abs(sigma * coef - cm)**2))
                          / float(np.sum(np.abs(cm)**2)))
