@@ -176,10 +176,10 @@ def _cmd_bandwidth(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     if args.n < 2:
         parser.error("--n must be at least 2")
+    os.makedirs(args.out, exist_ok=True)
     records = run_sweep(n_points=args.n,
                         kappa_range=(args.kappa_min, args.kappa_max))
     fits = [fit_linear(records, t) for t in ("B", "B-", "B+")]
-    os.makedirs(args.out, exist_ok=True)
     csvio.write_sweep(records, os.path.join(args.out, "sweep.csv"))
     csvio.write_fits(fits, os.path.join(args.out, "fits.csv"))
     em = np.array([r.eps_minus for r in records], dtype=float)
@@ -212,6 +212,8 @@ def _cmd_reconstruct(args, parser) -> int:
     if args.N is not None and args.policy != "N":
         parser.error(f"--N is a manual truncation and needs --policy N, "
                      f"not --policy {args.policy}")
+    if args.out != "-" and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(f"no directory for --out {args.out!r}")
     terms = _parse_source_spec(args.source)
     m_top = max(abs(m) for _, m in terms)
     horizon = max(default_m_max(g.kappa0), m_top)
@@ -224,7 +226,8 @@ def _cmd_reconstruct(args, parser) -> int:
         fn=lambda rho, th: sum(c * psi_eval(m, g, rho, th)
                                for c, m in terms))
     wa = truth.area_weights
-    norm2 = float(np.sum(wa * np.abs(truth.values)**2))
+    with np.errstate(over="ignore"):    # inf passes; rel_error is scaled
+        norm2 = float(np.sum(wa * np.abs(truth.values)**2))
     if norm2 == 0.0:
         raise ValueError(f"source {args.source!r} has zero norm on the grid")
     data = synthesize_measurement(truth, args.noise, args.seed, modes=horizon,
@@ -233,10 +236,11 @@ def _cmd_reconstruct(args, parser) -> int:
     rec = tsvd_reconstruct(coeffs, n_trunc, g, n_r=n_r,
                            n_theta=n_theta, policy=args.policy)
     csvio.write_reconstruction(rec, args.out)
-    diff = rec.source.values - truth.values
-    rel = math.sqrt(float(np.sum(wa * np.abs(diff)**2)) / norm2)
+    e = -math.frexp(float(np.abs(truth.values).max()))[1]  # exact 2^e scale
+    num, den = (float(np.sum(wa * np.ldexp(np.abs(v), e)**2))
+                for v in (rec.source.values - truth.values, truth.values))
     print(f"N={rec.N} policy={args.policy} residual={rec.residual:.6e} "
-          f"rel_error={rel:.6e}")
+          f"rel_error={math.sqrt(num / den):.6e}")
     return EXIT_OK
 
 
@@ -258,7 +262,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # SigmaUnderflowError, OverflowError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:    # OSError: --out not writable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

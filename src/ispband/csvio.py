@@ -17,6 +17,8 @@ import operator
 import sys
 import typing
 from array import array
+from functools import cache, partial
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -60,10 +62,6 @@ SWEEP_HEADER = _header(_SWEEP)
 FITS_HEADER = _header(_FITS)
 
 
-def _g17(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _text(v) -> str:
     # a comma or a line break would split the cell when read back
     if "," in v or "\n" in v or "\r" in v:
@@ -71,12 +69,10 @@ def _text(v) -> str:
     return v
 
 
-_FORMAT = {int: lambda v: str(int(v)), float: _g17, str: _text}
-
-
-# numeric columns are parsed into packed arrays: 8 bytes a value, not a
-# Python object each
-_COLUMN = {int: lambda: array("q"), float: lambda: array("d"), str: list}
+# "%.17g" % x gives the bytes of format(float(x), ".17g"); numeric columns
+# are parsed into packed arrays: 8 bytes a value, not a Python object each
+_SPEC = {int: "%d", float: "%.17g", str: "%s"}
+_COLUMN = {int: partial(array, "q"), float: partial(array, "d"), str: list}
 
 
 @contextlib.contextmanager
@@ -94,7 +90,7 @@ def _open(path, mode: str):
 def _meta_line(meta: dict) -> str:
     tokens = []
     for key, val in meta.items():
-        text = _FORMAT[type(val)](val)
+        text = _text(val) if type(val) is str else _SPEC[type(val)] % val
         if "=" in text or any(ch.isspace() for ch in text):
             raise ValueError(f"metadata value {key}={text!r} holds "
                              "whitespace or '=' and would not read back")
@@ -102,14 +98,21 @@ def _meta_line(meta: dict) -> str:
     return "# " + " ".join(tokens) + "\n"
 
 
-def _write(path, columns, rows, meta: dict | None = None) -> None:
-    """Optional `# key=value ...` line, the header, then one line per row."""
-    fmts = [_FORMAT[kind] for _, kind in columns]
+def _write(path, columns, blocks, meta: dict | None = None) -> None:
+    """Optional `# key=value ...` line, the header, each block as made."""
     first = _meta_line(meta) if meta is not None else ""
     with _open(path, "w") as fh:
         fh.write(first + _header(columns) + "\n")
-        for row in rows:
-            fh.write(",".join([f(v) for f, v in zip(fmts, row)]) + "\n")
+        for block in blocks:
+            fh.write(block)
+
+
+def _table(columns, rows) -> list[str]:
+    """All rows as one block, filled in through one `%` template."""
+    cells = [_text(v) if kind is str else v
+             for row in rows for (_, kind), v in zip(columns, row)]
+    line = ",".join(_SPEC[kind] for _, kind in columns) + "\n"
+    return [line * (len(cells) // len(columns)) % tuple(cells)]
 
 
 class _Meta(dict):
@@ -117,12 +120,36 @@ class _Meta(dict):
         raise ValueError(f"metadata line lacks the key {key!r}")
 
 
-def _read(path, columns, meta: bool = False):
+def _read(path, columns, meta: bool = False, memo: int = 0):
     """(metadata dict of strings or None, one sequence per column) of a file
-    written by `_write`; every nonblank line must hold one field per column."""
-    header = _header(columns)
-    cols = [_COLUMN[kind]() for _, kind in columns]
-    kinds = [kind for _, kind in columns]
+    written by `_write`. Each block of lines is split and converted by
+    column, each distinct text of the first `memo` columns (which repeat)
+    once; a block with a blank or faulty line is walked line by line."""
+    header, width = _header(columns), len(columns)
+    convs = [(_COLUMN[kind], cache(kind) if c < memo else kind)
+             for c, (_, kind) in enumerate(columns)]
+
+    def parse(lines, lineno):
+        splits = list(map(str.split, map(str.strip, lines), repeat(",")))
+        if list(map(len, splits)).count(width) == len(splits):
+            with contextlib.suppress(ValueError, OverflowError):
+                return [make(map(conv, col))
+                        for (make, conv), col in zip(convs, zip(*splits))]
+        part = [make() for make, _ in convs]
+        for lineno, fields in enumerate(splits, start=lineno):
+            if fields == [""]:
+                continue
+            if len(fields) != width:
+                raise ValueError(f"line {lineno}: {len(fields)} fields, "
+                                 f"expected {width} ({header})")
+            try:
+                for col, (_, conv), val in zip(part, convs, fields):
+                    col.append(conv(val))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+        return part
+
+    cols = [make() for make, _ in convs]
     with _open(path, "r") as fh:
         info = None
         if meta:
@@ -133,18 +160,11 @@ def _read(path, columns, meta: bool = False):
         line = fh.readline().strip()
         if line != header:
             raise ValueError(f"unexpected header {line!r}, expected {header!r}")
-        for lineno, line in enumerate(fh, start=3 if meta else 2):
-            fields = line.strip().split(",")
-            if fields == [""]:
-                continue
-            if len(fields) != len(columns):
-                raise ValueError(f"line {lineno}: {len(fields)} fields, "
-                                 f"expected {len(columns)} ({header})")
-            try:
-                for col, kind, val in zip(cols, kinds, fields):
-                    col.append(kind(val))
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+        lineno = 3 if meta else 2
+        while lines := fh.readlines(1 << 13):  # 8 KiB keeps transients small
+            for col, part in zip(cols, parse(lines, lineno)):
+                col.extend(part)
+            lineno += len(lines)
     return info, cols
 
 
@@ -167,10 +187,10 @@ def _complex(re, im) -> np.ndarray:
 
 def write_spectrum(table: SpectrumTable, path) -> None:
     """Spectrum rows as m,A_m,log10_abs_H2,log10_sigma,sigma."""
-    _write(path, _SPECTRUM, zip(
+    _write(path, _SPECTRUM, _table(_SPECTRUM, zip(
         table.m.tolist(), table.a.tolist(),
         (table.log_abs_h2 / _LN10).tolist(),
-        (table.log_sigma / _LN10).tolist(), table.sigma.tolist()))
+        (table.log_sigma / _LN10).tolist(), table.sigma.tolist())))
 
 
 def read_spectrum(path) -> dict:
@@ -185,7 +205,7 @@ def _getter(columns):
 
 
 def write_sweep(records: Iterable[SweepRecord], path) -> None:
-    _write(path, _SWEEP, map(_getter(_SWEEP), records))
+    _write(path, _SWEEP, _table(_SWEEP, map(_getter(_SWEEP), records)))
 
 
 def read_sweep(path) -> list[SweepRecord]:
@@ -194,7 +214,7 @@ def read_sweep(path) -> list[SweepRecord]:
 
 
 def write_fits(fits: Iterable[RegressionFit], path) -> None:
-    _write(path, _FITS, map(_getter(_FITS), fits))
+    _write(path, _FITS, _table(_FITS, map(_getter(_FITS), fits)))
 
 
 def read_fits(path) -> list[RegressionFit]:
@@ -203,8 +223,8 @@ def read_fits(path) -> list[RegressionFit]:
 
 
 def write_boundary(bd: BoundaryData, path) -> None:
-    _write(path, _BOUNDARY,
-           zip(range(bd.n_s), bd.values.real.tolist(), bd.values.imag.tolist()),
+    _write(path, _BOUNDARY, _table(_BOUNDARY, zip(
+        range(bd.n_s), bd.values.real.tolist(), bd.values.imag.tolist())),
            _geometry_meta(bd.geometry, n_s=bd.n_s,
                           noise=float(bd.noise_level)))
 
@@ -218,16 +238,20 @@ def read_boundary(path) -> BoundaryData:
                         noise_level=float(meta.get("noise", 0.0)))
 
 
-def _grid_rows(s: SourceField):
-    theta = s.theta.tolist()
+def _rings(s: SourceField):
+    """A block per ring: i_theta and theta formatted once into a template
+    whose I and R (no "%.17g" text holds a capital) take i_r and rho."""
+    tpl = "".join(f"I,{j},R,{t:.17g},%.17g,%.17g\n"
+                  for j, t in enumerate(s.theta.tolist()))
     for i, (rho, ring) in enumerate(zip(s.rho.tolist(), s.values)):
-        for j, v in enumerate(ring.tolist()):
-            yield i, j, rho, theta[j], v.real, v.imag
+        cells = np.ascontiguousarray(ring, dtype=complex).view(float).tolist()
+        yield tpl.replace("I", str(i)).replace("R", f"{rho:.17g}") % (*cells,)
 
 
 def _read_grid(path):
     """Source field and metadata of a source or reconstruction file."""
-    meta, (i_r, i_theta, rho, theta, re, im) = _read(path, _GRID, meta=True)
+    meta, (i_r, i_theta, rho, theta, re, im) = _read(path, _GRID, meta=True,
+                                                     memo=4)
     g = _geometry(meta)
     n_r, n_theta = int(meta["n_r"]), int(meta["n_theta"])
     # the radial rule is canonical for (n_r, R0); rebuild its weights
@@ -251,7 +275,7 @@ def _read_grid(path):
 
 
 def write_source(s: SourceField, path) -> None:
-    _write(path, _GRID, _grid_rows(s),
+    _write(path, _GRID, _rings(s),
            _geometry_meta(s.geometry, n_r=s.n_r, n_theta=s.n_theta))
 
 
@@ -261,7 +285,7 @@ def read_source(path) -> SourceField:
 
 def write_reconstruction(rec: Reconstruction, path) -> None:
     s = rec.source
-    _write(path, _GRID, _grid_rows(s), _geometry_meta(
+    _write(path, _GRID, _rings(s), _geometry_meta(
         s.geometry, n_r=s.n_r, n_theta=s.n_theta, N=int(rec.N),
         residual=float(rec.residual), policy=rec.policy))
 

@@ -134,9 +134,11 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
                                                 n_theta))
     norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho) @ radial**2)
-    den = float(np.sum(np.abs(cm)**2))
-    residual = (math.sqrt(float(np.sum((np.abs(cm) * (norms - 1.0))**2))
-                          / den) if den > 0.0 else 0.0)
+    # scaled by a power of two, exactly: the squares stay in range
+    a = np.ldexp(np.abs(cm), -math.frexp(float(np.max(np.abs(cm))))[1])
+    den = float(np.sum(a**2))
+    residual = (math.sqrt(float(np.sum((a * (norms - 1.0))**2)) / den)
+                if den > 0.0 else 0.0)
     return Reconstruction(source=shat, N=N, residual=residual, policy=policy)
 
 

@@ -83,3 +83,51 @@ def psi_oracle(m: int, g, rho, theta):
     return (special.jv(m, g.k * np.asarray(rho))
             * np.exp(1j * m * np.asarray(theta))
             / (math.sqrt(math.pi) * g.R0 * a))
+
+
+_PER_CELL = {int: lambda v: str(int(v)), float: lambda v: format(float(v), ".17g"),
+             str: str}
+
+
+def per_cell_csv(columns, rows, meta: dict | None = None) -> str:
+    """A CSV formatted one cell at a time: an optional `# key=value ...`
+    line, the header, then one `",".join` per row, each int cell as
+    str(int(v)), each float as format(float(v), ".17g"), each text as is.
+    columns is a sequence of (header name, kind) pairs."""
+    lines = [] if meta is None else [
+        "# " + " ".join(f"{k}={_PER_CELL[type(v)](v)}" for k, v in meta.items())]
+    lines.append(",".join(name for name, _ in columns))
+    fmts = [_PER_CELL[kind] for _, kind in columns]
+    lines += [",".join(f(v) for f, v in zip(fmts, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_grid_rows(s):
+    """Rows (i_r, i_theta, rho, theta, re, im) of a source field, ring by
+    ring."""
+    theta = s.theta.tolist()
+    for i, (rho, ring) in enumerate(zip(s.rho.tolist(), s.values)):
+        for j, v in enumerate(ring.tolist()):
+            yield i, j, rho, theta[j], v.real, v.imag
+
+
+def per_line_read(fh, columns, meta: bool = False):
+    """(metadata dict of strings or None, one packed array or list per
+    column) of a CSV read one line at a time: blank lines skipped, every
+    other line split on commas and converted field by field."""
+    from array import array
+    cols = [array("q") if kind is int else array("d") if kind is float
+            else [] for _, kind in columns]
+    info = None
+    if meta:
+        line = fh.readline().rstrip("\n")
+        info = dict(tok.partition("=")[::2] for tok in line[2:].split())
+    assert fh.readline().strip() == ",".join(name for name, _ in columns)
+    for line in fh:
+        fields = line.strip().split(",")
+        if fields == [""]:
+            continue
+        assert len(fields) == len(columns)
+        for col, (_, kind), val in zip(cols, columns, fields):
+            col.append(kind(val))
+    return info, cols

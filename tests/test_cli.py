@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,21 @@ class TestReconstructCommand:
         assert "zero norm" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("scale", ["1e-160", "1e200"])
+    def test_figures_are_scale_invariant(self, capsys, tmp_path, scale):
+        # once residual=0 rel_error=0 (squares underflowed) and, at 1e200,
+        # nan for both with four overflow warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(capsys, "reconstruct", "--kappa0", "5",
+                                   "--kappa", "5", f"--source={scale}*mode:2",
+                                   "--out", str(tmp_path / "rec.csv"))
+        assert code == 0
+        assert caught == []
+        stats = last_line_stats(out)
+        for key in ("residual", "rel_error"):
+            assert 0.0 < float(stats[key]) <= 1e-13, key
+
     def test_custom_source_spec(self, capsys):
         code, out, _ = run_cli(capsys, "reconstruct", "--kappa0",
                                str(10 * math.pi), "--kappa",
@@ -334,6 +350,37 @@ class TestReconstructCommand:
                                "--N", "5")
         assert code == 0
         assert float(last_line_stats(out)["rel_error"]) < 1e-6
+
+
+class TestOutputTarget:
+    """An --out that cannot be written is a usage error (exit 2), not an
+    uncaught FileNotFoundError or FileExistsError (exit 1)."""
+
+    def test_spectrum_into_a_missing_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "spectrum", "--kappa0", "5", "--kappa",
+                               "5", "--out", str(tmp_path / "no" / "s.csv"))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_reconstruct_refuses_before_any_pass(self, capsys, count_passes,
+                                                 tmp_path):
+        counts = count_passes()
+        code, _, err = run_cli(capsys, "reconstruct", "--kappa0", "5",
+                               "--kappa", "5",
+                               "--out", str(tmp_path / "no" / "r.csv"))
+        assert code == 2
+        assert err.startswith("error: ") and "--out" in err
+        assert counts == {"J": 0, "Y": 0}
+        assert not (tmp_path / "no").exists()
+
+    def test_sweep_into_an_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("kept\n")
+        code, _, err = run_cli(capsys, "sweep", "--n", "3", "--out",
+                               str(target))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert target.read_text() == "kept\n"
 
 
 def package_env() -> dict:

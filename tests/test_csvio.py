@@ -1,5 +1,7 @@
 import io
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import ispband as ib
 from ispband import csvio
 from ispband import experiments as ex
 from ispband import singular_system as ss
+from oracles import per_cell_csv, per_cell_grid_rows, per_line_read
 
 TEN_PI = 10.0 * math.pi
 
@@ -319,3 +322,210 @@ class TestGoldenBytes:
         assert csvio.dumps(csvio.write_reconstruction, rec) == (
             "# k=2 R0=0.5 R=1 n_r=2 n_theta=2 N=1 "
             "residual=0.0025000000000000001 policy=B-\n" + self.GRID_ROWS)
+
+
+EDGE = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300,
+        1.7976931348623157e308, -1.7976931348623157e308)
+FINITE_EDGE = tuple(v for v in EDGE if math.isfinite(v))
+
+
+def _fill(rng, shape, edge):
+    """Random normals of `shape` with the edge values cycled over the first
+    cells."""
+    out = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, shape)
+    flat = out.reshape(-1)
+    flat[:len(edge)] = np.resize(np.array(edge), min(len(edge), flat.size))
+    return out
+
+
+def _objects(rng, edge=(), contiguous=True) -> dict:
+    """One object per writer, every float cell random or an edge value."""
+    g = ib.ProblemGeometry(k=float(rng.uniform(1, 9)), R0=0.5, R=1.25)
+    n_r, n_t = (int(n) for n in rng.integers(2, 9, 2))
+    n = 3 * len(EDGE)
+    table = ss.SpectrumTable(geometry=g, m=np.arange(n), phase=np.zeros(n),
+                             **{k: _fill(rng, n, edge) for k in (
+                                 "a", "log_abs_h2", "log_sigma", "sigma")})
+    sweep = [ex.SweepRecord(*f[:2], *rng.integers(-99, 99, 7).tolist(),
+                            *f[2:]) for f in _fill(rng, (n, 4), edge).tolist()]
+    fits = [ex.RegressionFit(t, *f) for t, f in zip(
+        ("B", "B-", "B+"), _fill(rng, (3, 4), edge).tolist())]
+    finite = [v for v in edge if math.isfinite(v)]
+    values = csvio._complex(_fill(rng, 3 * n, finite),
+                            _fill(rng, 3 * n, finite[::-1]))
+    bd = ib.BoundaryData(geometry=g, noise_level=float(rng.uniform()),
+                         values=values if contiguous else values[::3])
+    grid = csvio._complex(*_fill(rng, (2, n_t * n_r), edge)).reshape(n_t, n_r)
+    src = replace(ib.source_grid(g, n_r, n_t),
+                  values=grid.T if not contiguous else grid.T.copy())
+    rec = ib.Reconstruction(source=src, N=int(rng.integers(0, 50)),
+                            residual=float(rng.uniform()), policy="B+")
+    return {csvio.write_spectrum: table, csvio.write_sweep: sweep,
+            csvio.write_fits: fits, csvio.write_boundary: bd,
+            csvio.write_source: src, csvio.write_reconstruction: rec}
+
+
+def _geo(g) -> dict:
+    return {"k": float(g.k), "R0": float(g.R0), "R": float(g.R)}
+
+
+def _per_cell(writer, obj) -> str:
+    """What the per-cell route writes for `obj`."""
+    if writer is csvio.write_spectrum:
+        ln10 = math.log(10.0)
+        return per_cell_csv(csvio._SPECTRUM, zip(
+            obj.m.tolist(), obj.a.tolist(), (obj.log_abs_h2 / ln10).tolist(),
+            (obj.log_sigma / ln10).tolist(), obj.sigma.tolist()))
+    if writer in (csvio.write_sweep, csvio.write_fits):
+        cols = csvio._SWEEP if writer is csvio.write_sweep else csvio._FITS
+        return per_cell_csv(cols, ([getattr(r, c) for c, _ in cols]
+                                   for r in obj))
+    if writer is csvio.write_boundary:
+        return per_cell_csv(csvio._BOUNDARY, zip(
+            range(obj.n_s), obj.values.real.tolist(),
+            obj.values.imag.tolist()), dict(_geo(obj.geometry), n_s=obj.n_s,
+                                            noise=float(obj.noise_level)))
+    s = obj if writer is csvio.write_source else obj.source
+    meta = dict(_geo(s.geometry), n_r=s.n_r, n_theta=s.n_theta)
+    if writer is csvio.write_reconstruction:
+        meta.update(N=obj.N, residual=obj.residual, policy=obj.policy)
+    return per_cell_csv(csvio._GRID, per_cell_grid_rows(s), meta)
+
+
+class TestPerCellOracle:
+    """Every writer gives the bytes of the per-cell route: one
+    format(float(v), ".17g") per cell and one join per row."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_tables(self, seed):
+        for writer, obj in _objects(np.random.default_rng(seed)).items():
+            assert csvio.dumps(writer, obj) == _per_cell(writer, obj), writer
+
+    def test_edge_values(self):
+        objs = _objects(np.random.default_rng(3), EDGE)
+        for writer, obj in objs.items():
+            text = csvio.dumps(writer, obj)
+            assert text == _per_cell(writer, obj), writer
+            lines = text.splitlines()
+            cells = set(",".join(lines[1 + lines[0].startswith("#"):]).split(","))
+            edge = EDGE if writer is not csvio.write_boundary else FINITE_EDGE
+            assert {format(v, ".17g") for v in edge} <= cells, writer
+
+    def test_non_contiguous_values(self):
+        objs = _objects(np.random.default_rng(4), EDGE, contiguous=False)
+        assert not objs[csvio.write_source].values.flags.c_contiguous
+        assert not objs[csvio.write_boundary].values.flags.c_contiguous
+        for writer, obj in objs.items():
+            assert csvio.dumps(writer, obj) == _per_cell(writer, obj), writer
+
+    def test_path_stream_and_stdout_targets(self, tmp_path, capsys):
+        for n, (writer, obj) in enumerate(
+                _objects(np.random.default_rng(5), EDGE).items()):
+            expected = _per_cell(writer, obj)
+            path = tmp_path / f"{n}.csv"
+            writer(obj, str(path))
+            assert path.read_bytes() == expected.encode()
+            buf = io.StringIO()
+            writer(obj, buf)
+            assert buf.getvalue() == expected
+            capsys.readouterr()
+            writer(obj, "-")
+            assert capsys.readouterr().out == expected
+
+
+class TestBulkReader:
+    """The block-wise reader against the per-line one, on a 64 x 162
+    source file of 10 370 lines (several read blocks)."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        g = ib.ProblemGeometry.from_size_params(40.0, 40.0)
+        grid = ib.source_grid(g, 64, 162, fn=lambda r, t: (
+            np.exp(-r) * np.exp(1j * 5 * t) + 1e-300 * r))
+        return csvio.dumps(csvio.write_source, grid)
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            assert getattr(a, "typecode", None) == getattr(b, "typecode", None)
+            assert bytes(a) == bytes(b) if hasattr(a, "typecode") else a == b
+
+    def test_clean_file_matches_the_per_line_reader(self, text, tmp_path):
+        info, cols = csvio._read(io.StringIO(text), csvio._GRID, meta=True)
+        ref_info, ref = per_line_read(io.StringIO(text), csvio._GRID, True)
+        assert dict(info) == ref_info
+        self._same(cols, ref)
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        back = csvio.read_source(str(path))
+        assert back.values.dtype == complex and back.rho.dtype == float
+        assert back.theta.dtype == float
+        re, im = np.asarray(ref[4]), np.asarray(ref[5])
+        assert back.values.real.tobytes() == re.tobytes()
+        assert back.values.imag.tobytes() == im.tobytes()
+
+    @pytest.mark.parametrize("edit", ["blank", "blank_block", "spaces",
+                                      "crlf", "no_eol"])
+    def test_irregular_lines_read_as_per_line(self, text, edit):
+        lines = text.splitlines(keepends=True)
+        if edit == "blank":
+            for at in (9000, 5000, 40, 3):
+                lines.insert(at, "\n")
+            lines.append("\n")
+        elif edit == "blank_block":
+            # whole read blocks of blank lines, inside and at the end
+            lines[5000:5000] = ["\n"] * 40000
+            lines += [" \n"] * 40000
+        elif edit == "spaces":
+            lines[8997] = "  " + lines[8997].replace("\n", " \t\n")
+            lines.insert(7000, "   \n")
+        elif edit == "crlf":
+            lines = [line.replace("\n", "\r\n") for line in lines]
+        else:
+            lines[-1] = lines[-1].rstrip("\n")
+        bad = "".join(lines)
+        _, cols = csvio._read(io.StringIO(bad), csvio._GRID, meta=True)
+        _, ref = per_line_read(io.StringIO(bad), csvio._GRID, meta=True)
+        self._same(cols, ref)
+        assert np.array_equal(csvio.read_source(io.StringIO(bad)).values,
+                              csvio.read_source(io.StringIO(text)).values)
+
+    @pytest.mark.parametrize("col, value, message", [
+        (5, "1,7", "line 9000: 7 fields, expected 6"),
+        (4, "0.5x", "line 9000: could not convert string to float"),
+        (1, "99999999999999999999", "line 9000: int too big")])
+    def test_refusal_names_its_line(self, text, col, value, message):
+        # data row 8997 is line 9000, after the metadata line and header
+        bad = _edit_row(text, 8997, col, value)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            csvio.read_source(io.StringIO(bad))
+
+    def test_earliest_fault_is_named(self, text):
+        # a bad float on line 9000 and a bad field count on line 9001: the
+        # earlier line is named, as a line-by-line read would
+        bad = _edit_row(_edit_row(text, 8997, 3, "x"), 8998, 5, "1,2")
+        with pytest.raises(ValueError, match="^line 9000: could not"):
+            csvio.read_source(io.StringIO(bad))
+
+
+def test_writer_streams_ring_by_ring(tmp_path):
+    # a 201 x 754 reconstruction (the default grid at kappa = 100 pi) is a
+    # 13 MB file; written a ring at a time it never exists as one string
+    g = ib.ProblemGeometry.from_size_params(100 * math.pi, 100 * math.pi)
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((2, 201, 754))
+    rec = ib.Reconstruction(
+        source=replace(ib.source_grid(g, 201, 754),
+                       values=values[0] + 1j * values[1]),
+        N=304, residual=3.5e-16, policy="B")
+    path = tmp_path / "rec.csv"
+    tracemalloc.start()
+    try:
+        csvio.write_reconstruction(rec, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 12e6
+    assert peak < 4e6

@@ -597,3 +597,19 @@ def test_counts_are_refused_not_floored(g_equal_10pi, name, bad):
         call(bad)
     want = 128 if name == "modes" else 3
     assert [call(n) for n in (3, np.int64(3), 3.0)] == [want] * 3
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+def test_residual_is_scale_invariant(g_equal_10pi, power):
+    # |c_m|^2 once underflowed to a zero residual (2^-600) or overflowed
+    # to nan (2^600); scaling by a power of two now leaves every bit
+    from dataclasses import replace
+    rng = np.random.default_rng(8)
+    bd = ib.BoundaryData(geometry=g_equal_10pi, values=(
+        rng.standard_normal(64) + 1j * rng.standard_normal(64)))
+    c = ib.modal_decompose(bd, 20)
+    ref = ib.tsvd_reconstruct(c, 12, n_r=12, n_theta=40)
+    assert 0.0 < ref.residual < 1.0
+    scaled = ib.tsvd_reconstruct(replace(c, c=c.c * 2.0**power), 12,
+                                 n_r=12, n_theta=40)
+    assert scaled.residual == ref.residual
