@@ -212,8 +212,10 @@ def _cmd_reconstruct(args, parser) -> int:
     if args.N is not None and args.policy != "N":
         parser.error(f"--N is a manual truncation and needs --policy N, "
                      f"not --policy {args.policy}")
-    if args.out != "-" and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise FileNotFoundError(f"no directory for --out {args.out!r}")
+    if args.out != "-" and (os.path.isdir(args.out) or not os.path.isdir(
+            os.path.dirname(args.out) or ".")):
+        raise OSError(f"--out {args.out!r} must be a file in an existing "
+                      "directory")
     terms = _parse_source_spec(args.source)
     m_top = max(abs(m) for _, m in terms)
     horizon = max(default_m_max(g.kappa0), m_top)

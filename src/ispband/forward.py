@@ -60,6 +60,12 @@ log = logging.getLogger(__name__)
 _KERNEL_TAIL_TOL = 1e-10
 
 
+def _scaled_abs(v) -> tuple[np.ndarray, int]:
+    """|v| 2^-e and e = frexp exponent of max|v|: exact, squares in range."""
+    e = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+    return np.ldexp(np.abs(v), -e), e
+
+
 @dataclass(frozen=True)
 class SourceField:
     """Complex samples of a source on the polar quadrature grid of the disk.
@@ -104,9 +110,9 @@ class SourceField:
                         np.full(self.n_theta, w_ang))
 
     def norm(self) -> float:
-        """Discrete L2 norm over the disk."""
-        return math.sqrt(float(np.sum(self.area_weights
-                                      * np.abs(self.values)**2)))
+        """Discrete L2 norm over the disk, at any scale (_scaled_abs)."""
+        a, e = _scaled_abs(self.values)
+        return math.ldexp(math.sqrt(np.sum(self.area_weights * a**2)), e)
 
 
 @dataclass(frozen=True)
@@ -134,9 +140,10 @@ class BoundaryData:
         return 2.0 * math.pi * np.arange(self.n_s) / self.n_s
 
     def norm(self) -> float:
-        """Discrete L2 norm over the measurement circle."""
+        """Discrete L2 norm over the measurement circle, at any scale."""
         w = 2.0 * math.pi * self.geometry.R / self.n_s
-        return math.sqrt(w * float(np.sum(np.abs(self.values)**2)))
+        a, e = _scaled_abs(self.values)
+        return math.ldexp(math.sqrt(w * float(np.sum(a**2))), e)
 
 
 @dataclass(frozen=True)

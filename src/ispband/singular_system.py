@@ -288,25 +288,23 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     """Right singular function psi_m at polar points of the source disk.
 
     rho and theta broadcast against each other. Requires an integer m,
-    |rho| <= R0 and a nondegenerate mode (A_{|m|}(kappa0) > 0). One
-    bessel_j_table call gives J at kappa0 to _j_horizon, as a_m reads it,
-    and J_{|m|} at the distinct radii; _psi_radial does the rest.
+    finite points with |rho| <= R0 and A_{|m|}(kappa0) > 0. A and the
+    ring rows of the distinct radii come from the maps' memos
+    (_spectrum_table, _planned); _psi_radial does the rest.
     """
     m = _check_count(m, "mode order must be an integer", -math.inf)
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(rho < 0.0) or np.any(rho > g.R0 * (1.0 + 1e-12)):
-        raise ValueError("psi_eval points must lie in the source disk")
-    n = abs(m)
-    radii, at = np.unique(g.k * rho, return_inverse=True)
-    j = bessel_j_table(np.r_[_j_horizon(g.kappa0, n), np.full(radii.size, n)],
-                       np.r_[g.kappa0, radii])
-    a = _a_from_row(j[0], np.arange(n + 1), g.kappa0)
-    if a[n] == 0.0:
+    if not (np.all((rho >= 0.0) & (rho <= g.R0 * (1.0 + 1e-12)))
+            and np.all(np.isfinite(theta))):
+        raise ValueError("psi_eval points must be finite and in the disk")
+    a = _spectrum_table(g, max(abs(m), 1)).a
+    if a[abs(m)] == 0.0:
         raise ArithmeticError(
             f"mode m={m} is degenerate at kappa0={g.kappa0:g} (A_m = 0)")
-    radial = _psi_radial([m], j[1:], a, g.R0)[at, 0].reshape(rho.shape)
-    out = radial * np.exp(1j * m * theta)
+    radii, at = np.unique(rho, return_inverse=True)
+    radial = _psi_radial([m], _planned(g, abs(m), radii), a, g.R0)
+    out = radial[at, 0].reshape(rho.shape) * np.exp(1j * m * theta)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -358,6 +356,8 @@ def phi_eval(m: int, g: ProblemGeometry, theta):
     """Left singular function phi_m at angles theta of the measurement circle."""
     m = _check_count(m, "mode order must be an integer", -math.inf)
     theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("phi_eval points must be finite")
     ph = float(_signed_phase(_spectrum_table(g, max(abs(m), 1)).phase,
                              [m])[0])
     out = np.exp(1j * (ph + m * theta)) / math.sqrt(2.0 * math.pi * g.R)

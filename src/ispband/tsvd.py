@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bandwidth import bandwidth, bound_lower, bound_upper
-from .forward import SourceField, BoundaryData, source_grid
+from .forward import SourceField, BoundaryData, _scaled_abs, source_grid
 from .singular_system import (ProblemGeometry, _planned, _psi_radial,
                               _psi_synthesize, _signed_phase, _spectrum_table,
                               default_m_max)
@@ -134,8 +134,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
                                                 n_theta))
     norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho) @ radial**2)
-    # scaled by a power of two, exactly: the squares stay in range
-    a = np.ldexp(np.abs(cm), -math.frexp(float(np.max(np.abs(cm))))[1])
+    a = _scaled_abs(cm)[0]          # exact: the squares stay in range
     den = float(np.sum(a**2))
     residual = (math.sqrt(float(np.sum((a * (norms - 1.0))**2)) / den)
                 if den > 0.0 else 0.0)

@@ -11,13 +11,17 @@ from ispband import specfun as sf
 TEN_PI = 10.0 * math.pi
 
 
-@pytest.fixture(autouse=True)
-def cold_spectrum_memo():
-    """Every test starts with no memoized spectrum and no memoized ring
-    rows, so the Bessel passes a test counts do not depend on the tests
-    run before it."""
+def cold_memos() -> None:
+    """Drop every memoized spectrum and every memoized ring table, so the
+    Bessel passes counted next do not depend on what ran before."""
     ss._memo_table.cache_clear()
     ss._memo_rings.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_spectrum_memo():
+    """Every test starts with cold memos (cold_memos)."""
+    cold_memos()
 
 
 @pytest.fixture

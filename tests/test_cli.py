@@ -12,6 +12,7 @@ import pytest
 
 import ispband as ib
 from ispband import cli, csvio
+from ispband import singular_system as ss
 
 
 def run_cli(capsys, *argv):
@@ -277,18 +278,19 @@ class TestReconstructCommand:
         assert (got.N, got.policy, got.residual) == (rec.N, "B", rec.residual)
         assert np.array_equal(got.source.values, rec.source.values)
 
-    def test_cold_default_run_takes_four_j_and_one_y_pass(
+    def test_cold_default_run_takes_two_j_and_one_y_pass(
             self, capsys, count_passes, tmp_path):
-        # the memoized spectrum 1 J + 1 Y (run by B, read by the forward
-        # map, the decomposition and the TSVD), one J per psi_eval of the
-        # two default source terms, the forward map's ring rows 1 J; the
-        # TSVD reuses the forward map's ring rows
+        # the memoized spectrum 1 J + 1 Y (run by B, read by psi_eval, the
+        # forward map, the decomposition and the TSVD) and one ring table
+        # 1 J, keyed by the default horizon and the grid's radii: psi_eval
+        # builds it for the truth, and the forward map and the TSVD read it
         counts = count_passes()
         code, _, _ = run_cli(capsys, "reconstruct", "--kappa0",
                              str(10 * math.pi), "--kappa", str(10 * math.pi),
                              "--out", str(tmp_path / "rec.csv"))
         assert code == 0
-        assert counts == {"J": 4, "Y": 1}
+        assert counts == {"J": 2, "Y": 1}
+        assert ss._memo_rings.cache_info().currsize == 1
 
     @pytest.mark.parametrize("flag, reason", [
         ("--noise=nan", "finite"), ("--noise=inf", "finite"),
@@ -362,16 +364,20 @@ class TestOutputTarget:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("target", ["missing-directory",
+                                        "existing-directory"])
     def test_reconstruct_refuses_before_any_pass(self, capsys, count_passes,
-                                                 tmp_path):
+                                                 tmp_path, target):
+        out = (tmp_path / "no" / "r.csv" if target == "missing-directory"
+               else tmp_path)
         counts = count_passes()
         code, _, err = run_cli(capsys, "reconstruct", "--kappa0", "5",
-                               "--kappa", "5",
-                               "--out", str(tmp_path / "no" / "r.csv"))
+                               "--kappa", "5", "--out", str(out))
         assert code == 2
         assert err.startswith("error: ") and "--out" in err
         assert counts == {"J": 0, "Y": 0}
         assert not (tmp_path / "no").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_into_an_existing_file(self, capsys, tmp_path):
         target = tmp_path / "taken"

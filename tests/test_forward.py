@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestSourceGrid:
         grid = ib.source_grid(g_equal_10pi, 24, 48, fn=lambda r, t: 1.0 + 0j)
         area = math.pi * g_equal_10pi.R0**2
         assert grid.norm() == pytest.approx(math.sqrt(area), rel=1e-12)
+        # the squares of 1e-160 are subnormal and those of 1e200 overflow;
+        # a power-of-two scale comes out exactly
+        for scale in (1e-160, 1e200, 2.0**-600):
+            scaled = replace(grid, values=scale * grid.values)
+            assert scaled.norm() == pytest.approx(scale * grid.norm(),
+                                                  rel=1e-14)
+        assert scaled.norm() == 2.0**-600 * grid.norm()
 
     def test_validation(self, g_equal_10pi):
         with pytest.raises(ValueError):
@@ -90,6 +98,10 @@ class TestBoundaryData:
         assert bd.theta[1] == pytest.approx(2.0 * math.pi / 20)
         circ = 2.0 * math.pi * g_equal_10pi.R
         assert bd.norm() == pytest.approx(math.sqrt(circ), rel=1e-12)
+        for scale in (1e-160, 1e200):
+            scaled = ib.BoundaryData(geometry=g_equal_10pi,
+                                     values=scale * bd.values)
+            assert scaled.norm() == pytest.approx(scale * bd.norm(), rel=1e-14)
         with pytest.raises(ValueError):
             ib.BoundaryData(geometry=g_equal_10pi,
                             values=np.ones(4, dtype=complex),

@@ -324,14 +324,19 @@ class TestSingularFunctions:
             ref = psi_oracle(m, g, rho, theta)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_psi_eval_takes_one_j_pass(self, count_passes, g_equal_10pi):
-        # the J row at kappa0 behind A_m and the ring rows share one call
+    def test_psi_eval_reads_the_memos(self, count_passes, g_equal_10pi):
+        # a cold call builds the memoized spectrum (1 J + 1 Y) and the ring
+        # table of its radii to the default horizon (1 J); every other
+        # order up to default_m_max reads both, and an order past it
+        # builds a longer spectrum and ring table of its own
         g = g_equal_10pi
         grid = ib.source_grid(g, 32, 16)
-        for m in (0, -7, 26, 120):     # 120: past the default horizon
+        for m, passes in ((0, (2, 1)), (-7, (0, 0)), (26, (0, 0)),
+                          (ss.default_m_max(g.kappa0), (0, 0)),
+                          (120, (2, 1))):
             counts = count_passes()
             ss.psi_eval(m, g, grid.rho[:, None], grid.theta[None, :])
-            assert counts == {"J": 1, "Y": 0}
+            assert (counts["J"], counts["Y"]) == passes, m
 
     def test_orders_refused_not_floored(self, g_equal_10pi):
         g = g_equal_10pi
@@ -344,6 +349,22 @@ class TestSingularFunctions:
             assert ss.psi_eval(m, g, 0.5 * g.R0, 0.3) == ss.psi_eval(
                 -3, g, 0.5 * g.R0, 0.3)
             assert ss.phi_eval(m, g, 0.3) == ss.phi_eval(-3, g, 0.3)
+
+    @pytest.mark.parametrize("rho, theta", [
+        (0.5, math.nan), (math.nan, 0.3), (math.inf, 0.3), (0.5, -math.inf),
+        (np.array([0.2, math.nan]), 0.3)],
+        ids=["theta-nan", "rho-nan", "rho-inf", "theta-inf", "rho-array"])
+    def test_non_finite_points_refused(self, count_passes, g_equal_10pi,
+                                       rho, theta):
+        # refused up front, before the spectrum or a ring table is built
+        g = g_equal_10pi
+        counts = count_passes()
+        with pytest.raises(ValueError, match="points must be finite"):
+            ss.psi_eval(3, g, rho * g.R0, theta)
+        if np.isfinite(rho).all():
+            with pytest.raises(ValueError, match="points must be finite"):
+                ss.phi_eval(3, g, theta)
+        assert counts == {"J": 0, "Y": 0}
 
     def test_degenerate_mode_rejected(self):
         g = ib.ProblemGeometry(k=1.0, R0=0.5, R=1.0)

@@ -7,7 +7,7 @@ import ispband as ib
 from ispband import singular_system as ss
 from ispband import tsvd
 
-from conftest import disk_rel_l2
+from conftest import cold_memos, disk_rel_l2
 
 TEN_PI = 10.0 * math.pi
 
@@ -353,12 +353,12 @@ class TestForwardPlan:
 
     @staticmethod
     def _warm_and_cold(c, N, g, n_r, n_theta):
-        """tsvd_reconstruct from a warm ring memo, then from a cleared one."""
+        """tsvd_reconstruct from warm memos, then from cold ones."""
         def run():
             return ib.tsvd_reconstruct(c, N, g, n_r=n_r, n_theta=n_theta)
         run()
         warm = run()
-        ss._memo_rings.cache_clear()
+        cold_memos()
         return warm, run()
 
     @pytest.mark.parametrize("kappa0, kappa", [(TEN_PI, TEN_PI), (8.0, 20.0)])
@@ -372,6 +372,7 @@ class TestForwardPlan:
         # the ring memo
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
         truth, horizon, n = self._data(g, noise)
+        cold_memos()            # psi_eval's truth warmed both memos
         counts = count_passes()
         data = ib.synthesize_measurement(truth, noise, 5, modes=horizon,
                                          n_s=n)
@@ -468,6 +469,7 @@ class TestForwardPlan:
         g = g_equal_10pi
         modes = ib.default_m_max(g.kappa0) + 10
         truth, _, n = self._data(g, 0.0, modes)
+        cold_memos()            # psi_eval's truth warmed both memos
         data = ib.synthesize_measurement(truth, 0.0, 5, modes=modes, n_s=n)
         c = ib.modal_decompose(data, modes)
         N = ib.pick_truncation(g, "B")
