@@ -327,7 +327,8 @@ def apply_forward_analytic(s: SourceField, modes: int,
     if ms.size:
         weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
         radial = _psi_radial(ms, _planned(g, modes, s.rho), table.a, g.R0)
-        coef = _psi_project(s.values, ms, weight[:, None] * radial)
+        coef = _psi_project(s.values, ms,
+                            np.multiply(weight[:, None], radial, out=radial))
         np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
                   * np.exp(1j * _signed_phase(table.phase, ms))
                   / math.sqrt(2.0 * math.pi * g.R))

@@ -313,32 +313,40 @@ def _psi_radial(ms, rings, a, R0: float) -> np.ndarray:
     modes psi_m, (n_r, len(ms)), from the ring rows rings[i, |m|] =
     J_|m|(k rho_i) and A row a[|m|], both reaching max |m|, and
     J_{-m} = (-1)^m J_m; psi_eval and the modal transform both read it.
-    Within 1e-12 of each column's largest entry of jv."""
+    The table is a fresh gather that the caller owns and may overwrite;
+    it is divided in place, with the sign in the divisor (exact). Within
+    1e-12 of each column's largest entry of jv."""
     ms = np.asarray(ms)
     sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
-    return (rings[:, np.abs(ms)] * sign
-            / (math.sqrt(math.pi) * R0 * a[np.abs(ms)]))
+    out = rings[:, np.abs(ms)]
+    return np.divide(out, sign * (math.sqrt(math.pi) * R0 * a[np.abs(ms)]),
+                     out=out)
 
 
-def _psi_synthesize(w, ms, radial, n_theta: int) -> np.ndarray:
-    """sum_m w_m psi_m at (rho_i, 2 pi j / n_theta). Mode m lands in FFT bin
-    m mod n_theta, and no two modes of ms may share a bin: for
-    ms = -N .. N that is n_theta >= 2N + 1, which tsvd_reconstruct checks."""
+def _psi_synthesize(w, radial, n_theta: int) -> np.ndarray:
+    """sum_m w_m psi_m at (rho_i, 2 pi j / n_theta) for the columns
+    m = -N .. N of w and radial, with n_theta >= 2N + 1 (tsvd_reconstruct
+    checks it). Modes 0 .. N fill FFT bins 0 .. N and -N .. -1 fill bins
+    n_theta - N .. n_theta - 1, as two contiguous blocks; the inverse FFT
+    then runs in place on those bins."""
+    N = len(w) // 2
     bins = np.zeros((len(radial), n_theta), dtype=complex)
-    bins[:, np.asarray(ms) % n_theta] = radial * w
-    return np.fft.ifft(bins, axis=1, norm="forward")
+    np.multiply(radial[:, N:], w[N:], out=bins[:, :N + 1])
+    np.multiply(radial[:, :N], w[:N], out=bins[:, n_theta - N:])
+    return np.fft.ifft(bins, axis=1, norm="forward", out=bins)
 
 
 def _psi_project(P, ms, radial) -> np.ndarray:
     """sum_ij P_ij conj(psi_m(rho_i, 2 pi j / n_theta)) for every m.
 
-    radial comes from the F-ordered bessel_j_table, so the product is
-    column-major and np.sum(axis=0) adds pairwise along the rings of each
-    column. A C-ordered product sums in another order and changes the
+    The product goes into the gathered FFT columns, which are F-ordered
+    like radial (from the F-ordered bessel_j_table), so np.sum(axis=0)
+    adds pairwise along the rings of each column and the bits do not
+    change. A C-ordered product sums in another order and changes the
     last bits of the result.
     """
     F = np.fft.fft(P, axis=1)[:, np.asarray(ms) % P.shape[1]]
-    return np.sum(radial * F, axis=0)
+    return np.sum(np.multiply(radial, F, out=F), axis=0)
 
 
 def _signed_phase(phase: np.ndarray, ms) -> np.ndarray:

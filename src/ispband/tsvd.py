@@ -131,9 +131,10 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
             f"kappa={g.kappa:g}; mode {m} is unusable")
     sigma = table.sigma[np.abs(ms)]
     radial = _psi_radial(ms, _planned(g, N, grid.rho), table.a, g.R0)
-    shat = replace(grid, values=_psi_synthesize(cm / sigma, ms, radial,
-                                                n_theta))
-    norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho) @ radial**2)
+    shat = replace(grid, values=_psi_synthesize(cm / sigma, radial, n_theta))
+    # synthesis is done with the table, so square it in place for the norms
+    norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho)
+                             @ np.square(radial, out=radial))
     a = _scaled_abs(cm)[0]          # exact: the squares stay in range
     den = float(np.sum(a**2))
     residual = (math.sqrt(float(np.sum((a * (norms - 1.0))**2)) / den)

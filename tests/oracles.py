@@ -6,7 +6,9 @@ import math
 import numpy as np
 from scipy import integrate, special
 
+from ispband import singular_system as ss
 from ispband.bandwidth import _TIE_TOL
+from ispband.forward import _scaled_abs, source_grid
 from ispband.specfun import _check_order
 
 
@@ -83,6 +85,69 @@ def psi_oracle(m: int, g, rho, theta):
     return (special.jv(m, g.k * np.asarray(rho))
             * np.exp(1j * m * np.asarray(theta))
             / (math.sqrt(math.pi) * g.R0 * a))
+
+
+def psi_radial_out_of_place(ms, rings, a, R0: float) -> np.ndarray:
+    """The radial table J_m(k rho_i) / (sqrt(pi) R0 A_m) as a sign product
+    and a quotient, each on a fresh array."""
+    ms = np.asarray(ms)
+    sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
+    return (rings[:, np.abs(ms)] * sign
+            / (math.sqrt(math.pi) * R0 * a[np.abs(ms)]))
+
+
+def psi_synthesize_out_of_place(w, ms, radial, n_theta: int) -> np.ndarray:
+    """sum_m w_m psi_m on the angles 2 pi j / n_theta: each mode scattered
+    into bin m mod n_theta by a fancy-index assignment, then an inverse FFT
+    into a fresh array. Any ms whose modes have bins of their own."""
+    bins = np.zeros((len(radial), n_theta), dtype=complex)
+    bins[:, np.asarray(ms) % n_theta] = radial * w
+    return np.fft.ifft(bins, axis=1, norm="forward")
+
+
+def psi_project_out_of_place(P, ms, radial) -> np.ndarray:
+    """sum_ij P_ij conj(psi_m) for every m of ms, from a fresh product of
+    radial and the gathered FFT columns."""
+    F = np.fft.fft(P, axis=1)[:, np.asarray(ms) % P.shape[1]]
+    return np.sum(radial * F, axis=0)
+
+
+def forward_out_of_place(s, modes: int, n_s: int) -> np.ndarray:
+    """Boundary values of apply_forward_analytic(s, modes, n_s) on the
+    out-of-place expressions above, for a geometry with no degenerate
+    mode up to modes; spectrum and ring rows from the package memos."""
+    g = s.geometry
+    table = ss._spectrum_table(g, max(modes, 1))
+    ms = np.arange(-modes, modes + 1)
+    weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
+    radial = psi_radial_out_of_place(ms, ss._planned(g, modes, s.rho),
+                                     table.a, g.R0)
+    coef = psi_project_out_of_place(s.values, ms, weight[:, None] * radial)
+    bins = np.zeros(n_s, dtype=complex)
+    np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
+              * np.exp(1j * ss._signed_phase(table.phase, ms))
+              / math.sqrt(2.0 * math.pi * g.R))
+    return np.fft.ifft(bins, norm="forward")
+
+
+def tsvd_out_of_place(c, N: int, n_r: int, n_theta: int):
+    """(values, residual) of tsvd_reconstruct(c, N, n_r=n_r,
+    n_theta=n_theta) on the out-of-place expressions above, for nonzero
+    retained coefficients and sigma_m > 0."""
+    g = c.geometry
+    ms = np.arange(-N, N + 1)
+    cm = c.c[ms + c.m_max]
+    grid = source_grid(g, n_r, n_theta)
+    table = ss._spectrum_table(g, max(N, 1))
+    radial = psi_radial_out_of_place(ms, ss._planned(g, N, grid.rho),
+                                     table.a, g.R0)
+    values = psi_synthesize_out_of_place(cm / table.sigma[np.abs(ms)], ms,
+                                         radial, n_theta)
+    norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho) @ radial**2)
+    a = _scaled_abs(cm)[0]
+    residual = math.sqrt(float(np.sum((a * (norms - 1.0))**2))
+                         / float(np.sum(a**2)))
+    return values, residual
 
 
 _PER_CELL = {int: lambda v: str(int(v)), float: lambda v: format(float(v), ".17g"),

@@ -432,18 +432,27 @@ def _loop_project(P, ms, g, rho):
                      for m in ms])
 
 
-def _synthesize_at(w, ms, radial, n_theta):
-    """_psi_synthesize at the angles 2 pi j / n_theta, also where modes of
-    ms share a bin there: it runs on the smallest multiple of n_theta that
-    gives each mode its own bin, and every step-th angle is kept."""
-    step = -(-(int(np.ptp(ms)) + 1) // n_theta)
-    return ss._psi_synthesize(w, ms, radial, step * n_theta)[:, ::step]
+def _synthesize_at(w, ms, g, rho, n_theta):
+    """sum over ms of w_m psi_m by _psi_synthesize, at the angles
+    2 pi j / n_theta. It takes the columns -N .. N, N = max|m|, with
+    weight 0 on the modes absent from ms; and where those modes share a
+    bin at n_theta, it runs on the smallest multiple of n_theta that gives
+    each its own bin and keeps every step-th angle."""
+    N = int(np.max(np.abs(ms)))
+    full = np.zeros(2 * N + 1, dtype=complex)
+    full[np.asarray(ms) + N] = w
+    radial = ss._psi_radial(np.arange(-N, N + 1),
+                            ss._planned(g, ss.default_m_max(g.kappa0), rho),
+                            ss.build_spectrum(g).a, g.R0)
+    step = -(-(2 * N + 1) // n_theta)
+    return ss._psi_synthesize(full, radial, step * n_theta)[:, ::step]
 
 
 class TestModalTransform:
     """The Bessel-table-times-FFT transform against per-mode psi_eval sums.
-    Synthesis takes resolved grids only; on an aliased n_theta it is read
-    off a resolved multiple of it, while the projection aliases."""
+    Synthesis takes the columns -N .. N on resolved grids only; other ms
+    get zero weight in it, and on an aliased n_theta it is read off a
+    resolved multiple of it, while the projection aliases."""
 
     @staticmethod
     def _case(g, n_r, n_theta, ms, seed):
@@ -464,7 +473,7 @@ class TestModalTransform:
     def test_matches_per_mode_loops(self, g_equal_10pi, n_theta, ms):
         g = g_equal_10pi
         rho, w, P, radial = self._case(g, 24, n_theta, ms, seed=4)
-        synth = _synthesize_at(w, ms, radial, n_theta)
+        synth = _synthesize_at(w, ms, g, rho, n_theta)
         ref = _loop_synthesize(w, ms, g, rho, n_theta)
         assert np.max(np.abs(synth - ref)) <= 1e-12 * np.max(np.abs(ref))
         proj = ss._psi_project(P, ms, radial)
@@ -489,8 +498,9 @@ class TestModalTransform:
     @pytest.mark.parametrize("n_theta", [64, 16])
     def test_adjoint_pair(self, g_equal_10pi, n_theta):
         ms = np.arange(-20, 21)
-        _, w, P, radial = self._case(g_equal_10pi, 24, n_theta, ms, seed=9)
-        lhs = np.sum(_synthesize_at(w, ms, radial, n_theta) * np.conj(P))
+        g = g_equal_10pi
+        rho, w, P, radial = self._case(g, 24, n_theta, ms, seed=9)
+        lhs = np.sum(_synthesize_at(w, ms, g, rho, n_theta) * np.conj(P))
         rhs = np.sum(w * np.conj(ss._psi_project(P, ms, radial)))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import ispband as ib
+from ispband import forward
 from ispband import singular_system as ss
+from ispband import specfun as sf
 from ispband import tsvd
 
 from conftest import cold_memos, disk_rel_l2
+from oracles import forward_out_of_place, tsvd_out_of_place
 
 TEN_PI = 10.0 * math.pi
 
@@ -567,6 +570,75 @@ class TestModeNorms:
         for n_r in (48, 56):                 # forward rings, other rings
             rec = ib.tsvd_reconstruct(c, N, g, n_r=n_r, n_theta=n)
             assert rec.residual <= 1e-8
+
+
+# the benchmark's two reconstruct ops, and a CLI-sized grid (--nr 64)
+_OPS = [(100.0 * math.pi, 100.0 * math.pi, 256, 800, 0.0, "B"),
+        (5.0 * math.pi, 10.0 * math.pi, 64, None, 0.01, "B-"),
+        (8.0 * math.pi, 12.0 * math.pi, 64, None, 0.0, "B")]
+
+
+class TestInPlaceTransform:
+    """The modal transform works in place on arrays it owns: bitwise the
+    out-of-place expressions of tests/oracles.py, and never a write into
+    the caller's arrays or the memos."""
+
+    @staticmethod
+    def _run(kappa0, kappa, n_r, n_theta, noise, policy):
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        horizon = ib.default_m_max(g.kappa0)
+        n_s = 2 * horizon + 2
+        n_theta = n_s if n_theta is None else n_theta
+        truth = ib.source_grid(g, n_r, n_theta,
+                               fn=psi_mix(g, {3: 1.0, -7: 0.5 - 0.25j,
+                                              12: 0.3j}))
+        kept = truth.values.copy()
+        data = ib.synthesize_measurement(truth, noise, 3, modes=horizon,
+                                         n_s=n_s)
+        assert np.array_equal(truth.values, kept)
+        c = ib.modal_decompose(data, horizon)
+        kept = c.c.copy()
+        rec = ib.tsvd_reconstruct(c, ib.pick_truncation(g, policy), g,
+                                  n_r=n_r, n_theta=n_theta, policy=policy)
+        assert np.array_equal(c.c, kept)
+        return truth, data, c, rec
+
+    @pytest.mark.parametrize("op", _OPS)
+    def test_bitwise_the_out_of_place_expressions(self, monkeypatch, op):
+        truth, data, c, rec = self._run(*op)
+        g, horizon = c.geometry, c.m_max
+        monkeypatch.setattr(
+            forward, "apply_forward_analytic",
+            lambda s, modes, n_s: ib.BoundaryData(
+                geometry=g, values=forward_out_of_place(s, modes, n_s)))
+        ref = ib.synthesize_measurement(truth, op[4], 3, modes=horizon,
+                                        n_s=data.n_s)
+        assert np.array_equal(data.values, ref.values)
+        ref_c = ib.modal_decompose(ref, horizon)
+        assert np.array_equal(c.c, ref_c.c)
+        values, residual = tsvd_out_of_place(ref_c, rec.N, truth.n_r,
+                                             truth.n_theta)
+        assert np.array_equal(rec.source.values, values)
+        assert rec.residual == residual
+
+    @pytest.mark.parametrize("op", _OPS)
+    def test_memos_stay_read_only_and_unchanged(self, op):
+        truth, _, c, _ = self._run(*op)
+        g = c.geometry
+        h = ss._j_horizon(g.kappa0, c.m_max)
+        assert ss._memo_rings.cache_info().currsize == 1
+        assert ss._memo_table.cache_info().currsize == 1
+        rings = ss._planned(g, c.m_max, truth.rho)
+        table = ss._memo_table(g, h)
+        assert ss._memo_rings.cache_info().currsize == 1
+        assert ss._memo_table.cache_info().currsize == 1
+        assert not rings.flags.writeable
+        assert np.array_equal(rings, sf.bessel_j_table(h, g.k * truth.rho))
+        fresh = ss.build_spectrum(g, h - 1)
+        for name in ss._COLUMNS:
+            column = getattr(table, name)
+            assert not column.flags.writeable
+            assert np.array_equal(column, getattr(fresh, name)), name
 
 
 def _count_calls(g) -> dict:
