@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -227,10 +228,8 @@ def _cmd_reconstruct(args, parser) -> int:
         g, n_r, n_theta,
         fn=lambda rho, th: sum(c * psi_eval(m, g, rho, th)
                                for c, m in terms))
-    wa = truth.area_weights
-    with np.errstate(over="ignore"):    # inf passes; rel_error is scaled
-        norm2 = float(np.sum(wa * np.abs(truth.values)**2))
-    if norm2 == 0.0:
+    norm = truth.norm()
+    if norm == 0.0:
         raise ValueError(f"source {args.source!r} has zero norm on the grid")
     data = synthesize_measurement(truth, args.noise, args.seed, modes=horizon,
                                   n_s=args.ns if args.ns is not None else n_ang)
@@ -238,11 +237,9 @@ def _cmd_reconstruct(args, parser) -> int:
     rec = tsvd_reconstruct(coeffs, n_trunc, g, n_r=n_r,
                            n_theta=n_theta, policy=args.policy)
     csvio.write_reconstruction(rec, args.out)
-    e = -math.frexp(float(np.abs(truth.values).max()))[1]  # exact 2^e scale
-    num, den = (float(np.sum(wa * np.ldexp(np.abs(v), e)**2))
-                for v in (rec.source.values - truth.values, truth.values))
+    error = replace(truth, values=rec.source.values - truth.values).norm()
     print(f"N={rec.N} policy={args.policy} residual={rec.residual:.6e} "
-          f"rel_error={math.sqrt(num / den):.6e}")
+          f"rel_error={error / norm:.6e}")
     return EXIT_OK
 
 

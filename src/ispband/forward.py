@@ -26,21 +26,22 @@ angular grid whose length follows from kappa, and log(d / R) enters through
 its exact Laplace series -sum_{n != 0} (rho/R)^|n| e^{int} / (2|n|). Rings
 close to the measurement circle, where the point kernel's log singularity
 is too sharp for the angular grid, are thereby integrated exactly in angle.
+
+apply_forward_analytic needs no matrix: it sums the kernel's cylinder-mode
+series (Graf's addition theorem) by one FFT along each angular grid.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .singular_system import (ProblemGeometry, _planned, _psi_project,
-                              _psi_radial, _signed_phase, _spectrum_table,
-                              default_m_max)
+                              _spectrum_table, default_m_max)
 from .specfun import _check_count
 
 __all__ = [
@@ -301,37 +302,37 @@ def assemble_forward(g: ProblemGeometry, n_r: int, n_theta: int,
 
 def apply_forward_analytic(s: SourceField, modes: int,
                            n_s: int | None = None) -> BoundaryData:
-    """Forward map through the closed-form singular system.
+    """Forward map by Graf's series H_0^(1)(k|x - y|) = sum_m H_m^(1)(k|x|)
+    J_m(k|y|) e^{im(phi - theta)} (DLMF 10.23.7).
 
-    U(theta_j) = sum over |m| <= modes of sigma_{|m|} (s, psi_m) phi_m,
-    with the inner product taken by the source field's own quadrature. Its
-    weight w_i rho_i 2 pi / n_theta is one factor per ring, folded into
-    the radial table. The projection and the sum over m run as one FFT, with
-    mode m in bin m mod n (n = n_theta, then n_s), which reproduces the
-    per-mode sums on any grid. sigma_m, A_m and arg H_m come from the
-    memoized spectrum, the ring rows J_m(k rho_i) from the ring memo
-    (_planned). Degenerate modes (A_m = 0) are skipped with a warning.
+    U(theta_j) = sum over |m| <= modes of H_|m|(kappa) (s, J_|m|(k .)
+    e^{im .}) e^{im theta_j}, as J_{-m} H_{-m} = J_m H_m; the singular
+    system's A_m, sigma_m and signs cancel out of it. The inner product is
+    the source field's own quadrature, whose weight w_i rho_i 2 pi / n_theta
+    is folded into the ring rows J_|m|(k rho_i) (_planned). The projection
+    and the sum over m run as one FFT, with mode m in bin m mod n
+    (n = n_theta, then n_s), which reproduces the per-mode sums on any
+    grid. H_m = exp(log|H_m|^2 / 2 + i arg H_m) comes from the memoized
+    spectrum. Where it overflows, the ring rows are 0 (|J_m(x) Y_m(z)| is
+    at most about 1 / (pi m) for x <= z), and so is the term.
     """
     g = s.geometry
     modes = _check_count(modes, "modes must be a nonnegative integer")
-    table = _spectrum_table(g, max(modes, 1))
+    table = _spectrum_table(g, modes)
     if n_s is None:
         n_s = 2 * max(modes, default_m_max(g.kappa0)) + 2
     n_s = _check_count(n_s, "n_s must be a positive integer", 1)
     ms = np.arange(-modes, modes + 1)
-    for m in ms[table.a[np.abs(ms)] == 0.0]:
-        warnings.warn(f"skipping degenerate mode m={m} (A_m = 0)",
-                      RuntimeWarning, stacklevel=2)
-    ms = ms[table.a[np.abs(ms)] != 0.0]
+    am = np.abs(ms)
+    weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
+    rings = _planned(g, modes, s.rho)[:, am]
+    coef = _psi_project(s.values, ms,
+                        np.multiply(weight[:, None], rings, out=rings))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.exp(0.5 * table.log_abs_h2[am] + 1j * table.phase[am])
+        terms = np.where(coef == 0.0, 0.0, h * coef)
     bins = np.zeros(n_s, dtype=complex)
-    if ms.size:
-        weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
-        radial = _psi_radial(ms, _planned(g, modes, s.rho), table.a, g.R0)
-        coef = _psi_project(s.values, ms,
-                            np.multiply(weight[:, None], radial, out=radial))
-        np.add.at(bins, ms % n_s, table.sigma[np.abs(ms)] * coef
-                  * np.exp(1j * _signed_phase(table.phase, ms))
-                  / math.sqrt(2.0 * math.pi * g.R))
+    np.add.at(bins, ms % n_s, terms)
     return BoundaryData(geometry=g, values=np.fft.ifft(bins, norm="forward"))
 
 

@@ -141,7 +141,7 @@ def a_m(m, kappa0: float):
 class SpectrumTable:
     """Per-mode singular data for m = 0 .. m_max.
 
-    sigma carries exp(log_sigma) where representable and 0 on underflow;
+    sigma carries exp(log_sigma): inf on overflow and 0 on underflow;
     ranking and bandwidth logic must use log_sigma. phase holds
     arg H_m^(1)(kappa), the phase of phi_m. build_spectrum returns a fresh
     table; the package shares read-only ones (_spectrum_table).
@@ -217,8 +217,8 @@ def _spectrum(g: ProblemGeometry, m_max: int, rows) -> SpectrumTable:
     a, logh2, ls = _log_spectrum(g, m_max, rows)
     _, j, y, e = rows[:4]
     n = m_max + 1
-    with np.errstate(under="ignore"):
-        sigma = np.where(np.isfinite(ls), np.exp(np.minimum(ls, 709.0)), 0.0)
+    with np.errstate(over="ignore", under="ignore"):
+        sigma = np.exp(ls)
     return SpectrumTable(geometry=g, m=np.arange(n), a=a, log_abs_h2=logh2,
                          log_sigma=ls, sigma=sigma,
                          phase=hankel_arg(j[:n], y[:n], e[:n]))
@@ -254,10 +254,11 @@ def _memo_table(g: ProblemGeometry, h: int) -> SpectrumTable:
 
 
 def _spectrum_table(g: ProblemGeometry, m_max: int) -> SpectrumTable:
-    """build_spectrum(g, m_max >= 1), read-only, as a prefix of the memoized
-    table of g to _j_horizon(kappa0, m_max) - 1; bitwise, since a J row
-    depends on its argument and horizon alone and a longer Y row extends a
-    shorter one bit for bit. Read by the maps, phi_eval and pick_truncation."""
+    """Rows m = 0 .. m_max >= 0 of the memoized table of g to
+    _j_horizon(kappa0, m_max) - 1, read-only; bitwise build_spectrum(g,
+    m_max), since a J row depends on its argument and horizon alone and a
+    longer Y row extends a shorter one bit for bit (m_max = 0: the first
+    row of m_max = 1). Read by the maps, phi_eval and pick_truncation."""
     table = _memo_table(g, _j_horizon(g.kappa0, m_max))
     return replace(table, **{name: getattr(table, name)[:m_max + 1]
                              for name in _COLUMNS})
@@ -298,7 +299,7 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     if not (np.all((rho >= 0.0) & (rho <= g.R0 * (1.0 + 1e-12)))
             and np.all(np.isfinite(theta))):
         raise ValueError("psi_eval points must be finite and in the disk")
-    a = _spectrum_table(g, max(abs(m), 1)).a
+    a = _spectrum_table(g, abs(m)).a
     if a[abs(m)] == 0.0:
         raise ArithmeticError(
             f"mode m={m} is degenerate at kappa0={g.kappa0:g} (A_m = 0)")
@@ -312,7 +313,7 @@ def _psi_radial(ms, rings, a, R0: float) -> np.ndarray:
     """Radial factors J_m(k rho_i) / (sqrt(pi) R0 A_m) of nondegenerate
     modes psi_m, (n_r, len(ms)), from the ring rows rings[i, |m|] =
     J_|m|(k rho_i) and A row a[|m|], both reaching max |m|, and
-    J_{-m} = (-1)^m J_m; psi_eval and the modal transform both read it.
+    J_{-m} = (-1)^m J_m; psi_eval and tsvd_reconstruct both read it.
     The table is a fresh gather that the caller owns and may overwrite;
     it is divided in place, with the sign in the divisor (exact). Within
     1e-12 of each column's largest entry of jv."""
@@ -337,7 +338,8 @@ def _psi_synthesize(w, radial, n_theta: int) -> np.ndarray:
 
 
 def _psi_project(P, ms, radial) -> np.ndarray:
-    """sum_ij P_ij conj(psi_m(rho_i, 2 pi j / n_theta)) for every m.
+    """sum_ij P_ij radial[i, m] e^{-2 pi i m j / n_theta} for every m of
+    ms, the projections on psi_m when radial is their radial table.
 
     The product goes into the gathered FFT columns, which are F-ordered
     like radial (from the F-ordered bessel_j_table), so np.sum(axis=0)
@@ -366,7 +368,6 @@ def phi_eval(m: int, g: ProblemGeometry, theta):
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise ValueError("phi_eval points must be finite")
-    ph = float(_signed_phase(_spectrum_table(g, max(abs(m), 1)).phase,
-                             [m])[0])
+    ph = float(_signed_phase(_spectrum_table(g, abs(m)).phase, [m])[0])
     out = np.exp(1j * (ph + m * theta)) / math.sqrt(2.0 * math.pi * g.R)
     return complex(out) if out.ndim == 0 else out

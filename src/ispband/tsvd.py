@@ -76,7 +76,7 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
             f"n_s={n_s} cannot resolve modes up to {m_max} without aliasing; "
             f"need n_s >= {2 * m_max + 1}")
     g = U.geometry
-    table = _spectrum_table(g, max(m_max, 1))
+    table = _spectrum_table(g, m_max)
     bins = np.fft.fft(U.values)
     front = math.sqrt(2.0 * math.pi * g.R) / n_s
     ms = np.arange(-m_max, m_max + 1)
@@ -121,7 +121,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
             f"n_theta={n_theta} cannot resolve modes up to {N} without "
             f"aliasing; need n_theta >= {2 * N + 1}")
     grid = source_grid(g, n_r, n_theta)
-    table = _spectrum_table(g, max(N, 1))
+    table = _spectrum_table(g, N)
     # refuse to divide by anything that lost all precision
     bad = ~np.isfinite(table.log_sigma[:N + 1]) | (table.sigma[:N + 1] == 0.0)
     if bad.any():

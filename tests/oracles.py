@@ -113,11 +113,32 @@ def psi_project_out_of_place(P, ms, radial) -> np.ndarray:
 
 
 def forward_out_of_place(s, modes: int, n_s: int) -> np.ndarray:
-    """Boundary values of apply_forward_analytic(s, modes, n_s) on the
-    out-of-place expressions above, for a geometry with no degenerate
-    mode up to modes; spectrum and ring rows from the package memos."""
+    """Boundary values of apply_forward_analytic(s, modes, n_s) on fresh
+    arrays: Graf's series sum_m H_|m|(kappa) (s, J_|m|(k .) e^{im .})
+    e^{im theta}, with a zero term wherever the coefficient is 0; H_m,
+    the ring rows and the projection from the package."""
     g = s.geometry
-    table = ss._spectrum_table(g, max(modes, 1))
+    table = ss._spectrum_table(g, modes)
+    ms = np.arange(-modes, modes + 1)
+    weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
+    coef = psi_project_out_of_place(
+        s.values, ms,
+        weight[:, None] * ss._planned(g, modes, s.rho)[:, np.abs(ms)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.exp(0.5 * table.log_abs_h2[np.abs(ms)]
+                   + 1j * table.phase[np.abs(ms)])
+        terms = np.where(coef == 0.0, 0.0, h * coef)
+    bins = np.zeros(n_s, dtype=complex)
+    np.add.at(bins, ms % n_s, terms)
+    return np.fft.ifft(bins, norm="forward")
+
+
+def forward_singular_system(s, modes: int, n_s: int) -> np.ndarray:
+    """Boundary values of the forward map as sum_m sigma_|m| (s, psi_m)
+    phi_m, through the radial table of psi_m and the signed phase of
+    phi_m, for a geometry with no degenerate mode up to modes."""
+    g = s.geometry
+    table = ss._spectrum_table(g, modes)
     ms = np.arange(-modes, modes + 1)
     weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
     radial = psi_radial_out_of_place(ms, ss._planned(g, modes, s.rho),
@@ -138,7 +159,7 @@ def tsvd_out_of_place(c, N: int, n_r: int, n_theta: int):
     ms = np.arange(-N, N + 1)
     cm = c.c[ms + c.m_max]
     grid = source_grid(g, n_r, n_theta)
-    table = ss._spectrum_table(g, max(N, 1))
+    table = ss._spectrum_table(g, N)
     radial = psi_radial_out_of_place(ms, ss._planned(g, N, grid.rho),
                                      table.a, g.R0)
     values = psi_synthesize_out_of_place(cm / table.sigma[np.abs(ms)], ms,

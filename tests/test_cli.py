@@ -125,6 +125,16 @@ class TestSpectrumCommand:
         assert out == ""
         assert target.read_text().splitlines()[0].startswith("m,A_m")
 
+    def test_overflowing_sigma_written_as_inf(self, capsys):
+        # sigma was once capped at exp(709) = 8.2e307 beside log10 sigma
+        # = 375.48, with exit 0
+        code, out, _ = run_cli(capsys, "spectrum", "--k", "1e-250",
+                               "--r0", "1e250", "--r", "1e250")
+        assert code == 0
+        cols = csvio.read_spectrum(io.StringIO(out))
+        assert cols["log10_sigma"][0] == pytest.approx(375.48, abs=0.01)
+        assert np.all(cols["sigma"] == math.inf)
+
     def test_cold_run_takes_one_j_and_one_y_pass(self, capsys,
                                                  count_passes):
         counts = count_passes()
@@ -317,10 +327,10 @@ class TestReconstructCommand:
         assert counts == {"J": 0, "Y": 0}
         assert not target.exists()
 
-    @pytest.mark.parametrize("spec", ["mode:2+-1*mode:2", "1e-200*mode:2"])
+    @pytest.mark.parametrize("spec", ["mode:2+-1*mode:2"])
     def test_zero_norm_source_refused(self, capsys, tmp_path, spec):
-        # terms that cancel, or a truth whose |values|^2 underflow, once
-        # wrote the CSV and then failed with a division by zero (exit 4)
+        # terms that cancel once wrote the CSV and then failed with a
+        # division by zero (exit 4)
         target = tmp_path / "rec.csv"
         code, _, err = run_cli(capsys, "reconstruct", "--kappa0", "5",
                                "--kappa", "5", f"--source={spec}",
@@ -329,10 +339,11 @@ class TestReconstructCommand:
         assert "zero norm" in err
         assert not target.exists()
 
-    @pytest.mark.parametrize("scale", ["1e-160", "1e200"])
+    @pytest.mark.parametrize("scale", ["1e-200", "1e-160", "1e200"])
     def test_figures_are_scale_invariant(self, capsys, tmp_path, scale):
         # once residual=0 rel_error=0 (squares underflowed) and, at 1e200,
-        # nan for both with four overflow warnings
+        # nan for both with four overflow warnings; at 1e-200, where
+        # |values|^2 underflow, the source was refused as of zero norm
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, _ = run_cli(capsys, "reconstruct", "--kappa0", "5",

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -287,11 +288,27 @@ class TestAnalyticForward:
             ref = sigma[abs(m)] * ss.phi_eval(m, g, bd.theta)
             assert float(np.max(np.abs(bd.values - ref))) < 1e-8
 
-    def test_skips_degenerate_modes_with_warning(self):
+    def test_deep_modes_match_scipy_series(self):
+        # A_m underflows to 0 from m = 78 on here, and the forward once
+        # skipped those modes with 166 warnings; the Graf series needs no
+        # A_m, and |H_m(1)| leaves the double range (from m = 139 in
+        # scipy) only where the ring rows J_m(k rho) are 0 (m >= 125)
         g = ib.ProblemGeometry(k=1.0, R0=0.5, R=1.0)
         grid = ib.source_grid(g, 12, 24, fn=lambda r, t: 1.0 + 0j)
-        with pytest.warns(RuntimeWarning):
-            ib.apply_forward_analytic(grid, 160, n_s=350)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ib.apply_forward_analytic(grid, 160, n_s=350).values
+        assert np.isfinite(got).all()
+        ms = np.arange(-160, 161)
+        w = grid.radial_weights * grid.rho * (2.0 * math.pi / grid.n_theta)
+        ring = grid.values @ np.exp(-1j * np.outer(grid.theta, ms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef = np.sum(w[:, None] * jv(ms, g.k * grid.rho[:, None])
+                          * ring, axis=0)
+            terms = np.where(coef == 0.0, 0.0, hankel1(ms, g.kappa) * coef)
+        theta = 2.0 * math.pi * np.arange(350) / 350
+        ref = np.exp(1j * np.outer(theta, ms)) @ terms
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSynthesizeMeasurement:

@@ -216,6 +216,30 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             ss.build_spectrum(g_equal_10pi, -1)
 
+    def test_sigma_inf_on_overflow(self):
+        # sigma was once capped at exp(709) = 8.2e307 where log sigma
+        # passes the double range (log10 sigma = 375 here)
+        g = ib.ProblemGeometry(k=1e-250, R0=1e250, R=1e250)
+        table = ss.build_spectrum(g)
+        assert np.all(table.log_sigma > 710.0)
+        assert np.all(table.sigma == math.inf)
+
+    @pytest.mark.parametrize("kappa0, kappa, m_max", [
+        (0.001, 0.001, None), (2.0, 6.0, None), (TEN_PI, TEN_PI, None),
+        (5.0 * math.pi, TEN_PI, 200), (1000.0, 1000.0, 1600)])
+    def test_sigma_in_range_keeps_its_bits(self, kappa0, kappa, m_max):
+        # exp(log sigma) is bitwise the capped expression it replaced on
+        # every spectrum whose log sigma stays below 709, -inf rows (A_m
+        # = 0) included
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        table = ss.build_spectrum(g, m_max)
+        ls = table.log_sigma
+        assert np.all(ls < 709.0)
+        with np.errstate(under="ignore"):
+            capped = np.where(np.isfinite(ls), np.exp(np.minimum(ls, 709.0)),
+                              0.0)
+        assert np.array_equal(table.sigma, capped)
+
 
 class TestRingMemo:
     """_planned serves the ring rows J_m(k rho_i) from a small memo keyed

@@ -10,7 +10,8 @@ from ispband import specfun as sf
 from ispband import tsvd
 
 from conftest import cold_memos, disk_rel_l2
-from oracles import forward_out_of_place, tsvd_out_of_place
+from oracles import (forward_out_of_place, forward_singular_system,
+                     tsvd_out_of_place)
 
 TEN_PI = 10.0 * math.pi
 
@@ -620,6 +621,19 @@ class TestInPlaceTransform:
                                              truth.n_theta)
         assert np.array_equal(rec.source.values, values)
         assert rec.residual == residual
+
+    @pytest.mark.parametrize("op", _OPS + [(1000.0, 1000.0, 556, 2142)])
+    def test_graf_series_is_the_singular_system_sum(self, op):
+        # A_m, sigma_m and the signs of psi_m and phi_m cancel in
+        # sigma_m (s, psi_m) phi_m; the two routes part in round-off only
+        g = ib.ProblemGeometry.from_size_params(*op[:2])
+        horizon = ib.default_m_max(g.kappa0)
+        n_s = 2 * horizon + 2
+        s = ib.source_grid(g, op[2], op[3] or n_s,
+                           fn=psi_mix(g, {3: 1.0, -7: 0.5 - 0.25j, 12: 0.3j}))
+        got = ib.apply_forward_analytic(s, horizon, n_s=n_s).values
+        ref = forward_singular_system(s, horizon, n_s)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("op", _OPS)
     def test_memos_stay_read_only_and_unchanged(self, op):
