@@ -27,7 +27,7 @@ import numpy as np
 from . import csvio
 from .bandwidth import HorizonError, report
 from .experiments import fit_linear, run_sweep
-from .forward import source_grid, synthesize_measurement
+from .forward import _check_disk, source_grid, synthesize_measurement
 from .singular_system import (ProblemGeometry, build_spectrum, default_m_max,
                               psi_eval)
 from .tsvd import modal_decompose, pick_truncation, tsvd_reconstruct
@@ -208,6 +208,7 @@ def _resolving_grids(g: ProblemGeometry, horizon: int,
 
 def _cmd_reconstruct(args, parser) -> int:
     g = _geometry_from(args, parser)
+    _check_disk(g)      # a source grid's refusal, before any Bessel pass
     if not (math.isfinite(args.noise) and args.noise >= 0.0):
         parser.error("--noise must be finite and nonnegative")
     if args.N is not None and args.policy != "N":

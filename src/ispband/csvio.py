@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .experiments import RegressionFit, SweepRecord
-from .forward import BoundaryData, SourceField, source_grid
+from .forward import BoundaryData, SourceField, _polar_grid
 from .singular_system import ProblemGeometry, SpectrumTable
 from .tsvd import Reconstruction
 
@@ -254,8 +254,7 @@ def _read_grid(path):
                                                      memo=4)
     g = _geometry(meta)
     n_r, n_theta = int(meta["n_r"]), int(meta["n_theta"])
-    # the radial rule is canonical for (n_r, R0); rebuild its weights
-    grid = source_grid(g, n_r, n_theta)
+    rule_rho, _, rule_theta = _polar_grid(g, n_r, n_theta)
     if not (np.array_equal(i_r, np.repeat(np.arange(n_r), n_theta))
             and np.array_equal(i_theta, np.tile(np.arange(n_theta), n_r))):
         raise ValueError(f"rows must cover the {n_r}x{n_theta} grid exactly "
@@ -265,12 +264,12 @@ def _read_grid(path):
     if np.any(rho != rho[:, :1]) or np.any(theta != theta[:1]):
         raise ValueError("rho must be constant along each ring and theta "
                          "along each ray")
-    rho, theta = rho[:, 0].copy(), theta[0].copy()
-    if not np.allclose(grid.rho, rho, rtol=0, atol=1e-12 * g.R0):
+    if not np.allclose(rule_rho, rho[:, 0], rtol=0, atol=1e-12 * g.R0):
         raise ValueError("radial nodes in file do not match the canonical rule")
-    source = SourceField(geometry=g, rho=rho,
-                         radial_weights=grid.radial_weights, theta=theta,
-                         values=_complex(re, im).reshape(n_r, n_theta))
+    if not np.allclose(rule_theta, theta[0], rtol=0, atol=1e-12):
+        raise ValueError("angles in file are not the uniform angles "
+                         "2 pi j / n_theta")
+    source = SourceField(g, _complex(re, im).reshape(n_r, n_theta))
     return source, meta
 
 

@@ -71,44 +71,36 @@ def _scaled_abs(v) -> tuple[np.ndarray, int]:
 class SourceField:
     """Complex samples of a source on the polar quadrature grid of the disk.
 
-    values[i, j] belongs to the node (rho[i], theta[j] = 2 pi j / n_theta;
-    the modal transforms rely on it, checked to 1e-12 rad). Node (i, j)
-    weighs radial_weights[i] rho[i] 2 pi / n_theta, and these sum to the
-    disk area within round-off; area_weights derives that grid on demand.
+    values[i, j] belongs to the node (rho[i], theta[j] = 2 pi j / n_theta)
+    of the rule _polar_grid derives from the geometry and values' shape.
+    Node (i, j) weighs radial_weights[i] rho[i] 2 pi / n_theta, and these
+    sum to the disk area within round-off; area_weights is that grid.
     """
 
     geometry: ProblemGeometry
-    rho: np.ndarray = field(repr=False)
-    radial_weights: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if np.any(self.radial_weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        area = math.pi * self.geometry.R0**2
-        ring_area = 2.0 * math.pi * np.sum(self.radial_weights * self.rho)
-        if abs(ring_area - area) > 1e-12 * area:
-            raise ValueError("quadrature weights do not integrate the disk area")
-        if self.values.shape != (len(self.rho), len(self.theta)):
-            raise ValueError("values must be shaped (n_r, n_theta)")
-        uniform = 2.0 * math.pi * np.arange(self.n_theta) / self.n_theta
-        if np.any(np.abs(self.theta - uniform) > 1e-12):
-            raise ValueError("theta must be the uniform angles 2 pi j / n_theta")
+        shape = np.shape(self.values)
+        if len(shape) != 2 or min(shape) < 2:
+            raise ValueError("values must be n_r x n_theta, both >= 2, "
+                             f"not {shape}")
+        _check_disk(self.geometry)
 
-    @property
-    def n_r(self) -> int:
-        return len(self.rho)
+    n_r = property(lambda self: self.values.shape[0])
+    n_theta = property(lambda self: self.values.shape[1])
+    rho = property(lambda self: self._grid()[0])
+    radial_weights = property(lambda self: self._grid()[1])
+    theta = property(lambda self: self._grid()[2])
 
-    @property
-    def n_theta(self) -> int:
-        return len(self.theta)
+    def _grid(self) -> tuple:
+        return _polar_grid(self.geometry, *self.values.shape)
 
     @property
     def area_weights(self) -> np.ndarray:
+        rho, wr, _ = self._grid()
         w_ang = 2.0 * math.pi / self.n_theta
-        return np.outer(self.radial_weights * self.rho,
-                        np.full(self.n_theta, w_ang))
+        return np.outer(wr * rho, np.full(self.n_theta, w_ang))
 
     def norm(self) -> float:
         """Discrete L2 norm over the disk, at any scale (_scaled_abs)."""
@@ -173,25 +165,33 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _check_disk(g: ProblemGeometry) -> None:
+    """Refuse a disk whose area pi R0^2 is not a finite double."""
+    if not math.isfinite(math.pi * g.R0 * g.R0):
+        raise ValueError(f"R0={g.R0!r}: the disk area pi R0^2 overflows")
+
+
+def _polar_grid(g: ProblemGeometry, n_r: int, n_theta: int) -> tuple:
+    """Fresh (rho, radial weights, theta) of the source disk's rule: n_r
+    Gauss-Legendre nodes on (0, R0), n_theta angles 2 pi j / n_theta."""
+    n_r, n_theta = (_check_count(n, "grid sizes must be integers >= 2", 2)
+                    for n in (n_r, n_theta))
+    x, w = _gauss_legendre(n_r)
+    return (0.5 * g.R0 * (x + 1.0), 0.5 * g.R0 * w,
+            2.0 * math.pi * np.arange(n_theta) / n_theta)
+
+
 def source_grid(g: ProblemGeometry, n_r: int, n_theta: int,
                 fn=None) -> SourceField:
     """Source field on the quadrature grid, filled from fn(rho, theta) or zero.
 
-    fn receives broadcast-ready arrays shaped (n_r, 1) and (1, n_theta).
+    fn gets _polar_grid's nodes, broadcast-ready: (n_r, 1) and (1, n_theta).
     """
-    n_r, n_theta = (_check_count(n, "grid sizes must be integers >= 2", 2)
-                    for n in (n_r, n_theta))
-    x, w = _gauss_legendre(n_r)
-    rho = 0.5 * g.R0 * (x + 1.0)
-    wr = 0.5 * g.R0 * w
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    if fn is None:
-        values = np.zeros((n_r, n_theta), dtype=complex)
-    else:
-        values = np.asarray(fn(rho[:, None], theta[None, :]), dtype=complex)
-        values = np.broadcast_to(values, (n_r, n_theta)).copy()
-    return SourceField(geometry=g, rho=rho, radial_weights=wr,
-                       theta=theta, values=values)
+    rho, _, theta = _polar_grid(g, n_r, n_theta)
+    values = np.zeros((len(rho), len(theta)), dtype=complex)
+    if fn is not None:
+        values[...] = fn(rho[:, None], theta[None, :])
+    return SourceField(geometry=g, values=values)
 
 
 def _kernel_band(kappa: float) -> int:
@@ -324,8 +324,9 @@ def apply_forward_analytic(s: SourceField, modes: int,
     n_s = _check_count(n_s, "n_s must be a positive integer", 1)
     ms = np.arange(-modes, modes + 1)
     am = np.abs(ms)
-    weight = s.radial_weights * s.rho * (2.0 * math.pi / s.n_theta)
-    rings = _planned(g, modes, s.rho)[:, am]
+    rho, wr, _ = s._grid()
+    weight = wr * rho * (2.0 * math.pi / s.n_theta)
+    rings = _planned(g, modes, rho)[:, am]
     coef = _psi_project(s.values, ms,
                         np.multiply(weight[:, None], rings, out=rings))
     with np.errstate(over="ignore", invalid="ignore"):

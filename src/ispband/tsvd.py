@@ -11,12 +11,12 @@ band-edge integers from the bandwidth module are the natural policies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bandwidth import bandwidth, bound_lower, bound_upper
-from .forward import SourceField, BoundaryData, _scaled_abs, source_grid
+from .forward import SourceField, BoundaryData, _polar_grid, _scaled_abs
 from .singular_system import (ProblemGeometry, _planned, _psi_radial,
                               _psi_synthesize, _signed_phase, _spectrum_table,
                               default_m_max)
@@ -120,7 +120,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
         raise ValueError(
             f"n_theta={n_theta} cannot resolve modes up to {N} without "
             f"aliasing; need n_theta >= {2 * N + 1}")
-    grid = source_grid(g, n_r, n_theta)
+    rho, wr, _ = _polar_grid(g, n_r, n_theta)
     table = _spectrum_table(g, N)
     # refuse to divide by anything that lost all precision
     bad = ~np.isfinite(table.log_sigma[:N + 1]) | (table.sigma[:N + 1] == 0.0)
@@ -130,11 +130,10 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
             f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
             f"kappa={g.kappa:g}; mode {m} is unusable")
     sigma = table.sigma[np.abs(ms)]
-    radial = _psi_radial(ms, _planned(g, N, grid.rho), table.a, g.R0)
-    shat = replace(grid, values=_psi_synthesize(cm / sigma, radial, n_theta))
+    radial = _psi_radial(ms, _planned(g, N, rho), table.a, g.R0)
+    shat = SourceField(g, _psi_synthesize(cm / sigma, radial, n_theta))
     # synthesis is done with the table, so square it in place for the norms
-    norms = 2.0 * math.pi * ((grid.radial_weights * grid.rho)
-                             @ np.square(radial, out=radial))
+    norms = 2.0 * math.pi * ((wr * rho) @ np.square(radial, out=radial))
     a = _scaled_abs(cm)[0]          # exact: the squares stay in range
     den = float(np.sum(a**2))
     residual = (math.sqrt(float(np.sum((a * (norms - 1.0))**2)) / den)

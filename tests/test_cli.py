@@ -355,6 +355,26 @@ class TestReconstructCommand:
         for key in ("residual", "rel_error"):
             assert 0.0 < float(stats[key]) <= 1e-13, key
 
+    def test_disk_area_out_of_range_refused(self, capsys, count_passes,
+                                            tmp_path):
+        # pi R0**2 once raised a bare OverflowError (exit 4) from the
+        # source field's area check
+        counts = count_passes()
+        target = tmp_path / "rec.csv"
+        code, _, err = run_cli(capsys, "reconstruct", "--k", "1e-250",
+                               "--r0", "1e250", "--r", "1e250",
+                               "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: R0=1e+250") and "disk area" in err
+        assert counts == {"J": 0, "Y": 0}
+        assert not target.exists()
+        code, out, _ = run_cli(capsys, "reconstruct", "--k", "1e-150",
+                               "--r0", "1e150", "--r", "1e150",
+                               "--out", str(target))
+        assert code == 0
+        assert math.isfinite(float(last_line_stats(out)["rel_error"]))
+        assert csvio.read_reconstruction(str(target)).source.n_r == 64
+
     def test_custom_source_spec(self, capsys):
         code, out, _ = run_cli(capsys, "reconstruct", "--kappa0",
                                str(10 * math.pi), "--kappa",

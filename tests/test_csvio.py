@@ -123,6 +123,26 @@ class TestSourceCsv:
         with pytest.raises(ValueError):
             csvio.read_source(io.StringIO(bad))
 
+    def test_nodes_near_the_rule_read_as_the_rule(self, g_equal_10pi):
+        # rho cells moved by up to 1e-12 R0 (theta by 1e-13) still name the
+        # rule's grid; the field holds the rule's bits, not the file's
+        g = g_equal_10pi
+        grid = ib.source_grid(g, 5, 6, fn=lambda r, t: r + 1j * t)
+        text = csvio.dumps(csvio.write_source, grid)
+        for ring in range(5):
+            rho = grid.rho[ring] + (0.9e-12 if ring % 2 else -0.9e-12) * g.R0
+            for j in range(6):
+                text = _edit_row(text, 6 * ring + j, 2, f"{rho:.17g}")
+                text = _edit_row(text, 6 * ring + j, 3,
+                                 f"{grid.theta[j] + 1e-13:.17g}")
+        back = csvio.read_source(io.StringIO(text))
+        assert not np.array_equal(
+            np.array([float(line.split(",")[2])
+                      for line in text.splitlines()[2::6]]), grid.rho)
+        for name in ("rho", "radial_weights", "theta", "area_weights",
+                     "values"):
+            assert np.array_equal(getattr(back, name), getattr(grid, name))
+
     def test_non_uniform_ray_rejected(self, g_equal_10pi):
         # ray j = 1 of a 4x6 grid moved from 2 pi / 6 to 2.5 on every ring
         text = csvio.dumps(csvio.write_source,
@@ -251,17 +271,14 @@ class TestGoldenBytes:
 
     G = ib.ProblemGeometry(k=2.0, R0=0.5, R=1.0)
     GRID_ROWS = ("i_r,i_theta,rho,theta,re,im\n"
-                 "0,0,0.125,0,1,2\n"
-                 "0,1,0.125,3.1415926535897931,-0,-0.5\n"
-                 "1,0,0.375,0,3,0\n"
-                 "1,1,0.375,3.1415926535897931,1e-300,0\n")
+                 "0,0,0.10566243270259357,0,1,2\n"
+                 "0,1,0.10566243270259357,3.1415926535897931,-0,-0.5\n"
+                 "1,0,0.39433756729740643,0,3,0\n"
+                 "1,1,0.39433756729740643,3.1415926535897931,1e-300,0\n")
 
     def _source(self):
-        return ib.SourceField(
-            geometry=self.G, rho=np.array([0.125, 0.375]),
-            radial_weights=np.array([0.25, 0.25]),
-            theta=np.array([0.0, math.pi]),
-            values=np.array([[1 + 2j, -0.5j], [3.0, 1e-300 + 0j]]))
+        return replace(ib.source_grid(self.G, 2, 2), values=np.array(
+            [[1 + 2j, -0.5j], [3.0, 1e-300 + 0j]]))
 
     def test_spectrum(self):
         table = ss.SpectrumTable(

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -71,25 +71,45 @@ class TestSourceGrid:
     def test_validation(self, g_equal_10pi):
         with pytest.raises(ValueError):
             ib.source_grid(g_equal_10pi, 1, 10)
-        grid = ib.source_grid(g_equal_10pi, 6, 10)
-        with pytest.raises(ValueError):
-            ib.SourceField(geometry=g_equal_10pi, rho=grid.rho,
-                           radial_weights=-grid.radial_weights,
-                           theta=grid.theta, values=grid.values)
-        with pytest.raises(ValueError):
-            ib.SourceField(geometry=g_equal_10pi, rho=grid.rho,
-                           radial_weights=grid.radial_weights,
-                           theta=grid.theta,
-                           values=np.zeros((3, 3), dtype=complex))
 
-    def test_non_uniform_angles_rejected(self, g_equal_10pi):
-        # the modal transforms put theta_j at 2 pi j / n_theta
-        grid = ib.source_grid(g_equal_10pi, 6, 10)
-        for theta in (grid.theta + 1e-6, grid.theta[::-1].copy()):
-            with pytest.raises(ValueError, match="uniform"):
-                ib.SourceField(geometry=g_equal_10pi, rho=grid.rho,
-                               radial_weights=grid.radial_weights,
-                               theta=theta, values=grid.values)
+    def test_fields_are_geometry_and_values(self):
+        assert [f.name for f in fields(ib.SourceField)] == [
+            "geometry", "values"]
+
+    @pytest.mark.parametrize("R0", [0.5, 1.0, 1e150])
+    @pytest.mark.parametrize("n_r", [2, 8, 64, 201, 556])
+    def test_derived_grid_is_the_rule_bitwise(self, R0, n_r):
+        # the expressions source_grid stored before the grid was derived
+        g = ib.ProblemGeometry(k=1.0 / R0, R0=R0, R=2.0 * R0)
+        n_theta = 7
+        s = ib.SourceField(g, np.zeros((n_r, n_theta), dtype=complex))
+        x, w = np.polynomial.legendre.leggauss(n_r)
+        rho, wr = 0.5 * R0 * (x + 1.0), 0.5 * R0 * w
+        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+        area = np.outer(wr * rho, np.full(n_theta, 2.0 * math.pi / n_theta))
+        for got in (s, ib.source_grid(g, n_r, n_theta)):
+            assert (got.n_r, got.n_theta) == (n_r, n_theta)
+            assert np.array_equal(got.rho, rho)
+            assert np.array_equal(got.radial_weights, wr)
+            assert np.array_equal(got.theta, theta)
+            assert np.array_equal(got.area_weights, area)
+
+    @pytest.mark.parametrize("shape", [(10,), (1, 10), (6, 1), (0, 4),
+                                       (2, 3, 4)])
+    def test_shape_refused(self, g_equal_10pi, shape):
+        with pytest.raises(ValueError, match="n_r x n_theta"):
+            ib.SourceField(g_equal_10pi, np.zeros(shape, dtype=complex))
+
+    def test_disk_area_out_of_range_refused(self):
+        # pi R0**2 once raised a bare OverflowError from the area check
+        g = ib.ProblemGeometry(k=1e-250, R0=1e250, R=1e250)
+        with pytest.raises(ValueError, match="R0=1e"):
+            ib.SourceField(g, np.zeros((8, 16), dtype=complex))
+        with pytest.raises(ValueError, match="R0=1e"):
+            ib.source_grid(g, 8, 16)
+        big = ib.source_grid(ib.ProblemGeometry(k=1e-150, R0=1e150,
+                                                R=1e150), 8, 16)
+        assert 0.0 < big.area_weights.sum() < math.inf
 
 
 class TestBoundaryData:
