@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .singular_system import (ProblemGeometry, SpectrumTable, _bessel_rows,
-                              _horizon, _log_spectrum)
+                              _horizon, _log_sigma, _modal_rows)
 from .specfun import A_MINUS, bessel_j_table, bessel_y_table
 
 __all__ = [
@@ -230,7 +230,8 @@ def _reports(gs, m_maxes):
 
     def one(p: int) -> BandwidthReport:
         g = gs[p]
-        b = _band_edge(_log_spectrum(g, m_maxes[p], rows[p])[2], g.kappa0)
+        ls = _log_sigma(g, *_modal_rows(g, m_maxes[p], rows[p]))
+        b = _band_edge(ls, g.kappa0)
         if b_minus[p] < 0 or b_plus[p] < 0:
             raise ArithmeticError(
                 f"Bessel rows at kappa0={g.kappa0:g} are not finite where "

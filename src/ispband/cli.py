@@ -30,7 +30,8 @@ from .experiments import fit_linear, run_sweep
 from .forward import _check_disk, source_grid, synthesize_measurement
 from .singular_system import (ProblemGeometry, build_spectrum, default_m_max,
                               psi_eval)
-from .tsvd import modal_decompose, pick_truncation, tsvd_reconstruct
+from .tsvd import (_POLICIES, modal_decompose, pick_truncation,
+                   tsvd_reconstruct)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--noise", type=float, default=0.0,
                        help="relative RMS noise level")
     p_rec.add_argument("--seed", type=int, default=0)
-    p_rec.add_argument("--policy", choices=("B", "B-", "B+", "N"), default="B",
+    p_rec.add_argument("--policy", choices=_POLICIES, default="B",
                        help="truncation policy")
     p_rec.add_argument("--N", type=int, default=None,
                        help="manual truncation (needs --policy N)")

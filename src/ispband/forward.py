@@ -2,8 +2,9 @@
 
 The source disk is discretized on a polar tensor grid, Gauss-Legendre in
 radius on (0, R0) and uniform in angle, so the area element rho drho dtheta
-turns into positive weights that sum to pi R0^2 exactly. The measurement
-circle carries N_s equispaced samples with the arc-length weight 2 pi R / N_s.
+turns into positive weights that sum to pi R0^2 within round-off. The
+measurement circle carries N_s equispaced samples with the arc-length weight
+2 pi R / N_s.
 
 The collocation matrix is scaled symmetrically by square roots of both
 weight sets. That makes its ordinary SVD approximate the continuous
@@ -96,11 +97,8 @@ class SourceField:
     def _grid(self) -> tuple:
         return _polar_grid(self.geometry, *self.values.shape)
 
-    @property
-    def area_weights(self) -> np.ndarray:
-        rho, wr, _ = self._grid()
-        w_ang = 2.0 * math.pi / self.n_theta
-        return np.outer(wr * rho, np.full(self.n_theta, w_ang))
+    area_weights = property(
+        lambda self: _area_weights(self.geometry, *self.values.shape))
 
     def norm(self) -> float:
         """Discrete L2 norm over the disk, at any scale (_scaled_abs)."""
@@ -145,16 +143,26 @@ class ForwardMatrix:
 
     entries has one row per boundary sample and one column per source node,
     nodes flattened row-major over (rho, theta); each ring's kernel is
-    band-limited in angle as described in assemble_forward.
+    band-limited in angle as described in assemble_forward. n_s and both
+    weights derive from the geometry and the grid sizes.
     """
 
     geometry: ProblemGeometry
     entries: np.ndarray = field(repr=False)
     n_r: int
     n_theta: int
-    n_s: int
-    area_weights: np.ndarray = field(repr=False)
-    boundary_weight: float
+
+    def __post_init__(self):
+        if np.shape(self.entries)[1:] != (self.n_r * self.n_theta,):
+            raise ValueError(
+                f"entries must have n_r n_theta = {self.n_r * self.n_theta} "
+                f"columns, not shape {np.shape(self.entries)}")
+
+    n_s = property(lambda self: self.entries.shape[0])
+    area_weights = property(
+        lambda self: _area_weights(self.geometry, self.n_r, self.n_theta))
+    boundary_weight = property(
+        lambda self: 2.0 * math.pi * self.geometry.R / self.n_s)
 
 
 @lru_cache(maxsize=16)
@@ -179,6 +187,13 @@ def _polar_grid(g: ProblemGeometry, n_r: int, n_theta: int) -> tuple:
     x, w = _gauss_legendre(n_r)
     return (0.5 * g.R0 * (x + 1.0), 0.5 * g.R0 * w,
             2.0 * math.pi * np.arange(n_theta) / n_theta)
+
+
+def _area_weights(g: ProblemGeometry, n_r: int, n_theta: int) -> np.ndarray:
+    """The n_r x n_theta weights radial_weights[i] rho[i] 2 pi / n_theta of
+    the rule's nodes."""
+    rho, wr, _ = _polar_grid(g, n_r, n_theta)
+    return np.outer(wr * rho, np.full(n_theta, 2.0 * math.pi / n_theta))
 
 
 def source_grid(g: ProblemGeometry, n_r: int, n_theta: int,
@@ -280,14 +295,15 @@ def assemble_forward(g: ProblemGeometry, n_r: int, n_theta: int,
         raise ValueError(
             f"n_s={n_s} undersamples the boundary; "
             f"need at least {2 * math.ceil(g.kappa) + 16}")
-    grid = source_grid(g, n_r, n_theta)
+    _check_disk(g)
+    rho, _, theta = _polar_grid(g, n_r, n_theta)
     band = (min(n_theta, n_s) - 1) // 2
     q = np.arange(-band, band + 1)
-    h = _ring_coefficients(g, grid.rho, band)
+    h = _ring_coefficients(g, rho, band)
     # (order, ring, angle) factor of every column, then one product over q
     right = (h.T[:, :, None]
-             * np.exp(-1j * np.outer(q, grid.theta))[:, None, :]
-             * np.sqrt(grid.area_weights)[None, :, :])
+             * np.exp(-1j * np.outer(q, theta))[:, None, :]
+             * np.sqrt(_area_weights(g, n_r, n_theta))[None, :, :])
     bangles = 2.0 * math.pi * np.arange(n_s) / n_s
     wb = 2.0 * math.pi * g.R / n_s
     entries = math.sqrt(wb) * (np.exp(1j * np.outer(bangles, q))
@@ -295,9 +311,7 @@ def assemble_forward(g: ProblemGeometry, n_r: int, n_theta: int,
     log.debug("assembled %dx%d forward matrix, angular band %d",
               n_s, n_r * n_theta, band)
     return ForwardMatrix(geometry=g, entries=entries, n_r=n_r,
-                         n_theta=n_theta, n_s=n_s,
-                         area_weights=grid.area_weights,
-                         boundary_weight=wb)
+                         n_theta=n_theta)
 
 
 def apply_forward_analytic(s: SourceField, modes: int,

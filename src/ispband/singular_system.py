@@ -139,28 +139,52 @@ def a_m(m, kappa0: float):
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Per-mode singular data for m = 0 .. m_max.
+    """Per-mode singular data for m = 0 .. m_max: the rows of one Bessel pass.
 
-    sigma carries exp(log_sigma): inf on overflow and 0 on underflow;
-    ranking and bandwidth logic must use log_sigma. phase holds
-    arg H_m^(1)(kappa), the phase of phi_m. build_spectrum returns a fresh
+    a holds A_m(kappa0), log_abs_h2 log|H_m^(1)(kappa)|^2 and phase
+    arg H_m^(1)(kappa), the phase of phi_m, all of one length m_max + 1.
+    m, m_max, log_sigma and sigma derive from them. sigma carries
+    exp(log_sigma): inf on overflow and 0 on underflow; ranking and
+    bandwidth logic must use log_sigma. build_spectrum returns a fresh
     table; the package shares read-only ones (_spectrum_table).
     """
 
     geometry: ProblemGeometry
-    m: np.ndarray = field(repr=False)
     a: np.ndarray = field(repr=False)
     log_abs_h2: np.ndarray = field(repr=False)
-    log_sigma: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
     phase: np.ndarray = field(repr=False)
 
-    @property
-    def m_max(self) -> int:
-        return int(self.m[-1])
+    def __post_init__(self):
+        shape = np.shape(self.a)
+        if len(shape) != 1 or not shape[0] or any(
+                np.shape(getattr(self, name)) != shape for name in _COLUMNS):
+            raise ValueError("a, log_abs_h2 and phase must be 1-D rows of "
+                             "one length >= 1")
+
+    m = property(lambda self: np.arange(len(self)))
+    m_max = property(lambda self: len(self) - 1)
+    log_sigma = property(
+        lambda self: _log_sigma(self.geometry, self.a, self.log_abs_h2))
 
     def __len__(self) -> int:
-        return len(self.m)
+        return len(self.a)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(self.log_sigma)
+
+
+# the rows a SpectrumTable stores
+_COLUMNS = ("a", "log_abs_h2", "phase")
+
+
+def _log_sigma(g: ProblemGeometry, a, log_abs_h2) -> np.ndarray:
+    """log sigma_m = log(sqrt(2R) pi R0) + log|H_m|^2 / 2 + log A_m,
+    -inf where A_m = 0."""
+    const = 0.5 * math.log(2.0 * g.R) + math.log(math.pi) + math.log(g.R0)
+    with np.errstate(divide="ignore"):
+        return const + 0.5 * log_abs_h2 + np.log(a)
 
 
 def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
@@ -199,29 +223,13 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
             for (a, b), ys in picks]
 
 
-def _log_spectrum(g: ProblemGeometry, m_max: int, rows):
-    """A_m, log|H_m^(1)(kappa)|^2 and log sigma_m for m = 0 .. m_max of g
-    from its _bessel_rows entry."""
+def _modal_rows(g: ProblemGeometry, m_max: int, rows):
+    """A_m and log|H_m^(1)(kappa)|^2 for m = 0 .. m_max of g from its
+    _bessel_rows entry; log sigma and sigma derive from them."""
     j0, j, y, e = rows[:4]
     n = m_max + 1
-    a = _a_from_row(j0, np.arange(n), g.kappa0)
-    logh2 = hankel_log_abs2(j[:n], y[:n], e[:n])
-    const = 0.5 * math.log(2.0 * g.R) + math.log(math.pi) + math.log(g.R0)
-    with np.errstate(divide="ignore"):
-        ls = const + 0.5 * logh2 + np.log(a)
-    return a, logh2, ls
-
-
-def _spectrum(g: ProblemGeometry, m_max: int, rows) -> SpectrumTable:
-    """The spectrum rows m = 0 .. m_max of g from its _bessel_rows entry."""
-    a, logh2, ls = _log_spectrum(g, m_max, rows)
-    _, j, y, e = rows[:4]
-    n = m_max + 1
-    with np.errstate(over="ignore", under="ignore"):
-        sigma = np.exp(ls)
-    return SpectrumTable(geometry=g, m=np.arange(n), a=a, log_abs_h2=logh2,
-                         log_sigma=ls, sigma=sigma,
-                         phase=hankel_arg(j[:n], y[:n], e[:n]))
+    return (_a_from_row(j0, np.arange(n), g.kappa0),
+            hankel_log_abs2(j[:n], y[:n], e[:n]))
 
 
 def _horizon(g: ProblemGeometry, m_max) -> int:
@@ -235,14 +243,18 @@ def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTabl
     """Assemble the spectrum rows m = 0 .. m_max for one geometry, from
     one Bessel pass with one lane per argument."""
     m_max = _horizon(g, m_max)
-    return _spectrum(g, m_max, _bessel_rows([g], [m_max])[0])
+    rows = _bessel_rows([g], [m_max])[0]
+    _, j, y, e = rows[:4]
+    n = m_max + 1
+    return SpectrumTable(g, *_modal_rows(g, m_max, rows),
+                         phase=hankel_arg(j[:n], y[:n], e[:n]))
 
 
 # Tables _memo_table keeps, one per (geometry, J horizon), least recently
-# used out first. At six 8-byte columns per row a default-horizon table at
-# kappa0 = 1000 (1071 rows) takes 51 KB, and a full memo of them 3.3 MB.
+# used out first. At three stored 8-byte columns per row a default-horizon
+# table at kappa0 = 1000 (1071 rows) takes 26 KB, and a full memo of them
+# 1.6 MB.
 _SPECTRUM_MEMO = 64
-_COLUMNS = ("m", "a", "log_abs_h2", "log_sigma", "sigma", "phase")
 
 
 @functools.lru_cache(maxsize=_SPECTRUM_MEMO)
@@ -255,10 +267,11 @@ def _memo_table(g: ProblemGeometry, h: int) -> SpectrumTable:
 
 def _spectrum_table(g: ProblemGeometry, m_max: int) -> SpectrumTable:
     """Rows m = 0 .. m_max >= 0 of the memoized table of g to
-    _j_horizon(kappa0, m_max) - 1, read-only; bitwise build_spectrum(g,
-    m_max), since a J row depends on its argument and horizon alone and a
-    longer Y row extends a shorter one bit for bit (m_max = 0: the first
-    row of m_max = 1). Read by the maps, phi_eval and pick_truncation."""
+    _j_horizon(kappa0, m_max) - 1, stored rows read-only; bitwise
+    build_spectrum(g, m_max), since a J row depends on its argument and
+    horizon alone and a longer Y row extends a shorter one bit for bit
+    (m_max = 0: the first row of m_max = 1). Read by the maps, phi_eval
+    and pick_truncation."""
     table = _memo_table(g, _j_horizon(g.kappa0, m_max))
     return replace(table, **{name: getattr(table, name)[:m_max + 1]
                              for name in _COLUMNS})

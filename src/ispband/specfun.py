@@ -419,19 +419,25 @@ class ZeroRecord:
     value: float
 
 
-def _first_root(f, lo: float, hi: float, label: str) -> float:
-    """The zero of f in [lo, hi], bisected until lo and hi are adjacent
-    doubles; the caller's bracket must hold exactly one zero."""
-    flo, fhi = f(lo), f(hi)
+def _first_zero(kind: str, m, m0_bracket: tuple, top) -> ZeroRecord:
+    """First positive zero of J_m (kind "J") or Y_m ("Y"), bisected on
+    m0_bracket for m = 0 and on [m, top(m)] above until the ends are
+    adjacent doubles; the bracket must hold exactly one zero."""
+    from scipy import special   # only the zero search needs scipy
+
+    m = _check_order(m)
+    f = special.jv if kind == "J" else special.yv
+    lo, hi = m0_bracket if m == 0 else (float(m), top(m))
+    flo, fhi = f(m, lo), f(m, hi)
     if not flo * fhi <= 0.0:
-        raise ArithmeticError(f"no sign change of {label} on [{lo}, {hi}]")
+        raise ArithmeticError(f"no sign change of {kind}_{m} on [{lo}, {hi}]")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        fmid = f(mid)
+        fmid = f(m, mid)
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
-    return lo if abs(flo) <= abs(fhi) else hi
+    return ZeroRecord(m, kind, lo if abs(flo) <= abs(fhi) else hi)
 
 
 @lru_cache(maxsize=None)
@@ -442,13 +448,8 @@ def first_zero_j(m) -> ZeroRecord:
     m < j_{m,1}, and for m <= 1e4 the top end lies 1.50 to 1.56 above
     j_{m,1}, short of j_{m,2} > j_{m,1} + pi: one zero in the bracket.
     """
-    from scipy import special   # only the zero search needs scipy
-
-    m = _check_order(m)
-    lo, hi = (2.0, 3.0) if m == 0 else (
-        float(m), m + A_MINUS * m**(1.0 / 3.0) + 1.0331 * m**(-1.0 / 3.0) + 1.5)
-    return ZeroRecord(m, "J", _first_root(lambda t: special.jv(m, t),
-                                          lo, hi, f"J_{m}"))
+    return _first_zero("J", m, (2.0, 3.0), lambda m: (
+        m + A_MINUS * m**(1.0 / 3.0) + 1.0331 * m**(-1.0 / 3.0) + 1.5))
 
 
 @lru_cache(maxsize=None)
@@ -459,10 +460,5 @@ def first_zero_y(m) -> ZeroRecord:
     m < y_{m,1}, and for m <= 1e4 the top end lies 0.93 to 1.19 above
     y_{m,1}, short of y_{m,2} > y_{m,1} + pi: one zero in the bracket.
     """
-    from scipy import special   # only the zero search needs scipy
-
-    m = _check_order(m)
-    lo, hi = (0.5, 1.5) if m == 0 else (
-        float(m), m + A_PLUS * m**(1.0 / 3.0) + 1.2)
-    return ZeroRecord(m, "Y", _first_root(lambda t: special.yv(m, t),
-                                          lo, hi, f"Y_{m}"))
+    return _first_zero("Y", m, (0.5, 1.5),
+                       lambda m: m + A_PLUS * m**(1.0 / 3.0) + 1.2)

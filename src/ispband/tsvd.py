@@ -40,13 +40,21 @@ class SigmaUnderflowError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModalCoefficients:
-    """Coefficients (U, phi_m) for m = -m_max .. m_max; index with [m + m_max]."""
+    """Coefficients (U, phi_m) for m = -m_max .. m_max, m_max = len(c) // 2;
+    index with [m + m_max]."""
 
     geometry: ProblemGeometry
-    m_max: int
     c: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        if np.ndim(self.c) != 1 or len(self.c) % 2 != 1:
+            raise ValueError("c must be 1-D of odd length 2 m_max + 1, not "
+                             f"of shape {np.shape(self.c)}")
+
+    m_max = property(lambda self: len(self.c) // 2)
+
     def coeff(self, m: int) -> complex:
+        m = _check_count(m, "mode order must be an integer", -math.inf)
         if abs(m) > self.m_max:
             raise IndexError(f"mode {m} outside |m| <= {self.m_max}")
         return complex(self.c[m + self.m_max])
@@ -82,7 +90,7 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
     ms = np.arange(-m_max, m_max + 1)
     c = (front * np.exp(-1j * _signed_phase(table.phase, ms))
          * bins[ms % n_s])
-    return ModalCoefficients(geometry=g, m_max=m_max, c=c)
+    return ModalCoefficients(geometry=g, c=c)
 
 
 def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = None,
@@ -122,14 +130,15 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
             f"aliasing; need n_theta >= {2 * N + 1}")
     rho, wr, _ = _polar_grid(g, n_r, n_theta)
     table = _spectrum_table(g, N)
+    sigma = table.sigma
     # refuse to divide by anything that lost all precision
-    bad = ~np.isfinite(table.log_sigma[:N + 1]) | (table.sigma[:N + 1] == 0.0)
+    bad = ~np.isfinite(table.log_sigma) | (sigma == 0.0)
     if bad.any():
         m = int(np.argmax(bad))
         raise SigmaUnderflowError(
             f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
             f"kappa={g.kappa:g}; mode {m} is unusable")
-    sigma = table.sigma[np.abs(ms)]
+    sigma = sigma[np.abs(ms)]
     radial = _psi_radial(ms, _planned(g, N, rho), table.a, g.R0)
     shat = SourceField(g, _psi_synthesize(cm / sigma, radial, n_theta))
     # synthesis is done with the table, so square it in place for the norms

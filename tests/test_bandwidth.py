@@ -42,9 +42,12 @@ class TestBandwidthIndex:
 
     def test_tail_guard_on_synthetic_table(self, g_equal_10pi):
         table = ss.build_spectrum(g_equal_10pi, ss.default_m_max(TEN_PI))
-        doctored = np.array(table.log_sigma)
-        doctored[-3] = doctored[-4] + 1.0
-        bad = dataclasses.replace(table, log_sigma=doctored)
+        # log sigma follows log|H|^2 / 2: lift row -3 one above row -4
+        ls = table.log_sigma
+        doctored = np.array(table.log_abs_h2)
+        doctored[-3] += 2.0 * (ls[-4] - ls[-3] + 1.0)
+        bad = dataclasses.replace(table, log_abs_h2=doctored)
+        assert bad.log_sigma[-3] > bad.log_sigma[-4]
         with pytest.raises(ib.HorizonError):
             ib.bandwidth(bad)
 

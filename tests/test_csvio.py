@@ -281,18 +281,17 @@ class TestGoldenBytes:
             [[1 + 2j, -0.5j], [3.0, 1e-300 + 0j]]))
 
     def test_spectrum(self):
+        # a subnormal sigma (log sigma = -739.9) and A = 0 (log sigma = -inf)
         table = ss.SpectrumTable(
-            geometry=self.G, m=np.array([0, 1, 2]),
-            a=np.array([0.1, 0.5, 0.0]),
-            log_abs_h2=np.array([0.0, -1.5, 700.0]),
-            log_sigma=np.array([-0.25, -745.5, -np.inf]),
-            sigma=np.array([0.75, 5e-324, 0.0]),
+            geometry=self.G, a=np.array([0.1, 0.5, 0.0]),
+            log_abs_h2=np.array([0.0, -1480.0, 700.0]),
             phase=np.array([0.5, -1.0, -0.5 * math.pi]))
         assert csvio.dumps(csvio.write_spectrum, table) == (
             "m,A_m,log10_abs_H2,log10_sigma,sigma\n"
-            "0,0.10000000000000001,0,-0.10857362047581294,0.75\n"
-            "1,0.5,-0.65144172285487767,-323.76653625887423,"
-            "4.9406564584124654e-324\n"
+            "0,0.10000000000000001,0,-0.6533651251378565,"
+            "0.22214414690791839\n"
+            "1,0.5,-642.75583321681268,-321.33231172920813,"
+            "4.6442170709077175e-322\n"
             "2,0,304.00613733227624,-inf,0\n")
 
     def test_sweep(self):
@@ -360,9 +359,11 @@ def _objects(rng, edge=(), contiguous=True) -> dict:
     g = ib.ProblemGeometry(k=float(rng.uniform(1, 9)), R0=0.5, R=1.25)
     n_r, n_t = (int(n) for n in rng.integers(2, 9, 2))
     n = 3 * len(EDGE)
-    table = ss.SpectrumTable(geometry=g, m=np.arange(n), phase=np.zeros(n),
-                             **{k: _fill(rng, n, edge) for k in (
-                                 "a", "log_abs_h2", "log_sigma", "sigma")})
+    # A_m >= 0 takes |edge| and log|H|^2 the edge reversed, so that no row
+    # adds inf to -inf in log sigma
+    table = ss.SpectrumTable(geometry=g, a=np.abs(_fill(rng, n, edge)),
+                             log_abs_h2=_fill(rng, n, edge[::-1]),
+                             phase=np.zeros(n))
     sweep = [ex.SweepRecord(*f[:2], *rng.integers(-99, 99, 7).tolist(),
                             *f[2:]) for f in _fill(rng, (n, 4), edge).tolist()]
     fits = [ex.RegressionFit(t, *f) for t, f in zip(
@@ -426,7 +427,12 @@ class TestPerCellOracle:
             lines = text.splitlines()
             cells = set(",".join(lines[1 + lines[0].startswith("#"):]).split(","))
             edge = EDGE if writer is not csvio.write_boundary else FINITE_EDGE
-            assert {format(v, ".17g") for v in edge} <= cells, writer
+            texts = {format(v, ".17g") for v in edge}
+            if writer is csvio.write_spectrum:
+                # A_m holds |v| and log10_abs_H2 holds v / ln 10
+                texts = {format(f(v), ".17g") for v in edge
+                         for f in (abs, lambda v: v / math.log(10.0))}
+            assert texts <= cells, writer
 
     def test_non_contiguous_values(self):
         objs = _objects(np.random.default_rng(4), EDGE, contiguous=False)

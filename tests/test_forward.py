@@ -107,6 +107,8 @@ class TestSourceGrid:
             ib.SourceField(g, np.zeros((8, 16), dtype=complex))
         with pytest.raises(ValueError, match="R0=1e"):
             ib.source_grid(g, 8, 16)
+        with pytest.raises(ValueError, match="R0=1e"):
+            ib.assemble_forward(g, 8, 32, 32)
         big = ib.source_grid(ib.ProblemGeometry(k=1e-150, R0=1e150,
                                                 R=1e150), 8, 16)
         assert 0.0 < big.area_weights.sum() < math.inf
@@ -182,6 +184,30 @@ class TestAssembleForward:
         assert a.boundary_weight == pytest.approx(
             2.0 * math.pi * g_small_4.R / 32)
         assert np.all(np.isfinite(a.entries.real))
+
+    def test_fields_are_geometry_entries_and_sizes(self):
+        assert [f.name for f in fields(ib.ForwardMatrix)] == [
+            "geometry", "entries", "n_r", "n_theta"]
+
+    def test_derived_fields_are_the_stored_ones_bitwise(self, g_small_4):
+        # the expressions assemble_forward stored before they were derived
+        a = ib.assemble_forward(g_small_4, 8, 32, 40)
+        x, w = np.polynomial.legendre.leggauss(8)
+        rho, wr = 0.5 * g_small_4.R0 * (x + 1.0), 0.5 * g_small_4.R0 * w
+        assert a.n_s == 40 and type(a.n_s) is int
+        assert np.array_equal(a.area_weights, np.outer(
+            wr * rho, np.full(32, 2.0 * math.pi / 32)))
+        assert a.boundary_weight == 2.0 * math.pi * g_small_4.R / 40
+
+    @pytest.mark.parametrize("shape", [(40, 255), (40, 257), (40 * 256,),
+                                       (2, 40, 256)])
+    def test_entries_off_the_grid_refused(self, g_small_4, shape):
+        # entries of another width once gave a matrix whose area weights
+        # did not match its columns
+        a = ib.assemble_forward(g_small_4, 8, 32, 40)
+        with pytest.raises(ValueError, match="n_r n_theta = 256 columns"):
+            replace(a, entries=np.zeros(shape, dtype=complex))
+        assert replace(a, entries=a.entries[:7]).n_s == 7
 
     def test_kernel_mode_expansion(self, g_equal_10pi):
         # H_0(k|x - y|) against its cylinder-mode series, both at interior

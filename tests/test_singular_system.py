@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -125,7 +126,10 @@ class TestSpectrum:
         for g, m_max, rows in zip(gs, horizons,
                                   ss._bessel_rows(gs, horizons,
                                                   at_kappa0=True)):
-            got = ss._spectrum(g, m_max, rows)
+            n = m_max + 1
+            got = ss.SpectrumTable(g, *ss._modal_rows(g, m_max, rows),
+                                   phase=sf.hankel_arg(*(r[:n] for r
+                                                         in rows[1:4])))
             ref = ss.build_spectrum(g, m_max)
             for name in ("a", "log_abs_h2", "log_sigma", "sigma", "phase"):
                 assert np.array_equal(getattr(got, name),
@@ -163,6 +167,50 @@ class TestSpectrum:
         assert counts == {"J": 1, "Y": 1}
         ss._spectrum_table(g, top + 30)
         assert counts == {"J": 2, "Y": 2}
+
+    def test_fields_are_geometry_and_rows(self):
+        assert [f.name for f in fields(ss.SpectrumTable)] == [
+            "geometry", "a", "log_abs_h2", "phase"]
+
+    @pytest.mark.parametrize("kappa0, kappa", [
+        (TEN_PI, TEN_PI), (8.0, 20.0), (10 * TEN_PI, 10 * TEN_PI),
+        (1000.0, 1000.0), (0.003, 0.003)])
+    def test_derived_rows_are_the_stored_ones_bitwise(self, kappa0, kappa):
+        # the expressions build_spectrum stored before m, log sigma and
+        # sigma were derived, and the prefixes _spectrum_table sliced off
+        # those stored rows
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        t = ss.build_spectrum(g)
+        const = (0.5 * math.log(2.0 * g.R) + math.log(math.pi)
+                 + math.log(g.R0))
+        with np.errstate(divide="ignore"):
+            ls = const + 0.5 * t.log_abs_h2 + np.log(t.a)
+        with np.errstate(over="ignore", under="ignore"):
+            sigma = np.exp(ls)
+        m = np.arange(len(t.a))
+        assert np.array_equal(t.m, m) and t.m.dtype == m.dtype
+        assert (len(t), t.m_max) == (len(m), int(m[-1]))
+        assert np.array_equal(t.log_sigma, ls)
+        assert np.array_equal(t.sigma, sigma)
+        for m_max in range(t.m_max + 1):
+            p = ss._spectrum_table(g, m_max)
+            assert (len(p), p.m_max) == (m_max + 1, m_max)
+            for got, ref in ((p.m, m), (p.log_sigma, ls), (p.sigma, sigma)):
+                assert np.array_equal(got, ref[:m_max + 1])
+
+    def test_rows_of_one_length_or_refused(self, g_equal_10pi):
+        # rows of unequal length once made a table whose len, bandwidth and
+        # CSV rows disagreed
+        t = ss.build_spectrum(g_equal_10pi)
+        for bad in ({"a": t.a[:3]}, {"phase": t.phase[:-1]},
+                    {"log_abs_h2": t.log_abs_h2[None, :]},
+                    {"a": np.float64(1.0)},
+                    {name: getattr(t, name)[:0] for name in ss._COLUMNS}):
+            with pytest.raises(ValueError, match="rows of one length"):
+                replace(t, **bad)
+        one = replace(t, **{name: getattr(t, name)[:1]
+                            for name in ss._COLUMNS})
+        assert (len(one), one.m_max) == (1, 0)
 
     def test_log_sigma_symmetry(self, g_equal_10pi):
         # sigma_{-m} = sigma_m because A_{-m} = A_m and |H_{-m}| = |H_m|

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,32 @@ class TestModalDecompose:
         c = ib.modal_decompose(bd, 4)
         with pytest.raises(IndexError):
             c.coeff(5)
+
+    def test_coeff_takes_orders_by_the_count_rule(self, g_equal_10pi):
+        # coeff(2.0) once raised numpy's IndexError, and coeff(2.5) named
+        # the range |m| <= 4 that it lies in
+        c = ib.ModalCoefficients(g_equal_10pi, np.arange(9) + 0j)
+        for m in (2.0, np.int64(2), -4.0):
+            assert c.coeff(m) == c.c[int(m) + 4]
+        for bad in (2.5, math.nan, None, "2"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                c.coeff(bad)
+
+    def test_fields_are_geometry_and_values(self):
+        assert [f.name for f in fields(ib.ModalCoefficients)] == [
+            "geometry", "c"]
+
+    @pytest.mark.parametrize("n", [0, 8, 10])
+    def test_m_max_is_read_off_c(self, g_equal_10pi, n):
+        # m_max = 2 once read the modes -2 .. 2 off a c of 9 entries; a c
+        # that is not 2 m_max + 1 long, or not 1-D, is refused
+        c = ib.modal_decompose(ib.BoundaryData(
+            g_equal_10pi, np.ones(32, dtype=complex)), 4)
+        assert c.m_max == 4 and len(c.c) == 9
+        with pytest.raises(ValueError, match="odd length"):
+            replace(c, c=np.zeros(n, dtype=complex))
+        with pytest.raises(ValueError, match="odd length"):
+            replace(c, c=np.zeros((1, 9), dtype=complex))
 
 
 class TestReconstruction:
@@ -182,8 +209,7 @@ class TestReconstruction:
 
     def test_sigma_underflow_names_mode(self):
         g = ib.ProblemGeometry(k=1.0, R0=0.5, R=50.0)
-        c = ib.ModalCoefficients(geometry=g, m_max=190,
-                                 c=np.zeros(381, dtype=complex))
+        c = ib.ModalCoefficients(geometry=g, c=np.zeros(381, dtype=complex))
         # the first unusable order is named: A_78(0.5) underflows
         with pytest.raises(ib.SigmaUnderflowError,
                            match="sigma_78 underflows.*mode 78 is unusable"):
@@ -195,7 +221,7 @@ class TestReconstruction:
         # a non-finite coefficient once gave a residual of 0.0
         values = np.zeros(17, dtype=complex)
         values[8 - 3] = bad
-        c = ib.ModalCoefficients(geometry=g_equal_10pi, m_max=8, c=values)
+        c = ib.ModalCoefficients(geometry=g_equal_10pi, c=values)
         with pytest.raises(ValueError, match="c_-3 is not finite"):
             ib.tsvd_reconstruct(c, 5, n_r=16)
         # a mode past the truncation is not read
@@ -691,7 +717,6 @@ def test_counts_are_refused_not_floored(g_equal_10pi, name, bad):
 def test_residual_is_scale_invariant(g_equal_10pi, power):
     # |c_m|^2 once underflowed to a zero residual (2^-600) or overflowed
     # to nan (2^600); scaling by a power of two now leaves every bit
-    from dataclasses import replace
     rng = np.random.default_rng(8)
     bd = ib.BoundaryData(geometry=g_equal_10pi, values=(
         rng.standard_normal(64) + 1j * rng.standard_normal(64)))
