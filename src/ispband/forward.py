@@ -153,6 +153,7 @@ class ForwardMatrix:
     n_theta: int
 
     def __post_init__(self):
+        _grid_sizes(self.n_r, self.n_theta)
         if np.shape(self.entries)[1:] != (self.n_r * self.n_theta,):
             raise ValueError(
                 f"entries must have n_r n_theta = {self.n_r * self.n_theta} "
@@ -179,13 +180,25 @@ def _check_disk(g: ProblemGeometry) -> None:
         raise ValueError(f"R0={g.R0!r}: the disk area pi R0^2 overflows")
 
 
+def _grid_sizes(*sizes) -> tuple[int, ...]:
+    """The source grid's sizes as ints, or ValueError unless each is an
+    integer >= 2."""
+    return tuple(_check_count(n, "grid sizes must be integers >= 2", 2)
+                 for n in sizes)
+
+
+def _radial_rule(g: ProblemGeometry, n_r: int) -> tuple:
+    """Fresh (rho, radial weights) of the rule's n_r Gauss-Legendre rings
+    on (0, R0)."""
+    x, w = _gauss_legendre(*_grid_sizes(n_r))
+    return 0.5 * g.R0 * (x + 1.0), 0.5 * g.R0 * w
+
+
 def _polar_grid(g: ProblemGeometry, n_r: int, n_theta: int) -> tuple:
     """Fresh (rho, radial weights, theta) of the source disk's rule: n_r
     Gauss-Legendre nodes on (0, R0), n_theta angles 2 pi j / n_theta."""
-    n_r, n_theta = (_check_count(n, "grid sizes must be integers >= 2", 2)
-                    for n in (n_r, n_theta))
-    x, w = _gauss_legendre(n_r)
-    return (0.5 * g.R0 * (x + 1.0), 0.5 * g.R0 * w,
+    n_theta, = _grid_sizes(n_theta)
+    return (*_radial_rule(g, n_r),
             2.0 * math.pi * np.arange(n_theta) / n_theta)
 
 
@@ -207,6 +220,30 @@ def source_grid(g: ProblemGeometry, n_r: int, n_theta: int,
     if fn is not None:
         values[...] = fn(rho[:, None], theta[None, :])
     return SourceField(geometry=g, values=values)
+
+
+# Weighted ring tables _memo_graf keeps, least recently used out first. An
+# entry takes n_r (2 modes + 1) 8 bytes, half the projection buffer of the
+# op that fills it: 1.5 MB for 256 rings to modes = 376 (kappa0 = 100 pi),
+# 9.5 MB for the 556 rings of a default reconstruct at kappa0 = 1000, and a
+# full memo of those 38 MB.
+_GRAF_MEMO = 4
+
+
+@lru_cache(maxsize=_GRAF_MEMO)
+def _memo_graf(g: ProblemGeometry, modes: int, n_r: int,
+               n_theta: int) -> np.ndarray:
+    """Read-only (n_r, 2 modes + 1) table w_i rho_i (2 pi / n_theta)
+    J_|m|(k rho_i) for m = -modes .. modes on the rule's rings: the ring
+    rows of _planned gathered to |m| and weighted in place, F-ordered like
+    them. Keyed by everything it depends on, so a hit is bitwise a fresh
+    table."""
+    rho, wr = _radial_rule(g, n_r)
+    rings = _planned(g, modes, rho)[:, np.abs(np.arange(-modes, modes + 1))]
+    np.multiply((wr * rho * (2.0 * math.pi / n_theta))[:, None], rings,
+                out=rings)
+    rings.flags.writeable = False
+    return rings
 
 
 def _kernel_band(kappa: float) -> int:
@@ -323,7 +360,8 @@ def apply_forward_analytic(s: SourceField, modes: int,
     e^{im .}) e^{im theta_j}, as J_{-m} H_{-m} = J_m H_m; the singular
     system's A_m, sigma_m and signs cancel out of it. The inner product is
     the source field's own quadrature, whose weight w_i rho_i 2 pi / n_theta
-    is folded into the ring rows J_|m|(k rho_i) (_planned). The projection
+    is folded into the ring rows J_|m|(k rho_i), memoized per grid
+    (_memo_graf). The projection
     and the sum over m run as one FFT, with mode m in bin m mod n
     (n = n_theta, then n_s), which reproduces the per-mode sums on any
     grid. H_m = exp(log|H_m|^2 / 2 + i arg H_m) comes from the memoized
@@ -338,11 +376,7 @@ def apply_forward_analytic(s: SourceField, modes: int,
     n_s = _check_count(n_s, "n_s must be a positive integer", 1)
     ms = np.arange(-modes, modes + 1)
     am = np.abs(ms)
-    rho, wr, _ = s._grid()
-    weight = wr * rho * (2.0 * math.pi / s.n_theta)
-    rings = _planned(g, modes, rho)[:, am]
-    coef = _psi_project(s.values, ms,
-                        np.multiply(weight[:, None], rings, out=rings))
+    coef = _psi_project(s.values, ms, _memo_graf(g, modes, s.n_r, s.n_theta))
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.exp(0.5 * table.log_abs_h2[am] + 1j * table.phase[am])
         terms = np.where(coef == 0.0, 0.0, h * coef)

@@ -326,10 +326,10 @@ def _psi_radial(ms, rings, a, R0: float) -> np.ndarray:
     """Radial factors J_m(k rho_i) / (sqrt(pi) R0 A_m) of nondegenerate
     modes psi_m, (n_r, len(ms)), from the ring rows rings[i, |m|] =
     J_|m|(k rho_i) and A row a[|m|], both reaching max |m|, and
-    J_{-m} = (-1)^m J_m; psi_eval and tsvd_reconstruct both read it.
-    The table is a fresh gather that the caller owns and may overwrite;
-    it is divided in place, with the sign in the divisor (exact). Within
-    1e-12 of each column's largest entry of jv."""
+    J_{-m} = (-1)^m J_m; psi_eval and the TSVD's memo (tsvd._memo_psi)
+    read it. The table is a fresh gather that the caller owns and may
+    overwrite; it is divided in place, with the sign in the divisor
+    (exact). Within 1e-12 of each column's largest entry of jv."""
     ms = np.asarray(ms)
     sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
     out = rings[:, np.abs(ms)]
@@ -350,17 +350,31 @@ def _psi_synthesize(w, radial, n_theta: int) -> np.ndarray:
     return np.fft.ifft(bins, axis=1, norm="forward", out=bins)
 
 
+# Bytes of FFT output _psi_project makes per block of rows (40 rows of 800
+# angles), so the projection never holds a full-grid FFT
+_PROJECT_BLOCK = 1 << 19
+
+
 def _psi_project(P, ms, radial) -> np.ndarray:
     """sum_ij P_ij radial[i, m] e^{-2 pi i m j / n_theta} for every m of
     ms, the projections on psi_m when radial is their radial table.
 
-    The product goes into the gathered FFT columns, which are F-ordered
-    like radial (from the F-ordered bessel_j_table), so np.sum(axis=0)
+    The FFT along each row runs over blocks of rows, about _PROJECT_BLOCK
+    bytes of output at a time, and each block's columns m mod n_theta go
+    straight into one (n_r, len(ms)) buffer. A row's FFT does not depend
+    on the rows beside it, so the buffer holds the bits of the gathered
+    whole-grid FFT. It is F-ordered like radial (from the F-ordered
+    bessel_j_table), and the product is written into it, so np.sum(axis=0)
     adds pairwise along the rings of each column and the bits do not
-    change. A C-ordered product sums in another order and changes the
-    last bits of the result.
+    change. A C-ordered product sums in another order and changes the last
+    bits of the result.
     """
-    F = np.fft.fft(P, axis=1)[:, np.asarray(ms) % P.shape[1]]
+    n_r, n = P.shape
+    cols = np.asarray(ms) % n
+    F = np.empty((n_r, len(cols)), dtype=complex, order="F")
+    step = max(1, _PROJECT_BLOCK // (16 * n))
+    for i in range(0, n_r, step):
+        F[i:i + step] = np.fft.fft(P[i:i + step], axis=1)[:, cols]
     return np.sum(np.multiply(radial, F, out=F), axis=0)
 
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .bandwidth import bandwidth, bound_lower, bound_upper
-from .forward import SourceField, BoundaryData, _polar_grid, _scaled_abs
+from .forward import (SourceField, BoundaryData, _grid_sizes, _radial_rule,
+                      _scaled_abs)
 from .singular_system import (ProblemGeometry, _planned, _psi_radial,
                               _psi_synthesize, _signed_phase, _spectrum_table,
                               default_m_max)
@@ -93,6 +95,30 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
     return ModalCoefficients(geometry=g, c=c)
 
 
+# Radial tables _memo_psi keeps, least recently used out first. An entry
+# takes n_r (2N + 1) 8 bytes, plus 8 per column for the norms: 1.2 MB for
+# 256 rings at N = 304 (kappa0 = 100 pi), 8.8 MB for the 556 rings of a
+# default reconstruct at kappa0 = 1000 (N = 986), and a full memo of those
+# 35 MB.
+_PSI_MEMO = 4
+
+
+@lru_cache(maxsize=_PSI_MEMO)
+def _memo_psi(g: ProblemGeometry, N: int,
+              n_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only radial table of psi_m, m = -N .. N, on the rule's n_r
+    rings (_psi_radial on the ring rows of _planned), and its discrete
+    norms 2 pi sum_i w_i rho_i radial[i, m]^2. Every A_m up to N must be
+    nonzero (tsvd_reconstruct checks sigma first). Keyed by everything it
+    depends on, so a hit is bitwise a fresh table."""
+    rho, wr = _radial_rule(g, n_r)
+    radial = _psi_radial(np.arange(-N, N + 1), _planned(g, N, rho),
+                         _spectrum_table(g, N).a, g.R0)
+    norms = 2.0 * math.pi * ((wr * rho) @ np.square(radial))
+    radial.flags.writeable = norms.flags.writeable = False
+    return radial, norms
+
+
 def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = None,
                      n_r: int = 64, n_theta: int | None = None,
                      policy: str = "N") -> Reconstruction:
@@ -104,8 +130,8 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     n_theta >= 2N + 1 no two modes share an FFT bin, so that content is
     exactly (c_m / sigma_m) ||psi_m||_h^2, and the residual is the
     |c_m|^2-weighted RMS of ||psi_m||_h^2 - 1, from the discrete norms
-    2 pi sum_i w_i rho_i radial[i, m]^2 on the memoized ring rows (round-off
-    when the grid resolves every retained mode).
+    2 pi sum_i w_i rho_i radial[i, m]^2 that _memo_psi keeps with the
+    radial table (round-off when the grid resolves every retained mode).
 
     g, if given, must equal c.geometry: the coefficients are divided by
     that geometry's sigma, so any other one is refused.
@@ -128,7 +154,7 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
         raise ValueError(
             f"n_theta={n_theta} cannot resolve modes up to {N} without "
             f"aliasing; need n_theta >= {2 * N + 1}")
-    rho, wr, _ = _polar_grid(g, n_r, n_theta)
+    n_r, n_theta = _grid_sizes(n_r, n_theta)
     table = _spectrum_table(g, N)
     sigma = table.sigma
     # refuse to divide by anything that lost all precision
@@ -138,11 +164,9 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
         raise SigmaUnderflowError(
             f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
             f"kappa={g.kappa:g}; mode {m} is unusable")
-    sigma = sigma[np.abs(ms)]
-    radial = _psi_radial(ms, _planned(g, N, rho), table.a, g.R0)
-    shat = SourceField(g, _psi_synthesize(cm / sigma, radial, n_theta))
-    # synthesis is done with the table, so square it in place for the norms
-    norms = 2.0 * math.pi * ((wr * rho) @ np.square(radial, out=radial))
+    radial, norms = _memo_psi(g, N, n_r)
+    shat = SourceField(g, _psi_synthesize(cm / sigma[np.abs(ms)], radial,
+                                          n_theta))
     a = _scaled_abs(cm)[0]          # exact: the squares stay in range
     den = float(np.sum(a**2))
     residual = (math.sqrt(float(np.sum((a * (norms - 1.0))**2)) / den)

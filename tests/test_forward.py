@@ -209,6 +209,18 @@ class TestAssembleForward:
             replace(a, entries=np.zeros(shape, dtype=complex))
         assert replace(a, entries=a.entries[:7]).n_s == 7
 
+    @pytest.mark.parametrize("n_r, n_theta", [(2.5, 4), (4, 2.5), (1, 10),
+                                              (10, 1), (None, 10), ("5", 2)])
+    def test_grid_sizes_refused(self, g_small_4, n_r, n_theta):
+        # n_r = 2.5, n_theta = 4 once built, and area_weights raised only
+        # when read
+        with pytest.raises(ValueError, match="grid sizes must be integers"):
+            ib.ForwardMatrix(g_small_4, np.zeros((5, 10)), n_r=n_r,
+                             n_theta=n_theta)
+        assert ib.ForwardMatrix(g_small_4, np.zeros((5, 10)), n_r=5.0,
+                                n_theta=np.int64(2)).area_weights.shape == (
+                                    5, 2)
+
     def test_kernel_mode_expansion(self, g_equal_10pi):
         # H_0(k|x - y|) against its cylinder-mode series, both at interior
         # depth where the default truncation converges and near the rim

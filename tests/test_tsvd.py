@@ -1,4 +1,7 @@
+import importlib
 import math
+import pkgutil
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,9 +13,9 @@ from ispband import singular_system as ss
 from ispband import specfun as sf
 from ispband import tsvd
 
-from conftest import cold_memos, disk_rel_l2
+from conftest import RUNTIME_MEMOS, WARM_MEMOS, cold_memos, disk_rel_l2
 from oracles import (forward_out_of_place, forward_singular_system,
-                     tsvd_out_of_place)
+                     psi_radial_out_of_place, tsvd_out_of_place)
 
 TEN_PI = 10.0 * math.pi
 
@@ -468,9 +471,23 @@ class TestForwardPlan:
         rec = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R + 8, n_theta=n)
         assert counts == {"J": 1, "Y": 0}
         ss._memo_rings.cache_clear()
+        tsvd._memo_psi.cache_clear()
         fresh = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R + 8, n_theta=n)
         assert np.array_equal(rec.source.values, fresh.source.values)
         assert rec.residual == fresh.residual <= 1e-8
+
+    def test_cold_memos_clears_every_runtime_memo(self):
+        # a memo that cold_memos missed would start the next test warm and
+        # hide the passes it saves from the counts above
+        found = sorted(
+            obj.__name__
+            for info in pkgutil.iter_modules(ib.__path__)
+            for obj in vars(importlib.import_module(
+                f"ispband.{info.name}")).values()
+            if hasattr(obj, "cache_clear")
+            and obj.__module__ == f"ispband.{info.name}")
+        assert found == sorted([m.__name__ for m in RUNTIME_MEMOS]
+                               + list(WARM_MEMOS))
 
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_plan_changes_no_bits(self, g_equal_10pi, noise):
@@ -603,6 +620,9 @@ class TestModeNorms:
 _OPS = [(100.0 * math.pi, 100.0 * math.pi, 256, 800, 0.0, "B"),
         (5.0 * math.pi, 10.0 * math.pi, 64, None, 0.01, "B-"),
         (8.0 * math.pi, 12.0 * math.pi, 64, None, 0.0, "B")]
+# ring counts that _psi_project's blocks (15 rings of 2142 angles) do not
+# divide, on the default CLI grid's angles at kappa0 = kappa = 1000
+_RAGGED = [(1000.0, 1000.0, n_r, 2142, 0.0, "B") for n_r in (7, 33, 556)]
 
 
 class TestInPlaceTransform:
@@ -630,10 +650,16 @@ class TestInPlaceTransform:
         assert np.array_equal(c.c, kept)
         return truth, data, c, rec
 
-    @pytest.mark.parametrize("op", _OPS)
+    @pytest.mark.parametrize("op", _OPS + _RAGGED)
     def test_bitwise_the_out_of_place_expressions(self, monkeypatch, op):
         truth, data, c, rec = self._run(*op)
         g, horizon = c.geometry, c.m_max
+        # the first op filled the memos; a warm one gives the same bits
+        _, warm_data, warm_c, warm = self._run(*op)
+        assert np.array_equal(warm_data.values, data.values)
+        assert np.array_equal(warm_c.c, c.c)
+        assert np.array_equal(warm.source.values, rec.source.values)
+        assert warm.residual == rec.residual
         monkeypatch.setattr(
             forward, "apply_forward_analytic",
             lambda s, modes, n_s: ib.BoundaryData(
@@ -663,22 +689,89 @@ class TestInPlaceTransform:
 
     @pytest.mark.parametrize("op", _OPS)
     def test_memos_stay_read_only_and_unchanged(self, op):
-        truth, _, c, _ = self._run(*op)
+        truth, _, c, rec = self._run(*op)
         g = c.geometry
         h = ss._j_horizon(g.kappa0, c.m_max)
-        assert ss._memo_rings.cache_info().currsize == 1
-        assert ss._memo_table.cache_info().currsize == 1
+        assert all(m.cache_info().currsize == 1 for m in RUNTIME_MEMOS)
         rings = ss._planned(g, c.m_max, truth.rho)
         table = ss._memo_table(g, h)
-        assert ss._memo_rings.cache_info().currsize == 1
-        assert ss._memo_table.cache_info().currsize == 1
-        assert not rings.flags.writeable
+        graf = forward._memo_graf(g, c.m_max, truth.n_r, truth.n_theta)
+        radial, norms = tsvd._memo_psi(g, rec.N, truth.n_r)
+        assert all(m.cache_info().currsize == 1 for m in RUNTIME_MEMOS)
+        for array in (rings, graf, radial, norms):
+            assert not array.flags.writeable
         assert np.array_equal(rings, sf.bessel_j_table(h, g.k * truth.rho))
+        ms = np.arange(-c.m_max, c.m_max + 1)
+        weight = truth.radial_weights * truth.rho * (2.0 * math.pi
+                                                     / truth.n_theta)
+        assert np.array_equal(graf, weight[:, None] * rings[:, np.abs(ms)])
+        expected = psi_radial_out_of_place(np.arange(-rec.N, rec.N + 1),
+                                           rings, table.a, g.R0)
+        assert np.array_equal(radial, expected)
+        assert np.array_equal(norms, 2.0 * math.pi * (
+            (truth.radial_weights * truth.rho) @ expected**2))
         fresh = ss.build_spectrum(g, h - 1)
         for name in ss._COLUMNS:
             column = getattr(table, name)
             assert not column.flags.writeable
             assert np.array_equal(column, getattr(fresh, name)), name
+
+
+class TestAllocationBudget:
+    """A warm op of the benchmark's big size (kappa0 = kappa = 100 pi,
+    256 x 800, 376 modes, N = 304) makes no full-grid temporary. Measured
+    by tracemalloc's peak, which counts numpy's buffers and does not depend
+    on the C allocator."""
+
+    N_R, N_THETA = 256, 800
+    # numpy's casting buffers (np.getbufsize() elements of at most 16
+    # bytes for each of up to four operands) and small arrays
+    SLACK = 4 * 16 * np.getbufsize()
+
+    @staticmethod
+    def _peak(fn) -> int:
+        """Bytes fn() holds at most over what was held before, warm."""
+        fn()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    @pytest.fixture
+    def big(self):
+        g = ib.ProblemGeometry.from_size_params(100.0 * math.pi,
+                                                100.0 * math.pi)
+        rng = np.random.default_rng(8)
+        s = ib.source_grid(g, self.N_R, self.N_THETA)
+        s.values[:] = rng.standard_normal(s.values.shape)
+        return s, ib.default_m_max(g.kappa0)
+
+    def test_forward_holds_the_mode_buffer_and_one_ring_block(self, big):
+        s, horizon = big
+        peak = self._peak(lambda: ib.apply_forward_analytic(
+            s, horizon, n_s=2 * horizon + 2))
+        modes = self.N_R * (2 * horizon + 1) * 16
+        # a block's FFT and its gathered mode columns
+        block = 2 * ss._PROJECT_BLOCK
+        assert peak <= modes + block + self.SLACK
+
+    def test_tsvd_holds_its_output(self, big):
+        s, horizon = big
+        g = s.geometry
+        c = ib.modal_decompose(ib.apply_forward_analytic(
+            s, horizon, n_s=2 * horizon + 2), horizon)
+        N = ib.pick_truncation(g, "B")
+        assert N == 304
+        peak = self._peak(lambda: ib.tsvd_reconstruct(
+            c, N, g, n_r=self.N_R, n_theta=self.N_THETA))
+        assert peak <= self.N_R * self.N_THETA * 16 + self.SLACK
 
 
 def _count_calls(g) -> dict:
