@@ -222,30 +222,6 @@ def source_grid(g: ProblemGeometry, n_r: int, n_theta: int,
     return SourceField(geometry=g, values=values)
 
 
-# Weighted ring tables _memo_graf keeps, least recently used out first. An
-# entry takes n_r (2 modes + 1) 8 bytes, half the projection buffer of the
-# op that fills it: 1.5 MB for 256 rings to modes = 376 (kappa0 = 100 pi),
-# 9.5 MB for the 556 rings of a default reconstruct at kappa0 = 1000, and a
-# full memo of those 38 MB.
-_GRAF_MEMO = 4
-
-
-@lru_cache(maxsize=_GRAF_MEMO)
-def _memo_graf(g: ProblemGeometry, modes: int, n_r: int,
-               n_theta: int) -> np.ndarray:
-    """Read-only (n_r, 2 modes + 1) table w_i rho_i (2 pi / n_theta)
-    J_|m|(k rho_i) for m = -modes .. modes on the rule's rings: the ring
-    rows of _planned gathered to |m| and weighted in place, F-ordered like
-    them. Keyed by everything it depends on, so a hit is bitwise a fresh
-    table."""
-    rho, wr = _radial_rule(g, n_r)
-    rings = _planned(g, modes, rho)[:, np.abs(np.arange(-modes, modes + 1))]
-    np.multiply((wr * rho * (2.0 * math.pi / n_theta))[:, None], rings,
-                out=rings)
-    rings.flags.writeable = False
-    return rings
-
-
 def _kernel_band(kappa: float) -> int:
     """Order past which J_0(k d) and S carry no content in double precision.
 
@@ -360,8 +336,7 @@ def apply_forward_analytic(s: SourceField, modes: int,
     e^{im .}) e^{im theta_j}, as J_{-m} H_{-m} = J_m H_m; the singular
     system's A_m, sigma_m and signs cancel out of it. The inner product is
     the source field's own quadrature, whose weight w_i rho_i 2 pi / n_theta
-    is folded into the ring rows J_|m|(k rho_i), memoized per grid
-    (_memo_graf). The projection
+    is folded into the ring rows J_|m|(k rho_i) (_planned). The projection
     and the sum over m run as one FFT, with mode m in bin m mod n
     (n = n_theta, then n_s), which reproduces the per-mode sums on any
     grid. H_m = exp(log|H_m|^2 / 2 + i arg H_m) comes from the memoized
@@ -376,7 +351,11 @@ def apply_forward_analytic(s: SourceField, modes: int,
     n_s = _check_count(n_s, "n_s must be a positive integer", 1)
     ms = np.arange(-modes, modes + 1)
     am = np.abs(ms)
-    coef = _psi_project(s.values, ms, _memo_graf(g, modes, s.n_r, s.n_theta))
+    rho, wr, _ = s._grid()
+    weight = wr * rho * (2.0 * math.pi / s.n_theta)
+    rings = _planned(g, modes, rho)[:, am]
+    coef = _psi_project(s.values, ms,
+                        np.multiply(weight[:, None], rings, out=rings))
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.exp(0.5 * table.log_abs_h2[am] + 1j * table.phase[am])
         terms = np.where(coef == 0.0, 0.0, h * coef)

@@ -351,7 +351,8 @@ def _psi_synthesize(w, radial, n_theta: int) -> np.ndarray:
 
 
 # Bytes of FFT output _psi_project makes per block of rows (40 rows of 800
-# angles), so the projection never holds a full-grid FFT
+# angles, 15 of 2142), so the projection never holds a full-grid FFT. A
+# block of 1 MiB brought minor page faults back into the warm forward.
 _PROJECT_BLOCK = 1 << 19
 
 
@@ -366,8 +367,8 @@ def _psi_project(P, ms, radial) -> np.ndarray:
     whole-grid FFT. It is F-ordered like radial (from the F-ordered
     bessel_j_table), and the product is written into it, so np.sum(axis=0)
     adds pairwise along the rings of each column and the bits do not
-    change. A C-ordered product sums in another order and changes the last
-    bits of the result.
+    change. A C-ordered product sums in another order and changes the
+    last bits of the result.
     """
     n_r, n = P.shape
     cols = np.asarray(ms) % n

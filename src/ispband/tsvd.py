@@ -99,7 +99,9 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
 # takes n_r (2N + 1) 8 bytes, plus 8 per column for the norms: 1.2 MB for
 # 256 rings at N = 304 (kappa0 = 100 pi), 8.8 MB for the 556 rings of a
 # default reconstruct at kappa0 = 1000 (N = 986), and a full memo of those
-# 35 MB.
+# 35 MB. It pays only when one process runs the TSVD again on a geometry,
+# truncation and ring count it has run before, as a study over noise seeds
+# does; a CLI reconstruct runs it once.
 _PSI_MEMO = 4
 
 
@@ -110,7 +112,10 @@ def _memo_psi(g: ProblemGeometry, N: int,
     rings (_psi_radial on the ring rows of _planned), and its discrete
     norms 2 pi sum_i w_i rho_i radial[i, m]^2. Every A_m up to N must be
     nonzero (tsvd_reconstruct checks sigma first). Keyed by everything it
-    depends on, so a hit is bitwise a fresh table."""
+    depends on, so a hit is bitwise a fresh table. The norms square a
+    copy, dropped before tsvd_reconstruct allocates its output, which is
+    at least twice the table's size, so a miss peaks no higher than the
+    synthesis."""
     rho, wr = _radial_rule(g, n_r)
     radial = _psi_radial(np.arange(-N, N + 1), _planned(g, N, rho),
                          _spectrum_table(g, N).a, g.R0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import ispband as ib
-from ispband import forward
 from ispband import singular_system as ss
 from ispband import specfun as sf
 from ispband import tsvd
@@ -13,17 +12,16 @@ from ispband import tsvd
 TEN_PI = 10.0 * math.pi
 
 # the package's runtime memos, which cold_memos clears
-RUNTIME_MEMOS = (ss._memo_table, ss._memo_rings, forward._memo_graf,
-                 tsvd._memo_psi)
+RUNTIME_MEMOS = (ss._memo_table, ss._memo_rings, tsvd._memo_psi)
 # the lru_caches it leaves warm: Bessel zeros and Gauss-Legendre rules
 # depend on their order alone and run no Bessel pass
 WARM_MEMOS = ("first_zero_j", "first_zero_y", "_gauss_legendre")
 
 
 def cold_memos() -> None:
-    """Drop every runtime memo (RUNTIME_MEMOS): spectra, ring rows and the
-    maps' modal tables, so the Bessel passes counted next do not depend on
-    what ran before."""
+    """Drop every runtime memo (RUNTIME_MEMOS): spectra, ring rows and
+    the TSVD's radial tables, so the Bessel passes counted next do not
+    depend on what ran before."""
     for memo in RUNTIME_MEMOS:
         memo.cache_clear()
 
