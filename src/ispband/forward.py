@@ -119,6 +119,8 @@ class BoundaryData:
             raise ValueError("noise_level must be finite and nonnegative")
         if np.ndim(self.values) != 1:
             raise ValueError("boundary values must be one-dimensional")
+        if len(self.values) < 1:
+            raise ValueError("boundary values need at least one sample")
         if not np.isfinite(self.values).all():
             raise ValueError("boundary values must be finite")
 
@@ -336,7 +338,8 @@ def apply_forward_analytic(s: SourceField, modes: int,
     e^{im .}) e^{im theta_j}, as J_{-m} H_{-m} = J_m H_m; the singular
     system's A_m, sigma_m and signs cancel out of it. The inner product is
     the source field's own quadrature, whose weight w_i rho_i 2 pi / n_theta
-    is folded into the ring rows J_|m|(k rho_i) (_planned). The projection
+    is folded into the ring rows J_m(k rho_i), m = 0 .. modes (_planned),
+    one column for each pair m and -m. The projection
     and the sum over m run as one FFT, with mode m in bin m mod n
     (n = n_theta, then n_s), which reproduces the per-mode sums on any
     grid. H_m = exp(log|H_m|^2 / 2 + i arg H_m) comes from the memoized
@@ -353,9 +356,8 @@ def apply_forward_analytic(s: SourceField, modes: int,
     am = np.abs(ms)
     rho, wr, _ = s._grid()
     weight = wr * rho * (2.0 * math.pi / s.n_theta)
-    rings = _planned(g, modes, rho)[:, am]
-    coef = _psi_project(s.values, ms,
-                        np.multiply(weight[:, None], rings, out=rings))
+    coef = _psi_project(s.values, modes, np.multiply(
+        weight[:, None], _planned(g, modes, rho)[:, :modes + 1]))
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.exp(0.5 * table.log_abs_h2[am] + 1j * table.phase[am])
         terms = np.where(coef == 0.0, 0.0, h * coef)

@@ -126,11 +126,14 @@ def a_m(m, kappa0: float):
     that is genuinely negative (beyond a 1e-14 relative slack) indicates a
     broken evaluation and raises.
 
-    Accepts a scalar or an integer array for m.
+    Accepts an order or an array of orders for m, each by the count rule
+    (_check_count): 3, np.int64(3) and 3.0 pass, 2.5 raises ValueError.
     """
     if not (math.isfinite(kappa0) and kappa0 > 0.0):
         raise ValueError(f"kappa0 must be positive, got {kappa0!r}")
-    marr = np.abs(np.asarray(m, dtype=int))
+    marr = np.abs(np.array(
+        [_check_count(v, "mode orders must be integers", -math.inf)
+         for v in np.ravel(m)], dtype=int).reshape(np.shape(m)))
     hi = int(marr.max()) if marr.size else 0
     out = _a_from_row(bessel_j_table(_j_horizon(kappa0, hi), kappa0), marr,
                       kappa0)
@@ -304,7 +307,10 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     rho and theta broadcast against each other. Requires an integer m,
     finite points with |rho| <= R0 and A_{|m|}(kappa0) > 0. A and the
     ring rows of the distinct radii come from the maps' memos
-    (_spectrum_table, _planned); _psi_radial does the rest.
+    (_spectrum_table, _planned): the radial factor is the column
+    J_|m|(k rho_i) divided by (-1)^m sqrt(pi) R0 A_|m| for odd negative m
+    (J_{-m} = (-1)^m J_m) and by sqrt(pi) R0 A_|m| otherwise, the sign in
+    the divisor (exact). Within 1e-12 of the column's largest entry of jv.
     """
     m = _check_count(m, "mode order must be an integer", -math.inf)
     rho = np.asarray(rho, dtype=float)
@@ -317,36 +323,27 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
         raise ArithmeticError(
             f"mode m={m} is degenerate at kappa0={g.kappa0:g} (A_m = 0)")
     radii, at = np.unique(rho, return_inverse=True)
-    radial = _psi_radial([m], _planned(g, abs(m), radii), a, g.R0)
-    out = radial[at, 0].reshape(rho.shape) * np.exp(1j * m * theta)
+    sign = -1.0 if m < 0 and m % 2 else 1.0
+    radial = (_planned(g, abs(m), radii)[:, abs(m)]
+              / (sign * (math.sqrt(math.pi) * g.R0 * a[abs(m)])))
+    out = radial[at].reshape(rho.shape) * np.exp(1j * m * theta)
     return complex(out) if out.ndim == 0 else out
 
 
-def _psi_radial(ms, rings, a, R0: float) -> np.ndarray:
-    """Radial factors J_m(k rho_i) / (sqrt(pi) R0 A_m) of nondegenerate
-    modes psi_m, (n_r, len(ms)), from the ring rows rings[i, |m|] =
-    J_|m|(k rho_i) and A row a[|m|], both reaching max |m|, and
-    J_{-m} = (-1)^m J_m; psi_eval and the TSVD's memo (tsvd._memo_psi)
-    read it. The table is a fresh gather that the caller owns and may
-    overwrite; it is divided in place, with the sign in the divisor
-    (exact). Within 1e-12 of each column's largest entry of jv."""
-    ms = np.asarray(ms)
-    sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
-    out = rings[:, np.abs(ms)]
-    return np.divide(out, sign * (math.sqrt(math.pi) * R0 * a[np.abs(ms)]),
-                     out=out)
-
-
-def _psi_synthesize(w, radial, n_theta: int) -> np.ndarray:
-    """sum_m w_m psi_m at (rho_i, 2 pi j / n_theta) for the columns
-    m = -N .. N of w and radial, with n_theta >= 2N + 1 (tsvd_reconstruct
-    checks it). Modes 0 .. N fill FFT bins 0 .. N and -N .. -1 fill bins
-    n_theta - N .. n_theta - 1, as two contiguous blocks; the inverse FFT
-    then runs in place on those bins."""
+def _psi_synthesize(w, half, n_theta: int) -> np.ndarray:
+    """sum_m w_m psi_m at (rho_i, 2 pi j / n_theta) for m = -N .. N, the
+    entries of w, from the half-width radial table half[i, m] =
+    J_m(k rho_i) / (sqrt(pi) R0 A_m), m = 0 .. N, with n_theta >= 2N + 1
+    (tsvd_reconstruct checks it). psi_{-m} is (-1)^m psi_m's radial factor
+    times e^{-im theta}, so modes 0 .. N fill FFT bins 0 .. N from half and
+    -N .. -1 fill bins n_theta - N .. n_theta - 1 from half[:, N:0:-1],
+    two contiguous blocks, with the sign of odd negative orders on w (an
+    exact negation); the inverse FFT then runs in place on those bins."""
     N = len(w) // 2
-    bins = np.zeros((len(radial), n_theta), dtype=complex)
-    np.multiply(radial[:, N:], w[N:], out=bins[:, :N + 1])
-    np.multiply(radial[:, :N], w[:N], out=bins[:, n_theta - N:])
+    neg = np.where((N - np.arange(N)) % 2 == 1, -w[:N], w[:N])
+    bins = np.zeros((len(half), n_theta), dtype=complex)
+    np.multiply(half, w[N:], out=bins[:, :N + 1])
+    np.multiply(half[:, N:0:-1], neg, out=bins[:, n_theta - N:])
     return np.fft.ifft(bins, axis=1, norm="forward", out=bins)
 
 
@@ -356,27 +353,30 @@ def _psi_synthesize(w, radial, n_theta: int) -> np.ndarray:
 _PROJECT_BLOCK = 1 << 19
 
 
-def _psi_project(P, ms, radial) -> np.ndarray:
-    """sum_ij P_ij radial[i, m] e^{-2 pi i m j / n_theta} for every m of
-    ms, the projections on psi_m when radial is their radial table.
+def _psi_project(P, M: int, half) -> np.ndarray:
+    """sum_ij P_ij half[i, |m|] e^{-2 pi i m j / n_theta} for m = -M .. M,
+    from the half-width table half of the orders 0 .. M: the projections on
+    half[:, |m|] e^{im theta}, the same column for m and -m.
 
     The FFT along each row runs over blocks of rows, about _PROJECT_BLOCK
     bytes of output at a time, and each block's columns m mod n_theta go
-    straight into one (n_r, len(ms)) buffer. A row's FFT does not depend
+    straight into one (n_r, 2M + 1) buffer. A row's FFT does not depend
     on the rows beside it, so the buffer holds the bits of the gathered
-    whole-grid FFT. It is F-ordered like radial (from the F-ordered
-    bessel_j_table), and the product is written into it, so np.sum(axis=0)
+    whole-grid FFT. Its columns m >= 0 are multiplied by half and m < 0 by
+    half[:, M:0:-1], in place. The buffer is F-ordered, so np.sum(axis=0)
     adds pairwise along the rings of each column and the bits do not
     change. A C-ordered product sums in another order and changes the
     last bits of the result.
     """
     n_r, n = P.shape
-    cols = np.asarray(ms) % n
+    cols = np.arange(-M, M + 1) % n
     F = np.empty((n_r, len(cols)), dtype=complex, order="F")
     step = max(1, _PROJECT_BLOCK // (16 * n))
     for i in range(0, n_r, step):
         F[i:i + step] = np.fft.fft(P[i:i + step], axis=1)[:, cols]
-    return np.sum(np.multiply(radial, F, out=F), axis=0)
+    np.multiply(half, F[:, M:], out=F[:, M:])
+    np.multiply(half[:, M:0:-1], F[:, :M], out=F[:, :M])
+    return np.sum(F, axis=0)
 
 
 def _signed_phase(phase: np.ndarray, ms) -> np.ndarray:

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .bandwidth import bandwidth, bound_lower, bound_upper
 from .forward import (SourceField, BoundaryData, _grid_sizes, _radial_rule,
                       _scaled_abs)
-from .singular_system import (ProblemGeometry, _planned, _psi_radial,
-                              _psi_synthesize, _signed_phase, _spectrum_table,
-                              default_m_max)
+from .singular_system import (ProblemGeometry, _planned, _psi_synthesize,
+                              _signed_phase, _spectrum_table, default_m_max)
 from .specfun import _check_count
 
 __all__ = [
@@ -95,35 +93,6 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
     return ModalCoefficients(geometry=g, c=c)
 
 
-# Radial tables _memo_psi keeps, least recently used out first. An entry
-# takes n_r (2N + 1) 8 bytes, plus 8 per column for the norms: 1.2 MB for
-# 256 rings at N = 304 (kappa0 = 100 pi), 8.8 MB for the 556 rings of a
-# default reconstruct at kappa0 = 1000 (N = 986), and a full memo of those
-# 35 MB. It pays only when one process runs the TSVD again on a geometry,
-# truncation and ring count it has run before, as a study over noise seeds
-# does; a CLI reconstruct runs it once.
-_PSI_MEMO = 4
-
-
-@lru_cache(maxsize=_PSI_MEMO)
-def _memo_psi(g: ProblemGeometry, N: int,
-              n_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only radial table of psi_m, m = -N .. N, on the rule's n_r
-    rings (_psi_radial on the ring rows of _planned), and its discrete
-    norms 2 pi sum_i w_i rho_i radial[i, m]^2. Every A_m up to N must be
-    nonzero (tsvd_reconstruct checks sigma first). Keyed by everything it
-    depends on, so a hit is bitwise a fresh table. The norms square a
-    copy, dropped before tsvd_reconstruct allocates its output, which is
-    at least twice the table's size, so a miss peaks no higher than the
-    synthesis."""
-    rho, wr = _radial_rule(g, n_r)
-    radial = _psi_radial(np.arange(-N, N + 1), _planned(g, N, rho),
-                         _spectrum_table(g, N).a, g.R0)
-    norms = 2.0 * math.pi * ((wr * rho) @ np.square(radial))
-    radial.flags.writeable = norms.flags.writeable = False
-    return radial, norms
-
-
 def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = None,
                      n_r: int = 64, n_theta: int | None = None,
                      policy: str = "N") -> Reconstruction:
@@ -135,8 +104,14 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     n_theta >= 2N + 1 no two modes share an FFT bin, so that content is
     exactly (c_m / sigma_m) ||psi_m||_h^2, and the residual is the
     |c_m|^2-weighted RMS of ||psi_m||_h^2 - 1, from the discrete norms
-    2 pi sum_i w_i rho_i radial[i, m]^2 that _memo_psi keeps with the
-    radial table (round-off when the grid resolves every retained mode).
+    2 pi sum_i w_i rho_i half[i, |m|]^2 (round-off when the grid resolves
+    every retained mode).
+
+    half is the radial table J_m(k rho_i) / (sqrt(pi) R0 A_m), m = 0 .. N,
+    divided per call from the memoized ring rows (_planned); psi_m and
+    psi_{-m} share its column. The norms come first, from a squared copy
+    gathered to m = -N .. N and dropped before the output is allocated:
+    the matrix product over that full-width copy is what keeps their bits.
 
     g, if given, must equal c.geometry: the coefficients are divided by
     that geometry's sigma, so any other one is refused.
@@ -169,8 +144,14 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
         raise SigmaUnderflowError(
             f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
             f"kappa={g.kappa:g}; mode {m} is unusable")
-    radial, norms = _memo_psi(g, N, n_r)
-    shat = SourceField(g, _psi_synthesize(cm / sigma[np.abs(ms)], radial,
+    rho, wr = _radial_rule(g, n_r)
+    half = (_planned(g, N, rho)[:, :N + 1]
+            / (math.sqrt(math.pi) * g.R0 * table.a[:N + 1]))
+    am = np.abs(ms)
+    sq = half[:, am]
+    norms = 2.0 * math.pi * ((wr * rho) @ np.square(sq, out=sq))
+    del sq
+    shat = SourceField(g, _psi_synthesize(cm / sigma[am], half,
                                           n_theta))
     a = _scaled_abs(cm)[0]          # exact: the squares stay in range
     den = float(np.sum(a**2))

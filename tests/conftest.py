@@ -7,21 +7,19 @@ import pytest
 import ispband as ib
 from ispband import singular_system as ss
 from ispband import specfun as sf
-from ispband import tsvd
 
 TEN_PI = 10.0 * math.pi
 
 # the package's runtime memos, which cold_memos clears
-RUNTIME_MEMOS = (ss._memo_table, ss._memo_rings, tsvd._memo_psi)
+RUNTIME_MEMOS = (ss._memo_table, ss._memo_rings)
 # the lru_caches it leaves warm: Bessel zeros and Gauss-Legendre rules
 # depend on their order alone and run no Bessel pass
 WARM_MEMOS = ("first_zero_j", "first_zero_y", "_gauss_legendre")
 
 
 def cold_memos() -> None:
-    """Drop every runtime memo (RUNTIME_MEMOS): spectra, ring rows and
-    the TSVD's radial tables, so the Bessel passes counted next do not
-    depend on what ran before."""
+    """Drop every runtime memo (RUNTIME_MEMOS): spectra and ring rows, so
+    the Bessel passes counted next do not depend on what ran before."""
     for memo in RUNTIME_MEMOS:
         memo.cache_clear()
 
@@ -75,6 +73,25 @@ def sweep300():
     records = ib.run_sweep()
     elapsed = time.perf_counter() - t0
     return records, elapsed
+
+
+def psi_half(g, rho, M: int) -> np.ndarray:
+    """The half-width radial table J_m(k rho_i) / (sqrt(pi) R0 A_m),
+    m = 0 .. M, that the modal transform reads, from the memoized ring
+    rows and spectrum."""
+    a = ss._spectrum_table(g, M).a
+    return (ss._planned(g, M, rho)[:, :M + 1]
+            / (math.sqrt(math.pi) * g.R0 * a))
+
+
+def psi_project(P, ms, half) -> np.ndarray:
+    """The projections sum_ij P_ij conj(psi_m) for the orders ms, read off
+    _psi_project at M = max|m| (half: the table of the orders 0 .. M) with
+    the sign (-1)^m of odd negative orders."""
+    ms = np.asarray(ms)
+    M = int(np.max(np.abs(ms)))
+    sign = np.where((ms < 0) & (ms % 2 == 1), -1.0, 1.0)
+    return ss._psi_project(P, M, half)[ms + M] * sign
 
 
 def disk_rel_l2(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:

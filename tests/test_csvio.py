@@ -101,6 +101,12 @@ class TestBoundaryCsv:
             csvio.read_boundary(io.StringIO(text))
 
 
+    def test_header_only_file_refused(self):
+        text = "# k=2 R0=0.5 R=1 n_s=0 noise=0\nindex,re,im\n"
+        with pytest.raises(ValueError, match="at least one sample"):
+            csvio.read_boundary(io.StringIO(text))
+
+
 class TestSourceCsv:
     def test_round_trip(self, g_equal_10pi):
         grid = ib.source_grid(g_equal_10pi, 12, 20,

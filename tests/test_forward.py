@@ -139,6 +139,12 @@ class TestBoundaryData:
                             values=np.array(values, dtype=complex),
                             noise_level=noise)
 
+    def test_empty_trace_refused(self, g_equal_10pi):
+        # an empty trace once built and then raised ZeroDivisionError in
+        # norm()
+        with pytest.raises(ValueError, match="at least one sample"):
+            ib.BoundaryData(geometry=g_equal_10pi, values=np.array([]))
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_values_not_one_dimensional_refused(self, g_equal_10pi, width):
         # an (n, 1) column once went through modal_decompose as a 21 x 21

@@ -13,6 +13,7 @@ import ispband as ib
 from ispband import singular_system as ss
 from ispband import specfun as sf
 
+from conftest import psi_half, psi_project
 from oracles import psi_oracle
 from test_specfun import arg_row
 
@@ -110,6 +111,17 @@ class TestEnvelopeCoefficient:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             ss.a_m(0, 0.0)
+
+    @pytest.mark.parametrize("bad", [2.5, np.float64(3.9), [1, 2.7],
+                                     math.nan, None])
+    def test_orders_follow_the_count_rule(self, bad):
+        # a fractional order was once floored: a_m(2.5, 10) gave A_2
+        with pytest.raises(ValueError, match="integers"):
+            ss.a_m(bad, 10.0)
+        assert ss.a_m(3.0, 10.0) == ss.a_m(np.int64(3), 10.0) \
+            == ss.a_m(-3, 10.0)
+        assert np.array_equal(ss.a_m([1.0, -2.0], 10.0),
+                              ss.a_m(np.array([1, 2]), 10.0))
 
 
 class TestSpectrum:
@@ -513,18 +525,17 @@ def _synthesize_at(w, ms, g, rho, n_theta):
     N = int(np.max(np.abs(ms)))
     full = np.zeros(2 * N + 1, dtype=complex)
     full[np.asarray(ms) + N] = w
-    radial = ss._psi_radial(np.arange(-N, N + 1),
-                            ss._planned(g, ss.default_m_max(g.kappa0), rho),
-                            ss.build_spectrum(g).a, g.R0)
     step = -(-(2 * N + 1) // n_theta)
-    return ss._psi_synthesize(full, radial, step * n_theta)[:, ::step]
+    return ss._psi_synthesize(full, psi_half(g, rho, N),
+                              step * n_theta)[:, ::step]
 
 
 class TestModalTransform:
     """The Bessel-table-times-FFT transform against per-mode psi_eval sums.
     Synthesis takes the columns -N .. N on resolved grids only; other ms
     get zero weight in it, and on an aliased n_theta it is read off a
-    resolved multiple of it, while the projection aliases."""
+    resolved multiple of it, while the projection aliases. Both read the
+    half-width table of the orders 0 .. max|m|."""
 
     @staticmethod
     def _case(g, n_r, n_theta, ms, seed):
@@ -533,9 +544,7 @@ class TestModalTransform:
         w = rng.standard_normal(len(ms)) + 1j * rng.standard_normal(len(ms))
         P = (rng.standard_normal((n_r, n_theta))
              + 1j * rng.standard_normal((n_r, n_theta)))
-        rings = ss._planned(g, ss.default_m_max(g.kappa0), rho)
-        return rho, w, P, ss._psi_radial(ms, rings, ss.build_spectrum(g).a,
-                                         g.R0)
+        return rho, w, P, psi_half(g, rho, int(np.max(np.abs(ms))))
 
     @pytest.mark.parametrize("n_theta, ms", [
         (64, np.arange(-20, 21)),              # resolved: n_theta >= 2N + 1
@@ -544,11 +553,11 @@ class TestModalTransform:
     ])
     def test_matches_per_mode_loops(self, g_equal_10pi, n_theta, ms):
         g = g_equal_10pi
-        rho, w, P, radial = self._case(g, 24, n_theta, ms, seed=4)
+        rho, w, P, half = self._case(g, 24, n_theta, ms, seed=4)
         synth = _synthesize_at(w, ms, g, rho, n_theta)
         ref = _loop_synthesize(w, ms, g, rho, n_theta)
         assert np.max(np.abs(synth - ref)) <= 1e-12 * np.max(np.abs(ref))
-        proj = ss._psi_project(P, ms, radial)
+        proj = psi_project(P, ms, half)
         ref = _loop_project(P, ms, g, rho)
         assert np.max(np.abs(proj - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -556,12 +565,14 @@ class TestModalTransform:
         g = g_equal_10pi
         rho = ib.source_grid(g, 16, 2).rho
         ms = np.arange(-40, 41)
-        rings = ss._planned(g, ss.default_m_max(g.kappa0), rho)
-        radial = ss._psi_radial(ms, rings, ss.build_spectrum(g).a, g.R0)
-        # column -m is (-1)^m times column m, bit for bit
+        radial = np.array([ss.psi_eval(int(m), g, rho, 0.0).real
+                           for m in ms]).T
+        # psi_{-m} is (-1)^m psi_m at theta = 0, bit for bit, and psi_m
+        # for m >= 0 is the transforms' half-width table
         sign = np.where(ms[41:] % 2 == 1, -1.0, 1.0)
         assert np.array_equal(radial[:, 39::-1], radial[:, 41:] * sign)
-        # and the table is the jv one to 1e-12 of each column's maximum
+        assert np.array_equal(radial[:, 40:], psi_half(g, rho, 40))
+        # and every order is the jv one to 1e-12 of each column's maximum
         expected = jv(ms[None, :], g.k * rho[:, None]) / (
             math.sqrt(math.pi) * g.R0 * ss.a_m(ms, g.kappa0))
         err = np.max(np.abs(radial - expected), axis=0)
@@ -571,9 +582,9 @@ class TestModalTransform:
     def test_adjoint_pair(self, g_equal_10pi, n_theta):
         ms = np.arange(-20, 21)
         g = g_equal_10pi
-        rho, w, P, radial = self._case(g, 24, n_theta, ms, seed=9)
+        rho, w, P, half = self._case(g, 24, n_theta, ms, seed=9)
         lhs = np.sum(_synthesize_at(w, ms, g, rho, n_theta) * np.conj(P))
-        rhs = np.sum(w * np.conj(ss._psi_project(P, ms, radial)))
+        rhs = np.sum(w * np.conj(psi_project(P, ms, half)))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("modes, n_s", [(20, 96), (30, 40)])

@@ -13,7 +13,8 @@ from ispband import singular_system as ss
 from ispband import specfun as sf
 from ispband import tsvd
 
-from conftest import RUNTIME_MEMOS, WARM_MEMOS, cold_memos, disk_rel_l2
+from conftest import (RUNTIME_MEMOS, WARM_MEMOS, cold_memos, disk_rel_l2,
+                      psi_half, psi_project)
 from oracles import (forward_out_of_place, forward_singular_system,
                      psi_radial_out_of_place, tsvd_out_of_place)
 
@@ -471,7 +472,6 @@ class TestForwardPlan:
         rec = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R + 8, n_theta=n)
         assert counts == {"J": 1, "Y": 0}
         ss._memo_rings.cache_clear()
-        tsvd._memo_psi.cache_clear()
         fresh = ib.tsvd_reconstruct(c, N, g, n_r=self.N_R + 8, n_theta=n)
         assert np.array_equal(rec.source.values, fresh.source.values)
         assert rec.residual == fresh.residual <= 1e-8
@@ -568,11 +568,10 @@ class TestModeNorms:
         through the area-weight grid and compare with the retained data."""
         g, src, N = c.geometry, rec.source, rec.N
         ms = np.arange(-N, N + 1)
-        table = ss.build_spectrum(g, max(N, 1))
-        sigma, cm = table.sigma[np.abs(ms)], c.c[ms + c.m_max]
-        radial = ss._psi_radial(ms, ss._planned(g, max(N, 1), src.rho),
-                                table.a, g.R0)
-        coef = ss._psi_project(src.area_weights * src.values, ms, radial)
+        sigma = ss.build_spectrum(g, max(N, 1)).sigma[np.abs(ms)]
+        cm = c.c[ms + c.m_max]
+        coef = psi_project(src.area_weights * src.values, ms,
+                           psi_half(g, src.rho, N))
         return math.sqrt(float(np.sum(np.abs(sigma * coef - cm)**2))
                          / float(np.sum(np.abs(cm)**2)))
 
@@ -688,23 +687,27 @@ class TestInPlaceTransform:
         assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("op", _OPS)
-    def test_memos_stay_read_only_and_unchanged(self, op):
+    def test_memos_stay_read_only_and_unchanged(self, monkeypatch, op):
+        # one spectrum and one ring table serve the forward and the TSVD,
+        # both only read them, and the TSVD's radial table is the columns
+        # m >= 0 of the out-of-place one
         truth, _, c, rec = self._run(*op)
         g = c.geometry
         h = ss._j_horizon(g.kappa0, c.m_max)
         assert all(m.cache_info().currsize == 1 for m in RUNTIME_MEMOS)
         rings = ss._planned(g, c.m_max, truth.rho)
         table = ss._memo_table(g, h)
-        radial, norms = tsvd._memo_psi(g, rec.N, truth.n_r)
+        seen = []
+        monkeypatch.setattr(tsvd, "_psi_synthesize", lambda w, half, n: (
+            seen.append(half) or ss._psi_synthesize(w, half, n)))
+        ib.tsvd_reconstruct(c, rec.N, g, n_r=truth.n_r,
+                            n_theta=truth.n_theta)
         assert all(m.cache_info().currsize == 1 for m in RUNTIME_MEMOS)
-        for array in (rings, radial, norms):
-            assert not array.flags.writeable
+        assert not rings.flags.writeable
         assert np.array_equal(rings, sf.bessel_j_table(h, g.k * truth.rho))
         expected = psi_radial_out_of_place(np.arange(-rec.N, rec.N + 1),
                                            rings, table.a, g.R0)
-        assert np.array_equal(radial, expected)
-        assert np.array_equal(norms, 2.0 * math.pi * (
-            (truth.radial_weights * truth.rho) @ expected**2))
+        assert np.array_equal(seen[0], expected[:, rec.N:])
         fresh = ss.build_spectrum(g, h - 1)
         for name in ss._COLUMNS:
             column = getattr(table, name)
@@ -715,8 +718,9 @@ class TestInPlaceTransform:
 class TestAllocationBudget:
     """A warm op of the benchmark's big size (kappa0 = kappa = 100 pi,
     256 x 800, 376 modes, N = 304) makes no full-grid temporary: the
-    forward holds its mode buffer, its weighted ring table and one block of
-    rings, the TSVD its output (its radial table is memoized). Measured by
+    forward holds its mode buffer, its weighted half-width ring table and
+    one block of rings, the TSVD its output and its half-width radial
+    table (orders 0 .. N, one column for m and -m). Measured by
     tracemalloc's peak, which counts numpy's buffers and does not depend
     on the C allocator."""
 
@@ -755,7 +759,7 @@ class TestAllocationBudget:
         peak = self._peak(lambda: ib.apply_forward_analytic(
             s, horizon, n_s=2 * horizon + 2))
         modes = self.N_R * (2 * horizon + 1) * 16
-        table = modes // 2
+        table = modes // 4
         # a block's FFT and its gathered mode columns
         block = 2 * ss._PROJECT_BLOCK
         assert peak <= modes + table + block + self.SLACK
@@ -769,7 +773,8 @@ class TestAllocationBudget:
         assert N == 304
         peak = self._peak(lambda: ib.tsvd_reconstruct(
             c, N, g, n_r=self.N_R, n_theta=self.N_THETA))
-        assert peak <= self.N_R * self.N_THETA * 16 + self.SLACK
+        half = self.N_R * (N + 1) * 8
+        assert peak <= self.N_R * self.N_THETA * 16 + half + self.SLACK
 
 
 def _count_calls(g) -> dict:
