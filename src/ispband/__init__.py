@@ -5,7 +5,7 @@ two-dimensional Helmholtz source-from-boundary problem on concentric disks.
 from .singular_system import (ProblemGeometry, SpectrumTable, a_m,
                               build_spectrum, default_m_max, psi_eval,
                               phi_eval)
-from .specfun import ZeroRecord, first_zero_j, first_zero_y
+from .specfun import first_zero_j, first_zero_y
 from .bandwidth import (HorizonError, BandwidthReport, bandwidth, bound_lower,
                         bound_upper, bound_lower_approx, bound_upper_approx,
                         report, max_angular_sampling)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ProblemGeometry", "SpectrumTable", "a_m", "build_spectrum",
     "default_m_max", "psi_eval", "phi_eval",
-    "ZeroRecord", "first_zero_j", "first_zero_y",
+    "first_zero_j", "first_zero_y",
     "HorizonError", "BandwidthReport", "bandwidth", "bound_lower",
     "bound_upper", "bound_lower_approx", "bound_upper_approx", "report",
     "max_angular_sampling",

@@ -196,14 +196,21 @@ def bound_upper_approx(kappa0: float) -> int:
 
 @dataclass(frozen=True)
 class BandwidthReport:
-    """All five band-edge integers for one geometry."""
+    """All five band-edge integers for one geometry: B and its bounds
+    stored, the stand-ins derived from the geometry's kappa0."""
     geometry: ProblemGeometry
     B: int
     B_minus: int
     B_plus: int
-    B_tilde_minus: int
-    B_tilde_plus: int
     horizon: int
+
+    @property
+    def B_tilde_minus(self) -> int:
+        return bound_lower_approx(self.geometry.kappa0)
+
+    @property
+    def B_tilde_plus(self) -> int:
+        return bound_upper_approx(self.geometry.kappa0)
 
 
 def report(g: ProblemGeometry, m_max: int | None = None) -> BandwidthReport:
@@ -236,10 +243,8 @@ def _reports(gs, m_maxes):
             raise ArithmeticError(
                 f"Bessel rows at kappa0={g.kappa0:g} are not finite where "
                 "the bounds read them")
-        return BandwidthReport(
-            geometry=g, B=b, B_minus=b_minus[p], B_plus=b_plus[p],
-            B_tilde_minus=bound_lower_approx(g.kappa0),
-            B_tilde_plus=bound_upper_approx(g.kappa0), horizon=m_maxes[p])
+        return BandwidthReport(geometry=g, B=b, B_minus=b_minus[p],
+                               B_plus=b_plus[p], horizon=m_maxes[p])
 
     return map(one, range(len(gs)))
 

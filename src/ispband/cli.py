@@ -165,7 +165,9 @@ def _cmd_bandwidth(args, parser) -> int:
         dtheta = None
         note = "no stable band (B- = 0); angular sampling bound undefined"
     if args.format == "json":
-        payload = {k: v for k, v in vars(rep).items() if k != "geometry"}
+        payload = {k: getattr(rep, k) for k in (
+            "B", "B_minus", "B_plus", "B_tilde_minus", "B_tilde_plus",
+            "horizon")}
         print(json.dumps(dict(payload, max_angular_step=dtheta,
                               kappa0=g.kappa0, kappa=g.kappa), sort_keys=True))
     else:

@@ -47,7 +47,11 @@ def _dataclass_columns(cls) -> tuple:
 
 _SPECTRUM = (("m", int), ("A_m", float), ("log10_abs_H2", float),
              ("log10_sigma", float), ("sigma", float))
-_SWEEP = _dataclass_columns(SweepRecord)
+# the 5 fields a SweepRecord stores, then the 6 it derives from them
+_SWEEP = (("kappa", float), ("kappa0", float), ("B", int), ("B_minus", int),
+          ("B_plus", int), ("B_tilde_minus", int), ("B_tilde_plus", int),
+          ("eps_minus", int), ("eps_plus", int), ("relerr_minus", float),
+          ("relerr_plus", float))
 _FITS = _dataclass_columns(RegressionFit)
 _BOUNDARY = (("index", int), ("re", float), ("im", float))
 _GRID = (("i_r", int), ("i_theta", int), ("rho", float), ("theta", float),
@@ -209,8 +213,24 @@ def write_sweep(records: Iterable[SweepRecord], path) -> None:
 
 
 def read_sweep(path) -> list[SweepRecord]:
+    """Records built from the 5 stored columns of each row; a row whose
+    6 derived columns are not what its record derives is refused."""
     _, cols = _read(path, _SWEEP)
-    return [SweepRecord(*row) for row in zip(*cols)]
+    get, records = _getter(_SWEEP), []
+    for i, row in enumerate(zip(*cols), start=1):
+        rec = SweepRecord(*row[:5])
+        try:
+            derived = get(rec)
+        except ValueError as exc:
+            raise ValueError(f"sweep row {i}: {exc}") from None
+        if derived != row:
+            bad = [name for (name, _), a, b in zip(_SWEEP, derived, row)
+                   if a != b]
+            raise ValueError(
+                f"sweep row {i} (kappa={row[0]!r}): the derived columns "
+                f"{', '.join(bad)} disagree with kappa0 and the band edges")
+        records.append(rec)
+    return records
 
 
 def write_fits(fits: Iterable[RegressionFit], path) -> None:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import HorizonError, _reports, bandwidth
+from .bandwidth import (HorizonError, _reports, bandwidth,
+                        bound_lower_approx, bound_upper_approx)
 from .singular_system import ProblemGeometry, build_spectrum, default_m_max
 from .specfun import _check_count
 
@@ -38,21 +39,48 @@ KAPPA_SWEEP_RANGE = (2.0, 100.0 * math.pi)
 _SWEEP_BLOCK = 64
 
 
+def _relerr(bound: int, B: int) -> float:
+    """|bound - B| / B; on an empty band (B = 0) a bound of 0 has no
+    error and any other overshoots it without limit."""
+    if B > 0:
+        return abs(bound - B) / B
+    return 0.0 if bound == 0 else math.inf
+
+
 @dataclass(frozen=True)
 class SweepRecord:
-    """Band edges and bound errors at one sweep point."""
+    """Band edges at one sweep point. The stand-ins derive from kappa0,
+    and the bound errors from the three edges."""
 
     kappa: float
     kappa0: float
     B: int
     B_minus: int
     B_plus: int
-    B_tilde_minus: int
-    B_tilde_plus: int
-    eps_minus: int
-    eps_plus: int
-    relerr_minus: float
-    relerr_plus: float
+
+    @property
+    def B_tilde_minus(self) -> int:
+        return bound_lower_approx(self.kappa0)
+
+    @property
+    def B_tilde_plus(self) -> int:
+        return bound_upper_approx(self.kappa0)
+
+    @property
+    def eps_minus(self) -> int:
+        return self.B_minus - self.B
+
+    @property
+    def eps_plus(self) -> int:
+        return self.B_plus - self.B
+
+    @property
+    def relerr_minus(self) -> float:
+        return _relerr(self.B_minus, self.B)
+
+    @property
+    def relerr_plus(self) -> float:
+        return _relerr(self.B_plus, self.B)
 
 
 @dataclass(frozen=True)
@@ -79,27 +107,11 @@ class AsymptoticRecord:
     kappa: float
     sigma: float
     reference: float
-    rel_dev: float
     in_regime: bool
 
-
-def _sweep_record(kappa: float, kappa0: float, rep) -> SweepRecord:
-    b, bm, bp = rep.B, rep.B_minus, rep.B_plus
-    eps_minus = bm - b
-    eps_plus = bp - b
-    if b > 0:
-        relerr_minus = abs(eps_minus) / b
-        relerr_plus = abs(eps_plus) / b
-    else:
-        # 0/0 for the lower bound is resolved to zero error; the upper
-        # bound genuinely overshoots an empty band
-        relerr_minus = 0.0 if bm == 0 else math.inf
-        relerr_plus = math.inf
-    return SweepRecord(kappa=kappa, kappa0=kappa0, B=b, B_minus=bm,
-                       B_plus=bp, B_tilde_minus=rep.B_tilde_minus,
-                       B_tilde_plus=rep.B_tilde_plus,
-                       eps_minus=eps_minus, eps_plus=eps_plus,
-                       relerr_minus=relerr_minus, relerr_plus=relerr_plus)
+    @property
+    def rel_dev(self) -> float:
+        return abs(self.sigma - self.reference) / self.reference
 
 
 def run_sweep(n_points: int = 300,
@@ -138,7 +150,8 @@ def run_sweep(n_points: int = 300,
                 # the class picks the CLI's exit code, so keep it
                 raise type(exc)(
                     f"sweep failed at kappa={kappa:.6g}: {exc}") from exc
-            out.append(_sweep_record(kappa, kappa / ratio, rep))
+            out.append(SweepRecord(kappa, kappa / ratio, rep.B,
+                                   rep.B_minus, rep.B_plus))
     log.info("sweep finished: %d points over [%g, %g]", n_points, lo, hi)
     return out
 
@@ -211,17 +224,15 @@ def asymptotic_checks(g_list: list[ProblemGeometry],
         plateau_ref = (math.sqrt(2.0) / math.pi) * lam * math.sqrt(g.R0)
         for m in plateau_ms:
             sig = math.exp(log_sigma[abs(m)])
-            dev = abs(sig - plateau_ref) / plateau_ref
             in_regime = (g.kappa0 >= 10.0 * max(m * m - 0.25, 1.0)
                          and g.R0 == g.R)
             out.append(AsymptoticRecord("plateau", m, g.kappa0, g.kappa,
-                                        sig, plateau_ref, dev, in_regime))
+                                        sig, plateau_ref, in_regime))
         for m in decay_ms:
             ref = ((1.0 / m) * math.sqrt(2.0 / (m + 1))
                    * (g.R0 / g.R)**(m - 0.5) * g.R0**1.5)
             sig = math.exp(log_sigma[abs(m)])
-            dev = abs(sig - ref) / ref
             in_regime = g.kappa**2 <= 0.25 * (m + 1)
             out.append(AsymptoticRecord("decay", m, g.kappa0, g.kappa,
-                                        sig, ref, dev, in_regime))
+                                        sig, ref, in_regime))
     return out

@@ -24,13 +24,11 @@ kernel of forward.assemble_forward (j0, hankel1) import it, when they run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "ZeroRecord",
     "hankel_log_abs2",
     "hankel_arg",
     "bessel_j_table",
@@ -411,15 +409,7 @@ def _hankel_seeds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             scale * (q1 * (sin - cos) - p1 * (cos + sin)))
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
-    """First positive zero of J_m or Y_m."""
-    m: int
-    kind: str        # "J" or "Y"
-    value: float
-
-
-def _first_zero(kind: str, m, m0_bracket: tuple, top) -> ZeroRecord:
+def _first_zero(kind: str, m, m0_bracket: tuple, top) -> float:
     """First positive zero of J_m (kind "J") or Y_m ("Y"), bisected on
     m0_bracket for m = 0 and on [m, top(m)] above until the ends are
     adjacent doubles; the bracket must hold exactly one zero."""
@@ -437,11 +427,11 @@ def _first_zero(kind: str, m, m0_bracket: tuple, top) -> ZeroRecord:
             lo, flo = mid, fmid
         else:
             hi, fhi = mid, fmid
-    return ZeroRecord(m, kind, lo if abs(flo) <= abs(fhi) else hi)
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 @lru_cache(maxsize=None)
-def first_zero_j(m) -> ZeroRecord:
+def first_zero_j(m) -> float:
     """First positive zero j_{m,1} of J_m, to 1e-11 absolute or better.
 
     For m >= 1 the bracket is [m, guess + 1.5]. J_m > 0 on (0, m] since
@@ -453,7 +443,7 @@ def first_zero_j(m) -> ZeroRecord:
 
 
 @lru_cache(maxsize=None)
-def first_zero_y(m) -> ZeroRecord:
+def first_zero_y(m) -> float:
     """First positive zero y_{m,1} of Y_m, to 1e-11 absolute or better.
 
     For m >= 1 the bracket is [m, guess + 1.2]. Y_m < 0 on (0, m] since

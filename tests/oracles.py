@@ -13,7 +13,7 @@ from ispband.specfun import _check_order
 
 
 def zero_threshold_bound(kappa0: float, zero_of) -> int:
-    """Smallest m with zero_of(m).value >= kappa0 - _TIE_TOL: B_- with
+    """Smallest m with zero_of(m) >= kappa0 - _TIE_TOL: B_- with
     zero_of = first_zero_j, B_+ with first_zero_y, by the definition.
 
     zero_of(m) is strictly increasing in m and exceeds m itself, so the
@@ -21,7 +21,7 @@ def zero_threshold_bound(kappa0: float, zero_of) -> int:
     bisect below it.
     """
     def hit(m: int) -> bool:
-        return zero_of(m).value >= kappa0 - _TIE_TOL
+        return zero_of(m) >= kappa0 - _TIE_TOL
 
     lo, hi = 0, int(math.ceil(kappa0)) + 1
     if hit(lo):

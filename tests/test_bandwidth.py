@@ -64,11 +64,11 @@ class TestZeroBounds:
         assert ib.bound_upper(0.893576) == 0
 
     def test_tie_is_inclusive(self):
-        z5 = sf.first_zero_j(5).value
+        z5 = sf.first_zero_j(5)
         assert ib.bound_lower(z5) == 5
         assert ib.bound_lower(z5 + 1e-12) == 5
         assert ib.bound_lower(z5 + 1e-6) == 6
-        y7 = sf.first_zero_y(7).value
+        y7 = sf.first_zero_y(7)
         assert ib.bound_upper(y7) == 7
         assert ib.bound_upper(y7 + 1e-6) == 8
 
@@ -120,7 +120,7 @@ class TestBoundsFromRowSigns:
     def test_around_every_zero(self, zero_of):
         # ties within _TIE_TOL = 1e-9 count as cleared: offsets on both
         # sides of the zero and of the tie line
-        zeros = np.array([zero_of(m).value for m in range(1001)])
+        zeros = np.array([zero_of(m) for m in range(1001)])
         for offset in (-1e-6, -2e-9, -5e-10, -1e-10, 0.0,
                        1e-10, 5e-10, 2e-9, 1e-6):
             self.check(zeros + offset)

@@ -230,6 +230,24 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="line 4: 10 fields"):
             csvio.read_sweep(io.StringIO("\n".join(lines) + "\n"))
 
+    @pytest.mark.parametrize("col, value", [
+        (5, "4"), (6, "9"), (7, "2"), (8, "-3"), (9, "0.5"), (10, "inf")])
+    def test_sweep_row_with_inconsistent_derived_field_rejected(self, col,
+                                                                 value):
+        # the stand-ins, eps and relerr columns must be what the row's
+        # kappa0 and band edges give
+        records = ex.run_sweep(n_points=3, kappa_range=(5.0, 20.0))
+        text = csvio.dumps(csvio.write_sweep, records)
+        name = csvio.SWEEP_HEADER.split(",")[col]
+        lines = text.splitlines(keepends=True)
+        fields = lines[2].rstrip("\n").split(",")
+        assert fields[col] != value
+        fields[col] = value
+        lines[2] = ",".join(fields) + "\n"
+        with pytest.raises(ValueError,
+                           match=f"^sweep row 2 .* columns {name} disagree"):
+            csvio.read_sweep(io.StringIO("".join(lines)))
+
     def test_negative_angular_index_rejected(self, source_text):
         bad = _edit_row(source_text, 47, 1, "-1")
         with pytest.raises(ValueError, match="grid"):
@@ -301,15 +319,23 @@ class TestGoldenBytes:
             "2,0,304.00613733227624,-inf,0\n")
 
     def test_sweep(self):
-        records = [ex.SweepRecord(
-            kappa=10.0, kappa0=5.0, B=7, B_minus=6, B_plus=9,
-            B_tilde_minus=6, B_tilde_plus=11, eps_minus=1, eps_plus=-2,
-            relerr_minus=1 / 7, relerr_plus=math.inf)]
+        # by hand: B~- = ceil(n^3) with n^3 + 1.855757 n = kappa0 (n^3 =
+        # 2.49, 0.19 and 0.02 here), B~+ = ceil(kappa0), eps = B+- - B,
+        # relerr = |eps| / B, and on B = 0 relerr is 0 for a bound of 0
+        # and inf for any other
+        records = [ex.SweepRecord(kappa=10.0, kappa0=5.0, B=7, B_minus=6,
+                                  B_plus=9),
+                   ex.SweepRecord(kappa=2.5, kappa0=1.25, B=0, B_minus=0,
+                                  B_plus=1),
+                   ex.SweepRecord(kappa=1.0, kappa0=0.5, B=0, B_minus=0,
+                                  B_plus=0)]
         text = csvio.dumps(csvio.write_sweep, records)
         assert text == (
             "kappa,kappa0,B,B_minus,B_plus,B_tilde_minus,B_tilde_plus,"
             "eps_minus,eps_plus,relerr_minus,relerr_plus\n"
-            "10,5,7,6,9,6,11,1,-2,0.14285714285714285,inf\n")
+            "10,5,7,6,9,3,5,-1,2,0.14285714285714285,0.2857142857142857\n"
+            "2.5,1.25,0,0,1,1,2,0,1,0,inf\n"
+            "1,0.5,0,0,0,1,1,0,0,0,0\n")
         assert csvio.read_sweep(io.StringIO(text)) == records
 
     def test_fits(self):
@@ -370,8 +396,11 @@ def _objects(rng, edge=(), contiguous=True) -> dict:
     table = ss.SpectrumTable(geometry=g, a=np.abs(_fill(rng, n, edge)),
                              log_abs_h2=_fill(rng, n, edge[::-1]),
                              phase=np.zeros(n))
-    sweep = [ex.SweepRecord(*f[:2], *rng.integers(-99, 99, 7).tolist(),
-                            *f[2:]) for f in _fill(rng, (n, 4), edge).tolist()]
+    # every float edge value goes into kappa; kappa0 stays positive and
+    # moderate, where the stand-ins it derives are defined
+    sweep = [ex.SweepRecord(f, float(rng.uniform(0.1, 1e3)),
+                            *rng.integers(-99, 99, 3).tolist())
+             for f in _fill(rng, n, edge).tolist()]
     fits = [ex.RegressionFit(t, *f) for t, f in zip(
         ("B", "B-", "B+"), _fill(rng, (3, 4), edge).tolist())]
     finite = [v for v in edge if math.isfinite(v)]

@@ -46,6 +46,19 @@ class TestRunSweep:
                 assert r.relerr_minus == pytest.approx(abs(r.eps_minus) / r.B)
                 assert r.relerr_plus == pytest.approx(abs(r.eps_plus) / r.B)
 
+    def test_empty_band_relerr_rule(self):
+        # below y_{0,1} = 0.894 every bound is 0 and the band is empty:
+        # 0/0 is no error for either bound; past it B+ overshoots B = 0
+        records = ex.run_sweep(n_points=4, kappa_range=(0.1, 0.85))
+        assert [(r.B, r.B_minus, r.B_plus) for r in records] == [(0, 0, 0)] * 4
+        for r in records:
+            assert r.relerr_minus == 0.0 and r.relerr_plus == 0.0
+        over = [r for r in ex.run_sweep(n_points=4, kappa_range=(2.0, 2.6))
+                if r.B == 0]
+        assert len(over) == 2
+        for r in over:
+            assert r.B_plus > 0 and r.relerr_plus == math.inf
+
     def test_ratio_controls_kappa0(self):
         records = ex.run_sweep(n_points=3, kappa_range=(20.0, 40.0),
                                equal_sizes=False, ratio=2.0)
@@ -184,9 +197,7 @@ class TestFitLinear:
     def test_residual_se_formula(self):
         recs = [
             ex.SweepRecord(kappa=float(k), kappa0=float(k), B=b, B_minus=0,
-                           B_plus=0, B_tilde_minus=0, B_tilde_plus=0,
-                           eps_minus=0, eps_plus=0, relerr_minus=0.0,
-                           relerr_plus=0.0)
+                           B_plus=0)
             for k, b in [(1.0, 1), (2.0, 2), (3.0, 2), (4.0, 4)]
         ]
         fit = ex.fit_linear(recs, "B")

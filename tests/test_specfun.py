@@ -364,50 +364,48 @@ class TestNicholsonOracle:
 
 class TestFirstZeros:
     def test_classic_values(self):
-        assert sf.first_zero_j(0).value == pytest.approx(2.404825557695773, abs=1e-10)
-        assert sf.first_zero_j(1).value == pytest.approx(3.831705970207512, abs=1e-10)
-        assert sf.first_zero_y(0).value == pytest.approx(0.8935769662791675, abs=1e-10)
+        assert sf.first_zero_j(0) == pytest.approx(2.404825557695773, abs=1e-10)
+        assert sf.first_zero_j(1) == pytest.approx(3.831705970207512, abs=1e-10)
+        assert sf.first_zero_y(0) == pytest.approx(0.8935769662791675, abs=1e-10)
 
     @pytest.mark.slow
     def test_matches_reference_roots(self):
         for m in (2, 5, 26, 29, 100, 315):
             ref_j = float(mp.besseljzero(m, 1))
             ref_y = float(mp.besselyzero(m, 1))
-            assert sf.first_zero_j(m).value == pytest.approx(ref_j, abs=1e-10)
-            assert sf.first_zero_y(m).value == pytest.approx(ref_y, abs=1e-10)
+            assert sf.first_zero_j(m) == pytest.approx(ref_j, abs=1e-10)
+            assert sf.first_zero_y(m) == pytest.approx(ref_y, abs=1e-10)
 
-    def test_record_fields(self):
-        rec = sf.first_zero_j(4)
-        assert rec.m == 4
-        assert rec.kind == "J"
-        assert sf.first_zero_y(4).kind == "Y"
+    def test_zero_is_a_float(self):
+        assert type(sf.first_zero_j(4)) is float
+        assert type(sf.first_zero_y(4)) is float
 
     def test_strictly_increasing_in_order(self):
-        jz = [sf.first_zero_j(m).value for m in range(0, 501)]
-        yz = [sf.first_zero_y(m).value for m in range(0, 501)]
+        jz = [sf.first_zero_j(m) for m in range(0, 501)]
+        yz = [sf.first_zero_y(m) for m in range(0, 501)]
         assert np.all(np.diff(jz) > 0.0)
         assert np.all(np.diff(yz) > 0.0)
 
     def test_interlacing(self):
         for m in range(0, 501):
-            assert sf.first_zero_y(m).value < sf.first_zero_j(m).value
+            assert sf.first_zero_y(m) < sf.first_zero_j(m)
 
     def test_zero_value_is_a_root(self):
         for m in (0, 3, 40, 200):
-            zj = sf.first_zero_j(m).value
-            zy = sf.first_zero_y(m).value
+            zj = sf.first_zero_j(m)
+            zy = sf.first_zero_y(m)
             assert abs(special.jv(m, zj)) < 1e-11
             assert abs(special.yv(m, zy)) < 1e-11
 
     def test_large_order_expansion_j(self):
         m = 1000
-        delta = sf.first_zero_j(m).value - m - sf.A_MINUS * m ** (1.0 / 3.0)
+        delta = sf.first_zero_j(m) - m - sf.A_MINUS * m ** (1.0 / 3.0)
         assert 0.5 * m ** (-1.0 / 3.0) <= abs(delta) <= 2.0 * m ** (-1.0 / 3.0)
 
     def test_large_order_expansion_y(self):
         deltas = []
         for m in (8, 1000):
-            d = sf.first_zero_y(m).value - m - sf.A_PLUS * m ** (1.0 / 3.0)
+            d = sf.first_zero_y(m) - m - sf.A_PLUS * m ** (1.0 / 3.0)
             deltas.append(abs(d))
         assert deltas[1] < deltas[0]
         assert deltas[1] < 0.05
@@ -416,9 +414,9 @@ class TestFirstZeros:
         # jn_zeros / yn_zeros are an independent implementation; in scipy
         # 1.17.1 they return NaN from m = 4473 (J) and 4489 (Y) on
         for m in [*range(0, 41), *range(97, 4401, 97)]:
-            assert abs(sf.first_zero_j(m).value
+            assert abs(sf.first_zero_j(m)
                        - special.jn_zeros(m, 1)[0]) <= 1e-11
-            assert abs(sf.first_zero_y(m).value
+            assert abs(sf.first_zero_y(m)
                        - special.yn_zeros(m, 1)[0]) <= 1e-11
 
     @pytest.mark.parametrize("m", [1000, 4472, 10000])
@@ -427,7 +425,7 @@ class TestFirstZeros:
         # sign change of the computed J_m (Y_m)
         for zero, f in ((sf.first_zero_j, special.jv),
                         (sf.first_zero_y, special.yv)):
-            z = zero(m).value
+            z = zero(m)
             fz = f(m, z)
             neighbours = [f(m, np.nextafter(z, d)) for d in (-np.inf, np.inf)]
             assert fz == 0.0 or any(fn * fz < 0.0 for fn in neighbours)
