@@ -118,11 +118,11 @@ def run_sweep(n_points: int = 300,
               kappa_range: tuple[float, float] = KAPPA_SWEEP_RANGE,
               equal_sizes: bool = True,
               ratio: float = 1.0) -> list[SweepRecord]:
-    """Band edges over a uniform inclusive kappa grid.
+    """Band edges over a uniform inclusive grid on a finite kappa range.
 
     n_points is an integer of at least 2. With equal_sizes the source
     fills the measurement disk (kappa0 = kappa) and ratio must be 1;
-    otherwise kappa0 = kappa / ratio for the given ratio >= 1. The points
+    otherwise kappa0 = kappa / ratio for a finite ratio >= 1. The points
     go _SWEEP_BLOCK at a time through bandwidth._reports, the batched
     report behind report: one Bessel pass and one bound scan per block,
     so each point gets the record that report gives it alone. A failing
@@ -131,11 +131,11 @@ def run_sweep(n_points: int = 300,
     n_points = _check_count(n_points, "need an integer n_points >= 2", 2)
     if equal_sizes and ratio != 1.0:
         raise ValueError(f"ratio={ratio!r} needs equal_sizes=False")
-    if ratio < 1.0:
-        raise ValueError("ratio must be >= 1")
+    if not 1.0 <= ratio < math.inf:
+        raise ValueError(f"ratio must be finite and >= 1, got {ratio!r}")
     lo, hi = float(kappa_range[0]), float(kappa_range[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bad kappa range {kappa_range!r}")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"bad kappa range {kappa_range!r}; need 0 < lo < hi < inf")
     kappas = lo + np.arange(n_points) * (hi - lo) / (n_points - 1)
     out = []
     for first in range(0, n_points, _SWEEP_BLOCK):

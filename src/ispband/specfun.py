@@ -9,10 +9,11 @@ The two tables come from the recurrences Gautschi prescribes for the
 minimal and the dominant solution (SIAM Rev. 9, 1967; DLMF 10.74(iv)):
 J_m by Miller's downward recurrence and Y_m upward from Y_0 and Y_1. Each
 is one vector step per order across all arguments, so the rows of a whole
-batch of geometries cost about what the rows of one do. Y_m overflows the
-double range once m is a few hundred above x; its table carries a
-power-of-two exponent per entry instead, so the Hankel rows stay finite
-there and the phase is -pi/2 to every digit.
+batch of geometries cost about what the rows of one do, and each step
+writes its order in place into the row that keeps it, with no temporary.
+Y_m overflows the double range once m is a few hundred above x; its table
+carries a power-of-two exponent per entry instead, so the Hankel rows stay
+finite there and the phase is -pi/2 to every digit.
 
 The Y table needs Y_0 and Y_1 to start from. Below x = 25 they come from
 Neumann's series (DLMF 10.8.2, and its derivative for Y_1) over one J
@@ -45,6 +46,9 @@ A_PLUS = 0.931577
 # |f| threshold at which a recurrence pair is renormalized (for Y, at
 # arguments x < 1, the threshold is this times x)
 _RESCALE_AT = 1e250
+
+# bytes of the 2m/x rows made at a time (_ratios), and of Y's ring of rows
+_STEP_BLOCK = 1 << 14
 
 # below this argument J_m(x) = (x/2)^m / m! to double precision
 _SERIES_BELOW = 1e-20
@@ -175,8 +179,9 @@ def bessel_j_table(m_max, x) -> np.ndarray:
     _SERIES_BELOW take the leading series term, which gives the exact row
     (1, 0, 0, ...) at 0.
 
-    The table is a transposed view of the (orders, arguments) pass, so it
-    is F-ordered: the entries of one order lie contiguous across the
+    The table is a transposed view of the (orders, arguments) pass, whose
+    steps write each order in place into its row (_miller_rows), so it is
+    F-ordered: the entries of one order lie contiguous across the
     arguments. The radial tables cut from it are column-major, and sums
     over the rings (_psi_project) run along that axis.
     """
@@ -194,16 +199,28 @@ def _miller_start(top) -> int:
         0.5 * (top + 10.0 + 6.0 * top ** (1.0 / 3.0) + math.sqrt(40.0 * top)))
 
 
+def _ratios(orders: range, x: np.ndarray):
+    """(m, 2m/x) for each m of orders in turn, the rows made _STEP_BLOCK
+    bytes at a time; 2.0 m is exact, so a row has the bits of 2.0 * m / x."""
+    step = max(1, _STEP_BLOCK // (8 * max(x.size, 1)))
+    ms = np.arange(orders.start, orders.stop, orders.step)
+    for k in range(0, len(orders), step):
+        yield from zip(orders[k:k + step], 2.0 * ms[k:k + step, None] / x)
+
+
 def _miller_rows(orders: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:
     """J_m(x_i) as rows m = 0 .. top, columns i, before the floor.
 
     Arguments below _SERIES_BELOW take the series term. Every other one
     stays 0 until the downward pass reaches its own start order, where it
     joins with f = 1; from there on its arithmetic is that of a pass run
-    for x_i alone. A step multiplies |f| by at most 2m/min(x) + 1, so a
-    scalar bound on all |f| and |f_up| tells when a step may have passed
-    _RESCALE_AT; only then are the columns looked at, which rescales the
-    same columns at the same orders as looking at every step would.
+    for x_i alone. A step writes f_{m-1} in place into its table row, or
+    above top into spill row (m - 1) % 3, so no taller table is made. It
+    multiplies |f| by at most 2m/min(x) + 1, so a scalar bound on all |f|
+    and |f_up| tells when a step may have passed _RESCALE_AT; only then
+    are the columns looked at, which rescales the same columns at the same
+    orders as looking at every step would. A rescale divides the running
+    sum's columns, their rows from f up and, above top, the spill rows.
     """
     tiny = x < _SERIES_BELOW
     step_x = np.where(tiny, 1.0, x)
@@ -212,20 +229,24 @@ def _miller_rows(orders: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:
                                            tiny.tolist())):
         if not t:
             joins.setdefault(_miller_start(max(order, xi)), []).append(i)
+    start = max(joins, default=0)
     rows = np.zeros((top + 1, x.size))    # orders above every start stay 0
-    f_up, f = np.zeros(x.size), np.zeros(x.size)   # f_{m+1}, f_m
+    spill = np.zeros((3, x.size))         # f_m above top, in row m % 3
+    f_up, f = (np.zeros(x.size),                       # f_{m+1}, f_m
+               rows[start] if start <= top else spill[start % 3])
     even_sum = np.zeros(x.size)                     # sum of f_2k, k >= 1
     growth = 2.0 / float(step_x.min(initial=1.0))
     bound = 0.0                                     # >= every |f|, |f_up|
-    for m in range(max(joins, default=0), 0, -1):
+    multiply, subtract = np.multiply, np.subtract   # looked up once
+    for m, coef in _ratios(range(start, 0, -1), step_x):
         if m in joins:
             f[joins[m]] = 1.0
             bound = max(bound, 1.0)
-        if m <= top:
-            rows[m] = f
         if m % 2 == 0:
             even_sum += f
-        f_up, f = f, (2.0 * m / step_x) * f - f_up
+        out = rows[m - 1] if m <= top + 1 else spill[(m - 1) % 3]
+        multiply(coef, f, out=out)
+        f_up, f = f, subtract(out, f_up, out=out)
         bound *= growth * m + 1.0
         if bound > _RESCALE_AT:
             af = np.abs(f)
@@ -233,18 +254,17 @@ def _miller_rows(orders: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:
             if big.any():
                 i = np.flatnonzero(big)
                 a = af[i]
-                f[i] /= a
-                f_up[i] /= a
                 even_sum[i] /= a
-                rows[m:, i] /= a
+                rows[m - 1:, i] /= a        # f, and f_up up to top
+                if m > top:                 # f_up, and f above top
+                    spill[:, i] /= a
                 # every |f| and |f_up| is now <= _RESCALE_AT; where some
                 # column rescales, others tend to be close, so look again
                 # at the next step rather than pay for the exact maximum
                 bound = _RESCALE_AT
             else:
                 bound = max(float(af.max()), float(np.abs(f_up).max()))
-    rows[0] = f
-    norm = f + 2.0 * even_sum
+    norm = f + 2.0 * even_sum                       # f is rows[0]
     norm[tiny] = 1.0
     rows /= norm
     if tiny.any():
@@ -264,17 +284,19 @@ def bessel_y_table(m_max, x) -> tuple[np.ndarray, np.ndarray]:
 
     One upward pass Y_{m+1} = (2m/x) Y_m - Y_{m-1}, a vector step across
     all x, seeded by _y_seeds; upward is the stable direction for Y, the
-    dominant solution (Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)).
-    Where an argument's |Y_m| passes _RESCALE_AT min(1, x), its working
-    pair is divided by the power of two that brings |Y_m| into [0.5, 1),
-    which is exact, and the power moves into e. One step multiplies |Y|
-    by at most 2m/x + 1, so no entry overflows for m <= 1e4 and
-    x >= 1.2e-304. An entry up to m_max_i depends on x_i and m alone,
+    dominant solution (Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)). A
+    step writes Y_{m+1} in place into a ring of (orders, arguments) work
+    rows, which go into y's columns a block at a time. Where an argument's
+    |Y_m| passes _RESCALE_AT min(1, x), its working pair is divided by the
+    power of two that brings |Y_m| into [0.5, 1), which is exact, and the
+    power moves into e. That and a lane's end change Y_m in its row and
+    Y_{m-1} on a copy, so Y_{m-1}'s row keeps its stored value. A step
+    multiplies |Y| by at most 2m/x + 1, so no entry overflows for m <= 1e4
+    and x >= 1.2e-304. An entry up to m_max_i depends on x_i and m alone,
     never on the orders or the other arguments, so a longer table extends
-    a shorter one bit for bit. Below x = 3.6e-309, where
-    Y_1(x) ~ -2 / (pi x) overflows, and wherever a step overflows all the
-    same, the entries are not finite; hankel_log_abs2 and hankel_arg
-    refuse them.
+    a shorter one bit for bit. Below x = 3.6e-309, where Y_1(x) ~
+    -2 / (pi x) overflows, and wherever a step overflows all the same, the
+    entries are not finite; hankel_log_abs2 and hankel_arg refuse them.
     """
     return _y_table(m_max, x, None)
 
@@ -285,39 +307,47 @@ def _y_table(m_max, x, neumann_j) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(flat) & (flat > 0.0)):
         raise ValueError("arguments must be positive finite reals")
     y = np.empty((flat.size, top + 1))
+    ring = min(max(3, _STEP_BLOCK // (8 * max(flat.size, 1))), max(top, 1) + 1)
+    w = np.empty((ring, flat.size))     # row m % ring: Y_m as stored
+    w[:2] = _y_seeds(flat, neumann_j)
     e = np.zeros((flat.size, top + 1), dtype=np.int64)     # steps, then sums
-    seeds = _y_seeds(flat, neumann_j)
-    y[:, 0] = seeds[0]
     limit = _RESCALE_AT * np.minimum(1.0, flat)
     growth = 2.0 / float(flat.min()) if flat.size else 0.0
     bound = math.inf                    # >= every |Y_m| / limit, as the
-    y_lo, y_hi = seeds                  # bound in _miller_rows; Y_{m-1}, Y_m
+    lo, hi = w[0], w[1]                 # bound in _miller_rows; Y_{m-1}, Y_m
     ends: dict[int, list[int]] = {}     # order -> lanes that end before it
     for i, order in enumerate(orders.tolist()):
         ends.setdefault(order + 1, []).append(i)
     rescaled = False
+    multiply, subtract = np.multiply, np.subtract
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, top + 1):
-            if m > 1:
-                y_lo, y_hi = y_hi, (2.0 * (m - 1) / flat) * y_hi - y_lo
-                bound *= growth * (m - 1) + 1.0
+        for m, coef in _ratios(range(1, top + 1), flat):
             if m in ends:               # a zero pair stays zero
-                y_hi[ends[m]] = 0.0
-                y_lo[ends[m]] = 0.0
+                lo = lo.copy()
+                hi[ends[m]] = 0.0
+                lo[ends[m]] = 0.0
             if bound > 1.0:
-                big = np.abs(y_hi) > limit
+                big = np.abs(hi) > limit
                 if big.any():
                     i = np.flatnonzero(big)
-                    k = np.frexp(y_hi[i])[1]
-                    y_hi[i] = np.ldexp(y_hi[i], -k)
-                    y_lo[i] = np.ldexp(y_lo[i], -k)
+                    k = np.frexp(hi[i])[1]
+                    lo = lo if m in ends else lo.copy()
+                    hi[i] = np.ldexp(hi[i], -k)
+                    lo[i] = np.ldexp(lo[i], -k)
                     e[i, m] = k
                     rescaled = True
                 # a column that has overflowed is lost anyway and must
                 # not hold up the others
-                r = np.maximum(np.abs(y_hi), np.abs(y_lo)) / limit
+                r = np.maximum(np.abs(hi), np.abs(lo)) / limit
                 bound = float(r.max(initial=0.0, where=np.isfinite(r)))
-            y[:, m] = y_hi
+            if m % ring == ring - 1:    # a full ring: into y's columns
+                y[:, m + 1 - ring:m + 1] = w.T
+            if m < top:
+                out = w[(m + 1) % ring]
+                multiply(coef, hi, out=out)
+                lo, hi = hi, subtract(out, lo, out=out)
+                bound *= growth * m + 1.0
+    y[:, top - top % ring:] = w[:top % ring + 1].T
     if rescaled:                        # else e stays untouched zeros
         np.cumsum(e, axis=1, out=e)
     shape = x.shape + (top + 1,)

@@ -9,6 +9,7 @@ from scipy import integrate, special
 from ispband import singular_system as ss
 from ispband.bandwidth import _TIE_TOL
 from ispband.forward import _scaled_abs, source_grid
+from ispband import specfun as sf
 from ispband.specfun import _check_order
 
 
@@ -217,3 +218,102 @@ def per_line_read(fh, columns, meta: bool = False):
         for col, (_, kind), val in zip(cols, columns, fields):
             col.append(kind(val))
     return info, cols
+
+
+def miller_rows_reference(orders: np.ndarray, x: np.ndarray,
+                          top: int) -> np.ndarray:
+    """specfun._miller_rows as a loop of out-of-place steps: each step
+    makes f_{m-1} on a fresh array from a fresh 2m/x row and copies f_m
+    into the table. The in-place pass must match it bit for bit."""
+    tiny = x < sf._SERIES_BELOW
+    step_x = np.where(tiny, 1.0, x)
+    joins: dict[int, list[int]] = {}
+    for i, (order, xi, t) in enumerate(zip(orders.tolist(), x.tolist(),
+                                           tiny.tolist())):
+        if not t:
+            joins.setdefault(sf._miller_start(max(order, xi)), []).append(i)
+    rows = np.zeros((top + 1, x.size))    # orders above every start stay 0
+    f_up, f = np.zeros(x.size), np.zeros(x.size)   # f_{m+1}, f_m
+    even_sum = np.zeros(x.size)                     # sum of f_2k, k >= 1
+    growth = 2.0 / float(step_x.min(initial=1.0))
+    bound = 0.0                                     # >= every |f|, |f_up|
+    for m in range(max(joins, default=0), 0, -1):
+        if m in joins:
+            f[joins[m]] = 1.0
+            bound = max(bound, 1.0)
+        if m <= top:
+            rows[m] = f
+        if m % 2 == 0:
+            even_sum += f
+        f_up, f = f, (2.0 * m / step_x) * f - f_up
+        bound *= growth * m + 1.0
+        if bound > sf._RESCALE_AT:
+            af = np.abs(f)
+            big = af > sf._RESCALE_AT
+            if big.any():
+                i = np.flatnonzero(big)
+                a = af[i]
+                f[i] /= a
+                f_up[i] /= a
+                even_sum[i] /= a
+                rows[m:, i] /= a
+                bound = sf._RESCALE_AT
+            else:
+                bound = max(float(af.max()), float(np.abs(f_up).max()))
+    rows[0] = f
+    norm = f + 2.0 * even_sum
+    norm[tiny] = 1.0
+    rows /= norm
+    if tiny.any():
+        terms = np.empty((top + 1, int(tiny.sum())))
+        terms[0] = 1.0
+        terms[1:] = 0.5 * x[tiny] / np.arange(1, top + 1)[:, None]
+        rows[:, tiny] = np.cumprod(terms, axis=0)
+    return rows
+
+
+def y_table_reference(m_max, x, neumann_j=None) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """specfun._y_table as a loop of out-of-place steps: each step makes
+    Y_{m+1} on a fresh array from a fresh 2m/x row and copies it into a
+    column of the (arguments, orders) table. The in-place pass must match
+    it bit for bit."""
+    x, flat, orders, top = sf._lanes(m_max, x)
+    if not np.all(np.isfinite(flat) & (flat > 0.0)):
+        raise ValueError("arguments must be positive finite reals")
+    y = np.empty((flat.size, top + 1))
+    e = np.zeros((flat.size, top + 1), dtype=np.int64)     # steps, then sums
+    seeds = sf._y_seeds(flat, neumann_j)
+    y[:, 0] = seeds[0]
+    limit = sf._RESCALE_AT * np.minimum(1.0, flat)
+    growth = 2.0 / float(flat.min()) if flat.size else 0.0
+    bound = math.inf
+    y_lo, y_hi = seeds
+    ends: dict[int, list[int]] = {}     # order -> lanes that end before it
+    for i, order in enumerate(orders.tolist()):
+        ends.setdefault(order + 1, []).append(i)
+    rescaled = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, top + 1):
+            if m > 1:
+                y_lo, y_hi = y_hi, (2.0 * (m - 1) / flat) * y_hi - y_lo
+                bound *= growth * (m - 1) + 1.0
+            if m in ends:               # a zero pair stays zero
+                y_hi[ends[m]] = 0.0
+                y_lo[ends[m]] = 0.0
+            if bound > 1.0:
+                big = np.abs(y_hi) > limit
+                if big.any():
+                    i = np.flatnonzero(big)
+                    k = np.frexp(y_hi[i])[1]
+                    y_hi[i] = np.ldexp(y_hi[i], -k)
+                    y_lo[i] = np.ldexp(y_lo[i], -k)
+                    e[i, m] = k
+                    rescaled = True
+                r = np.maximum(np.abs(y_hi), np.abs(y_lo)) / limit
+                bound = float(r.max(initial=0.0, where=np.isfinite(r)))
+            y[:, m] = y_hi
+    if rescaled:                        # else e stays untouched zeros
+        np.cumsum(e, axis=1, out=e)
+    shape = x.shape + (top + 1,)
+    return y.reshape(shape), e.reshape(shape)

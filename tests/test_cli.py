@@ -167,6 +167,20 @@ class TestSweepCommand:
             cli.main(["sweep", "--n", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value, kappa_range", [
+        ("--kappa-max", "inf", (2.0, math.inf)),
+        ("--kappa-min", "nan", (math.nan, 100.0 * math.pi))])
+    def test_non_finite_range_is_usage_error(self, capsys, tmp_path, flag,
+                                             value, kappa_range):
+        # refused before any point runs, and without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--n", "5", flag,
+                                     value, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad kappa range {kappa_range!r}")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_failing_point_keeps_its_exit_code(self, capsys, tmp_path):
         # at kappa = 1e-300 A_1 underflows, so the horizon check fails
         code, _, err = run_cli(capsys, "sweep", "--kappa-min", "1e-300",

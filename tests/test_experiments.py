@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +79,22 @@ class TestRunSweep:
             ex.run_sweep(n_points=5, kappa_range=(5.0, 2.0))
         with pytest.raises(ValueError):
             ex.run_sweep(n_points=5, equal_sizes=False, ratio=0.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kappa_range=(2.0, math.inf)), "bad kappa range (2.0, inf)"),
+        (dict(kappa_range=(math.nan, 40.0)), "bad kappa range (nan, 40.0)"),
+        (dict(equal_sizes=False, ratio=math.nan), "ratio must be finite "
+         "and >= 1, got nan"),
+        (dict(equal_sizes=False, ratio=math.inf), "ratio must be finite "
+         "and >= 1, got inf")])
+    def test_non_finite_input_refused_up_front(self, kwargs, message):
+        # an infinite end once made a nan grid under a RuntimeWarning, and
+        # a nan ratio passed ratio < 1; both then failed at a point with
+        # "kappa0=nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ex.run_sweep(5, **kwargs)
 
     def test_ratio_needs_unequal_sizes(self):
         # equal sizes sweep kappa0 = kappa, so a ratio there is refused,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,9 @@ from scipy import special
 
 import ispband as ib
 from ispband import specfun as sf
-from oracles import nicholson_abs2_oracle
+from ispband import experiments as ex
+from oracles import (miller_rows_reference, nicholson_abs2_oracle,
+                     y_table_reference)
 
 mp.mp.dps = 30
 
@@ -335,6 +338,97 @@ class TestRecurrenceRows:
                 with pytest.raises(ValueError,
                                    match="order must be a nonnegative"):
                     table(m, [1.0, 2.0])
+
+
+# one lane of a pass: x log-uniform on [1e-25, 2e3], so that about half
+# the lanes have x < 1, where Y rescales against the limit 1e250 x, or
+# exactly 0 for J; and the lane's own order, up to 1500
+_LANE = st.tuples(
+    st.one_of(st.just(0.0), st.floats(math.log(1e-25), math.log(2e3))
+              .map(math.exp)),
+    st.integers(min_value=0, max_value=1500))
+
+
+class TestInPlacePasses:
+    """The J and Y passes write each order in place into its row; the
+    out-of-place loops in oracles (a fresh array per step) are their
+    reference, byte for byte."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lanes=st.lists(_LANE, min_size=1, max_size=6))
+    # a lone lane with tiny x rescales at m = top + 1, where f_up is still
+    # a spill row and must be divided with the table's rows
+    @example(lanes=[(1e-15, 3)])
+    @example(lanes=[(0.0, 0), (1e-25, 1500), (2e3, 7)])
+    def test_passes_match_out_of_place_loops(self, lanes):
+        x = np.array([xi for xi, _ in lanes])
+        orders = np.array([o for _, o in lanes])
+        top = int(orders.max())
+        assert (sf._miller_rows(orders, x, top).tobytes()
+                == miller_rows_reference(orders, x, top).tobytes())
+        pos = x > 0.0
+        if pos.any():
+            y, e = sf.bessel_y_table(orders[pos], x[pos])
+            y_ref, e_ref = y_table_reference(orders[pos], x[pos])
+            assert y.tobytes() == y_ref.tobytes()
+            assert e.tobytes() == e_ref.tobytes()
+            assert y.flags.c_contiguous and e.flags.c_contiguous
+
+
+def _peak_bytes(fn, *args) -> tuple[int, np.ndarray]:
+    """fn(*args) and the peak of the memory it allocated, by tracemalloc."""
+    fn(*args)                       # lazy set-up outside the count
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def _sweep_j_lanes(monkeypatch) -> tuple[np.ndarray, np.ndarray]:
+    """The orders and arguments of the J pass of a 24-point sweep over
+    kappa in [2, 1000], as run_sweep hands them to _miller_rows."""
+    seen = []
+    real = sf._miller_rows
+    monkeypatch.setattr(sf, "_miller_rows", lambda orders, x, top: (
+        seen.append((orders, x)) or real(orders, x, top)))
+    ex.run_sweep(24, (2.0, 1000.0))
+    monkeypatch.undo()
+    (orders, x), = seen
+    return orders, x
+
+
+def _ring_j_lanes() -> tuple[np.ndarray, np.ndarray]:
+    """The 256 Gauss-Legendre rings of kappa0 = kappa = 100 pi to the J
+    horizon 377, as a reconstruction's ring pass runs them."""
+    g = ib.ProblemGeometry.from_size_params(100.0 * math.pi, 100.0 * math.pi)
+    x = g.k * ib.source_grid(g, 256, 8).rho
+    return np.full(x.size, ib.singular_system._j_horizon(
+        g.kappa0, ib.default_m_max(g.kappa0))), x
+
+
+class TestPassMemory:
+    """The J pass holds its table and a few rows: no table taller than the
+    one it returns, and 2m/x rows made a block at a time."""
+
+    @pytest.mark.parametrize("case", ["rings_100pi", "sweep_25_lanes"])
+    def test_peak_within_table_plus_allowance(self, case, monkeypatch):
+        orders, x = (_ring_j_lanes() if case == "rings_100pi"
+                     else _sweep_j_lanes(monkeypatch))
+        assert x.size == (256 if case == "rings_100pi" else 25)
+        top = int(orders.max())
+        peak, rows = _peak_bytes(sf._miller_rows, orders, x, top)
+        assert rows.shape == (top + 1, x.size)
+        # two blocks of 2m/x rows (a step's row keeps the last block while
+        # the next is made), numpy's two buffers for the broadcast division
+        # of a block, and 64 KiB for the spill rows, sums and small arrays
+        assert peak <= rows.nbytes + 4 * sf._STEP_BLOCK + (1 << 16)
+        # bessel_j_table then floors the table, with three one-byte masks
+        # of it and numpy's two 64 KiB buffers of the broadcast order mask;
+        # the 256 KiB also covers the pass's own rows
+        peak, table = _peak_bytes(sf.bessel_j_table, orders, x)
+        assert peak <= 11 * table.nbytes // 8 + (1 << 18)
 
 
 class TestNicholsonOracle:
