@@ -136,6 +136,10 @@ def run_sweep(n_points: int = 300,
     lo, hi = float(kappa_range[0]), float(kappa_range[1])
     if not 0.0 < lo < hi < math.inf:
         raise ValueError(f"bad kappa range {kappa_range!r}; need 0 < lo < hi < inf")
+    if not math.isfinite((hi - lo) * (n_points - 1)):
+        raise ValueError(f"kappa range {kappa_range!r} is too wide for "
+                         f"{n_points} points: (hi - lo) (n_points - 1) "
+                         "overflows")
     kappas = lo + np.arange(n_points) * (hi - lo) / (n_points - 1)
     out = []
     for first in range(0, n_points, _SWEEP_BLOCK):
@@ -165,15 +169,18 @@ def fit_linear(records: list[SweepRecord], target: str) -> RegressionFit:
         raise ValueError("need at least 2 records to fit")
     x = np.array([r.kappa for r in records])
     y = np.array([float(getattr(r, pick[target])) for r in records])
-    sxx = float(np.sum((x - x.mean())**2))
+    x_bar, y_bar = float(x.mean()), float(y.mean())
+    dx = x - x_bar
+    sxx = float(np.sum(dx**2))
     if sxx == 0.0:
         raise ValueError("degenerate fit: all kappa values are equal")
-    slope, intercept = np.polyfit(x, y, 1)
+    # the centred normal equations, solved in closed form
+    slope = float(np.sum(dx * (y - y_bar))) / sxx
+    intercept = y_bar - slope * x_bar
     resid = y - (slope * x + intercept)
     dof = len(records) - 2
     slope_se = math.sqrt(float(np.sum(resid**2)) / dof / sxx) if dof > 0 else 0.0
-    return RegressionFit(target=target, slope=float(slope),
-                         intercept=float(intercept),
+    return RegressionFit(target=target, slope=slope, intercept=intercept,
                          mean_abs_error=float(np.mean(np.abs(resid))),
                          std_dev=slope_se)
 

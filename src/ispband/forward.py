@@ -168,12 +168,77 @@ class ForwardMatrix:
         lambda self: 2.0 * math.pi * self.geometry.R / self.n_s)
 
 
+# Newton step in theta below which the rule's nodes count as converged,
+# and the most passes it may take (three do at every n tried up to 2000)
+_NEWTON_TOL = 1e-12
+_NEWTON_PASSES = 8
+
+
 @lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], n points."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], n points,
+    the nodes ascending.
+
+    Newton's method in theta (x = cos theta) finds the nodes of the half
+    x >= 0 from Tricomi's estimates, as in Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013) A652; the other half is their mirror image, and the
+    middle node of odd n is 0. Each pass runs _legendre_at. The passes
+    stop after a step of at most _NEWTON_TOL, which leaves an error of
+    order n _NEWTON_TOL^2. A final pass at the converged angles gives the
+    weights 2 sin^2 theta / (n q)^2, q = P_{n-1} - x P_n, in which
+    1 - x^2 never cancels, and a last Newton step in x, taken from the
+    exact point 1 + u the pass ran at rather than from cos theta.
+    """
+    # Tricomi's x_k ~ (1 - (n - 1)/(8 n^3)) cos phi_k to first order in
+    # theta, for the ceil(n/2) nodes x >= 0, x descending
+    phi = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4 * n + 2)
+    theta = phi + (n - 1) / (8.0 * n**3) / np.tan(phi)
+    for _ in range(_NEWTON_PASSES):
+        p, q, _ = _legendre_at(n, theta)
+        step = p * np.sin(theta) / (n * q)
+        theta += step
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes for n={n} did not "
+                              f"converge in {_NEWTON_PASSES} Newton passes")
+    p, q, u = _legendre_at(n, theta)
+    s = np.sin(theta)
+    dx = s * (p * s / (n * q))
+    # x = 1 + u - dx, rounded at the finer of the two scales: for |u| < 1/2
+    # dx goes onto u first, and for u <= -1/2 the sum 1 + u is exact
+    half_x = np.where(u > -0.5, 1.0 + (u - dx), (1.0 + u) - dx)
+    half_w = 2.0 * (s / (n * q)) ** 2
+    if n % 2:
+        half_x[-1] = 0.0
+    h = len(half_x)
+    x, w = np.empty(n), np.empty(n)
+    x[:h], w[:h] = -half_x, half_w
+    x[n - h:], w[n - h:] = half_x[::-1], half_w[::-1]
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _legendre_at(n: int, theta: np.ndarray) -> tuple:
+    """(P_n, P_{n-1} - x P_n, u) at x = 1 + u, u = -2 sin^2(theta/2).
+
+    The three-term recurrence (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}
+    (DLMF 18.9.1, Table 18.9.1) runs on the differences E_k = k (P_k -
+    P_{k-1}), as in Reinsch's modification of the cosine recurrence:
+    E_{k+1} = E_k + (2k + 1) u P_k, P_{k+1} = P_k + E_{k+1}/(k + 1). It
+    carries u = x - 1 rather than x, so the nodes near x = 1 keep the
+    precision of theta. Every scalar it multiplies or divides by is an
+    integer.
+    """
+    u = -2.0 * np.sin(0.5 * theta) ** 2
+    p, e, t = np.ones_like(theta), np.zeros_like(theta), np.empty_like(theta)
+    for k in range(n):
+        np.multiply(u, p, out=t)
+        t *= 2 * k + 1
+        e += t
+        np.divide(e, k + 1, out=t)
+        p += t
+    return p, -(e / n + u * p), u
 
 
 def _check_disk(g: ProblemGeometry) -> None:

@@ -47,7 +47,8 @@ A_PLUS = 0.931577
 # arguments x < 1, the threshold is this times x)
 _RESCALE_AT = 1e250
 
-# bytes of the 2m/x rows made at a time (_ratios), and of Y's ring of rows
+# bytes of the 2m/x rows made at a time (_ratios) and of Y's ring of rows,
+# and entries of each block bessel_j_table floors
 _STEP_BLOCK = 1 << 14
 
 # below this argument J_m(x) = (x/2)^m / m! to double precision
@@ -189,8 +190,17 @@ def bessel_j_table(m_max, x) -> np.ndarray:
     if not np.all(np.isfinite(flat) & (flat >= 0.0)):
         raise ValueError("arguments must be nonnegative finite reals")
     rows = _miller_rows(orders, flat, top)
-    rows[((rows < _J_FLOOR) & (rows > -_J_FLOOR))
-         | (np.arange(top + 1)[:, None] > orders)] = 0.0
+    # the floor goes a block of _STEP_BLOCK entries at a time, so its mask
+    # is that small, and each argument's orders past its own by a slice
+    step = max(1, _STEP_BLOCK // max(flat.size, 1))
+    for first in range(0, top + 1, step):
+        block = rows[first:first + step]
+        floor = block < _J_FLOOR
+        floor &= block > -_J_FLOOR
+        block[floor] = 0.0
+    for i, order in enumerate(orders.tolist()):
+        if order < top:
+            rows[order + 1:, i] = 0.0
     return rows.T.reshape(x.shape + (top + 1,))
 
 

@@ -3,6 +3,7 @@ library against. Nothing in the package imports this module."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy import integrate, special
 
@@ -272,6 +273,17 @@ def miller_rows_reference(orders: np.ndarray, x: np.ndarray,
     return rows
 
 
+def j_table_reference(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """bessel_j_table(orders, x) for flat x: the out-of-place pass floored
+    with whole-table masks, entries below _J_FLOOR and past each
+    argument's own order set to 0."""
+    top = int(orders.max())
+    rows = miller_rows_reference(orders, x, top)
+    rows[(np.abs(rows) < sf._J_FLOOR)
+         | (np.arange(top + 1)[:, None] > orders)] = 0.0
+    return rows.T
+
+
 def y_table_reference(m_max, x, neumann_j=None) -> tuple[np.ndarray,
                                                          np.ndarray]:
     """specfun._y_table as a loop of out-of-place steps: each step makes
@@ -317,3 +329,33 @@ def y_table_reference(m_max, x, neumann_j=None) -> tuple[np.ndarray,
         np.cumsum(e, axis=1, out=e)
     shape = x.shape + (top + 1,)
     return y.reshape(shape), e.reshape(shape)
+
+
+def gauss_legendre_reference(n: int, estimates) -> tuple[list, list]:
+    """The n-point Gauss-Legendre nodes nearest each estimate, and their
+    weights 2 / ((1 - x^2) P_n'(x)^2), in 40-digit mpmath.
+
+    P_n and P_n' come from the three-term recurrence and P_n' = n (P_{n-1}
+    - x P_n) / (1 - x^2). Newton steps run until one moves the node by at
+    most 1e-14, after which it is right to far more digits than a double
+    holds; P_n' at the moved node adds its Taylor term, with P_n'' from
+    Legendre's equation.
+    """
+    nodes, weights = [], []
+    with mp.workdps(40):
+        for estimate in estimates:
+            x = mp.mpf(float(estimate))
+            while True:
+                p_prev, p = mp.mpf(1), x
+                for k in range(1, n):
+                    p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+                one_minus_x2 = 1 - x * x
+                dp = n * (p_prev - x * p) / one_minus_x2
+                step = -p / dp
+                x += step
+                if abs(step) <= 1e-14:
+                    break
+            dp += step * (2 * (x - step) * dp - n * (n + 1) * p) / one_minus_x2
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights

@@ -181,6 +181,18 @@ class TestSweepCommand:
         assert err.startswith(f"error: bad kappa range {kappa_range!r}")
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_range_too_wide_for_the_grid_is_usage_error(self, capsys,
+                                                         tmp_path):
+        # the default 300-point grid up to 1e308 overflows while formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--kappa-max", "1e308",
+                                     "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: kappa range (2.0, 1e+308) is too wide "
+                              "for 300 points")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_failing_point_keeps_its_exit_code(self, capsys, tmp_path):
         # at kappa = 1e-300 A_1 underflows, so the horizon check fails
         code, _, err = run_cli(capsys, "sweep", "--kappa-min", "1e-300",

@@ -96,6 +96,18 @@ class TestRunSweep:
             with pytest.raises(ValueError, match=re.escape(message)):
                 ex.run_sweep(5, **kwargs)
 
+    @pytest.mark.parametrize("n_points, kappa_range", [
+        (3, (2.0, 1e308)), (300, (1.0, 1e306))])
+    def test_range_too_wide_for_the_grid_refused(self, n_points, kappa_range):
+        # (hi - lo) (n_points - 1) once overflowed under a RuntimeWarning
+        # while the grid was formed, and a point got kappa = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"kappa range {kappa_range!r} is too wide for "
+                    f"{n_points} points")):
+                ex.run_sweep(n_points, kappa_range)
+
     def test_ratio_needs_unequal_sizes(self):
         # equal sizes sweep kappa0 = kappa, so a ratio there is refused,
         # not silently dropped
@@ -227,6 +239,24 @@ class TestFitLinear:
         se = math.sqrt(float(np.sum(resid**2)) / 2.0 / sxx)
         assert fit.slope == pytest.approx(slope)
         assert fit.std_dev == pytest.approx(se)
+
+    @pytest.mark.parametrize("target", ["B", "B-", "B+"])
+    def test_closed_form_matches_polyfit(self, sweep300, target):
+        # fit_linear solves the centred normal equations in closed form;
+        # np.polyfit (SVD least squares) is the reference, and the two
+        # agree to 1e-12 of the fitted line's scale at the sweep's ends
+        records, _ = sweep300
+        fit = ex.fit_linear(records, target)
+        pick = {"B": "B", "B-": "B_minus", "B+": "B_plus"}[target]
+        x = np.array([r.kappa for r in records])
+        y = np.array([float(getattr(r, pick)) for r in records])
+        slope, intercept = np.polyfit(x, y, 1)
+        scale = float(np.max(np.abs(y)))
+        assert abs(fit.slope - slope) * float(np.max(x)) <= 1e-12 * scale
+        assert abs(fit.intercept - intercept) <= 1e-12 * scale
+        resid = y - (slope * x + intercept)
+        assert fit.mean_abs_error == pytest.approx(
+            float(np.mean(np.abs(resid))), rel=1e-12)
 
     def test_validation(self, sweep300):
         records, _ = sweep300

@@ -2,12 +2,14 @@ import math
 import warnings
 from dataclasses import fields, replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import hankel1, jv
 
 import ispband as ib
 from ispband import singular_system as ss
+from oracles import gauss_legendre_reference
 
 TEN_PI = 10.0 * math.pi
 
@@ -26,6 +28,60 @@ def bump_kernel_source(g, rho, theta):
     return (lap + g.k**2 * f) * np.ones_like(theta)
 
 
+def fresh_rule(n: int):
+    """The Gauss-Legendre rule of n points computed afresh, past the
+    cache of _gauss_legendre."""
+    return ib.forward._gauss_legendre.__wrapped__(n)
+
+
+class TestGaussLegendreRule:
+    """The radial rule against 40-digit mpmath (oracles), with the bounds
+    of the Newton rule: nodes to 2e-16, weights to 1e-13 relative up to
+    n = 201 and 5e-12 at n = 556 (numpy's eigenvalue rule read 1.3e-9
+    there), exact mirror symmetry, and a weight sum of 2 to 1e-15."""
+
+    @pytest.mark.parametrize("n, w_rtol", [(8, 1e-13), (64, 1e-13),
+                                           (201, 1e-13), (556, 5e-12)])
+    def test_against_mpmath(self, n, w_rtol):
+        x, w = ib.forward._gauss_legendre(n)
+        half = slice(n // 2, n)      # x >= 0; the mirror is checked below
+        ref_x, ref_w = gauss_legendre_reference(n, x[half])
+        with mp.workdps(40):
+            node_err = max(abs(mp.mpf(float(a)) - b)
+                           for a, b in zip(x[half], ref_x))
+            weight_err = max(abs(mp.mpf(float(a)) / b - 1)
+                             for a, b in zip(w[half], ref_w))
+        assert node_err <= 2e-16
+        assert weight_err <= w_rtol
+        assert np.all(np.diff(x) > 0.0)
+        assert -1.0 < x[0] and x[-1] < 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 17, 64, 201, 256, 555, 556])
+    def test_mirror_symmetric_and_sums_to_two(self, n):
+        x, w = ib.forward._gauss_legendre(n)
+        assert np.array_equal(x[::-1], -x)
+        assert np.array_equal(w[::-1], w)
+        if n % 2:
+            assert x[n // 2] == 0.0
+        assert abs(float(np.sum(w)) - 2.0) <= 1e-15
+        assert np.all(w > 0.0)
+
+    def test_unconverged_newton_raises(self, monkeypatch):
+        # three passes converge at every n tried; one pass cannot
+        monkeypatch.setattr(ib.forward, "_NEWTON_PASSES", 1)
+        with pytest.raises(ArithmeticError, match="n=64 did not converge"):
+            fresh_rule(64)
+
+    def test_integrates_polynomials_of_degree_2n_minus_1(self):
+        # x^k integrates to 2 / (k + 1) for even k and to 0 for odd k
+        for n in (2, 5, 12):
+            x, w = ib.forward._gauss_legendre(n)
+            for k in range(2 * n):
+                exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert float(np.sum(w * x**k)) == pytest.approx(
+                    exact, abs=1e-15)
+
+
 class TestSourceGrid:
     def test_weights_integrate_disk_area(self, g_equal_10pi):
         for n_r, n_th in [(8, 16), (64, 128), (17, 33)]:
@@ -36,11 +92,11 @@ class TestSourceGrid:
             assert np.all((0.0 < grid.rho) & (grid.rho < g_equal_10pi.R0))
 
     def test_cached_rule_gives_same_bits(self, g_equal_10pi):
-        # source_grid reads leggauss(n_r) from a cache; the grid it builds is
-        # bitwise the one built from a fresh leggauss call, every time
+        # source_grid reads the rule of n_r rings from a cache; the grid it
+        # builds is bitwise the one built from a fresh, uncached rule
         g = g_equal_10pi
         for n_r in (7, 64, 256):
-            x, w = np.polynomial.legendre.leggauss(n_r)
+            x, w = fresh_rule(n_r)
             for _ in range(2):
                 grid = ib.source_grid(g, n_r, 4)
                 assert np.array_equal(grid.rho, 0.5 * g.R0 * (x + 1.0))
@@ -83,7 +139,7 @@ class TestSourceGrid:
         g = ib.ProblemGeometry(k=1.0 / R0, R0=R0, R=2.0 * R0)
         n_theta = 7
         s = ib.SourceField(g, np.zeros((n_r, n_theta), dtype=complex))
-        x, w = np.polynomial.legendre.leggauss(n_r)
+        x, w = fresh_rule(n_r)
         rho, wr = 0.5 * R0 * (x + 1.0), 0.5 * R0 * w
         theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
         area = np.outer(wr * rho, np.full(n_theta, 2.0 * math.pi / n_theta))
@@ -198,7 +254,7 @@ class TestAssembleForward:
     def test_derived_fields_are_the_stored_ones_bitwise(self, g_small_4):
         # the expressions assemble_forward stored before they were derived
         a = ib.assemble_forward(g_small_4, 8, 32, 40)
-        x, w = np.polynomial.legendre.leggauss(8)
+        x, w = fresh_rule(8)
         rho, wr = 0.5 * g_small_4.R0 * (x + 1.0), 0.5 * g_small_4.R0 * w
         assert a.n_s == 40 and type(a.n_s) is int
         assert np.array_equal(a.area_weights, np.outer(

@@ -11,8 +11,8 @@ from scipy import special
 import ispband as ib
 from ispband import specfun as sf
 from ispband import experiments as ex
-from oracles import (miller_rows_reference, nicholson_abs2_oracle,
-                     y_table_reference)
+from oracles import (j_table_reference, miller_rows_reference,
+                     nicholson_abs2_oracle, y_table_reference)
 
 mp.mp.dps = 30
 
@@ -366,6 +366,9 @@ class TestInPlacePasses:
         top = int(orders.max())
         assert (sf._miller_rows(orders, x, top).tobytes()
                 == miller_rows_reference(orders, x, top).tobytes())
+        # the floor, a block at a time, against whole-table masks
+        assert (sf.bessel_j_table(orders, x).tobytes()
+                == j_table_reference(orders, x).tobytes())
         pos = x > 0.0
         if pos.any():
             y, e = sf.bessel_y_table(orders[pos], x[pos])
@@ -424,11 +427,12 @@ class TestPassMemory:
         # the next is made), numpy's two buffers for the broadcast division
         # of a block, and 64 KiB for the spill rows, sums and small arrays
         assert peak <= rows.nbytes + 4 * sf._STEP_BLOCK + (1 << 16)
-        # bessel_j_table then floors the table, with three one-byte masks
-        # of it and numpy's two 64 KiB buffers of the broadcast order mask;
-        # the 256 KiB also covers the pass's own rows
+        # bessel_j_table then floors the table a block of _STEP_BLOCK
+        # entries at a time, with two one-byte masks of a block, and cuts
+        # each argument past its own order by a slice, so the floor needs
+        # no more than the pass's own allowance
         peak, table = _peak_bytes(sf.bessel_j_table, orders, x)
-        assert peak <= 11 * table.nbytes // 8 + (1 << 18)
+        assert peak <= table.nbytes + 4 * sf._STEP_BLOCK + (1 << 16)
 
 
 class TestNicholsonOracle:
