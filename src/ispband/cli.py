@@ -7,14 +7,20 @@ bandwidth-versus-kappa study with its regression summary, and
 
 Geometry is given either as size parameters (--kappa0/--kappa, unit
 measurement radius) or as physical quantities (--k/--r0/--r). Exit codes:
-0 on success, 2 for usage problems, 3 when a spectrum horizon is too
-short, 4 for numeric failures such as singular-value underflow.
+0 on success, 2 for usage problems (and for sizes too large for memory),
+3 when a spectrum horizon is too short, 4 for numeric failures such as
+singular-value underflow.
+
+`run` is the process entry (the `ispband` script and `python -m
+ispband.cli`); `main` runs a command in-process, with no process-wide
+effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import logging
 import math
@@ -268,7 +274,24 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:    # OSError: --out not writable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:      # numpy's names the allocation it failed
+        print(f"error: {str(exc) or 'out of memory'}; the size flags "
+              "(--kappa0/--kappa or --k/--r0/--r, --mmax, --n, --nr, "
+              "--ntheta, --ns) ask for more memory than there is",
+              file=sys.stderr)
+        return EXIT_USAGE
+
+
+def run(argv=None) -> int:
+    """main(argv) as a process: the heap is frozen once main returns or
+    raises (SystemExit too), so the final collections at interpreter exit
+    skip it. atexit handlers and the stdio and logging flushes still run,
+    and csvio has closed its files by then."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -210,12 +210,14 @@ def _miller_start(top) -> int:
 
 
 def _ratios(orders: range, x: np.ndarray):
-    """(m, 2m/x) for each m of orders in turn, the rows made _STEP_BLOCK
-    bytes at a time; 2.0 m is exact, so a row has the bits of 2.0 * m / x."""
+    """(m, 2m/x) for each m of orders in turn, the orders and their rows
+    made a block of _STEP_BLOCK row bytes at a time; 2.0 m is exact, so a
+    row has the bits of 2.0 * m / x."""
     step = max(1, _STEP_BLOCK // (8 * max(x.size, 1)))
-    ms = np.arange(orders.start, orders.stop, orders.step)
     for k in range(0, len(orders), step):
-        yield from zip(orders[k:k + step], 2.0 * ms[k:k + step, None] / x)
+        block = orders[k:k + step]
+        ms = np.arange(block.start, block.stop, block.step)
+        yield from zip(block, 2.0 * ms[:, None] / x)
 
 
 def _miller_rows(orders: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -91,6 +92,21 @@ class TestBandwidthCommand:
                                str(10 * math.pi), "--mmax", "10")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError(
+        "Unable to allocate 763. MiB for an array")], ids=["bare", "numpy"])
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch, exc):
+        # stands in for a size too large to allocate, without allocating
+        def refuse(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "report", refuse)
+        code, out, err = run_cli(capsys, "bandwidth", "--kappa0", "1e8",
+                                 "--kappa", "1e8")
+        assert code == cli.EXIT_USAGE == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {str(exc) or 'out of memory'}; ")
+        assert "--kappa0/--kappa" in line and "--mmax" in line
 
     def test_cold_run_takes_one_j_and_one_y_pass(self, capsys,
                                                  count_passes):
@@ -455,14 +471,100 @@ def package_env() -> dict:
                 PYTHONPATH=root + (os.pathsep + path if path else ""))
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m ispband.cli argv` in a child process."""
+    return subprocess.run([sys.executable, "-m", "ispband.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=package_env())
+
+
+# prints the freeze count before and after run(argv), and run's exit code
+# or the code of the SystemExit it raised
+_FREEZE_PROBE = """
+import gc, sys
+from ispband import cli
+before = gc.get_freeze_count()
+try:
+    code = cli.run(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(before, gc.get_freeze_count(), code)
+"""
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "ispband.cli", "bandwidth",
-             "--kappa0", "12", "--kappa", "12"],
-            capture_output=True, text=True, timeout=120, env=package_env())
+        proc = run_module("bandwidth", "--kappa0", "12", "--kappa", "12")
         assert proc.returncode == 0
         assert proc.stdout.startswith("B=")
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        code, _, _ = run_cli(capsys, "bandwidth", "--kappa0", "12",
+                             "--kappa", "12")
+        assert code == 0
+        with pytest.raises(SystemExit):
+            cli.main(["bandwidth"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bandwidth", "--kappa0", "12", "--kappa", "12"], "0"),
+        (["bandwidth"], "2"),               # argparse's SystemExit
+    ], ids=["returns", "exits"])
+    def test_run_freezes_the_heap(self, argv, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FREEZE_PROBE, *argv],
+            capture_output=True, text=True, timeout=120, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        before, after, got = proc.stdout.split()[-3:]
+        assert int(before) == 0
+        assert int(after) > 0
+        assert got == code
+
+    def test_module_json_is_the_report(self):
+        proc = run_module("bandwidth", "--kappa0", "12", "--kappa", "24",
+                          "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        g = ib.ProblemGeometry.from_size_params(12.0, 24.0)
+        rep = ib.report(g)
+        payload = json.loads(proc.stdout)
+        assert payload == {
+            "B": rep.B, "B_minus": rep.B_minus, "B_plus": rep.B_plus,
+            "B_tilde_minus": rep.B_tilde_minus,
+            "B_tilde_plus": rep.B_tilde_plus, "horizon": rep.horizon,
+            "max_angular_step": math.pi / rep.B_minus,
+            "kappa0": 12.0, "kappa": 24.0}
+
+    def test_module_spectrum_is_build_spectrum_bitwise(self):
+        proc = run_module("spectrum", "--kappa0", "12", "--kappa", "12",
+                          "--out", "-")
+        assert proc.returncode == 0, proc.stderr
+        cols = csvio.read_spectrum(io.StringIO(proc.stdout))
+        table = ib.build_spectrum(ib.ProblemGeometry.from_size_params(
+            12.0, 12.0))
+        ln10 = math.log(10.0)
+        for name, want in [("m", table.m), ("A_m", table.a),
+                           ("log10_abs_H2", table.log_abs_h2 / ln10),
+                           ("log10_sigma", table.log_sigma / ln10),
+                           ("sigma", table.sigma)]:
+            assert cols[name].tobytes() == want.tobytes(), name
+
+    def test_module_usage_error_exits_2(self):
+        proc = run_module("bandwidth", "--kappa0", "8", "--kappa", "4")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            "ispband: error: size parameters must satisfy 0 < kappa0 <= "
+            "kappa, got kappa0=8.0, kappa=4.0")
+
+    def test_script_is_the_process_entry(self):
+        # a text check: tomllib is not in every Python the package supports
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as fh:
+            lines = fh.read().splitlines()
+        scripts = lines[lines.index("[project.scripts]") + 1:]
+        assert scripts[0] == 'ispband = "ispband.cli:run"'
 
     @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
     def test_import_leaves_out_quadrature(self, module):

@@ -435,6 +435,34 @@ class TestPassMemory:
         assert peak <= table.nbytes + 4 * sf._STEP_BLOCK + (1 << 16)
 
 
+class TestRatios:
+    """_ratios makes its orders, not only its rows, a block at a time."""
+
+    @pytest.mark.parametrize("orders", [range(1, 5000), range(4999, 0, -1)],
+                             ids=["up", "down"])
+    @pytest.mark.parametrize("size", [1, 3, 700, 3000])
+    def test_rows_are_two_m_over_x_bitwise(self, orders, size):
+        x = np.random.default_rng(size).uniform(0.1, 1e3, size)
+        ms, rows = zip(*sf._ratios(orders, x))
+        assert list(ms) == list(orders)
+        want = 2.0 * np.arange(orders.start, orders.stop,
+                               orders.step)[:, None] / x
+        assert np.array(rows).tobytes() == want.tobytes()
+
+    def test_first_row_of_a_long_range_stays_within_blocks(self):
+        rows = sf._ratios(range(10 ** 6, 0, -1), np.array([1e3]))
+        tracemalloc.start()
+        try:
+            m, row = next(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == 10 ** 6 and row.tolist() == [2.0 * 10 ** 6 / 1e3]
+        # one block of orders, its 2m and its 2m/x, and a block to spare;
+        # orders made all at once took 8 MB
+        assert peak <= 4 * sf._STEP_BLOCK
+
+
 class TestNicholsonOracle:
     def test_agrees_with_implementation(self):
         rng = np.random.default_rng(7)
