@@ -9,9 +9,8 @@ from .specfun import first_zero_j, first_zero_y
 from .bandwidth import (HorizonError, BandwidthReport, bandwidth, bound_lower,
                         bound_upper, bound_lower_approx, bound_upper_approx,
                         report, max_angular_sampling)
-from .forward import (SourceField, BoundaryData, ForwardMatrix, source_grid,
-                      assemble_forward, apply_forward_analytic,
-                      synthesize_measurement)
+from .forward import (SourceField, BoundaryData, source_grid,
+                      apply_forward_analytic, synthesize_measurement)
 from .tsvd import (SigmaUnderflowError, ModalCoefficients, Reconstruction,
                    modal_decompose, tsvd_reconstruct, pick_truncation)
 from .experiments import (SweepRecord, RegressionFit, AsymptoticRecord,
@@ -27,8 +26,8 @@ __all__ = [
     "HorizonError", "BandwidthReport", "bandwidth", "bound_lower",
     "bound_upper", "bound_lower_approx", "bound_upper_approx", "report",
     "max_angular_sampling",
-    "SourceField", "BoundaryData", "ForwardMatrix", "source_grid",
-    "assemble_forward", "apply_forward_analytic", "synthesize_measurement",
+    "SourceField", "BoundaryData", "source_grid", "apply_forward_analytic",
+    "synthesize_measurement",
     "SigmaUnderflowError", "ModalCoefficients", "Reconstruction",
     "modal_decompose", "tsvd_reconstruct", "pick_truncation",
     "SweepRecord", "RegressionFit", "AsymptoticRecord", "run_sweep",

@@ -6,35 +6,15 @@ turns into positive weights that sum to pi R0^2 within round-off. The
 measurement circle carries N_s equispaced samples with the arc-length weight
 2 pi R / N_s.
 
-The collocation matrix is scaled symmetrically by square roots of both
-weight sets. That makes its ordinary SVD approximate the continuous
-operator's singular system, which is what the cross-validation against the
-closed-form spectrum leans on.
-
-The geometry is rotationally symmetric, so the kernel seen by one source
-ring depends on the angle difference alone. Each ring's block therefore
-carries the band-limited kernel sum_{|q| <= Q} h_q(rho) e^{iq(phi - theta)},
-with Q = (min(N_theta, N_s) - 1) // 2 the largest order both angular grids
-resolve without aliasing, in place of point values of H_0^(1)(k|x - y|).
-The coefficients h_q are the exact Fourier coefficients of the kernel on
-the ring. They come from the log-kernel split of Colton & Kress, Inverse
-Acoustic and Electromagnetic Scattering Theory, section 3.5:
-
-    H_0^(1)(k d) = (2i/pi) J_0(k d) log(d / R) + S(t),   d = |R - rho e^{it}|
-
-where J_0(k d) and S are analytic in t and resolved by an FFT on a fine
-angular grid whose length follows from kappa, and log(d / R) enters through
-its exact Laplace series -sum_{n != 0} (rho/R)^|n| e^{int} / (2|n|). Rings
-close to the measurement circle, where the point kernel's log singularity
-is too sharp for the angular grid, are thereby integrated exactly in angle.
-
-apply_forward_analytic needs no matrix: it sums the kernel's cylinder-mode
-series (Graf's addition theorem) by one FFT along each angular grid.
+apply_forward_analytic sums the kernel's cylinder-mode series (Graf's
+addition theorem) by one FFT along each angular grid; it needs no matrix.
+The dense collocation matrix that cross-checks it lives with the tests
+(tests/oracles.py), which take its weights from source_grid's area
+weights and the arc weight 2 pi R / N_s.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -48,18 +28,10 @@ from .specfun import _check_count
 __all__ = [
     "SourceField",
     "BoundaryData",
-    "ForwardMatrix",
     "source_grid",
-    "assemble_forward",
     "apply_forward_analytic",
     "synthesize_measurement",
 ]
-
-log = logging.getLogger(__name__)
-
-# Fourier content of the smooth kernel parts past their band, relative to
-# the largest coefficient of the same ring, that the fine grid may leave
-_KERNEL_TAIL_TOL = 1e-10
 
 
 def _scaled_abs(v) -> tuple[np.ndarray, int]:
@@ -137,35 +109,6 @@ class BoundaryData:
         w = 2.0 * math.pi * self.geometry.R / self.n_s
         a, e = _scaled_abs(self.values)
         return math.ldexp(math.sqrt(w * float(np.sum(a**2))), e)
-
-
-@dataclass(frozen=True)
-class ForwardMatrix:
-    """Symmetrically weighted collocation matrix of the forward operator.
-
-    entries has one row per boundary sample and one column per source node,
-    nodes flattened row-major over (rho, theta); each ring's kernel is
-    band-limited in angle as described in assemble_forward. n_s and both
-    weights derive from the geometry and the grid sizes.
-    """
-
-    geometry: ProblemGeometry
-    entries: np.ndarray = field(repr=False)
-    n_r: int
-    n_theta: int
-
-    def __post_init__(self):
-        _grid_sizes(self.n_r, self.n_theta)
-        if np.shape(self.entries)[1:] != (self.n_r * self.n_theta,):
-            raise ValueError(
-                f"entries must have n_r n_theta = {self.n_r * self.n_theta} "
-                f"columns, not shape {np.shape(self.entries)}")
-
-    n_s = property(lambda self: self.entries.shape[0])
-    area_weights = property(
-        lambda self: _area_weights(self.geometry, self.n_r, self.n_theta))
-    boundary_weight = property(
-        lambda self: 2.0 * math.pi * self.geometry.R / self.n_s)
 
 
 # Newton step in theta below which the rule's nodes count as converged,
@@ -287,111 +230,6 @@ def source_grid(g: ProblemGeometry, n_r: int, n_theta: int,
     if fn is not None:
         values[...] = fn(rho[:, None], theta[None, :])
     return SourceField(geometry=g, values=values)
-
-
-def _kernel_band(kappa: float) -> int:
-    """Order past which J_0(k d) and S carry no content in double precision.
-
-    On a ring of radius rho <= R their Fourier coefficients behave like
-    J_q(kappa) J_q(k rho), which falls below 1e-14 of its peak near
-    q = kappa + 6.5 kappa^(1/3); the bound adds margin on both terms.
-    """
-    return int(math.ceil(kappa + 8.0 * kappa ** (1.0 / 3.0))) + 16
-
-
-def _ring_coefficients(g: ProblemGeometry, rho: np.ndarray,
-                       band: int) -> np.ndarray:
-    """Fourier coefficients h_q(rho) of H_0^(1)(k|R - rho e^{it}|) in t.
-
-    Returns shape (len(rho), 2 band + 1) for q = -band .. band; every rho
-    must lie strictly inside R. See the module docstring for the split.
-
-    Raises
-    ------
-    ArithmeticError
-        if the fine grid leaves more than _KERNEL_TAIL_TOL of a ring's
-        smooth kernel content past the derived band.
-    """
-    from scipy import special   # the dense cross-check alone needs scipy
-
-    p_band = _kernel_band(g.kappa)
-    n_fine = 1 << (2 * max(p_band, band) + 32).bit_length()
-    t = 2.0 * math.pi * np.arange(n_fine) / n_fine
-    r = rho[:, None] / g.R
-    # d / R, written without the cancellation of 1 + r^2 - 2 r cos t
-    d = np.sqrt((1.0 - r)**2 + 4.0 * r * np.sin(0.5 * t)**2)
-    j0 = special.j0(g.kappa * d)
-    j0_hat = np.fft.fft(j0, axis=1) / n_fine
-    s_hat = np.fft.fft(special.hankel1(0, g.kappa * d)
-                       - (2j / math.pi) * j0 * np.log(d), axis=1) / n_fine
-    idx = np.arange(n_fine)
-    beyond = np.minimum(idx, n_fine - idx) > p_band
-    for c in (j0_hat, s_hat):
-        tail = (np.abs(c[:, beyond]).max(axis=1)
-                / np.abs(c).max(axis=1))
-        if np.any(tail > _KERNEL_TAIL_TOL):
-            raise ArithmeticError(
-                f"kernel content past order {p_band} reaches "
-                f"{tail.max():.1e} on a {n_fine}-point angular grid at "
-                f"kappa={g.kappa:g}")
-    # J_0(k d) log(d / R): convolve J_0's coefficients with the Laplace
-    # series of log|1 - r e^{it}|, -r^|n| / (2|n|) for n != 0
-    n = np.abs(np.arange(-(p_band + band), p_band + band + 1))
-    laplace = np.where(n == 0, 0.0, -0.5 * r**n / np.maximum(n, 1))
-    width = 4 * p_band + 2 * band + 1
-    j0_band = j0_hat[:, np.arange(-p_band, p_band + 1) % n_fine]
-    log_part = np.fft.ifft(np.fft.fft(j0_band, width, axis=1)
-                           * np.fft.fft(laplace, width, axis=1), axis=1)
-    q = np.arange(-band, band + 1)
-    return (s_hat[:, q % n_fine]
-            + (2j / math.pi) * log_part[:, q + band + 2 * p_band])
-
-
-def assemble_forward(g: ProblemGeometry, n_r: int, n_theta: int,
-                     n_s: int) -> ForwardMatrix:
-    """Weighted kernel matrix, one boundary sample per row.
-
-    Entry (j, i) is sqrt(w_j) K_a(phi_j - theta_l) sqrt(w_i) with w_j the
-    boundary arc weight, w_i the area weight of source node i = (a, l)
-    (nodes flattened row-major over (rho, theta)) and
-
-        K_a(t) = sum_{|q| <= Q} h_q(rho_a) e^{iqt},
-        Q = (min(n_theta, n_s) - 1) // 2,
-
-    the kernel H_0^(1)(k|x - y|) on ring a cut to the orders both angular
-    grids resolve, with exact coefficients h_q (see the module docstring).
-    Away from the rim K_a agrees with the point kernel up to the truncated
-    tail, of size (rho_a / R)^Q / Q.
-    """
-    n_r, n_theta, n_s = (_check_count(n, "grid sizes must be integers")
-                         for n in (n_r, n_theta, n_s))
-    if n_r < 8:
-        raise ValueError("n_r must be at least 8")
-    if n_theta < 2 * math.ceil(g.kappa0) + 16:
-        raise ValueError(
-            f"n_theta={n_theta} undersamples the source disk; "
-            f"need at least {2 * math.ceil(g.kappa0) + 16}")
-    if n_s < 2 * math.ceil(g.kappa) + 16:
-        raise ValueError(
-            f"n_s={n_s} undersamples the boundary; "
-            f"need at least {2 * math.ceil(g.kappa) + 16}")
-    _check_disk(g)
-    rho, _, theta = _polar_grid(g, n_r, n_theta)
-    band = (min(n_theta, n_s) - 1) // 2
-    q = np.arange(-band, band + 1)
-    h = _ring_coefficients(g, rho, band)
-    # (order, ring, angle) factor of every column, then one product over q
-    right = (h.T[:, :, None]
-             * np.exp(-1j * np.outer(q, theta))[:, None, :]
-             * np.sqrt(_area_weights(g, n_r, n_theta))[None, :, :])
-    bangles = 2.0 * math.pi * np.arange(n_s) / n_s
-    wb = 2.0 * math.pi * g.R / n_s
-    entries = math.sqrt(wb) * (np.exp(1j * np.outer(bangles, q))
-                               @ right.reshape(len(q), n_r * n_theta))
-    log.debug("assembled %dx%d forward matrix, angular band %d",
-              n_s, n_r * n_theta, band)
-    return ForwardMatrix(geometry=g, entries=entries, n_r=n_r,
-                         n_theta=n_theta)
 
 
 def apply_forward_analytic(s: SourceField, modes: int,

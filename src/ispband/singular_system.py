@@ -320,8 +320,11 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
         raise ValueError("psi_eval points must be finite and in the disk")
     a = _spectrum_table(g, abs(m)).a
     if a[abs(m)] == 0.0:
+        # A_m > 0 for every kappa0 > 0 by Turan's inequality
+        # J_m^2 - J_{m-1} J_{m+1} > 0; a 0 here is underflow
         raise ArithmeticError(
-            f"mode m={m} is degenerate at kappa0={g.kappa0:g} (A_m = 0)")
+            f"A_m of mode m={m} underflows to 0 in double precision at "
+            f"kappa0={g.kappa0:g}")
     radii, at = np.unique(rho, return_inverse=True)
     sign = -1.0 if m < 0 and m % 2 else 1.0
     radial = (_planned(g, abs(m), radii)[:, abs(m)]

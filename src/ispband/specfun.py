@@ -17,15 +17,16 @@ finite there and the phase is -pi/2 to every digit.
 
 The Y table needs Y_0 and Y_1 to start from. Below x = 25 they come from
 Neumann's series (DLMF 10.8.2, and its derivative for Y_1) over one J
-table; from 25 on, from Hankel's expansion (DLMF 10.17.3-4). Nothing on
-these paths calls scipy: only the zero search (jv, yv) and the dense
-kernel of forward.assemble_forward (j0, hankel1) import it, when they run.
+table; from 25 on, from Hankel's expansion (DLMF 10.17.3-4).
+
+The first zeros are bisected on the same two tables, every order of a
+batch a lane of one vector bisection, so the package has one Bessel
+route and needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,9 +55,10 @@ _STEP_BLOCK = 1 << 14
 # below this argument J_m(x) = (x/2)^m / m! to double precision
 _SERIES_BELOW = 1e-20
 
-# J_m table entries below this are flushed to 0. scipy's jv returns 0 for
-# entries up to about 5e-290 (4000 random x in [1e-4, 1e3], m <= 1400), so
-# the floor puts a 0 wherever jv has one and moves nothing above 1e-285.
+# J_m table entries below this are flushed to 0. The tests' reference jv
+# returns 0 for entries up to about 5e-290 (4000 random x in [1e-4, 1e3],
+# m <= 1400), so the floor puts a 0 wherever jv has one and moves nothing
+# above 1e-285.
 _J_FLOOR = 1e-285
 
 _LN2 = math.log(2.0)
@@ -113,14 +115,21 @@ def _check_order(m) -> int:
     return _check_count(m, _ORDER_MESSAGE)
 
 
+def _orders(m) -> np.ndarray:
+    """m, one order or an integer array of them, as an array of
+    nonnegative integer orders; ValueError otherwise."""
+    orders = np.asarray(m)
+    if orders.ndim == 0:
+        return np.asarray(_check_order(m))
+    if not np.issubdtype(orders.dtype, np.integer) or np.any(orders < 0):
+        raise ValueError(_ORDER_MESSAGE)
+    return orders
+
+
 def _lanes(m_max, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """x as floats, flat x, the order of each flat argument and the
     largest order, from m_max as both tables take it."""
-    orders = np.asarray(m_max)
-    if orders.ndim == 0:
-        orders = np.asarray(_check_order(m_max))
-    elif not np.issubdtype(orders.dtype, np.integer) or np.any(orders < 0):
-        raise ValueError(_ORDER_MESSAGE)
+    orders = _orders(m_max)
     x = np.asarray(x, dtype=float)
     return (x, x.reshape(-1), np.broadcast_to(orders, x.shape).reshape(-1),
             int(orders.max(initial=0)))
@@ -451,46 +460,100 @@ def _hankel_seeds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             scale * (q1 * (sin - cos) - p1 * (cos + sin)))
 
 
-def _first_zero(kind: str, m, m0_bracket: tuple, top) -> float:
-    """First positive zero of J_m (kind "J") or Y_m ("Y"), bisected on
-    m0_bracket for m = 0 and on [m, top(m)] above until the ends are
-    adjacent doubles; the bracket must hold exactly one zero."""
-    from scipy import special   # only the zero search needs scipy
-
-    m = _check_order(m)
-    f = special.jv if kind == "J" else special.yv
-    lo, hi = m0_bracket if m == 0 else (float(m), top(m))
-    flo, fhi = f(m, lo), f(m, hi)
-    if not flo * fhi <= 0.0:
-        raise ArithmeticError(f"no sign change of {kind}_{m} on [{lo}, {hi}]")
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        fmid = f(m, mid)
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return lo if abs(flo) <= abs(fhi) else hi
 
 
-@lru_cache(maxsize=None)
-def first_zero_j(m) -> float:
-    """First positive zero j_{m,1} of J_m, to 1e-11 absolute or better.
+# table entries (lanes times orders) of one pass of the zero search: a
+# batch of orders runs that many entries' worth of lanes at a time, so
+# its tables stay near 16 MiB; every m <= 1000 fits in one chunk
+_ZERO_BLOCK = 1 << 21
 
-    For m >= 1 the bracket is [m, guess + 1.5]. J_m > 0 on (0, m] since
-    m < j_{m,1}, and for m <= 1e4 the top end lies 1.50 to 1.56 above
-    j_{m,1}, short of j_{m,2} > j_{m,1} + pi: one zero in the bracket.
+
+def _j_at(ms: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_{ms_i}(x_i) from one bessel_j_table pass, a lane per order."""
+    return bessel_j_table(ms, x)[np.arange(ms.size), ms]
+
+
+def _y_at(ms: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Y_{ms_i}(x_i) from one bessel_y_table pass, a lane per order."""
+    y, e = bessel_y_table(ms, x)
+    i = np.arange(ms.size)
+    return np.ldexp(y[i, ms], e[i, ms])
+
+
+def _first_zeros(kind: str, m, m0_bracket: tuple, top):
+    """First positive zero of J_m (kind "J") or Y_m ("Y") for each order
+    of m, a float for one order and an array of m's shape for an array:
+    _ZERO_BLOCK entries' worth of orders at a time go to _bisect."""
+    orders = _orders(m)
+    flat = orders.reshape(-1)
+    z = np.empty(flat.size)
+    step = max(1, _ZERO_BLOCK // (int(flat.max(initial=0)) + 1))
+    for k in range(0, flat.size, step):
+        z[k:k + step] = _bisect(kind, flat[k:k + step], m0_bracket, top)
+    return float(z[0]) if orders.ndim == 0 else z.reshape(orders.shape)
+
+
+def _bisect(kind: str, ms: np.ndarray, m0_bracket: tuple,
+            top) -> np.ndarray:
+    """First zeros of the orders ms, bisected on m0_bracket for m = 0 and
+    on [m, top(m)] above until the ends are adjacent doubles; each
+    bracket must hold exactly one zero. Each step evaluates the midpoints
+    of the lanes still open in one table pass, and an order's lane
+    depends on that order alone (a table row depends on its own argument
+    and order), so a zero does not depend on the batch it came in."""
+    at = _j_at if kind == "J" else _y_at
+    x = ms.astype(float)
+    first = ms == 0
+    lo = np.where(first, m0_bracket[0], x)
+    hi = np.where(first, m0_bracket[1], top(np.maximum(x, 1.0)))
+    flo, fhi = at(ms, lo), at(ms, hi)
+    bad = ~(flo * fhi <= 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ArithmeticError(f"no sign change of {kind}_{ms[i]} on "
+                              f"[{lo[i]}, {hi[i]}]")
+    live = np.arange(ms.size)
+    while True:
+        mid = 0.5 * (lo[live] + hi[live])
+        inside = (lo[live] < mid) & (mid < hi[live])
+        if not inside.any():
+            break
+        live, mid = live[inside], mid[inside]
+        fmid = at(ms[live], mid)
+        left = (fmid > 0.0) == (flo[live] > 0.0)
+        lo[live[left]], flo[live[left]] = mid[left], fmid[left]
+        hi[live[~left]], fhi[live[~left]] = mid[~left], fmid[~left]
+    return np.where(np.abs(flo) <= np.abs(fhi), lo, hi)
+
+
+def first_zero_j(m):
+    """First positive zero j_{m,1} of J_m, for one order m (a float) or an
+    integer array of orders (an array of the same shape). It agrees with
+    a bisection of the tests' reference jv within 2.3e-13 for m <= 1000
+    and 1.9e-12, one unit in the last place at 1e4, up to m = 1e4.
+
+    The bracket is [2, 3] for m = 0 and [m, guess + 1.5] above. J_m > 0
+    on (0, m] since m < j_{m,1}, and for m <= 1e4 the top end lies 1.50
+    to 1.56 above j_{m,1}, short of j_{m,2} > j_{m,1} + pi: one zero in
+    the bracket. The bisection reads J_m from bessel_j_table, all orders
+    of a batch in one pass per step, about 53 steps; a pass costs about
+    as much as the largest order, so one zero at m = 1e4 takes about a
+    second and a batch of orders hardly more: batch the orders of a call.
     """
-    return _first_zero("J", m, (2.0, 3.0), lambda m: (
+    return _first_zeros("J", m, (2.0, 3.0), lambda m: (
         m + A_MINUS * m**(1.0 / 3.0) + 1.0331 * m**(-1.0 / 3.0) + 1.5))
 
 
-@lru_cache(maxsize=None)
-def first_zero_y(m) -> float:
-    """First positive zero y_{m,1} of Y_m, to 1e-11 absolute or better.
+def first_zero_y(m):
+    """First positive zero y_{m,1} of Y_m, for one order or an array of
+    orders as first_zero_j, and within the same bounds of a bisection of
+    the tests' reference yv.
 
-    For m >= 1 the bracket is [m, guess + 1.2]. Y_m < 0 on (0, m] since
-    m < y_{m,1}, and for m <= 1e4 the top end lies 0.93 to 1.19 above
-    y_{m,1}, short of y_{m,2} > y_{m,1} + pi: one zero in the bracket.
+    The bracket is [0.5, 1.5] for m = 0 and [m, guess + 1.2] above.
+    Y_m < 0 on (0, m] since m < y_{m,1}, and for m <= 1e4 the top end
+    lies 0.93 to 1.19 above y_{m,1}, short of y_{m,2} > y_{m,1} + pi: one
+    zero in the bracket. The bisection reads Y_m from bessel_y_table, at
+    the same cost as first_zero_j's.
     """
-    return _first_zero("Y", m, (0.5, 1.5),
-                       lambda m: m + A_PLUS * m**(1.0 / 3.0) + 1.2)
+    return _first_zeros("Y", m, (0.5, 1.5),
+                        lambda m: m + A_PLUS * m**(1.0 / 3.0) + 1.2)

@@ -12,9 +12,9 @@ TEN_PI = 10.0 * math.pi
 
 # the package's runtime memos, which cold_memos clears
 RUNTIME_MEMOS = (ss._memo_table, ss._memo_rings)
-# the lru_caches it leaves warm: Bessel zeros and Gauss-Legendre rules
-# depend on their order alone and run no Bessel pass
-WARM_MEMOS = ("first_zero_j", "first_zero_y", "_gauss_legendre")
+# the lru_cache it leaves warm: a Gauss-Legendre rule depends on its
+# order alone and runs no Bessel pass
+WARM_MEMOS = ("_gauss_legendre",)
 
 
 def cold_memos() -> None:

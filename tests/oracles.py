@@ -2,6 +2,7 @@
 library against. Nothing in the package imports this module."""
 
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,42 @@ from ispband import singular_system as ss
 from ispband.bandwidth import _TIE_TOL
 from ispband.forward import _scaled_abs, source_grid
 from ispband import specfun as sf
-from ispband.specfun import _check_order
+from ispband.specfun import _check_count, _check_order
+
+
+def _first_zero(kind: str, m, m0_bracket: tuple, top) -> float:
+    """First positive zero of scipy's jv (kind "J") or yv ("Y") of order
+    m, bisected on m0_bracket for m = 0 and on [m, top(m)] above until
+    the ends are adjacent doubles; the bracket must hold exactly one
+    zero. The package bisects its own tables on the same brackets."""
+    m = _check_order(m)
+    f = special.jv if kind == "J" else special.yv
+    lo, hi = m0_bracket if m == 0 else (float(m), top(m))
+    flo, fhi = f(m, lo), f(m, hi)
+    if not flo * fhi <= 0.0:
+        raise ArithmeticError(f"no sign change of {kind}_{m} on [{lo}, {hi}]")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        fmid = f(m, mid)
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
+@lru_cache(maxsize=None)
+def first_zero_j(m) -> float:
+    """j_{m,1} by bisecting scipy's jv, independent of the package's
+    Bessel tables, to 1e-11 absolute or better for m <= 1e4."""
+    return _first_zero("J", m, (2.0, 3.0), lambda m: (
+        m + sf.A_MINUS * m**(1.0 / 3.0) + 1.0331 * m**(-1.0 / 3.0) + 1.5))
+
+
+@lru_cache(maxsize=None)
+def first_zero_y(m) -> float:
+    """y_{m,1} by bisecting scipy's yv, as first_zero_j."""
+    return _first_zero("Y", m, (0.5, 1.5),
+                       lambda m: m + sf.A_PLUS * m**(1.0 / 3.0) + 1.2)
 
 
 def zero_threshold_bound(kappa0: float, zero_of) -> int:
@@ -359,3 +395,120 @@ def gauss_legendre_reference(n: int, estimates) -> tuple[list, list]:
             nodes.append(x)
             weights.append(2 / ((1 - x * x) * dp * dp))
     return nodes, weights
+
+
+# Fourier content of the smooth kernel parts past their band, relative to
+# the largest coefficient of the same ring, that the fine grid may leave
+_KERNEL_TAIL_TOL = 1e-10
+
+
+def _kernel_band(kappa: float) -> int:
+    """Order past which J_0(k d) and S carry no content in double precision.
+
+    On a ring of radius rho <= R their Fourier coefficients behave like
+    J_q(kappa) J_q(k rho), which falls below 1e-14 of its peak near
+    q = kappa + 6.5 kappa^(1/3); the bound adds margin on both terms.
+    """
+    return int(math.ceil(kappa + 8.0 * kappa ** (1.0 / 3.0))) + 16
+
+
+def _ring_coefficients(g, rho: np.ndarray, band: int) -> np.ndarray:
+    """Fourier coefficients h_q(rho) of H_0^(1)(k|R - rho e^{it}|) in t.
+
+    Returns shape (len(rho), 2 band + 1) for q = -band .. band; every rho
+    must lie strictly inside R. The coefficients come from the log-kernel
+    split of Colton & Kress, Inverse Acoustic and Electromagnetic
+    Scattering Theory, section 3.5:
+
+        H_0^(1)(k d) = (2i/pi) J_0(k d) log(d / R) + S(t),
+        d = |R - rho e^{it}|,
+
+    where J_0(k d) and S are analytic in t and resolved by an FFT on a
+    fine angular grid whose length follows from kappa, and log(d / R)
+    enters through its exact Laplace series
+    -sum_{n != 0} (rho/R)^|n| e^{int} / (2|n|). Rings close to the
+    measurement circle, where the point kernel's log singularity is too
+    sharp for the angular grid, are thereby integrated exactly in angle.
+
+    Raises
+    ------
+    ArithmeticError
+        if the fine grid leaves more than _KERNEL_TAIL_TOL of a ring's
+        smooth kernel content past the derived band.
+    """
+    p_band = _kernel_band(g.kappa)
+    n_fine = 1 << (2 * max(p_band, band) + 32).bit_length()
+    t = 2.0 * math.pi * np.arange(n_fine) / n_fine
+    r = rho[:, None] / g.R
+    # d / R, written without the cancellation of 1 + r^2 - 2 r cos t
+    d = np.sqrt((1.0 - r)**2 + 4.0 * r * np.sin(0.5 * t)**2)
+    j0 = special.j0(g.kappa * d)
+    j0_hat = np.fft.fft(j0, axis=1) / n_fine
+    s_hat = np.fft.fft(special.hankel1(0, g.kappa * d)
+                       - (2j / math.pi) * j0 * np.log(d), axis=1) / n_fine
+    idx = np.arange(n_fine)
+    beyond = np.minimum(idx, n_fine - idx) > p_band
+    for c in (j0_hat, s_hat):
+        tail = (np.abs(c[:, beyond]).max(axis=1)
+                / np.abs(c).max(axis=1))
+        if np.any(tail > _KERNEL_TAIL_TOL):
+            raise ArithmeticError(
+                f"kernel content past order {p_band} reaches "
+                f"{tail.max():.1e} on a {n_fine}-point angular grid at "
+                f"kappa={g.kappa:g}")
+    # J_0(k d) log(d / R): convolve J_0's coefficients with the Laplace
+    # series of log|1 - r e^{it}|, -r^|n| / (2|n|) for n != 0
+    n = np.abs(np.arange(-(p_band + band), p_band + band + 1))
+    laplace = np.where(n == 0, 0.0, -0.5 * r**n / np.maximum(n, 1))
+    width = 4 * p_band + 2 * band + 1
+    j0_band = j0_hat[:, np.arange(-p_band, p_band + 1) % n_fine]
+    log_part = np.fft.ifft(np.fft.fft(j0_band, width, axis=1)
+                           * np.fft.fft(laplace, width, axis=1), axis=1)
+    q = np.arange(-band, band + 1)
+    return (s_hat[:, q % n_fine]
+            + (2j / math.pi) * log_part[:, q + band + 2 * p_band])
+
+
+def assemble_forward(g, n_r, n_theta, n_s) -> np.ndarray:
+    """Symmetrically weighted collocation matrix of the forward operator,
+    one boundary sample per row and one source node of
+    source_grid(g, n_r, n_theta) per column, the nodes flattened
+    row-major over (rho, theta).
+
+    Entry (j, i) is sqrt(w_j) K_a(phi_j - theta_l) sqrt(w_i), with w_j =
+    2 pi R / n_s the boundary arc weight, w_i the grid's area weight of
+    node i = (a, l) and
+
+        K_a(t) = sum_{|q| <= Q} h_q(rho_a) e^{iqt},
+        Q = (min(n_theta, n_s) - 1) // 2,
+
+    the kernel H_0^(1)(k|x - y|) on ring a cut to the orders both angular
+    grids resolve, with the exact coefficients h_q of _ring_coefficients.
+    The weights make the matrix's ordinary SVD approximate the continuous
+    operator's singular system. Away from the rim K_a agrees with the
+    point kernel up to the truncated tail, of size (rho_a / R)^Q / Q.
+    """
+    n_s = _check_count(n_s, "grid sizes must be integers")
+    grid = source_grid(g, n_r, n_theta)
+    n_r, n_theta = grid.n_r, grid.n_theta
+    if n_r < 8:
+        raise ValueError("n_r must be at least 8")
+    if n_theta < 2 * math.ceil(g.kappa0) + 16:
+        raise ValueError(
+            f"n_theta={n_theta} undersamples the source disk; "
+            f"need at least {2 * math.ceil(g.kappa0) + 16}")
+    if n_s < 2 * math.ceil(g.kappa) + 16:
+        raise ValueError(
+            f"n_s={n_s} undersamples the boundary; "
+            f"need at least {2 * math.ceil(g.kappa) + 16}")
+    band = (min(n_theta, n_s) - 1) // 2
+    q = np.arange(-band, band + 1)
+    h = _ring_coefficients(g, grid.rho, band)
+    # (order, ring, angle) factor of every column, then one product over q
+    right = (h.T[:, :, None]
+             * np.exp(-1j * np.outer(q, grid.theta))[:, None, :]
+             * np.sqrt(grid.area_weights)[None, :, :])
+    bangles = 2.0 * math.pi * np.arange(n_s) / n_s
+    wb = 2.0 * math.pi * g.R / n_s
+    return math.sqrt(wb) * (np.exp(1j * np.outer(bangles, q))
+                            @ right.reshape(len(q), n_r * n_theta))

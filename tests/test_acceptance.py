@@ -18,7 +18,7 @@ from ispband import experiments as ex
 from ispband import singular_system as ss
 
 from conftest import disk_rel_l2
-from oracles import nicholson_abs2_oracle
+from oracles import assemble_forward, nicholson_abs2_oracle
 from test_specfun import log_row, order_roots
 
 TEN_PI = 10.0 * math.pi
@@ -179,8 +179,8 @@ def test_criterion_06_empty_band_threshold():
 def test_criterion_07_discrete_svd_oracle(g_small_4):
     g = g_small_4
     t0 = time.perf_counter()
-    fm = ib.assemble_forward(g, 64, 128, 128)
-    sv = np.linalg.svd(fm.entries, compute_uv=False)[:12]
+    fm = assemble_forward(g, 64, 128, 128)
+    sv = np.linalg.svd(fm, compute_uv=False)[:12]
     table = ss.build_spectrum(g, 8)
     multiset = [table.sigma[0]] + [
         s for m in range(1, 8) for s in (table.sigma[m],) * 2]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ispband as ib
 from ispband import singular_system as ss
 from ispband import specfun as sf
-from oracles import zero_threshold_bound
+from oracles import first_zero_j, first_zero_y, zero_threshold_bound
 
 # the module; the package's name `bandwidth` is the function
 bw = importlib.import_module("ispband.bandwidth")
@@ -64,11 +64,11 @@ class TestZeroBounds:
         assert ib.bound_upper(0.893576) == 0
 
     def test_tie_is_inclusive(self):
-        z5 = sf.first_zero_j(5)
+        z5 = first_zero_j(5)
         assert ib.bound_lower(z5) == 5
         assert ib.bound_lower(z5 + 1e-12) == 5
         assert ib.bound_lower(z5 + 1e-6) == 6
-        y7 = sf.first_zero_y(7)
+        y7 = first_zero_y(7)
         assert ib.bound_upper(y7) == 7
         assert ib.bound_upper(y7 + 1e-6) == 8
 
@@ -94,10 +94,12 @@ class TestZeroBounds:
 
 
 def _oracle(kappa0s):
-    """(B_-, B_+) of every kappa0 by the zero search."""
-    return (np.array([zero_threshold_bound(k, sf.first_zero_j)
+    """(B_-, B_+) of every kappa0 by the zero search on scipy's jv and yv,
+    independent of the Bessel tables that both the bounds and the
+    package's own zeros read."""
+    return (np.array([zero_threshold_bound(k, first_zero_j)
                       for k in kappa0s]),
-            np.array([zero_threshold_bound(k, sf.first_zero_y)
+            np.array([zero_threshold_bound(k, first_zero_y)
                       for k in kappa0s]))
 
 
@@ -116,7 +118,7 @@ class TestBoundsFromRowSigns:
         for _ in range(2):
             self.check(1100.0 * (1.0 - rng.random(1000)))   # (0, 1100]
 
-    @pytest.mark.parametrize("zero_of", [sf.first_zero_j, sf.first_zero_y])
+    @pytest.mark.parametrize("zero_of", [first_zero_j, first_zero_y])
     def test_around_every_zero(self, zero_of):
         # ties within _TIE_TOL = 1e-9 count as cleared: offsets on both
         # sides of the zero and of the tie line

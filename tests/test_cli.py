@@ -581,9 +581,9 @@ class TestConsoleScript:
         assert proc.stdout.strip() == "[]"
 
     def test_import_leaves_out_scipy(self):
-        # the package runs on numpy alone: the cross-check oracle with its
-        # quadrature lives with the tests, and the zero search and the
-        # dense kernel import scipy.special only when they run
+        # the package runs on numpy alone: the cross-check oracles, the
+        # dense kernel among them, live with the tests, and the zero
+        # search bisects the package's own Bessel tables
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, ispband, ispband.cli; "

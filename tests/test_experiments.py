@@ -138,19 +138,21 @@ class TestBatchedSweep:
     def test_warm_sweep_calls_no_scipy_special(self, monkeypatch):
         import scipy
         import scipy.special
-        from ispband import specfun
+        import oracles
         ex.run_sweep(24, (2.0, 1000.0))
-        # the package imports scipy.special inside the functions that use
-        # it, so both import forms must see the counting stand-in
+        # both import forms, an attribute of scipy and a module of its
+        # own, see the counting stand-in; the oracles bound it at import
         counter = _CountingSpecial(scipy.special)
         monkeypatch.setattr(scipy, "special", counter)
         monkeypatch.setitem(sys.modules, "scipy.special", counter)
+        monkeypatch.setattr(oracles, "special", counter)
         for ratio in (1.0, 3.0):
             ex.run_sweep(24, (2.0, 1000.0), equal_sizes=ratio == 1.0,
                          ratio=ratio)
         assert counter.calls == {}
-        # the stand-in does see a call that goes through scipy.special
-        specfun.first_zero_j.__wrapped__(3)
+        # the stand-in does see a call that goes through scipy.special:
+        # the tests' zero search, past its memo
+        oracles.first_zero_j.__wrapped__(3)
         assert counter.calls.get("jv", 0) > 0
 
     @pytest.mark.parametrize("block", [ex._SWEEP_BLOCK, 7])

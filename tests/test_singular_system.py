@@ -455,6 +455,16 @@ class TestSingularFunctions:
         with pytest.raises(ArithmeticError):
             ss.psi_eval(400, g, 0.2, 0.0)
 
+    def test_underflowed_envelope_named_as_underflow(self):
+        # A_m > 0 for every kappa0 > 0 (Turan's inequality), so a 0 is
+        # underflow; the message once called the mode degenerate
+        g = ib.ProblemGeometry.from_size_params(1000.0, 1000.0)
+        assert ss.a_m(1545, 1000.0) == 0.0
+        with pytest.raises(ArithmeticError,
+                           match="A_m of mode m=1545 underflows to 0 in "
+                                 "double precision at kappa0=1000"):
+            ss.psi_eval(1545, g, 0.2, 0.0)
+
     def test_singular_triple_via_mode_kernel(self, g_equal_10pi):
         # Apply the boundary-trace operator to psi_m with the kernel expanded
         # in cylinder modes; the result must be sigma_m phi_m on the circle.

@@ -11,8 +11,9 @@ from scipy import special
 import ispband as ib
 from ispband import specfun as sf
 from ispband import experiments as ex
-from oracles import (j_table_reference, miller_rows_reference,
-                     nicholson_abs2_oracle, y_table_reference)
+from oracles import (first_zero_j, first_zero_y, j_table_reference,
+                     miller_rows_reference, nicholson_abs2_oracle,
+                     y_table_reference)
 
 mp.mp.dps = 30
 
@@ -488,6 +489,24 @@ class TestNicholsonOracle:
         assert abs(a - b) <= 1e-6 * abs(b)
 
 
+# orders of the zero tests: every m <= 1000 in one batch, and the higher
+# orders in another, so the low orders' passes stop at 1000
+LOW_ORDERS = np.arange(1001)
+HIGH_ORDERS = np.array([*range(1067, 4401, 97), 4472, 10000])
+
+
+@pytest.fixture(scope="module")
+def zeros():
+    """The package's first zeros as {(kind, m): zero}, kind "J" or "Y",
+    for LOW_ORDERS and HIGH_ORDERS: one batched call per batch and kind."""
+    out = {}
+    for kind, zero in (("J", sf.first_zero_j), ("Y", sf.first_zero_y)):
+        for orders in (LOW_ORDERS, HIGH_ORDERS):
+            out.update(zip([(kind, m) for m in orders.tolist()],
+                           zero(orders).tolist()))
+    return out
+
+
 class TestFirstZeros:
     def test_classic_values(self):
         assert sf.first_zero_j(0) == pytest.approx(2.404825557695773, abs=1e-10)
@@ -495,70 +514,96 @@ class TestFirstZeros:
         assert sf.first_zero_y(0) == pytest.approx(0.8935769662791675, abs=1e-10)
 
     @pytest.mark.slow
-    def test_matches_reference_roots(self):
+    def test_matches_reference_roots(self, zeros):
         for m in (2, 5, 26, 29, 100, 315):
             ref_j = float(mp.besseljzero(m, 1))
             ref_y = float(mp.besselyzero(m, 1))
-            assert sf.first_zero_j(m) == pytest.approx(ref_j, abs=1e-10)
-            assert sf.first_zero_y(m) == pytest.approx(ref_y, abs=1e-10)
+            assert zeros["J", m] == pytest.approx(ref_j, abs=1e-10)
+            assert zeros["Y", m] == pytest.approx(ref_y, abs=1e-10)
 
     def test_zero_is_a_float(self):
         assert type(sf.first_zero_j(4)) is float
         assert type(sf.first_zero_y(4)) is float
 
-    def test_strictly_increasing_in_order(self):
-        jz = [sf.first_zero_j(m) for m in range(0, 501)]
-        yz = [sf.first_zero_y(m) for m in range(0, 501)]
+    @pytest.mark.parametrize("zero", [sf.first_zero_j, sf.first_zero_y])
+    def test_array_of_orders(self, monkeypatch, zero):
+        # an array gives an array of its shape, and each order's zero has
+        # the bits of its scalar call, in any batch and any chunking
+        orders = np.array([[5, 0], [70, 3], [5, 1]])
+        got = zero(orders)
+        assert got.shape == orders.shape
+        assert got.tolist() == [[zero(int(m)) for m in row]
+                                for row in orders.tolist()]
+        monkeypatch.setattr(sf, "_ZERO_BLOCK", 100)     # chunks of 1 lane
+        assert np.array_equal(zero(orders), got)
+        assert zero(np.array([], dtype=int)).shape == (0,)
+
+    def test_strictly_increasing_in_order(self, zeros):
+        jz = [zeros["J", m] for m in range(0, 501)]
+        yz = [zeros["Y", m] for m in range(0, 501)]
         assert np.all(np.diff(jz) > 0.0)
         assert np.all(np.diff(yz) > 0.0)
 
-    def test_interlacing(self):
+    def test_interlacing(self, zeros):
         for m in range(0, 501):
-            assert sf.first_zero_y(m) < sf.first_zero_j(m)
+            assert zeros["Y", m] < zeros["J", m]
 
-    def test_zero_value_is_a_root(self):
+    def test_zero_value_is_a_root(self, zeros):
         for m in (0, 3, 40, 200):
-            zj = sf.first_zero_j(m)
-            zy = sf.first_zero_y(m)
-            assert abs(special.jv(m, zj)) < 1e-11
-            assert abs(special.yv(m, zy)) < 1e-11
+            assert abs(special.jv(m, zeros["J", m])) < 1e-11
+            assert abs(special.yv(m, zeros["Y", m])) < 1e-11
 
-    def test_large_order_expansion_j(self):
+    def test_large_order_expansion_j(self, zeros):
         m = 1000
-        delta = sf.first_zero_j(m) - m - sf.A_MINUS * m ** (1.0 / 3.0)
+        delta = zeros["J", m] - m - sf.A_MINUS * m ** (1.0 / 3.0)
         assert 0.5 * m ** (-1.0 / 3.0) <= abs(delta) <= 2.0 * m ** (-1.0 / 3.0)
 
-    def test_large_order_expansion_y(self):
+    def test_large_order_expansion_y(self, zeros):
         deltas = []
         for m in (8, 1000):
-            d = sf.first_zero_y(m) - m - sf.A_PLUS * m ** (1.0 / 3.0)
+            d = zeros["Y", m] - m - sf.A_PLUS * m ** (1.0 / 3.0)
             deltas.append(abs(d))
         assert deltas[1] < deltas[0]
         assert deltas[1] < 0.05
 
-    def test_matches_scipy_zero_tables(self):
+    def test_matches_scipy_zero_tables(self, zeros):
         # jn_zeros / yn_zeros are an independent implementation; in scipy
         # 1.17.1 they return NaN from m = 4473 (J) and 4489 (Y) on
         for m in [*range(0, 41), *range(97, 4401, 97)]:
-            assert abs(sf.first_zero_j(m)
-                       - special.jn_zeros(m, 1)[0]) <= 1e-11
-            assert abs(sf.first_zero_y(m)
-                       - special.yn_zeros(m, 1)[0]) <= 1e-11
+            assert abs(zeros["J", m] - special.jn_zeros(m, 1)[0]) <= 1e-11
+            assert abs(zeros["Y", m] - special.yn_zeros(m, 1)[0]) <= 1e-11
+
+    @pytest.mark.parametrize("kind", ["J", "Y"])
+    def test_matches_scipy_bisection(self, zeros, kind):
+        # the oracle bisects the same brackets to adjacent doubles on
+        # scipy's jv / yv: the two part by at most 2.3e-13 for m <= 1000
+        # and 1.9e-12, one unit in the last place at 1e4, up to m = 1e4
+        oracle = first_zero_j if kind == "J" else first_zero_y
+        ms = np.array([m for k, m in zeros if k == kind])
+        err = np.abs([zeros[kind, m] - oracle(m) for m in ms.tolist()])
+        assert np.max(err[ms <= 1000]) <= 2.3e-13
+        assert np.max(err) <= 1.9e-12
 
     @pytest.mark.parametrize("m", [1000, 4472, 10000])
-    def test_high_order_zero_is_a_sign_change(self, m):
+    def test_high_order_zero_is_a_sign_change(self, zeros, m):
         # bisection stops on one of two adjacent doubles that bracket the
-        # sign change of the computed J_m (Y_m)
-        for zero, f in ((sf.first_zero_j, special.jv),
-                        (sf.first_zero_y, special.yv)):
-            z = zero(m)
-            fz = f(m, z)
-            neighbours = [f(m, np.nextafter(z, d)) for d in (-np.inf, np.inf)]
-            assert fz == 0.0 or any(fn * fz < 0.0 for fn in neighbours)
+        # sign change of the package's own J_m (Y_m) row; a row entry
+        # depends on its argument and order alone, so these are the
+        # values the bisection read
+        for kind in ("J", "Y"):
+            z = zeros[kind, m]
+            x = np.array([np.nextafter(z, -np.inf), z, np.nextafter(z, np.inf)])
+            row = (sf.bessel_j_table(m, x) if kind == "J"
+                   else sf.bessel_y_table(m, x)[0])[:, m]
+            assert row[1] == 0.0 or row[0] * row[1] < 0.0 \
+                or row[2] * row[1] < 0.0
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             sf.first_zero_j(-1)
+        for orders in (np.array([3, -1]), np.array([2.0, 3.0])):
+            with pytest.raises(ValueError, match="order must be a nonnegative"):
+                sf.first_zero_y(orders)
 
     def test_non_integer_orders_refused(self):
         for call in (lambda m: sf.first_zero_j(m), lambda m: sf.first_zero_y(m),
