@@ -5,6 +5,8 @@ or str, served by one writer and one validating reader. Floats carry 17
 significant digits, so readers return the written bits and re-emitting a
 parsed file reproduces it byte for byte. Boundary, source and reconstruction
 files start with one `# key=value ...` line holding geometry and run data.
+A reconstruction file holds its 2N + 1 coefficients, not the grid; an
+older grid-format one is refused by its header.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .experiments import RegressionFit, SweepRecord
 from .forward import BoundaryData, SourceField, _polar_grid
 from .singular_system import ProblemGeometry, SpectrumTable
-from .tsvd import Reconstruction
+from .tsvd import Reconstruction, _synthesize
 
 __all__ = [
     "write_spectrum", "read_spectrum",
@@ -54,6 +56,7 @@ _SWEEP = (("kappa", float), ("kappa0", float), ("B", int), ("B_minus", int),
           ("relerr_plus", float))
 _FITS = _dataclass_columns(RegressionFit)
 _BOUNDARY = (("index", int), ("re", float), ("im", float))
+_COEFFICIENTS = (("m", int), ("re", float), ("im", float))
 _GRID = (("i_r", int), ("i_theta", int), ("rho", float), ("theta", float),
          ("re", float), ("im", float))
 
@@ -268,8 +271,12 @@ def _rings(s: SourceField):
         yield tpl.replace("I", str(i)).replace("R", f"{rho:.17g}") % (*cells,)
 
 
-def _read_grid(path):
-    """Source field and metadata of a source or reconstruction file."""
+def write_source(s: SourceField, path) -> None:
+    _write(path, _GRID, _rings(s),
+           _geometry_meta(s.geometry, n_r=s.n_r, n_theta=s.n_theta))
+
+
+def read_source(path) -> SourceField:
     meta, (i_r, i_theta, rho, theta, re, im) = _read(path, _GRID, meta=True,
                                                      memo=4)
     g = _geometry(meta)
@@ -289,30 +296,32 @@ def _read_grid(path):
     if not np.allclose(rule_theta, theta[0], rtol=0, atol=1e-12):
         raise ValueError("angles in file are not the uniform angles "
                          "2 pi j / n_theta")
-    source = SourceField(g, _complex(re, im).reshape(n_r, n_theta))
-    return source, meta
-
-
-def write_source(s: SourceField, path) -> None:
-    _write(path, _GRID, _rings(s),
-           _geometry_meta(s.geometry, n_r=s.n_r, n_theta=s.n_theta))
-
-
-def read_source(path) -> SourceField:
-    return _read_grid(path)[0]
+    return SourceField(g, _complex(re, im).reshape(n_r, n_theta))
 
 
 def write_reconstruction(rec: Reconstruction, path) -> None:
-    s = rec.source
-    _write(path, _GRID, _rings(s), _geometry_meta(
-        s.geometry, n_r=s.n_r, n_theta=s.n_theta, N=int(rec.N),
-        residual=float(rec.residual), policy=rec.policy))
+    s, w = rec.source, rec.coefficients
+    _write(path, _COEFFICIENTS, _table(_COEFFICIENTS, zip(
+        range(-rec.N, rec.N + 1), w.real.tolist(), w.imag.tolist())),
+           _geometry_meta(s.geometry, n_r=s.n_r, n_theta=s.n_theta,
+                          residual=float(rec.residual), policy=rec.policy))
 
 
 def read_reconstruction(path) -> Reconstruction:
-    source, meta = _read_grid(path)
-    return Reconstruction(source=source, N=int(meta["N"]),
+    """The record written, its grid synthesized as tsvd_reconstruct does."""
+    meta, (m, re, im) = _read(path, _COEFFICIENTS, meta=True)
+    N = len(m) // 2
+    if not np.array_equal(m, np.arange(-N, N + 1)):
+        raise ValueError("rows must be m = -N .. N, once each in order")
+    n_r, n_theta = int(meta["n_r"]), int(meta["n_theta"])
+    if n_theta < 2 * N + 1:
+        raise ValueError(f"n_theta={n_theta} cannot hold modes up to {N}; "
+                         f"need n_theta >= {2 * N + 1}")
+    w = _complex(re, im)
+    source, dev = _synthesize(_geometry(meta), w, n_r, n_theta)
+    return Reconstruction(source=source, coefficients=w,
                           residual=float(meta["residual"]),
+                          margin=float(np.max(np.abs(dev))),
                           policy=meta["policy"])
 
 

@@ -6,6 +6,8 @@ data come straight out of one FFT. Reconstruction keeps the modes
 |m| <= N and divides each coefficient by its sigma, which is exactly
 where stopband noise blows up; choosing N is the whole game, and the
 band-edge integers from the bandwidth module are the natural policies.
+A Reconstruction keeps its 2N + 1 coefficients c_m / sigma_|m|, from which
+_synthesize redoes its grid bit for bit.
 """
 
 from __future__ import annotations
@@ -62,12 +64,22 @@ class ModalCoefficients:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """TSVD estimate of the source together with its truncation metadata."""
+    """TSVD estimate: coefficients c_m / sigma_|m| for m = -N .. N, the grid
+    they synthesize, truncation metadata, and the margin max |||psi_m||_h^2
+    - 1| over |m| <= N by which the grid's rings miss the retained modes."""
 
     source: SourceField
-    N: int
+    coefficients: np.ndarray = field(repr=False)
     residual: float
+    margin: float
     policy: str = "N"
+
+    def __post_init__(self):
+        if np.ndim(self.coefficients) != 1 or len(self.coefficients) % 2 != 1:
+            raise ValueError("coefficients must be 1-D of odd length 2 N + 1, "
+                             f"not of shape {np.shape(self.coefficients)}")
+
+    N = property(lambda self: len(self.coefficients) // 2)
 
 
 def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
@@ -93,25 +105,50 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
     return ModalCoefficients(geometry=g, c=c)
 
 
+def _usable_spectrum(g: ProblemGeometry, N: int):
+    """Spectrum rows m = 0 .. N of g, unless a sigma lost all precision."""
+    table = _spectrum_table(g, N)
+    bad = ~np.isfinite(table.log_sigma) | (table.sigma == 0.0)
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise SigmaUnderflowError(
+            f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
+            f"kappa={g.kappa:g}; mode {m} is unusable")
+    return table
+
+
+def _synthesize(g: ProblemGeometry, w, n_r: int,
+                n_theta: int) -> tuple[SourceField, np.ndarray]:
+    """(sum_m w_m psi_m on the n_r x n_theta grid, ||psi_m||_h^2 - 1) for
+    m = -N .. N, N = len(w) // 2 <= (n_theta - 1) / 2, the norms being
+    2 pi sum_i wr_i rho_i half[i, |m|]^2. half is the radial table
+    J_m(k rho_i) / (sqrt(pi) R0 A_m), m = 0 .. N, divided per call from the
+    memoized ring rows (_planned). The norms come first, from a squared
+    copy gathered to m = -N .. N and dropped before the output is
+    allocated: the matrix product over that full-width copy keeps their
+    bits."""
+    N = len(w) // 2
+    rho, wr = _radial_rule(g, n_r)
+    half = (_planned(g, N, rho)[:, :N + 1]
+            / (math.sqrt(math.pi) * g.R0 * _usable_spectrum(g, N).a))
+    sq = half[:, np.abs(np.arange(-N, N + 1))]
+    norms = 2.0 * math.pi * ((wr * rho) @ np.square(sq, out=sq))
+    del sq
+    return SourceField(g, _psi_synthesize(w, half, n_theta)), norms - 1.0
+
+
 def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = None,
                      n_r: int = 64, n_theta: int | None = None,
                      policy: str = "N") -> Reconstruction:
     """Invert the retained modes onto a fresh source grid.
 
-    shat = sum over |m| <= N of c_m / sigma_{|m|} psi_m. The residual is
-    the relative misfit between the retained coefficients and the modal
-    content of shat pushed back through the forward map. With
+    shat = sum over |m| <= N of c_m / sigma_{|m|} psi_m (_synthesize). The
+    residual is the relative misfit between the retained coefficients and
+    the modal content of shat pushed back through the forward map. With
     n_theta >= 2N + 1 no two modes share an FFT bin, so that content is
     exactly (c_m / sigma_m) ||psi_m||_h^2, and the residual is the
-    |c_m|^2-weighted RMS of ||psi_m||_h^2 - 1, from the discrete norms
-    2 pi sum_i w_i rho_i half[i, |m|]^2 (round-off when the grid resolves
-    every retained mode).
-
-    half is the radial table J_m(k rho_i) / (sqrt(pi) R0 A_m), m = 0 .. N,
-    divided per call from the memoized ring rows (_planned); psi_m and
-    psi_{-m} share its column. The norms come first, from a squared copy
-    gathered to m = -N .. N and dropped before the output is allocated:
-    the matrix product over that full-width copy is what keeps their bits.
+    |c_m|^2-weighted RMS of ||psi_m||_h^2 - 1 (round-off when the grid
+    resolves every retained mode); the margin is reported, not enforced.
 
     g, if given, must equal c.geometry: the coefficients are divided by
     that geometry's sigma, so any other one is refused.
@@ -135,29 +172,14 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
             f"n_theta={n_theta} cannot resolve modes up to {N} without "
             f"aliasing; need n_theta >= {2 * N + 1}")
     n_r, n_theta = _grid_sizes(n_r, n_theta)
-    table = _spectrum_table(g, N)
-    sigma = table.sigma
-    # refuse to divide by anything that lost all precision
-    bad = ~np.isfinite(table.log_sigma) | (sigma == 0.0)
-    if bad.any():
-        m = int(np.argmax(bad))
-        raise SigmaUnderflowError(
-            f"sigma_{m} underflows at kappa0={g.kappa0:g}, "
-            f"kappa={g.kappa:g}; mode {m} is unusable")
-    rho, wr = _radial_rule(g, n_r)
-    half = (_planned(g, N, rho)[:, :N + 1]
-            / (math.sqrt(math.pi) * g.R0 * table.a[:N + 1]))
-    am = np.abs(ms)
-    sq = half[:, am]
-    norms = 2.0 * math.pi * ((wr * rho) @ np.square(sq, out=sq))
-    del sq
-    shat = SourceField(g, _psi_synthesize(cm / sigma[am], half,
-                                          n_theta))
+    w = cm / _usable_spectrum(g, N).sigma[np.abs(ms)]
+    shat, dev = _synthesize(g, w, n_r, n_theta)
     a = _scaled_abs(cm)[0]          # exact: the squares stay in range
     den = float(np.sum(a**2))
-    residual = (math.sqrt(float(np.sum((a * (norms - 1.0))**2)) / den)
+    residual = (math.sqrt(float(np.sum((a * dev)**2)) / den)
                 if den > 0.0 else 0.0)
-    return Reconstruction(source=shat, N=N, residual=residual, policy=policy)
+    return Reconstruction(source=shat, coefficients=w, residual=residual,
+                          margin=float(np.max(np.abs(dev))), policy=policy)
 
 
 def pick_truncation(g: ProblemGeometry, policy: str,

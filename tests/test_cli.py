@@ -264,6 +264,31 @@ class TestReconstructCommand:
         assert float(stats["rel_error"]) <= 1e-10
         assert float(stats["residual"]) <= 1e-10
 
+    @pytest.mark.parametrize("kappa0", [0.5, 100 * math.pi])
+    def test_default_radial_grid_resolves_the_retained_modes(
+            self, capsys, tmp_path, kappa0):
+        target = tmp_path / "rec.csv"
+        code, _, _ = run_cli(capsys, "reconstruct", "--kappa0", repr(kappa0),
+                             "--kappa", repr(kappa0), "--out", str(target))
+        assert code == 0
+        assert csvio.read_reconstruction(str(target)).margin <= 2.5e-14
+
+    @pytest.mark.parametrize("kappa0, nr, default", [
+        (repr(100 * math.pi), "64", 201), ("158", "7", 117)])
+    def test_unresolving_radial_grid_is_usage_error(self, capsys, tmp_path,
+                                                     kappa0, nr, default):
+        # --nr 64 at kappa0 = 100 pi once exited 0 with rel_error 2.8e-2:
+        # its rings put ||psi_m||_h^2 off by 0.40 for the retained m
+        target = tmp_path / "rec.csv"
+        code, out, err = run_cli(capsys, "reconstruct", "--kappa0", kappa0,
+                                 "--kappa", kappa0, "--nr", nr,
+                                 "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert f"--nr {nr} " in err
+        assert f"default --nr for this geometry is {default}" in err
+        assert not target.exists()
+
     def test_aliasing_angular_grid_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "reconstruct", "--kappa0",
                                str(10 * math.pi), "--kappa",

@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ispband as ib
 from ispband import csvio
 from ispband import experiments as ex
 from ispband import singular_system as ss
+from ispband import tsvd
 from oracles import per_cell_csv, per_cell_grid_rows, per_line_read
 
 TEN_PI = 10.0 * math.pi
@@ -168,11 +171,103 @@ class TestReconstructionCsv:
         c = ib.modal_decompose(bd, 8)
         rec = ib.tsvd_reconstruct(c, 4, n_r=10, n_theta=16, policy="B-")
         text = csvio.dumps(csvio.write_reconstruction, rec)
+        lines = text.splitlines()
+        assert lines[1] == "m,re,im" and len(lines) == 2 + 9
+        assert [line.split(",")[0] for line in lines[2:]] == [
+            str(m) for m in range(-4, 5)]
         back = csvio.read_reconstruction(io.StringIO(text))
         assert back.N == 4
         assert back.policy == "B-"
         assert back.residual == rec.residual
-        assert np.array_equal(back.source.values, rec.source.values)
+        assert back.margin == rec.margin
+        assert back.source.values.tobytes() == rec.source.values.tobytes()
+        assert back.coefficients.tobytes() == rec.coefficients.tobytes()
+
+    @pytest.mark.parametrize("n_s, n_r, n_theta, margin", [
+        (64, 10, 16, 0.33), (32, 6, 10, 0.53)])
+    def test_small_grids_report_their_margin(self, g_equal_10pi, n_s, n_r,
+                                             n_theta, margin):
+        # 6 or 10 rings do not resolve psi_4 at kappa0 = 10 pi: the library
+        # reconstructs anyway and reports how far off the norms are
+        bd = ib.BoundaryData(geometry=g_equal_10pi, values=np.exp(
+            1j * 2.0 * math.pi * 3.0 * np.arange(n_s) / n_s))
+        rec = ib.tsvd_reconstruct(ib.modal_decompose(bd, 8), 4, n_r=n_r,
+                                  n_theta=n_theta)
+        assert rec.margin == pytest.approx(margin, abs=0.005)
+        back = csvio.read_reconstruction(io.StringIO(
+            csvio.dumps(csvio.write_reconstruction, rec)))
+        assert back.margin == rec.margin
+
+    def test_grid_format_file_refused(self):
+        # the n_r x n_theta grid files of earlier versions are not read
+        old = ("# k=2 R0=0.5 R=1 n_r=2 n_theta=2 N=1 "
+               "residual=0.0025000000000000001 policy=B-\n"
+               + TestGoldenBytes.GRID_ROWS)
+        with pytest.raises(ValueError, match="expected 'm,re,im'"):
+            csvio.read_reconstruction(io.StringIO(old))
+
+
+@st.composite
+def _records(draw):
+    """A tsvd_reconstruct record of a small geometry, kappa0 <= 20 and
+    R / R0 in {1, 2}, truncated at N <= B+ on an n_r <= 24 grid with
+    2N + 1 <= n_theta <= 2N + 9, from random boundary data."""
+    kappa0 = draw(st.floats(0.1, 20.0))
+    g = ib.ProblemGeometry.from_size_params(
+        kappa0, kappa0 * draw(st.sampled_from([1.0, 2.0])))
+    N = draw(st.integers(0, ib.bound_upper(kappa0)))
+    n_s = 2 * N + 1 + draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bd = ib.BoundaryData(geometry=g, values=rng.standard_normal(n_s)
+                         + 1j * rng.standard_normal(n_s))
+    return ib.tsvd_reconstruct(
+        ib.modal_decompose(bd, N), N, n_r=draw(st.integers(2, 24)),
+        n_theta=max(2, 2 * N + 1 + draw(st.integers(0, 8))),
+        policy=draw(st.sampled_from(["B", "B-", "B+", "N"])))
+
+
+class TestReconstructionRoundTrip:
+    """write_reconstruction then read_reconstruction gives back every
+    record tsvd_reconstruct returns, bit for bit; a coefficient table that
+    is not m = -N .. N once each in order, or an n_theta that cannot hold
+    those modes, is refused."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rec=_records())
+    def test_round_trip(self, rec):
+        text = csvio.dumps(csvio.write_reconstruction, rec)
+        back = csvio.read_reconstruction(io.StringIO(text))
+        assert back.source.values.tobytes() == rec.source.values.tobytes()
+        assert (back.N, back.residual, back.policy, back.margin) == (
+            rec.N, rec.residual, rec.policy, rec.margin)
+        assert back.source.geometry == rec.source.geometry
+        assert csvio.dumps(csvio.write_reconstruction, back) == text
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rec=_records(), edit=st.sampled_from(["drop", "duplicate",
+                                                 "swap", "n_theta"]),
+           data=st.data())
+    def test_faulty_table_refused(self, rec, edit, data):
+        lines = csvio.dumps(csvio.write_reconstruction,
+                            rec).splitlines(keepends=True)
+        rows = 2 * rec.N + 1
+        i = 2 + data.draw(st.integers(0, rows - 1))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            if rows < 2:
+                return
+            j = 2 + data.draw(st.integers(0, rows - 1).filter(
+                lambda j: j + 2 != i))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            n_theta = data.draw(st.integers(0, 2 * rec.N))
+            lines[0] = lines[0].replace(f" n_theta={rec.source.n_theta} ",
+                                        f" n_theta={n_theta} ")
+        with pytest.raises(ValueError):
+            csvio.read_reconstruction(io.StringIO("".join(lines)))
 
 
 def _edit_row(text: str, row: int, col: int, value: str) -> str:
@@ -205,7 +300,7 @@ class TestMalformedInput:
                                   n_theta=10, policy="B-")
         text = csvio.dumps(csvio.write_reconstruction, rec)
         short = "".join(text.splitlines(keepends=True)[:-1])
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(ValueError, match="once each in order"):
             csvio.read_reconstruction(io.StringIO(short))
 
     def test_swapped_boundary_indices_rejected(self, g_equal_10pi):
@@ -272,8 +367,12 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("policy", ["my policy", "a=b", "tab\there"])
     def test_metadata_that_cannot_round_trip_refused(self, policy):
-        src = ib.source_grid(ib.ProblemGeometry(k=2.0, R0=0.5, R=1.0), 2, 2)
-        rec = ib.Reconstruction(source=src, N=1, residual=0.0, policy=policy)
+        w = np.array([0.5j, 1.0, -0.25])
+        src, dev = tsvd._synthesize(ib.ProblemGeometry(k=2.0, R0=0.5, R=1.0),
+                                    w, 2, 3)
+        rec = ib.Reconstruction(source=src, coefficients=w, residual=0.0,
+                                margin=float(np.max(np.abs(dev))),
+                                policy=policy)
         with pytest.raises(ValueError, match="policy"):
             csvio.dumps(csvio.write_reconstruction, rec)
 
@@ -365,11 +464,22 @@ class TestGoldenBytes:
             "# k=2 R0=0.5 R=1 n_r=2 n_theta=2\n" + self.GRID_ROWS)
 
     def test_reconstruction(self):
-        rec = ib.Reconstruction(source=self._source(), N=1, residual=2.5e-3,
+        w = np.array([1 + 2j, complex(-0.0, -0.5), 1e-300 + 0j])
+        src, dev = tsvd._synthesize(self.G, w, 2, 3)
+        rec = ib.Reconstruction(source=src, coefficients=w, residual=2.5e-3,
+                                margin=float(np.max(np.abs(dev))),
                                 policy="B-")
-        assert csvio.dumps(csvio.write_reconstruction, rec) == (
-            "# k=2 R0=0.5 R=1 n_r=2 n_theta=2 N=1 "
-            "residual=0.0025000000000000001 policy=B-\n" + self.GRID_ROWS)
+        text = csvio.dumps(csvio.write_reconstruction, rec)
+        assert text == ("# k=2 R0=0.5 R=1 n_r=2 n_theta=3 "
+                        "residual=0.0025000000000000001 policy=B-\n"
+                        "m,re,im\n"
+                        "-1,1,2\n"
+                        "0,-0,-0.5\n"
+                        "1,1e-300,0\n")
+        back = csvio.read_reconstruction(io.StringIO(text))
+        assert back.source.values.tobytes() == src.values.tobytes()
+        assert back.margin == rec.margin
+        assert csvio.dumps(csvio.write_reconstruction, back) == text
 
 
 EDGE = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300,
@@ -411,8 +521,14 @@ def _objects(rng, edge=(), contiguous=True) -> dict:
     grid = csvio._complex(*_fill(rng, (2, n_t * n_r), edge)).reshape(n_t, n_r)
     src = replace(ib.source_grid(g, n_r, n_t),
                   values=grid.T if not contiguous else grid.T.copy())
-    rec = ib.Reconstruction(source=src, N=int(rng.integers(0, 50)),
-                            residual=float(rng.uniform()), policy="B+")
+    # the writer reads the source's geometry and sizes alone, so any
+    # 2N + 1 >= len(edge) coefficients go with it
+    n_w = 2 * int(rng.integers(4, 50)) + 1
+    w = csvio._complex(*_fill(rng, (2, 3 * n_w), edge))
+    rec = ib.Reconstruction(source=src,
+                            coefficients=w[:n_w] if contiguous else w[::3],
+                            residual=float(rng.uniform()),
+                            margin=float(rng.uniform()), policy="B+")
     return {csvio.write_spectrum: table, csvio.write_sweep: sweep,
             csvio.write_fits: fits, csvio.write_boundary: bd,
             csvio.write_source: src, csvio.write_reconstruction: rec}
@@ -438,11 +554,15 @@ def _per_cell(writer, obj) -> str:
             range(obj.n_s), obj.values.real.tolist(),
             obj.values.imag.tolist()), dict(_geo(obj.geometry), n_s=obj.n_s,
                                             noise=float(obj.noise_level)))
-    s = obj if writer is csvio.write_source else obj.source
-    meta = dict(_geo(s.geometry), n_r=s.n_r, n_theta=s.n_theta)
     if writer is csvio.write_reconstruction:
-        meta.update(N=obj.N, residual=obj.residual, policy=obj.policy)
-    return per_cell_csv(csvio._GRID, per_cell_grid_rows(s), meta)
+        s = obj.source
+        return per_cell_csv(csvio._COEFFICIENTS, (
+            (m, v.real, v.imag) for m, v in enumerate(
+                obj.coefficients.tolist(), start=-obj.N)), dict(
+            _geo(s.geometry), n_r=s.n_r, n_theta=s.n_theta,
+            residual=obj.residual, policy=obj.policy))
+    return per_cell_csv(csvio._GRID, per_cell_grid_rows(obj), dict(
+        _geo(obj.geometry), n_r=obj.n_r, n_theta=obj.n_theta))
 
 
 class TestPerCellOracle:
@@ -473,6 +593,7 @@ class TestPerCellOracle:
         objs = _objects(np.random.default_rng(4), EDGE, contiguous=False)
         assert not objs[csvio.write_source].values.flags.c_contiguous
         assert not objs[csvio.write_boundary].values.flags.c_contiguous
+        assert not objs[csvio.write_reconstruction].coefficients.flags.c_contiguous
         for writer, obj in objs.items():
             assert csvio.dumps(writer, obj) == _per_cell(writer, obj), writer
 
@@ -569,19 +690,17 @@ class TestBulkReader:
 
 
 def test_writer_streams_ring_by_ring(tmp_path):
-    # a 201 x 754 reconstruction (the default grid at kappa = 100 pi) is a
-    # 13 MB file; written a ring at a time it never exists as one string
+    # a 201 x 754 source (the default grid at kappa = 100 pi) is a 13 MB
+    # file; written a ring at a time it never exists as one string
     g = ib.ProblemGeometry.from_size_params(100 * math.pi, 100 * math.pi)
     rng = np.random.default_rng(6)
     values = rng.standard_normal((2, 201, 754))
-    rec = ib.Reconstruction(
-        source=replace(ib.source_grid(g, 201, 754),
-                       values=values[0] + 1j * values[1]),
-        N=304, residual=3.5e-16, policy="B")
-    path = tmp_path / "rec.csv"
+    src = replace(ib.source_grid(g, 201, 754),
+                  values=values[0] + 1j * values[1])
+    path = tmp_path / "source.csv"
     tracemalloc.start()
     try:
-        csvio.write_reconstruction(rec, str(path))
+        csvio.write_source(src, str(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
