@@ -33,7 +33,8 @@ import numpy as np
 from . import csvio
 from .bandwidth import HorizonError, report
 from .experiments import fit_linear, run_sweep
-from .forward import _check_disk, source_grid, synthesize_measurement
+from .forward import (_check_disk, _resolving_grid, source_grid,
+                      synthesize_measurement)
 from .singular_system import (ProblemGeometry, build_spectrum, default_m_max,
                               psi_eval)
 from .tsvd import (_POLICIES, modal_decompose, pick_truncation,
@@ -204,21 +205,6 @@ def _cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def _resolving_grids(g: ProblemGeometry, horizon: int,
-                     N: int) -> tuple[int, int]:
-    """Default (n_r, n_theta = n_s) of a reconstruction.
-
-    The angular grids resolve every mode up to max(horizon, N) without
-    aliasing. The Gauss-Legendre rule in radius integrates |psi_m|^2,
-    m <= kappa0, to the double-precision floor: a 1e-10 error needs
-    kappa0/2 + c kappa0^(1/3) nodes, and the rule keeps 16 or more to
-    spare over kappa0 in [2, 1000].
-    """
-    n_r = max(64, math.ceil(g.kappa0 / 2.0 + 4.0 * g.kappa0 ** (1.0 / 3.0))
-              + 16)
-    return n_r, 2 * max(horizon, N) + 2
-
-
 def _cmd_reconstruct(args, parser) -> int:
     g = _geometry_from(args, parser)
     _check_disk(g)      # a source grid's refusal, before any Bessel pass
@@ -235,7 +221,7 @@ def _cmd_reconstruct(args, parser) -> int:
     m_top = max(abs(m) for _, m in terms)
     horizon = max(default_m_max(g.kappa0), m_top)
     n_trunc = pick_truncation(g, args.policy, n=args.N)
-    n_r_default, n_ang = _resolving_grids(g, horizon, n_trunc)
+    n_r_default, n_ang = _resolving_grid(g, max(horizon, n_trunc))
     n_r = args.nr if args.nr is not None else n_r_default
     n_theta = args.ntheta if args.ntheta is not None else n_ang
     truth = source_grid(

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .experiments import RegressionFit, SweepRecord
-from .forward import BoundaryData, SourceField, _polar_grid
+from .forward import BoundaryData, SourceField, _check_bins, _polar_grid
 from .singular_system import ProblemGeometry, SpectrumTable
 from .tsvd import Reconstruction, _synthesize
 
@@ -314,9 +314,7 @@ def read_reconstruction(path) -> Reconstruction:
     if not np.array_equal(m, np.arange(-N, N + 1)):
         raise ValueError("rows must be m = -N .. N, once each in order")
     n_r, n_theta = int(meta["n_r"]), int(meta["n_theta"])
-    if n_theta < 2 * N + 1:
-        raise ValueError(f"n_theta={n_theta} cannot hold modes up to {N}; "
-                         f"need n_theta >= {2 * N + 1}")
+    _check_bins("n_theta", n_theta, N)
     w = _complex(re, im)
     source, dev = _synthesize(_geometry(meta), w, n_r, n_theta)
     return Reconstruction(source=source, coefficients=w,

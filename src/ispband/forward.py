@@ -69,8 +69,11 @@ class SourceField:
     def _grid(self) -> tuple:
         return _polar_grid(self.geometry, *self.values.shape)
 
-    area_weights = property(
-        lambda self: _area_weights(self.geometry, *self.values.shape))
+    @property
+    def area_weights(self) -> np.ndarray:
+        rho, wr, _ = self._grid()
+        n = self.n_theta
+        return np.outer(wr * rho, np.full(n, 2.0 * math.pi / n))
 
     def norm(self) -> float:
         """Discrete L2 norm over the disk, at any scale (_scaled_abs)."""
@@ -197,6 +200,24 @@ def _grid_sizes(*sizes) -> tuple[int, ...]:
                  for n in sizes)
 
 
+def _resolving_grid(g: ProblemGeometry, modes: int, n_r: int | None = None,
+                    n: int | None = None) -> tuple[int, int]:
+    """(n_r, n) for the modes |m| <= modes of g, a size left None by the
+    rule of every default grid: n = 2 modes + 2 angles or samples, and at
+    least 64 rings, 16 or more over the kappa0/2 + c kappa0^(1/3) that hold
+    |psi_m|^2, m <= kappa0, to 1e-10 (checked for kappa0 in [2, 1000])."""
+    if n_r is None:
+        n_r = max(64, math.ceil(g.kappa0 / 2 + 4 * g.kappa0 ** (1 / 3)) + 16)
+    return n_r, (2 * modes + 2 if n is None else n)
+
+
+def _check_bins(name: str, n: int, modes: int) -> None:
+    """Refuse n angles or samples that alias the modes |m| <= modes."""
+    if n < 2 * modes + 1:
+        raise ValueError(f"{name}={n} cannot resolve modes up to {modes} "
+                         f"without aliasing; need {name} >= {2 * modes + 1}")
+
+
 def _radial_rule(g: ProblemGeometry, n_r: int) -> tuple:
     """Fresh (rho, radial weights) of the rule's n_r Gauss-Legendre rings
     on (0, R0)."""
@@ -210,13 +231,6 @@ def _polar_grid(g: ProblemGeometry, n_r: int, n_theta: int) -> tuple:
     n_theta, = _grid_sizes(n_theta)
     return (*_radial_rule(g, n_r),
             2.0 * math.pi * np.arange(n_theta) / n_theta)
-
-
-def _area_weights(g: ProblemGeometry, n_r: int, n_theta: int) -> np.ndarray:
-    """The n_r x n_theta weights radial_weights[i] rho[i] 2 pi / n_theta of
-    the rule's nodes."""
-    rho, wr, _ = _polar_grid(g, n_r, n_theta)
-    return np.outer(wr * rho, np.full(n_theta, 2.0 * math.pi / n_theta))
 
 
 def source_grid(g: ProblemGeometry, n_r: int, n_theta: int,
@@ -245,15 +259,15 @@ def apply_forward_analytic(s: SourceField, modes: int,
     one column for each pair m and -m. The projection
     and the sum over m run as one FFT, with mode m in bin m mod n
     (n = n_theta, then n_s), which reproduces the per-mode sums on any
-    grid. H_m = exp(log|H_m|^2 / 2 + i arg H_m) comes from the memoized
+    grid and n_s >= 1 (modes that share a bin add; modal_decompose refuses
+    that). H_m = exp(log|H_m|^2 / 2 + i arg H_m) comes from the memoized
     spectrum. Where it overflows, the ring rows are 0 (|J_m(x) Y_m(z)| is
     at most about 1 / (pi m) for x <= z), and so is the term.
     """
     g = s.geometry
     modes = _check_count(modes, "modes must be a nonnegative integer")
     table = _spectrum_table(g, modes)
-    if n_s is None:
-        n_s = 2 * max(modes, default_m_max(g.kappa0)) + 2
+    n_s = _resolving_grid(g, max(modes, default_m_max(g.kappa0)), n=n_s)[1]
     n_s = _check_count(n_s, "n_s must be a positive integer", 1)
     ms = np.arange(-modes, modes + 1)
     am = np.abs(ms)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .specfun import (_HANKEL_FROM, _NEUMANN_TOP, _check_count, _y_table,
-                      bessel_j_table, hankel_arg, hankel_log_abs2)
+from .specfun import (_HANKEL_FROM, _NEUMANN_TOP, _ZERO_BLOCK, _check_count,
+                      _y_table, bessel_j_table, hankel_arg, hankel_log_abs2)
 
 __all__ = [
     "ProblemGeometry",
@@ -301,13 +301,27 @@ def _planned(g: ProblemGeometry, m_max: int, rho) -> np.ndarray:
                        (g.k * np.asarray(rho, dtype=float)).tobytes())
 
 
+def _ring_column(g: ProblemGeometry, m: int, radii: np.ndarray) -> np.ndarray:
+    """Column m of _planned(g, m, radii), bit for bit (a row depends on its
+    argument and horizon alone); past a _ZERO_BLOCK-entry table, a chunk of
+    radii at a time and outside the memo, which keeps nothing."""
+    h = _j_horizon(g.kappa0, m)
+    step = max(1, _ZERO_BLOCK // (h + 1))
+    if radii.size <= step:
+        return _planned(g, m, radii)[:, m]
+    column = np.empty(radii.size)
+    for i in range(0, radii.size, step):
+        column[i:i + step] = bessel_j_table(h, g.k * radii[i:i + step])[:, m]
+    return column
+
+
 def psi_eval(m: int, g: ProblemGeometry, rho, theta):
     """Right singular function psi_m at polar points of the source disk.
 
     rho and theta broadcast against each other. Requires an integer m,
     finite points with |rho| <= R0 and A_{|m|}(kappa0) > 0. A and the
     ring rows of the distinct radii come from the maps' memos
-    (_spectrum_table, _planned): the radial factor is the column
+    (_spectrum_table, _ring_column): the radial factor is the column
     J_|m|(k rho_i) divided by (-1)^m sqrt(pi) R0 A_|m| for odd negative m
     (J_{-m} = (-1)^m J_m) and by sqrt(pi) R0 A_|m| otherwise, the sign in
     the divisor (exact). Within 1e-12 of the column's largest entry of jv.
@@ -327,7 +341,7 @@ def psi_eval(m: int, g: ProblemGeometry, rho, theta):
             f"kappa0={g.kappa0:g}")
     radii, at = np.unique(rho, return_inverse=True)
     sign = -1.0 if m < 0 and m % 2 else 1.0
-    radial = (_planned(g, abs(m), radii)[:, abs(m)]
+    radial = (_ring_column(g, abs(m), radii)
               / (sign * (math.sqrt(math.pi) * g.R0 * a[abs(m)])))
     out = radial[at].reshape(rho.shape) * np.exp(1j * m * theta)
     return complex(out) if out.ndim == 0 else out

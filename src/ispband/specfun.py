@@ -48,8 +48,8 @@ A_PLUS = 0.931577
 # arguments x < 1, the threshold is this times x)
 _RESCALE_AT = 1e250
 
-# bytes of the 2m/x rows made at a time (_ratios) and of Y's ring of rows,
-# and entries of each block bessel_j_table floors
+# bytes of the 2m/x rows made at a time (_ratios), and entries of each
+# block bessel_j_table floors
 _STEP_BLOCK = 1 << 14
 
 # below this argument J_m(x) = (x/2)^m / m! to double precision
@@ -299,15 +299,15 @@ def _miller_rows(orders: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:
 def bessel_y_table(m_max, x) -> tuple[np.ndarray, np.ndarray]:
     """Y_m(x_i) = y 2^e for m = 0 .. m_max at every x_i > 0: the mantissa
     table y and the integer exponent table e, both of shape
-    x.shape + (m_max + 1,) and C-contiguous. m_max is one order or an
-    integer array of orders, as for bessel_j_table; y of x_i is 0 past
-    its own m_max_i, so a short lane takes no rescaling steps.
+    x.shape + (m_max + 1,) and F-ordered. m_max is one order or an integer
+    array of orders, as for bessel_j_table; y of x_i is 0 past its own
+    m_max_i, so a short lane takes no rescaling steps.
 
     One upward pass Y_{m+1} = (2m/x) Y_m - Y_{m-1}, a vector step across
     all x, seeded by _y_seeds; upward is the stable direction for Y, the
     dominant solution (Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)). A
-    step writes Y_{m+1} in place into a ring of (orders, arguments) work
-    rows, which go into y's columns a block at a time. Where an argument's
+    step writes Y_{m+1} in place into its row of an (orders, arguments)
+    table, of which y is the transposed view, as for J. Where an argument's
     |Y_m| passes _RESCALE_AT min(1, x), its working pair is divided by the
     power of two that brings |Y_m| into [0.5, 1), which is exact, and the
     power moves into e. That and a lane's end change Y_m in its row and
@@ -327,15 +327,13 @@ def _y_table(m_max, x, neumann_j) -> tuple[np.ndarray, np.ndarray]:
     x, flat, orders, top = _lanes(m_max, x)
     if not np.all(np.isfinite(flat) & (flat > 0.0)):
         raise ValueError("arguments must be positive finite reals")
-    y = np.empty((flat.size, top + 1))
-    ring = min(max(3, _STEP_BLOCK // (8 * max(flat.size, 1))), max(top, 1) + 1)
-    w = np.empty((ring, flat.size))     # row m % ring: Y_m as stored
-    w[:2] = _y_seeds(flat, neumann_j)
-    e = np.zeros((flat.size, top + 1), dtype=np.int64)     # steps, then sums
+    rows = np.empty((top + 2, flat.size))   # row m: Y_m as stored, to top
+    rows[:2] = _y_seeds(flat, neumann_j)
+    e = np.zeros((top + 1, flat.size), dtype=np.int64)     # steps, then sums
     limit = _RESCALE_AT * np.minimum(1.0, flat)
     growth = 2.0 / float(flat.min()) if flat.size else 0.0
     bound = math.inf                    # >= every |Y_m| / limit, as the
-    lo, hi = w[0], w[1]                 # bound in _miller_rows; Y_{m-1}, Y_m
+    lo, hi = rows[0], rows[1]           # bound in _miller_rows; Y_{m-1}, Y_m
     ends: dict[int, list[int]] = {}     # order -> lanes that end before it
     for i, order in enumerate(orders.tolist()):
         ends.setdefault(order + 1, []).append(i)
@@ -355,24 +353,19 @@ def _y_table(m_max, x, neumann_j) -> tuple[np.ndarray, np.ndarray]:
                     lo = lo if m in ends else lo.copy()
                     hi[i] = np.ldexp(hi[i], -k)
                     lo[i] = np.ldexp(lo[i], -k)
-                    e[i, m] = k
+                    e[m, i] = k
                     rescaled = True
                 # a column that has overflowed is lost anyway and must
                 # not hold up the others
                 r = np.maximum(np.abs(hi), np.abs(lo)) / limit
                 bound = float(r.max(initial=0.0, where=np.isfinite(r)))
-            if m % ring == ring - 1:    # a full ring: into y's columns
-                y[:, m + 1 - ring:m + 1] = w.T
-            if m < top:
-                out = w[(m + 1) % ring]
-                multiply(coef, hi, out=out)
-                lo, hi = hi, subtract(out, lo, out=out)
-                bound *= growth * m + 1.0
-    y[:, top - top % ring:] = w[:top % ring + 1].T
+            out = multiply(coef, hi, out=rows[m + 1])
+            lo, hi = hi, subtract(out, lo, out=out)
+            bound *= growth * m + 1.0
     if rescaled:                        # else e stays untouched zeros
-        np.cumsum(e, axis=1, out=e)
+        np.cumsum(e, axis=0, out=e)
     shape = x.shape + (top + 1,)
-    return y.reshape(shape), e.reshape(shape)
+    return rows[:top + 1].T.reshape(shape), e.T.reshape(shape)
 
 
 def _y_seeds(x: np.ndarray,

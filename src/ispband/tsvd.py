@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandwidth import bandwidth, bound_lower, bound_upper
-from .forward import (SourceField, BoundaryData, _grid_sizes, _radial_rule,
-                      _scaled_abs)
+from .forward import (SourceField, BoundaryData, _check_bins, _grid_sizes,
+                      _radial_rule, _resolving_grid, _scaled_abs)
 from .singular_system import (ProblemGeometry, _planned, _psi_synthesize,
                               _signed_phase, _spectrum_table, default_m_max)
 from .specfun import _check_count
@@ -91,10 +91,7 @@ def modal_decompose(U: BoundaryData, m_max: int) -> ModalCoefficients:
     """
     m_max = _check_count(m_max, "m_max must be a nonnegative integer")
     n_s = U.n_s
-    if n_s < 2 * m_max + 1:
-        raise ValueError(
-            f"n_s={n_s} cannot resolve modes up to {m_max} without aliasing; "
-            f"need n_s >= {2 * m_max + 1}")
+    _check_bins("n_s", n_s, m_max)
     g = U.geometry
     table = _spectrum_table(g, m_max)
     bins = np.fft.fft(U.values)
@@ -138,7 +135,7 @@ def _synthesize(g: ProblemGeometry, w, n_r: int,
 
 
 def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = None,
-                     n_r: int = 64, n_theta: int | None = None,
+                     n_r: int | None = None, n_theta: int | None = None,
                      policy: str = "N") -> Reconstruction:
     """Invert the retained modes onto a fresh source grid.
 
@@ -148,7 +145,8 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     n_theta >= 2N + 1 no two modes share an FFT bin, so that content is
     exactly (c_m / sigma_m) ||psi_m||_h^2, and the residual is the
     |c_m|^2-weighted RMS of ||psi_m||_h^2 - 1 (round-off when the grid
-    resolves every retained mode); the margin is reported, not enforced.
+    resolves every retained mode, as _resolving_grid(g, N), the default,
+    does); the margin is reported, not enforced.
 
     g, if given, must equal c.geometry: the coefficients are divided by
     that geometry's sigma, so any other one is refused.
@@ -165,12 +163,8 @@ def tsvd_reconstruct(c: ModalCoefficients, N: int, g: ProblemGeometry | None = N
     cm = c.c[ms + c.m_max]
     if not np.isfinite(cm).all():
         raise ValueError(f"c_{ms[np.argmin(np.isfinite(cm))]} is not finite")
-    if n_theta is None:
-        n_theta = max(64, 2 * N + 8)
-    if n_theta < 2 * N + 1:
-        raise ValueError(
-            f"n_theta={n_theta} cannot resolve modes up to {N} without "
-            f"aliasing; need n_theta >= {2 * N + 1}")
+    n_r, n_theta = _resolving_grid(g, N, n_r, n_theta)
+    _check_bins("n_theta", n_theta, N)
     n_r, n_theta = _grid_sizes(n_r, n_theta)
     w = cm / _usable_spectrum(g, N).sigma[np.abs(ms)]
     shat, dev = _synthesize(g, w, n_r, n_theta)

@@ -441,3 +441,25 @@ class TestSynthesizeMeasurement:
         grid = ib.source_grid(g_equal_10pi, 16, 64)
         with pytest.raises(ValueError):
             ib.synthesize_measurement(grid, -0.1, seed=0)
+
+    @pytest.mark.parametrize("n_s", [7, 82, 166])
+    def test_any_n_s_samples_the_truncated_series(self, n_s):
+        # the default horizon is 82, so 7 and 82 put several modes in a
+        # bin; the trace is still the series cut at 82 at theta_j, exactly
+        # (aliasing is the decomposition's to refuse)
+        g = ib.ProblemGeometry.from_size_params(TEN_PI, 2.0 * TEN_PI)
+        modes = ib.default_m_max(g.kappa0)
+        assert 2 * modes + 1 == 165
+        rng = np.random.default_rng(12)
+        grid = ib.source_grid(g, 64, 96)
+        grid.values[:] = (rng.standard_normal(grid.values.shape)
+                          + 1j * rng.standard_normal(grid.values.shape))
+        got = ib.synthesize_measurement(grid, 0.0, 0, n_s=n_s).values
+        ms = np.arange(-modes, modes + 1)
+        w = grid.radial_weights * grid.rho * (2.0 * math.pi / grid.n_theta)
+        ring = grid.values @ np.exp(-1j * np.outer(grid.theta, ms))
+        coef = np.sum(w[:, None] * jv(ms, g.k * grid.rho[:, None]) * ring,
+                      axis=0)
+        theta = 2.0 * math.pi * np.arange(n_s) / n_s
+        ref = np.exp(1j * np.outer(theta, ms)) @ (hankel1(ms, g.kappa) * coef)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import mpmath as mp
@@ -350,6 +351,50 @@ class TestRingMemo:
             ss._planned(g, top, ib.source_grid(g, n_r, 2).rho)
             assert ss._memo_rings.cache_info().currsize <= ss._RING_MEMO
         assert ss._memo_rings.cache_info().maxsize == ss._RING_MEMO
+
+
+class TestScatteredPsi:
+    """psi_eval at more scattered radii than a _ZERO_BLOCK-entry table
+    holds reads its column a chunk at a time, outside the ring memo, with
+    the memo's bits."""
+
+    G = ib.ProblemGeometry.from_size_params(100.0 * math.pi, 100.0 * math.pi)
+    # 12000 radii to the J horizon 377: a 36 MB table, three chunks
+    rng = np.random.default_rng(6)
+    RHO = G.R0 * np.sqrt(rng.uniform(0.0, 1.0, 12000))
+    THETA = rng.uniform(0.0, 2.0 * math.pi, 12000)
+
+    @pytest.mark.parametrize("m", [5, -8])
+    def test_column_is_the_memo_s_bitwise(self, m):
+        g, rho, theta = self.G, self.RHO, self.THETA
+        h = ss._j_horizon(g.kappa0, abs(m))
+        assert rho.size * (h + 1) > 2 * sf._ZERO_BLOCK
+        got = ss.psi_eval(m, g, rho, theta)
+        assert ss._memo_rings.cache_info().currsize == 0
+        # the same points a few hundred at a time read the memo
+        parts = [ss.psi_eval(m, g, rho[i:i + 500], theta[i:i + 500])
+                 for i in range(0, rho.size, 500)]
+        assert got.tobytes() == np.concatenate(parts).tobytes()
+        radii = np.unique(rho)
+        assert (ss._ring_column(g, abs(m), radii).tobytes()
+                == ss._planned(g, abs(m), radii)[:, abs(m)].tobytes())
+        # on a grid's rings the column is the memo's own
+        rings = ib.source_grid(g, 256, 2).rho
+        assert (ss._ring_column(g, abs(m), rings).tobytes()
+                == ss._planned(g, abs(m), rings)[:, abs(m)].tobytes())
+
+    def test_peak_is_one_chunk(self):
+        g, rho, theta = self.G, self.RHO, self.THETA
+        ss.psi_eval(5, g, rho[:10], theta[:10])     # spectrum outside
+        tracemalloc.start()
+        try:
+            ss.psi_eval(5, g, rho, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk's table and 4 MiB for the pass's rows and the points;
+        # the whole table took 36 MB, and stayed in the memo
+        assert peak <= 8 * sf._ZERO_BLOCK + (1 << 22)
 
 
 class TestSingularFunctions:

@@ -376,7 +376,7 @@ class TestInPlacePasses:
             y_ref, e_ref = y_table_reference(orders[pos], x[pos])
             assert y.tobytes() == y_ref.tobytes()
             assert e.tobytes() == e_ref.tobytes()
-            assert y.flags.c_contiguous and e.flags.c_contiguous
+            assert y.flags.f_contiguous and e.flags.f_contiguous
 
 
 def _peak_bytes(fn, *args) -> tuple[int, np.ndarray]:

@@ -1,4 +1,5 @@
 import importlib
+import io
 import math
 import pkgutil
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import ispband as ib
-from ispband import forward
+from ispband import csvio, forward
 from ispband import singular_system as ss
 from ispband import specfun as sf
 from ispband import tsvd
@@ -614,6 +615,60 @@ class TestModeNorms:
         for n_r in (48, 56):                 # forward rings, other rings
             rec = ib.tsvd_reconstruct(c, N, g, n_r=n_r, n_theta=n)
             assert rec.residual <= 1e-8
+
+
+class TestDefaultGrid:
+    """A tsvd_reconstruct call that leaves out its grid gets the grid of
+    forward._resolving_grid, whose rings resolve the retained modes."""
+
+    @pytest.mark.parametrize("kappa0, N, shape", [
+        (100.0 * math.pi, None, (201, 610)), (1000.0, 986, (556, 1974))])
+    def test_margin_at_round_off(self, kappa0, N, shape):
+        # 64 rings, the default before, gave margins 0.40 and 0.61 here
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa0)
+        N = ib.pick_truncation(g, "B") if N is None else N
+        assert N == (304 if kappa0 < 1000.0 else 986)
+        rng = np.random.default_rng(4)
+        c = ib.ModalCoefficients(g, rng.standard_normal(2 * N + 1)
+                                 + 1j * rng.standard_normal(2 * N + 1))
+        rec = ib.tsvd_reconstruct(c, N)
+        assert rec.source.values.shape == shape
+        assert forward._resolving_grid(g, N) == shape
+        assert rec.margin <= 1e-13 and rec.residual <= 1e-13
+        explicit = ib.tsvd_reconstruct(c, N, n_r=shape[0], n_theta=shape[1])
+        assert explicit.source.values.tobytes() == rec.source.values.tobytes()
+
+    def test_one_size_left_out(self, g_equal_10pi):
+        c = ib.modal_decompose(ib.BoundaryData(
+            geometry=g_equal_10pi, values=np.ones(64, dtype=complex)), 8)
+        n_r, n_theta = forward._resolving_grid(g_equal_10pi, 5)
+        assert (n_r, n_theta) == (64, 12)
+        assert ib.tsvd_reconstruct(c, 5, n_r=9).source.values.shape == (
+            9, n_theta)
+        assert ib.tsvd_reconstruct(c, 5, n_theta=11).source.values.shape == (
+            n_r, 11)
+
+
+def test_one_aliasing_refusal(g_equal_10pi):
+    # the decomposition, the TSVD and the reconstruction reader refuse an
+    # aliasing grid with one message, from forward._check_bins
+    g = g_equal_10pi
+    c = ib.modal_decompose(ib.BoundaryData(
+        geometry=g, values=np.ones(16, dtype=complex)), 7)
+    rec = ib.tsvd_reconstruct(c, 7, n_r=6, n_theta=15)
+    text = csvio.dumps(csvio.write_reconstruction, rec).replace(
+        " n_theta=15 ", " n_theta=14 ")
+    calls = [
+        ("n_s", lambda: ib.modal_decompose(ib.BoundaryData(
+            geometry=g, values=np.ones(14, dtype=complex)), 7)),
+        ("n_theta", lambda: ib.tsvd_reconstruct(c, 7, n_r=6, n_theta=14)),
+        ("n_theta", lambda: csvio.read_reconstruction(io.StringIO(text))),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == (f"{name}=14 cannot resolve modes up to 7 "
+                                  f"without aliasing; need {name} >= 15")
 
 
 # the benchmark's two reconstruct ops, and a CLI-sized grid (--nr 64)
