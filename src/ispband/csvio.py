@@ -3,10 +3,11 @@
 Each format is a table of (header name, kind) columns, kind being int, float
 or str, served by one writer and one validating reader. Floats carry 17
 significant digits, so readers return the written bits and re-emitting a
-parsed file reproduces it byte for byte. Boundary, source and reconstruction
-files start with one `# key=value ...` line holding geometry and run data.
-A reconstruction file holds its 2N + 1 coefficients, not the grid; an
-older grid-format one is refused by its header.
+parsed file reproduces it byte for byte. A writer fills the whole table
+through one `%` template and writes it at once. A reconstruction file starts
+with one `# key=value ...` line holding geometry and run data, and holds its
+2N + 1 coefficients, not the grid; an older grid-format one is refused by
+its header.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import operator
 import sys
 import typing
 from array import array
-from functools import cache, partial
+from functools import partial
 from itertools import repeat
 from typing import Iterable
 
 import numpy as np
 
 from .experiments import RegressionFit, SweepRecord
-from .forward import BoundaryData, SourceField, _check_bins, _polar_grid
+from .forward import _check_bins
 from .singular_system import ProblemGeometry, SpectrumTable
 from .tsvd import Reconstruction, _synthesize
 
@@ -34,8 +35,6 @@ __all__ = [
     "write_spectrum", "read_spectrum",
     "write_sweep", "read_sweep",
     "write_fits", "read_fits",
-    "write_boundary", "read_boundary",
-    "write_source", "read_source",
     "write_reconstruction", "read_reconstruction",
 ]
 
@@ -55,10 +54,7 @@ _SWEEP = (("kappa", float), ("kappa0", float), ("B", int), ("B_minus", int),
           ("eps_minus", int), ("eps_plus", int), ("relerr_minus", float),
           ("relerr_plus", float))
 _FITS = _dataclass_columns(RegressionFit)
-_BOUNDARY = (("index", int), ("re", float), ("im", float))
 _COEFFICIENTS = (("m", int), ("re", float), ("im", float))
-_GRID = (("i_r", int), ("i_theta", int), ("rho", float), ("theta", float),
-         ("re", float), ("im", float))
 
 
 def _header(columns) -> str:
@@ -105,21 +101,17 @@ def _meta_line(meta: dict) -> str:
     return "# " + " ".join(tokens) + "\n"
 
 
-def _write(path, columns, blocks, meta: dict | None = None) -> None:
-    """Optional `# key=value ...` line, the header, each block as made."""
-    first = _meta_line(meta) if meta is not None else ""
-    with _open(path, "w") as fh:
-        fh.write(first + _header(columns) + "\n")
-        for block in blocks:
-            fh.write(block)
-
-
-def _table(columns, rows) -> list[str]:
-    """All rows as one block, filled in through one `%` template."""
+def _write(path, columns, rows, meta: dict | None = None) -> None:
+    """Optional `# key=value ...` line, the header, then all rows filled in
+    through one `%` template."""
     cells = [_text(v) if kind is str else v
              for row in rows for (_, kind), v in zip(columns, row)]
     line = ",".join(_SPEC[kind] for _, kind in columns) + "\n"
-    return [line * (len(cells) // len(columns)) % tuple(cells)]
+    body = line * (len(cells) // len(columns)) % tuple(cells)
+    first = _meta_line(meta) if meta is not None else ""
+    with _open(path, "w") as fh:
+        fh.write(first + _header(columns) + "\n")
+        fh.write(body)
 
 
 class _Meta(dict):
@@ -127,14 +119,12 @@ class _Meta(dict):
         raise ValueError(f"metadata line lacks the key {key!r}")
 
 
-def _read(path, columns, meta: bool = False, memo: int = 0):
+def _read(path, columns, meta: bool = False):
     """(metadata dict of strings or None, one sequence per column) of a file
-    written by `_write`. Each block of lines is split and converted by
-    column, each distinct text of the first `memo` columns (which repeat)
-    once; a block with a blank or faulty line is walked line by line."""
+    written by `_write`. Each 8 KiB block of lines is split and converted
+    by column; a block with a blank or faulty line is walked line by line."""
     header, width = _header(columns), len(columns)
-    convs = [(_COLUMN[kind], cache(kind) if c < memo else kind)
-             for c, (_, kind) in enumerate(columns)]
+    convs = [(_COLUMN[kind], kind) for _, kind in columns]
 
     def parse(lines, lineno):
         splits = list(map(str.split, map(str.strip, lines), repeat(",")))
@@ -194,10 +184,10 @@ def _complex(re, im) -> np.ndarray:
 
 def write_spectrum(table: SpectrumTable, path) -> None:
     """Spectrum rows as m,A_m,log10_abs_H2,log10_sigma,sigma."""
-    _write(path, _SPECTRUM, _table(_SPECTRUM, zip(
+    _write(path, _SPECTRUM, zip(
         table.m.tolist(), table.a.tolist(),
         (table.log_abs_h2 / _LN10).tolist(),
-        (table.log_sigma / _LN10).tolist(), table.sigma.tolist())))
+        (table.log_sigma / _LN10).tolist(), table.sigma.tolist()))
 
 
 def read_spectrum(path) -> dict:
@@ -212,7 +202,7 @@ def _getter(columns):
 
 
 def write_sweep(records: Iterable[SweepRecord], path) -> None:
-    _write(path, _SWEEP, _table(_SWEEP, map(_getter(_SWEEP), records)))
+    _write(path, _SWEEP, map(_getter(_SWEEP), records))
 
 
 def read_sweep(path) -> list[SweepRecord]:
@@ -237,7 +227,7 @@ def read_sweep(path) -> list[SweepRecord]:
 
 
 def write_fits(fits: Iterable[RegressionFit], path) -> None:
-    _write(path, _FITS, _table(_FITS, map(_getter(_FITS), fits)))
+    _write(path, _FITS, map(_getter(_FITS), fits))
 
 
 def read_fits(path) -> list[RegressionFit]:
@@ -245,64 +235,10 @@ def read_fits(path) -> list[RegressionFit]:
     return [RegressionFit(*row) for row in zip(*cols)]
 
 
-def write_boundary(bd: BoundaryData, path) -> None:
-    _write(path, _BOUNDARY, _table(_BOUNDARY, zip(
-        range(bd.n_s), bd.values.real.tolist(), bd.values.imag.tolist())),
-           _geometry_meta(bd.geometry, n_s=bd.n_s,
-                          noise=float(bd.noise_level)))
-
-
-def read_boundary(path) -> BoundaryData:
-    meta, (index, re, im) = _read(path, _BOUNDARY, meta=True)
-    if not np.array_equal(index, np.arange(int(meta["n_s"]))):
-        raise ValueError(f"boundary rows must be indexed 0..n_s-1 in order "
-                         f"with n_s={meta['n_s']}")
-    return BoundaryData(geometry=_geometry(meta), values=_complex(re, im),
-                        noise_level=float(meta.get("noise", 0.0)))
-
-
-def _rings(s: SourceField):
-    """A block per ring: i_theta and theta formatted once into a template
-    whose I and R (no "%.17g" text holds a capital) take i_r and rho."""
-    tpl = "".join(f"I,{j},R,{t:.17g},%.17g,%.17g\n"
-                  for j, t in enumerate(s.theta.tolist()))
-    for i, (rho, ring) in enumerate(zip(s.rho.tolist(), s.values)):
-        cells = np.ascontiguousarray(ring, dtype=complex).view(float).tolist()
-        yield tpl.replace("I", str(i)).replace("R", f"{rho:.17g}") % (*cells,)
-
-
-def write_source(s: SourceField, path) -> None:
-    _write(path, _GRID, _rings(s),
-           _geometry_meta(s.geometry, n_r=s.n_r, n_theta=s.n_theta))
-
-
-def read_source(path) -> SourceField:
-    meta, (i_r, i_theta, rho, theta, re, im) = _read(path, _GRID, meta=True,
-                                                     memo=4)
-    g = _geometry(meta)
-    n_r, n_theta = int(meta["n_r"]), int(meta["n_theta"])
-    rule_rho, _, rule_theta = _polar_grid(g, n_r, n_theta)
-    if not (np.array_equal(i_r, np.repeat(np.arange(n_r), n_theta))
-            and np.array_equal(i_theta, np.tile(np.arange(n_theta), n_r))):
-        raise ValueError(f"rows must cover the {n_r}x{n_theta} grid exactly "
-                         "once, in row-major order")
-    rho = np.array(rho).reshape(n_r, n_theta)
-    theta = np.array(theta).reshape(n_r, n_theta)
-    if np.any(rho != rho[:, :1]) or np.any(theta != theta[:1]):
-        raise ValueError("rho must be constant along each ring and theta "
-                         "along each ray")
-    if not np.allclose(rule_rho, rho[:, 0], rtol=0, atol=1e-12 * g.R0):
-        raise ValueError("radial nodes in file do not match the canonical rule")
-    if not np.allclose(rule_theta, theta[0], rtol=0, atol=1e-12):
-        raise ValueError("angles in file are not the uniform angles "
-                         "2 pi j / n_theta")
-    return SourceField(g, _complex(re, im).reshape(n_r, n_theta))
-
-
 def write_reconstruction(rec: Reconstruction, path) -> None:
     s, w = rec.source, rec.coefficients
-    _write(path, _COEFFICIENTS, _table(_COEFFICIENTS, zip(
-        range(-rec.N, rec.N + 1), w.real.tolist(), w.imag.tolist())),
+    _write(path, _COEFFICIENTS, zip(
+        range(-rec.N, rec.N + 1), w.real.tolist(), w.imag.tolist()),
            _geometry_meta(s.geometry, n_r=s.n_r, n_theta=s.n_theta,
                           residual=float(rec.residual), policy=rec.policy))
 

@@ -205,7 +205,8 @@ def _resolving_grid(g: ProblemGeometry, modes: int, n_r: int | None = None,
     """(n_r, n) for the modes |m| <= modes of g, a size left None by the
     rule of every default grid: n = 2 modes + 2 angles or samples, and at
     least 64 rings, 16 or more over the kappa0/2 + c kappa0^(1/3) that hold
-    |psi_m|^2, m <= kappa0, to 1e-10 (checked for kappa0 in [2, 1000])."""
+    |psi_m|^2, m <= kappa0, to 1e-10 (checked for kappa0 in [0.01, 2000];
+    below kappa0 = 10 the 64-ring floor holds every mode to the horizon)."""
     if n_r is None:
         n_r = max(64, math.ceil(g.kappa0 / 2 + 4 * g.kappa0 ** (1 / 3)) + 16)
     return n_r, (2 * modes + 2 if n is None else n)

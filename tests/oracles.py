@@ -226,15 +226,6 @@ def per_cell_csv(columns, rows, meta: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def per_cell_grid_rows(s):
-    """Rows (i_r, i_theta, rho, theta, re, im) of a source field, ring by
-    ring."""
-    theta = s.theta.tolist()
-    for i, (rho, ring) in enumerate(zip(s.rho.tolist(), s.values)):
-        for j, v in enumerate(ring.tolist()):
-            yield i, j, rho, theta[j], v.real, v.imag
-
-
 def per_line_read(fh, columns, meta: bool = False):
     """(metadata dict of strings or None, one packed array or list per
     column) of a CSV read one line at a time: blank lines skipped, every

@@ -1,7 +1,5 @@
 import io
 import math
-import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from ispband import csvio
 from ispband import experiments as ex
 from ispband import singular_system as ss
 from ispband import tsvd
-from oracles import per_cell_csv, per_cell_grid_rows, per_line_read
+from oracles import per_cell_csv, per_line_read
 
 TEN_PI = 10.0 * math.pi
 
@@ -79,90 +77,6 @@ class TestFitsCsv:
         assert len(lines) == 4
 
 
-class TestBoundaryCsv:
-    def test_round_trip(self, g_equal_10pi):
-        rng = np.random.default_rng(0)
-        vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        bd = ib.BoundaryData(geometry=g_equal_10pi, values=vals,
-                             noise_level=0.25)
-        text = csvio.dumps(csvio.write_boundary, bd)
-        back = csvio.read_boundary(io.StringIO(text))
-        assert np.array_equal(back.values, bd.values)
-        assert back.noise_level == bd.noise_level
-        assert back.geometry == bd.geometry
-        assert text.splitlines()[1] == "index,re,im"
-
-    @pytest.mark.parametrize("row, meta", [
-        ("1,nan,0.5", "noise=0.01"), ("1,1,-inf", "noise=0.01"),
-        ("1,1,0.5", "noise=nan")])
-    def test_non_finite_file_refused(self, row, meta):
-        # a nan or inf once read back into data that tsvd_reconstruct
-        # turned into a zero residual
-        text = (f"# k=2 R0=0.5 R=1 n_s=2 {meta}\n"
-                f"index,re,im\n0,1,0.5\n{row}\n")
-        with pytest.raises(ValueError, match="finite"):
-            csvio.read_boundary(io.StringIO(text))
-
-
-    def test_header_only_file_refused(self):
-        text = "# k=2 R0=0.5 R=1 n_s=0 noise=0\nindex,re,im\n"
-        with pytest.raises(ValueError, match="at least one sample"):
-            csvio.read_boundary(io.StringIO(text))
-
-
-class TestSourceCsv:
-    def test_round_trip(self, g_equal_10pi):
-        grid = ib.source_grid(g_equal_10pi, 12, 20,
-                              fn=lambda r, t: r * np.exp(1j * 3 * t))
-        text = csvio.dumps(csvio.write_source, grid)
-        back = csvio.read_source(io.StringIO(text))
-        assert np.array_equal(back.values, grid.values)
-        assert np.array_equal(back.rho, grid.rho)
-        assert back.geometry == grid.geometry
-        assert text.splitlines()[1] == "i_r,i_theta,rho,theta,re,im"
-
-    def test_foreign_radial_nodes_rejected(self, g_equal_10pi):
-        grid = ib.source_grid(g_equal_10pi, 8, 12)
-        text = csvio.dumps(csvio.write_source, grid)
-        lines = text.splitlines()
-        row = lines[-1].split(",")
-        row[2] = "0.123456"
-        lines[-1] = ",".join(row)
-        bad = "\n".join(lines) + "\n"
-        with pytest.raises(ValueError):
-            csvio.read_source(io.StringIO(bad))
-
-    def test_nodes_near_the_rule_read_as_the_rule(self, g_equal_10pi):
-        # rho cells moved by up to 1e-12 R0 (theta by 1e-13) still name the
-        # rule's grid; the field holds the rule's bits, not the file's
-        g = g_equal_10pi
-        grid = ib.source_grid(g, 5, 6, fn=lambda r, t: r + 1j * t)
-        text = csvio.dumps(csvio.write_source, grid)
-        for ring in range(5):
-            rho = grid.rho[ring] + (0.9e-12 if ring % 2 else -0.9e-12) * g.R0
-            for j in range(6):
-                text = _edit_row(text, 6 * ring + j, 2, f"{rho:.17g}")
-                text = _edit_row(text, 6 * ring + j, 3,
-                                 f"{grid.theta[j] + 1e-13:.17g}")
-        back = csvio.read_source(io.StringIO(text))
-        assert not np.array_equal(
-            np.array([float(line.split(",")[2])
-                      for line in text.splitlines()[2::6]]), grid.rho)
-        for name in ("rho", "radial_weights", "theta", "area_weights",
-                     "values"):
-            assert np.array_equal(getattr(back, name), getattr(grid, name))
-
-    def test_non_uniform_ray_rejected(self, g_equal_10pi):
-        # ray j = 1 of a 4x6 grid moved from 2 pi / 6 to 2.5 on every ring
-        text = csvio.dumps(csvio.write_source,
-                           ib.source_grid(g_equal_10pi, 4, 6))
-        bad = text
-        for ring in range(4):
-            bad = _edit_row(bad, 6 * ring + 1, 3, "2.5")
-        with pytest.raises(ValueError, match="uniform"):
-            csvio.read_source(io.StringIO(bad))
-
-
 class TestReconstructionCsv:
     def test_round_trip_with_metadata(self, g_equal_10pi):
         g = g_equal_10pi
@@ -202,7 +116,11 @@ class TestReconstructionCsv:
         # the n_r x n_theta grid files of earlier versions are not read
         old = ("# k=2 R0=0.5 R=1 n_r=2 n_theta=2 N=1 "
                "residual=0.0025000000000000001 policy=B-\n"
-               + TestGoldenBytes.GRID_ROWS)
+               "i_r,i_theta,rho,theta,re,im\n"
+               "0,0,0.10566243270259357,0,1,2\n"
+               "0,1,0.10566243270259357,3.1415926535897931,-0,-0.5\n"
+               "1,0,0.39433756729740643,0,3,0\n"
+               "1,1,0.39433756729740643,3.1415926535897931,1e-300,0\n")
         with pytest.raises(ValueError, match="expected 'm,re,im'"):
             csvio.read_reconstruction(io.StringIO(old))
 
@@ -270,28 +188,8 @@ class TestReconstructionRoundTrip:
             csvio.read_reconstruction(io.StringIO("".join(lines)))
 
 
-def _edit_row(text: str, row: int, col: int, value: str) -> str:
-    """Replace one field of data row `row` in a file with a metadata line."""
-    lines = text.splitlines(keepends=True)
-    fields = lines[2 + row].rstrip("\n").split(",")
-    fields[col] = value
-    lines[2 + row] = ",".join(fields) + "\n"
-    return "".join(lines)
-
-
 class TestMalformedInput:
     """Every reader goes through one parser; each of these must raise."""
-
-    @pytest.fixture(scope="class")
-    def source_text(self, g_equal_10pi):
-        grid = ib.source_grid(g_equal_10pi, 6, 8,
-                              fn=lambda r, t: r * np.exp(1j * t))
-        return csvio.dumps(csvio.write_source, grid)
-
-    def test_truncated_source_rejected(self, source_text):
-        short = "".join(source_text.splitlines(keepends=True)[:-3])
-        with pytest.raises(ValueError, match="grid"):
-            csvio.read_source(io.StringIO(short))
 
     def test_truncated_reconstruction_rejected(self, g_equal_10pi):
         bd = ib.BoundaryData(geometry=g_equal_10pi, values=np.exp(
@@ -302,14 +200,6 @@ class TestMalformedInput:
         short = "".join(text.splitlines(keepends=True)[:-1])
         with pytest.raises(ValueError, match="once each in order"):
             csvio.read_reconstruction(io.StringIO(short))
-
-    def test_swapped_boundary_indices_rejected(self, g_equal_10pi):
-        bd = ib.BoundaryData(geometry=g_equal_10pi,
-                             values=np.arange(6) * (1 + 2j))
-        text = csvio.dumps(csvio.write_boundary, bd)
-        swapped = _edit_row(_edit_row(text, 1, 0, "2"), 2, 0, "1")
-        with pytest.raises(ValueError, match="indexed"):
-            csvio.read_boundary(io.StringIO(swapped))
 
     def test_sweep_row_with_extra_field_rejected(self):
         records = ex.run_sweep(n_points=3, kappa_range=(5.0, 20.0))
@@ -343,38 +233,24 @@ class TestMalformedInput:
                            match=f"^sweep row 2 .* columns {name} disagree"):
             csvio.read_sweep(io.StringIO("".join(lines)))
 
-    def test_negative_angular_index_rejected(self, source_text):
-        bad = _edit_row(source_text, 47, 1, "-1")
-        with pytest.raises(ValueError, match="grid"):
-            csvio.read_source(io.StringIO(bad))
-
-    def test_radius_disagreeing_inside_a_ring_rejected(self, source_text):
-        rho = source_text.splitlines()[2].split(",")[2]
-        # the first node's radius on the second ring's middle row
-        bad = _edit_row(source_text, 8 + 3, 2, rho)
-        with pytest.raises(ValueError, match="ring"):
-            csvio.read_source(io.StringIO(bad))
-
-    def test_angle_disagreeing_along_a_ray_rejected(self, source_text):
-        bad = _edit_row(source_text, 2 * 8 + 5, 3, "0.5")
-        with pytest.raises(ValueError, match="ray"):
-            csvio.read_source(io.StringIO(bad))
-
     def test_unparsable_field_names_its_line(self):
         text = csvio.FITS_HEADER + "\nB,0.5,1,x,2\n"
         with pytest.raises(ValueError, match="line 2"):
             csvio.read_fits(io.StringIO(text))
 
-    @pytest.mark.parametrize("policy", ["my policy", "a=b", "tab\there"])
-    def test_metadata_that_cannot_round_trip_refused(self, policy):
+    @staticmethod
+    def _record(policy: str) -> ib.Reconstruction:
         w = np.array([0.5j, 1.0, -0.25])
         src, dev = tsvd._synthesize(ib.ProblemGeometry(k=2.0, R0=0.5, R=1.0),
                                     w, 2, 3)
-        rec = ib.Reconstruction(source=src, coefficients=w, residual=0.0,
-                                margin=float(np.max(np.abs(dev))),
-                                policy=policy)
+        return ib.Reconstruction(source=src, coefficients=w, residual=0.0,
+                                 margin=float(np.max(np.abs(dev))),
+                                 policy=policy)
+
+    @pytest.mark.parametrize("policy", ["my policy", "a=b", "tab\there"])
+    def test_metadata_that_cannot_round_trip_refused(self, policy):
         with pytest.raises(ValueError, match="policy"):
-            csvio.dumps(csvio.write_reconstruction, rec)
+            csvio.dumps(csvio.write_reconstruction, self._record(policy))
 
     def test_fit_target_with_comma_refused(self):
         fits = [ex.RegressionFit(target="B,-", slope=1.0, intercept=0.0,
@@ -382,26 +258,18 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="comma"):
             csvio.dumps(csvio.write_fits, fits)
 
-    def test_missing_metadata_key_rejected(self, source_text):
-        lines = source_text.splitlines(keepends=True)
-        lines[0] = lines[0].replace(" n_theta=8", "")
+    def test_missing_metadata_key_rejected(self):
+        lines = csvio.dumps(csvio.write_reconstruction,
+                            self._record("B")).splitlines(keepends=True)
+        lines[0] = lines[0].replace(" n_theta=3", "")
         with pytest.raises(ValueError, match="n_theta"):
-            csvio.read_source(io.StringIO("".join(lines)))
+            csvio.read_reconstruction(io.StringIO("".join(lines)))
 
 
 class TestGoldenBytes:
     """Writer output on hand-made objects, pinned byte for byte."""
 
     G = ib.ProblemGeometry(k=2.0, R0=0.5, R=1.0)
-    GRID_ROWS = ("i_r,i_theta,rho,theta,re,im\n"
-                 "0,0,0.10566243270259357,0,1,2\n"
-                 "0,1,0.10566243270259357,3.1415926535897931,-0,-0.5\n"
-                 "1,0,0.39433756729740643,0,3,0\n"
-                 "1,1,0.39433756729740643,3.1415926535897931,1e-300,0\n")
-
-    def _source(self):
-        return replace(ib.source_grid(self.G, 2, 2), values=np.array(
-            [[1 + 2j, -0.5j], [3.0, 1e-300 + 0j]]))
 
     def test_spectrum(self):
         # a subnormal sigma (log sigma = -739.9) and A = 0 (log sigma = -inf)
@@ -447,22 +315,6 @@ class TestGoldenBytes:
             "1.0000000000000001e-17\n")
         assert csvio.read_fits(io.StringIO(text)) == fits
 
-    def test_boundary(self):
-        bd = ib.BoundaryData(geometry=self.G, noise_level=0.01, values=np.array(
-            [1 + 0.5j, complex(-0.0, 0.1), 2.0 - 3.0j]))
-        text = csvio.dumps(csvio.write_boundary, bd)
-        assert text == ("# k=2 R0=0.5 R=1 n_s=3 noise=0.01\n"
-                        "index,re,im\n"
-                        "0,1,0.5\n"
-                        "1,-0,0.10000000000000001\n"
-                        "2,2,-3\n")
-        back = csvio.read_boundary(io.StringIO(text))
-        assert csvio.dumps(csvio.write_boundary, back) == text
-
-    def test_source(self):
-        assert csvio.dumps(csvio.write_source, self._source()) == (
-            "# k=2 R0=0.5 R=1 n_r=2 n_theta=2\n" + self.GRID_ROWS)
-
     def test_reconstruction(self):
         w = np.array([1 + 2j, complex(-0.0, -0.5), 1e-300 + 0j])
         src, dev = tsvd._synthesize(self.G, w, 2, 3)
@@ -484,7 +336,6 @@ class TestGoldenBytes:
 
 EDGE = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300,
         1.7976931348623157e308, -1.7976931348623157e308)
-FINITE_EDGE = tuple(v for v in EDGE if math.isfinite(v))
 
 
 def _fill(rng, shape, edge):
@@ -513,25 +364,16 @@ def _objects(rng, edge=(), contiguous=True) -> dict:
              for f in _fill(rng, n, edge).tolist()]
     fits = [ex.RegressionFit(t, *f) for t, f in zip(
         ("B", "B-", "B+"), _fill(rng, (3, 4), edge).tolist())]
-    finite = [v for v in edge if math.isfinite(v)]
-    values = csvio._complex(_fill(rng, 3 * n, finite),
-                            _fill(rng, 3 * n, finite[::-1]))
-    bd = ib.BoundaryData(geometry=g, noise_level=float(rng.uniform()),
-                         values=values if contiguous else values[::3])
-    grid = csvio._complex(*_fill(rng, (2, n_t * n_r), edge)).reshape(n_t, n_r)
-    src = replace(ib.source_grid(g, n_r, n_t),
-                  values=grid.T if not contiguous else grid.T.copy())
     # the writer reads the source's geometry and sizes alone, so any
     # 2N + 1 >= len(edge) coefficients go with it
     n_w = 2 * int(rng.integers(4, 50)) + 1
     w = csvio._complex(*_fill(rng, (2, 3 * n_w), edge))
-    rec = ib.Reconstruction(source=src,
+    rec = ib.Reconstruction(source=ib.source_grid(g, n_r, n_t),
                             coefficients=w[:n_w] if contiguous else w[::3],
                             residual=float(rng.uniform()),
                             margin=float(rng.uniform()), policy="B+")
     return {csvio.write_spectrum: table, csvio.write_sweep: sweep,
-            csvio.write_fits: fits, csvio.write_boundary: bd,
-            csvio.write_source: src, csvio.write_reconstruction: rec}
+            csvio.write_fits: fits, csvio.write_reconstruction: rec}
 
 
 def _geo(g) -> dict:
@@ -549,20 +391,12 @@ def _per_cell(writer, obj) -> str:
         cols = csvio._SWEEP if writer is csvio.write_sweep else csvio._FITS
         return per_cell_csv(cols, ([getattr(r, c) for c, _ in cols]
                                    for r in obj))
-    if writer is csvio.write_boundary:
-        return per_cell_csv(csvio._BOUNDARY, zip(
-            range(obj.n_s), obj.values.real.tolist(),
-            obj.values.imag.tolist()), dict(_geo(obj.geometry), n_s=obj.n_s,
-                                            noise=float(obj.noise_level)))
-    if writer is csvio.write_reconstruction:
-        s = obj.source
-        return per_cell_csv(csvio._COEFFICIENTS, (
-            (m, v.real, v.imag) for m, v in enumerate(
-                obj.coefficients.tolist(), start=-obj.N)), dict(
-            _geo(s.geometry), n_r=s.n_r, n_theta=s.n_theta,
-            residual=obj.residual, policy=obj.policy))
-    return per_cell_csv(csvio._GRID, per_cell_grid_rows(obj), dict(
-        _geo(obj.geometry), n_r=obj.n_r, n_theta=obj.n_theta))
+    s = obj.source
+    return per_cell_csv(csvio._COEFFICIENTS, (
+        (m, v.real, v.imag) for m, v in enumerate(
+            obj.coefficients.tolist(), start=-obj.N)), dict(
+        _geo(s.geometry), n_r=s.n_r, n_theta=s.n_theta,
+        residual=obj.residual, policy=obj.policy))
 
 
 class TestPerCellOracle:
@@ -581,18 +415,15 @@ class TestPerCellOracle:
             assert text == _per_cell(writer, obj), writer
             lines = text.splitlines()
             cells = set(",".join(lines[1 + lines[0].startswith("#"):]).split(","))
-            edge = EDGE if writer is not csvio.write_boundary else FINITE_EDGE
-            texts = {format(v, ".17g") for v in edge}
+            texts = {format(v, ".17g") for v in EDGE}
             if writer is csvio.write_spectrum:
                 # A_m holds |v| and log10_abs_H2 holds v / ln 10
-                texts = {format(f(v), ".17g") for v in edge
+                texts = {format(f(v), ".17g") for v in EDGE
                          for f in (abs, lambda v: v / math.log(10.0))}
             assert texts <= cells, writer
 
     def test_non_contiguous_values(self):
         objs = _objects(np.random.default_rng(4), EDGE, contiguous=False)
-        assert not objs[csvio.write_source].values.flags.c_contiguous
-        assert not objs[csvio.write_boundary].values.flags.c_contiguous
         assert not objs[csvio.write_reconstruction].coefficients.flags.c_contiguous
         for writer, obj in objs.items():
             assert csvio.dumps(writer, obj) == _per_cell(writer, obj), writer
@@ -613,15 +444,22 @@ class TestPerCellOracle:
 
 
 class TestBulkReader:
-    """The block-wise reader against the per-line one, on a 64 x 162
-    source file of 10 370 lines (several read blocks)."""
+    """The block-wise reader against the per-line one, on a sweep file of
+    10 001 lines and about 1 MB (several read blocks)."""
 
     @pytest.fixture(scope="class")
-    def text(self):
-        g = ib.ProblemGeometry.from_size_params(40.0, 40.0)
-        grid = ib.source_grid(g, 64, 162, fn=lambda r, t: (
-            np.exp(-r) * np.exp(1j * 5 * t) + 1e-300 * r))
-        return csvio.dumps(csvio.write_source, grid)
+    def records(self):
+        rng = np.random.default_rng(7)
+        kappa0 = rng.uniform(0.1, 1e3, 10_000)
+        # band edges in [0, 1200): a few rows have B = 0, where relerr
+        # reads 0 or inf
+        return [ex.SweepRecord(k * r, k, *edges) for k, r, edges in zip(
+            kappa0.tolist(), rng.uniform(1.0, 10.0, 10_000).tolist(),
+            rng.integers(0, 1200, (10_000, 3)).tolist())]
+
+    @pytest.fixture(scope="class")
+    def text(self, records):
+        return csvio.dumps(csvio.write_sweep, records)
 
     @staticmethod
     def _same(got, want):
@@ -631,23 +469,21 @@ class TestBulkReader:
             assert getattr(a, "typecode", None) == getattr(b, "typecode", None)
             assert bytes(a) == bytes(b) if hasattr(a, "typecode") else a == b
 
-    def test_clean_file_matches_the_per_line_reader(self, text, tmp_path):
-        info, cols = csvio._read(io.StringIO(text), csvio._GRID, meta=True)
-        ref_info, ref = per_line_read(io.StringIO(text), csvio._GRID, True)
-        assert dict(info) == ref_info
+    def test_clean_file_matches_the_per_line_reader(self, records, text,
+                                                    tmp_path):
+        _, cols = csvio._read(io.StringIO(text), csvio._SWEEP)
+        _, ref = per_line_read(io.StringIO(text), csvio._SWEEP)
         self._same(cols, ref)
-        path = tmp_path / "s.csv"
+        path = tmp_path / "sweep.csv"
         path.write_text(text)
-        back = csvio.read_source(str(path))
-        assert back.values.dtype == complex and back.rho.dtype == float
-        assert back.theta.dtype == float
-        re, im = np.asarray(ref[4]), np.asarray(ref[5])
-        assert back.values.real.tobytes() == re.tobytes()
-        assert back.values.imag.tobytes() == im.tobytes()
+        back = csvio.read_sweep(str(path))
+        assert back == records
+        assert all(type(r.kappa) is float and type(r.B) is int for r in back)
+        assert np.array([r.kappa for r in back]).tobytes() == bytes(ref[0])
 
     @pytest.mark.parametrize("edit", ["blank", "blank_block", "spaces",
                                       "crlf", "no_eol"])
-    def test_irregular_lines_read_as_per_line(self, text, edit):
+    def test_irregular_lines_read_as_per_line(self, records, text, edit):
         lines = text.splitlines(keepends=True)
         if edit == "blank":
             for at in (9000, 5000, 40, 3):
@@ -665,44 +501,32 @@ class TestBulkReader:
         else:
             lines[-1] = lines[-1].rstrip("\n")
         bad = "".join(lines)
-        _, cols = csvio._read(io.StringIO(bad), csvio._GRID, meta=True)
-        _, ref = per_line_read(io.StringIO(bad), csvio._GRID, meta=True)
+        _, cols = csvio._read(io.StringIO(bad), csvio._SWEEP)
+        _, ref = per_line_read(io.StringIO(bad), csvio._SWEEP)
         self._same(cols, ref)
-        assert np.array_equal(csvio.read_source(io.StringIO(bad)).values,
-                              csvio.read_source(io.StringIO(text)).values)
+        assert csvio.read_sweep(io.StringIO(bad)) == records
 
     @pytest.mark.parametrize("col, value, message", [
-        (5, "1,7", "line 9000: 7 fields, expected 6"),
-        (4, "0.5x", "line 9000: could not convert string to float"),
-        (1, "99999999999999999999", "line 9000: int too big")])
+        (10, "1,7", "line 9000: 12 fields, expected 11"),
+        (1, "0.5x", "line 9000: could not convert string to float"),
+        (2, "99999999999999999999", "line 9000: int too big")])
     def test_refusal_names_its_line(self, text, col, value, message):
-        # data row 8997 is line 9000, after the metadata line and header
-        bad = _edit_row(text, 8997, col, value)
+        bad = _edit_line(text, 9000, col, value)
         with pytest.raises(ValueError, match=f"^{message}"):
-            csvio.read_source(io.StringIO(bad))
+            csvio.read_sweep(io.StringIO(bad))
 
     def test_earliest_fault_is_named(self, text):
         # a bad float on line 9000 and a bad field count on line 9001: the
         # earlier line is named, as a line-by-line read would
-        bad = _edit_row(_edit_row(text, 8997, 3, "x"), 8998, 5, "1,2")
+        bad = _edit_line(_edit_line(text, 9000, 1, "x"), 9001, 10, "1,2")
         with pytest.raises(ValueError, match="^line 9000: could not"):
-            csvio.read_source(io.StringIO(bad))
+            csvio.read_sweep(io.StringIO(bad))
 
 
-def test_writer_streams_ring_by_ring(tmp_path):
-    # a 201 x 754 source (the default grid at kappa = 100 pi) is a 13 MB
-    # file; written a ring at a time it never exists as one string
-    g = ib.ProblemGeometry.from_size_params(100 * math.pi, 100 * math.pi)
-    rng = np.random.default_rng(6)
-    values = rng.standard_normal((2, 201, 754))
-    src = replace(ib.source_grid(g, 201, 754),
-                  values=values[0] + 1j * values[1])
-    path = tmp_path / "source.csv"
-    tracemalloc.start()
-    try:
-        csvio.write_source(src, str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert path.stat().st_size > 12e6
-    assert peak < 4e6
+def _edit_line(text: str, lineno: int, col: int, value: str) -> str:
+    """Replace field `col` of line `lineno`, counted from 1, of a CSV text."""
+    lines = text.splitlines(keepends=True)
+    fields = lines[lineno - 1].rstrip("\n").split(",")
+    fields[col] = value
+    lines[lineno - 1] = ",".join(fields) + "\n"
+    return "".join(lines)

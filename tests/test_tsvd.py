@@ -622,12 +622,19 @@ class TestDefaultGrid:
     forward._resolving_grid, whose rings resolve the retained modes."""
 
     @pytest.mark.parametrize("kappa0, N, shape", [
-        (100.0 * math.pi, None, (201, 610)), (1000.0, 986, (556, 1974))])
+        (100.0 * math.pi, None, (201, 610)), (1000.0, 986, (556, 1974)),
+        # the ends of the rule's checked range: the 64-ring floor at the
+        # horizon of a small disk, and N = kappa0 past 1000
+        (0.01, 42, (64, 86)), (1.0, 44, (64, 90)),
+        (1500.0, 1500, (812, 3002)), (2000.0, 2000, (1067, 4002))])
     def test_margin_at_round_off(self, kappa0, N, shape):
-        # 64 rings, the default before, gave margins 0.40 and 0.61 here
+        # 64 rings, the default before, gave margins 0.40 and 0.61 at
+        # kappa0 = 100 pi and 1000
         g = ib.ProblemGeometry.from_size_params(kappa0, kappa0)
-        N = ib.pick_truncation(g, "B") if N is None else N
-        assert N == (304 if kappa0 < 1000.0 else 986)
+        if N is None:
+            N = ib.pick_truncation(g, "B")
+            assert N == 304
+        assert N <= max(kappa0, ib.default_m_max(kappa0))
         rng = np.random.default_rng(4)
         c = ib.ModalCoefficients(g, rng.standard_normal(2 * N + 1)
                                  + 1j * rng.standard_normal(2 * N + 1))
@@ -636,7 +643,9 @@ class TestDefaultGrid:
         assert forward._resolving_grid(g, N) == shape
         assert rec.margin <= 1e-13 and rec.residual <= 1e-13
         explicit = ib.tsvd_reconstruct(c, N, n_r=shape[0], n_theta=shape[1])
-        assert explicit.source.values.tobytes() == rec.source.values.tobytes()
+        # bitwise, through integer views: no copy of the 68 MB grid at 2000
+        assert np.array_equal(explicit.source.values.view(np.uint64),
+                              rec.source.values.view(np.uint64))
 
     def test_one_size_left_out(self, g_equal_10pi):
         c = ib.modal_decompose(ib.BoundaryData(
