@@ -229,11 +229,20 @@ def _reports(gs, m_maxes):
     rows = _bessel_rows(gs, m_maxes, at_kappa0=True)
     kappa0 = np.array([g.kappa0 for g in gs])
     n = math.ceil(kappa0.max()) + 1
+
+    def stack(i: int) -> np.ndarray:
+        # rows i to order n - 1, zero past a row's end: a Y row below
+        # x = 25 ends short of n, and each lane reads only its own orders
+        # to ceil(kappa0) + 1
+        out = np.zeros((len(rows), n), dtype=rows[0][i].dtype)
+        for p, r in enumerate(rows):
+            row = r[i][:n]
+            out[p, :len(row)] = row
+        return out
+
     # the J stack goes before the Y stacks come, so the three never coexist
-    b_minus = _sign_bounds(np.array([r[0][:n] for r in rows]), kappa0,
-                           -1.0).tolist()
-    y, e = (np.array([r[i][:n] for r in rows]) for i in (4, 5))
-    b_plus = _sign_bounds(y, kappa0, 1.0, e).tolist()
+    b_minus = _sign_bounds(stack(0), kappa0, -1.0).tolist()
+    b_plus = _sign_bounds(stack(4), kappa0, 1.0, stack(5)).tolist()
 
     def one(p: int) -> BandwidthReport:
         g = gs[p]

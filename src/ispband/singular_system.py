@@ -27,8 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .specfun import (_HANKEL_FROM, _NEUMANN_TOP, _ZERO_BLOCK, _check_count,
-                      _y_table, bessel_j_table, hankel_arg, hankel_log_abs2)
+from .specfun import (_HANKEL_FROM, _NEUMANN_TOP, _ZERO_BLOCK, _bessel_tables,
+                      _check_count, _y_table, bessel_j_table, hankel_arg,
+                      hankel_log_abs2)
 
 __all__ = [
     "ProblemGeometry",
@@ -191,17 +192,20 @@ def _log_sigma(g: ProblemGeometry, a, log_abs_h2) -> np.ndarray:
 
 
 def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
-    """The Bessel rows of several geometries from one pass.
+    """The Bessel rows of several geometries from one recurrence call.
 
     Entry p is (J at kappa0_p, J at kappa_p, Y mantissa and exponent at
     kappa_p to m_max_p), then with at_kappa0 (for bandwidth._reports) the
     Y mantissa and exponent at kappa0_p to ceil(kappa0_p) + 2. All J rows
-    run to _j_horizon in one bessel_j_table call, with those that seed Y
-    below x = 25 (Neumann's series). All Y rows take one Y pass with one
-    lane per argument, run to the last order any geometry needs of it and
-    0 past it. Each row depends on its own argument and horizon alone, so
-    a geometry gets the same bits in a batch as on its own, and its Y rows
-    are bessel_y_table's up to the orders needed.
+    run to _j_horizon, with those that seed Y below x = 25 (Neumann's
+    series), and every Y row from x = 25 on (Hankel's seeds) takes the
+    same call, one lane per argument, run to the last order any geometry
+    needs of it and 0 past it: one loop steps the J lanes down and the Y
+    lanes up (specfun._recur). The Y rows below x = 25 need the finished
+    seed rows, so they take one short Y call after it. Each row depends on
+    its own argument and horizon alone, so a geometry gets the same bits
+    in a batch as on its own, and its Y rows are bessel_y_table's up to
+    the orders needed.
     """
     j_lanes: dict[tuple[float, int], int] = {}
     y_last: dict[float, int] = {}           # argument -> last order needed
@@ -215,13 +219,20 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
             y_last[x] = max(y_last.get(x, 0), last)
         picks.append(([j_lanes.setdefault((x, h), len(j_lanes))
                        for x in (g.kappa0, g.kappa)], [x for x, _ in y_args]))
+    near = [x for x in y_last if x < _HANKEL_FROM]
+    far = [x for x in y_last if x >= _HANKEL_FROM]
     seed_lanes = [j_lanes.setdefault((x, _NEUMANN_TOP), len(j_lanes))
-                  for x in y_last if x < _HANKEL_FROM]
+                  for x in near]
     x, h = zip(*j_lanes)
-    j = bessel_j_table(np.array(h), np.array(x))
-    y_rows = dict(zip(y_last, zip(*_y_table(
-        np.array(list(y_last.values())), np.array(list(y_last)),
-        j[seed_lanes]))))
+    j, y, e = _bessel_tables(
+        np.array(h), np.array(x),
+        np.array([y_last[c] for c in far], dtype=np.int64),
+        np.array(far, dtype=float))
+    y_rows = dict(zip(far, zip(y, e)))
+    if near:
+        y_rows.update(zip(near, zip(*_y_table(
+            np.array([y_last[c] for c in near]), np.array(near),
+            j[seed_lanes, :_NEUMANN_TOP + 1]))))
     return [(j[a], j[b], *(r for c in ys for r in y_rows[c]))
             for (a, b), ys in picks]
 

@@ -7,13 +7,16 @@ zeros j_{m,1} and y_{m,1}.
 
 The two tables come from the recurrences Gautschi prescribes for the
 minimal and the dominant solution (SIAM Rev. 9, 1967; DLMF 10.74(iv)):
-J_m by Miller's downward recurrence and Y_m upward from Y_0 and Y_1. Each
-is one vector step per order across all arguments, so the rows of a whole
-batch of geometries cost about what the rows of one do, and each step
-writes its order in place into the row that keeps it, with no temporary.
-Y_m overflows the double range once m is a few hundred above x; its table
-carries a power-of-two exponent per entry instead, so the Hankel rows stay
-finite there and the phase is -pi/2 to every digit.
+J_m by Miller's downward recurrence and Y_m upward from Y_0 and Y_1. Both
+are f_next = (2m/x) f - f_prev, so one loop (_recur) runs them: each
+argument is a lane, J lanes step down and Y lanes step up, and a step is
+one multiply and one subtract across all lanes of a call, whichever kind.
+The rows of a whole batch of geometries, J and Y, cost about what one
+kind's rows of one geometry do, and each step writes its order in place
+into the row that keeps it, with no temporary. Y_m overflows the double
+range once m is a few hundred above x; its table carries a power-of-two
+exponent per entry instead, so the Hankel rows stay finite there and the
+phase is -pi/2 to every digit.
 
 The Y table needs Y_0 and Y_1 to start from. Below x = 25 they come from
 Neumann's series (DLMF 10.8.2, and its derivative for Y_1) over one J
@@ -27,6 +30,7 @@ route and needs numpy alone.
 from __future__ import annotations
 
 import math
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -71,6 +75,10 @@ _EULER_GAMMA = 0.5772156649015329
 # Y_0 and Y_1 come from Neumann's series below this argument and from
 # Hankel's expansion from it on
 _HANKEL_FROM = 25.0
+
+# the orders, arguments or seeds of a kind of lane a _recur call does not
+# have
+_NO_LANES = np.zeros(0, dtype=np.int64)
 
 # top order of the J table behind Neumann's series: past it J_m(x) < 1e-19
 # for every x < _HANKEL_FROM
@@ -175,8 +183,9 @@ def bessel_j_table(m_max, x) -> np.ndarray:
     downward pass f_{m-1} = (2m/x_i) f_m - f_{m+1} from f_{S+1} = 0,
     f_S = 1 at its own even start order S >= top + 10 + 6 top^(1/3) +
     sqrt(40 top), top = max(m_max_i, x_i), and the passes of all arguments
-    share one vector step per order. A row therefore depends on x_i and
-    m_max_i alone, never on the other arguments of the call. J is the
+    share one vector step per order (_recur, called with J lanes alone).
+    A row therefore depends on x_i and m_max_i alone, never on the other
+    arguments of the call. J is the
     minimal solution for m > x, so the start error dies out long before
     m_max_i. Each argument is normalised by J_0 + 2 sum_k J_2k = 1. Where
     an argument's pair passes _RESCALE_AT, the pair, its running sum and
@@ -190,27 +199,34 @@ def bessel_j_table(m_max, x) -> np.ndarray:
     (1, 0, 0, ...) at 0.
 
     The table is a transposed view of the (orders, arguments) pass, whose
-    steps write each order in place into its row (_miller_rows), so it is
-    F-ordered: the entries of one order lie contiguous across the
-    arguments. The radial tables cut from it are column-major, and sums
-    over the rings (_psi_project) run along that axis.
+    steps write each order in place into its row, so it is F-ordered: the
+    entries of one order lie contiguous across the arguments. The radial
+    tables cut from it are column-major, and sums over the rings
+    (_psi_project) run along that axis.
     """
     x, flat, orders, top = _lanes(m_max, x)
     if not np.all(np.isfinite(flat) & (flat >= 0.0)):
         raise ValueError("arguments must be nonnegative finite reals")
-    rows = _miller_rows(orders, flat, top)
-    # the floor goes a block of _STEP_BLOCK entries at a time, so its mask
-    # is that small, and each argument's orders past its own by a slice
-    step = max(1, _STEP_BLOCK // max(flat.size, 1))
-    for first in range(0, top + 1, step):
+    return _floor(_miller_rows(orders, flat), orders).T.reshape(
+        x.shape + (top + 1,))
+
+
+def _floor(rows: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The J rows (orders, lanes) of _recur as bessel_j_table gives them,
+    in place: entries below _J_FLOOR set to 0 a block of _STEP_BLOCK
+    entries at a time, so the mask is that small, and each lane's orders
+    past its own by a slice."""
+    step = max(1, _STEP_BLOCK // max(rows.shape[1], 1))
+    for first in range(0, len(rows), step):
         block = rows[first:first + step]
         floor = block < _J_FLOOR
         floor &= block > -_J_FLOOR
         block[floor] = 0.0
+    top = len(rows) - 1
     for i, order in enumerate(orders.tolist()):
         if order < top:
             rows[order + 1:, i] = 0.0
-    return rows.T.reshape(x.shape + (top + 1,))
+    return rows
 
 
 def _miller_start(top) -> int:
@@ -218,82 +234,191 @@ def _miller_start(top) -> int:
         0.5 * (top + 10.0 + 6.0 * top ** (1.0 / 3.0) + math.sqrt(40.0 * top)))
 
 
-def _ratios(orders: range, x: np.ndarray):
-    """(m, 2m/x) for each m of orders in turn, the orders and their rows
-    made a block of _STEP_BLOCK row bytes at a time; 2.0 m is exact, so a
-    row has the bits of 2.0 * m / x."""
+def _ratios(n: int, x: np.ndarray, kinds):
+    """The rows 2 m_i / x_i of the steps k = 0 .. n - 1, lane i at the
+    order m_i = base + sign k of its kind, for each (lanes, base, sign) of
+    kinds, lanes a slice. The rows are made a block of _STEP_BLOCK bytes
+    at a time into one buffer, each kind's part by one division of its
+    orders column; 2.0 m is exact, so a row has the bits of 2.0 * m / x."""
     step = max(1, _STEP_BLOCK // (8 * max(x.size, 1)))
-    for k in range(0, len(orders), step):
-        block = orders[k:k + step]
-        ms = np.arange(block.start, block.stop, block.step)
-        yield from zip(block, 2.0 * ms[:, None] / x)
+    buffer = np.empty((min(step, n), x.size))
+    for first in range(0, n, step):
+        rows = buffer[:min(step, n - first)]
+        for lanes, base, sign in kinds:
+            m = base + sign * first
+            orders = np.arange(m, m + sign * len(rows), sign, dtype=float)
+            np.divide(2.0 * orders[:, None], x[lanes], out=rows[:, lanes])
+        yield from rows
 
 
-def _miller_rows(orders: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:
-    """J_m(x_i) as rows m = 0 .. top, columns i, before the floor.
+def _miller_rows(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_m(x_i) as rows m = 0 .. max(orders), columns i, before the floor:
+    _recur with J lanes alone."""
+    return _recur(orders, x, _NO_LANES, _NO_LANES, (_NO_LANES, _NO_LANES))[0]
 
-    Arguments below _SERIES_BELOW take the series term. Every other one
-    stays 0 until the downward pass reaches its own start order, where it
-    joins with f = 1; from there on its arithmetic is that of a pass run
-    for x_i alone. A step writes f_{m-1} in place into its table row, or
-    above top into spill row (m - 1) % 3, so no taller table is made. It
-    multiplies |f| by at most 2m/min(x) + 1, so a scalar bound on all |f|
-    and |f_up| tells when a step may have passed _RESCALE_AT; only then
-    are the columns looked at, which rescales the same columns at the same
-    orders as looking at every step would. A rescale divides the running
-    sum's columns, their rows from f up and, above top, the spill rows.
+
+def _recur(j_orders: np.ndarray, j_x: np.ndarray, y_orders: np.ndarray,
+           y_x: np.ndarray, y_seeds) -> tuple[np.ndarray, ...]:
+    """The one recurrence loop behind every Bessel table: J lanes (J_m
+    of j_x_i to j_orders_i) stepped down and Y lanes (Y_m of y_x_i to
+    y_orders_i, from y_seeds = (Y_0, Y_1)) stepped up, each kind's lanes
+    by the rules of its docstring (bessel_j_table, bessel_y_table).
+
+    Both are f_next = (2m/x) f - f_prev with one 2m/x per lane, so step k
+    is one multiply and one subtract across all lanes: J lanes at order
+    S - k, Y lanes at order k + 1, where S is the largest Miller start
+    and at least the top Y order. Row r of the pass holds J at order
+    S + 1 - r and Y at order r. Step k first makes the events of its
+    orders: J lanes joining at their own start, Y lanes ending past their
+    own order (a zero pair stays zero), and the power-of-two rescale of
+    the Y lanes; then it adds even J orders to the running sum, steps,
+    and rescales J lanes by |f|. Each kind keeps its own scalar bound on
+    its |f| (as a multiple of its limit for Y), grown by 2m/min(x) + 1 a
+    step, and looks at its lanes only when the bound says a lane may have
+    passed its limit, which rescales the same lanes at the same orders as
+    looking at every step would. So every lane's arithmetic is that of a
+    pass run for it alone, bit for bit, whatever else the call holds.
+
+    With J lanes alone, the rows kept are the orders 0 .. max(j_orders),
+    and the rows above go round three spill rows, so no taller table is
+    made than the one returned. With Y lanes, all S + 2 rows are kept in
+    pass order, since the Y lanes need every one: the J rows are then a
+    reversed view, and the table is taller than the J rows' top + 1 by
+    the Miller overshoot S + 1 - top (26 % at a J horizon of 1071, kappa =
+    1000; 2 % at kappa = 1e5). The J rows come back (orders, J lanes),
+    normalised but not floored, and the Y mantissas and exponents
+    (orders, Y lanes), all views.
     """
-    tiny = x < _SERIES_BELOW
-    step_x = np.where(tiny, 1.0, x)
-    joins: dict[int, list[int]] = {}
-    for i, (order, xi, t) in enumerate(zip(orders.tolist(), x.tolist(),
-                                           tiny.tolist())):
-        if not t:
-            joins.setdefault(_miller_start(max(order, xi)), []).append(i)
-    start = max(joins, default=0)
-    rows = np.zeros((top + 1, x.size))    # orders above every start stay 0
-    spill = np.zeros((3, x.size))         # f_m above top, in row m % 3
-    f_up, f = (np.zeros(x.size),                       # f_{m+1}, f_m
-               rows[start] if start <= top else spill[start % 3])
-    even_sum = np.zeros(x.size)                     # sum of f_2k, k >= 1
-    growth = 2.0 / float(step_x.min(initial=1.0))
-    bound = 0.0                                     # >= every |f|, |f_up|
-    multiply, subtract = np.multiply, np.subtract   # looked up once
-    for m, coef in _ratios(range(start, 0, -1), step_x):
-        if m in joins:
-            f[joins[m]] = 1.0
-            bound = max(bound, 1.0)
-        if m % 2 == 0:
-            even_sum += f
-        out = rows[m - 1] if m <= top + 1 else spill[(m - 1) % 3]
-        multiply(coef, f, out=out)
-        f_up, f = f, subtract(out, f_up, out=out)
-        bound *= growth * m + 1.0
-        if bound > _RESCALE_AT:
-            af = np.abs(f)
-            big = af > _RESCALE_AT
-            if big.any():
-                i = np.flatnonzero(big)
-                a = af[i]
-                even_sum[i] /= a
-                rows[m - 1:, i] /= a        # f, and f_up up to top
-                if m > top:                 # f_up, and f above top
-                    spill[:, i] /= a
-                # every |f| and |f_up| is now <= _RESCALE_AT; where some
-                # column rescales, others tend to be close, so look again
-                # at the next step rather than pay for the exact maximum
-                bound = _RESCALE_AT
-            else:
-                bound = max(float(af.max()), float(np.abs(f_up).max()))
-    norm = f + 2.0 * even_sum                       # f is rows[0]
-    norm[tiny] = 1.0
-    rows /= norm
+    nj, ny = j_x.size, y_x.size
+    n = nj + ny
+    tiny = j_x < _SERIES_BELOW
+    step_x = np.where(tiny, 1.0, j_x)
+    x = np.concatenate((step_x, y_x))
+    top_j = int(j_orders.max(initial=0))
+    top_y = int(y_orders.max(initial=0))
+    starts = [(i, _miller_start(max(order, xi))) for i, (order, xi, t)
+              in enumerate(zip(j_orders.tolist(), j_x.tolist(),
+                               tiny.tolist())) if not t]
+    S = max(max((s for _, s in starts), default=0), top_y)
+    # step k -> (J lanes joining at order S - k, Y lanes ending at k + 1)
+    events: dict[int, tuple[list[int], list[int]]] = {}
+    for i, start in starts:
+        events.setdefault(S - start, ([], []))[0].append(i)
+    for i, order in enumerate(y_orders.tolist(), nj):
+        events.setdefault(order, ([], []))[1].append(i)
+    # row r of the pass is table[r - skip], or spill row r % 3 if r < skip;
+    # j_rows: the rows of the J orders 0 .. top_j, contiguous, all lanes
+    if ny:          # every row, in pass order; rows above S + 1 for J
+        pad = max(0, top_j - S - 1)         # orders of tiny J lanes only
+        table = np.zeros((pad + S + 2, n))
+        skip = -pad
+        j_rows = table[max(0, S + 1 - top_j):]
+    else:           # the J orders, and the rows above in spill rows
+        j_rows = np.zeros((top_j + 1, n))
+        table = j_rows[::-1]
+        skip = S + 1 - top_j
+    spill = np.zeros((min(max(skip, 0), 3), n))
+    rows = chain(islice(cycle(spill), max(skip, 0)), table[max(-skip, 0):])
+    prev, cur = next(rows), next(rows)
+    prev[nj:], cur[nj:] = y_seeds
+    even_sum = np.zeros(n)              # J: sum of f_2k, k >= 1
+    is_j = np.arange(n) < nj
+    j_mask = is_j if ny else True       # the J lanes, for their maxima
+    j_limit = np.where(is_j, _RESCALE_AT, math.inf)
+    y_limit = np.where(is_j, math.inf,
+                       _RESCALE_AT * np.minimum(1.0, x))
+    j_growth = 2.0 / float(step_x.min(initial=1.0))
+    y_growth = 2.0 / float(y_x.min()) if ny else 0.0
+    j_bound = 0.0                       # >= every J |f|, |f_prev|
+    y_bound = math.inf if ny else 0.0   # >= every Y |f| / y_limit
+    parity = S % 2 if nj else -1        # steps at even J orders
+    top_row = S + 1 - top_j             # row of the J order top_j
+    # the Y exponent steps, then their sums; made at the first Y rescale,
+    # so that a call with none touches no table of them before its end
+    e = None
+    kinds = ([(slice(0, nj), S, -1)] if nj else []) + (
+        [(slice(nj, n), 1, 1)] if ny else [])
+    copied = -1
+    # looked up once
+    multiply, subtract, rescale_at = np.multiply, np.subtract, _RESCALE_AT
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, coef, out in zip(range(S), _ratios(S, x, kinds), rows):
+            if k in events:
+                joins, ends = events[k]
+                if joins:
+                    cur[joins] = 1.0
+                    j_bound = max(j_bound, 1.0)
+                if ends:
+                    prev, copied = prev.copy(), k
+                    cur[ends] = 0.0
+                    prev[ends] = 0.0
+            if y_bound > 1.0:
+                big = np.abs(cur) > y_limit
+                if big.any():
+                    i = np.flatnonzero(big)
+                    p = np.frexp(cur[i])[1]
+                    prev = prev if copied == k else prev.copy()
+                    cur[i] = np.ldexp(cur[i], -p)
+                    prev[i] = np.ldexp(prev[i], -p)
+                    if e is None:
+                        e = np.zeros((top_y + 1, ny), dtype=np.int64)
+                    e[k + 1, i - nj] = p
+                # a Y lane that has overflowed is lost anyway and must
+                # not hold up the others
+                ratio = np.maximum(np.abs(cur), np.abs(prev)) / y_limit
+                y_bound = float(ratio.max(initial=0.0,
+                                          where=np.isfinite(ratio)))
+            if k & 1 == parity:
+                even_sum += cur
+            multiply(coef, cur, out)
+            prev, cur = cur, subtract(out, prev, out)
+            if ny:
+                y_bound *= y_growth * (k + 1) + 1.0
+            if not nj:
+                continue
+            j_bound *= j_growth * (S - k) + 1.0
+            if j_bound > rescale_at:
+                af = np.abs(cur)
+                big = af > j_limit
+                if big.any():
+                    i = np.flatnonzero(big)
+                    a = af[i]
+                    even_sum[i] /= a
+                    # f, f_prev and the J orders stored from top_j down:
+                    # table rows up to f's, r, and spill rows if f_prev
+                    # is one
+                    r = k + 2 - skip
+                    if r >= 0:
+                        table[max(0, min(r - 1, top_row - skip)):r + 1,
+                              i] /= a
+                    if r < 1:
+                        spill[:, i] /= a
+                    # every J |f| and |f_prev| is now <= _RESCALE_AT; where
+                    # some lane rescales, others tend to be close, so look
+                    # again at the next step rather than pay for the
+                    # exact maximum
+                    j_bound = rescale_at
+                else:
+                    j_bound = max(float(af.max(initial=0.0, where=j_mask)),
+                                  float(np.abs(prev).max(initial=0.0,
+                                                         where=j_mask)))
+    j = table[S + 1 - skip::-1][:top_j + 1, :nj]    # cur is J order 0
+    norm = np.ones(n)                   # Y lanes: exact
+    norm[:nj] = cur[:nj] + 2.0 * even_sum[:nj]
+    norm[:nj][tiny] = 1.0
+    # all lanes of the contiguous rows: numpy divides a strided view (the
+    # J lanes beside Y lanes) through a copy of it
+    j_rows /= norm
     if tiny.any():
-        terms = np.empty((top + 1, int(tiny.sum())))
+        terms = np.empty((top_j + 1, int(tiny.sum())))
         terms[0] = 1.0
-        terms[1:] = 0.5 * x[tiny] / np.arange(1, top + 1)[:, None]
-        rows[:, tiny] = np.cumprod(terms, axis=0)
-    return rows
+        terms[1:] = 0.5 * j_x[tiny] / np.arange(1, top_j + 1)[:, None]
+        j[:, tiny] = np.cumprod(terms, axis=0)
+    if e is None:
+        e = np.zeros((top_y + 1, ny), dtype=np.int64)
+    else:
+        np.cumsum(e, axis=0, out=e)
+    return j, table[-skip:][:top_y + 1, nj:], e
 
 
 def bessel_y_table(m_max, x) -> tuple[np.ndarray, np.ndarray]:
@@ -304,16 +429,17 @@ def bessel_y_table(m_max, x) -> tuple[np.ndarray, np.ndarray]:
     m_max_i, so a short lane takes no rescaling steps.
 
     One upward pass Y_{m+1} = (2m/x) Y_m - Y_{m-1}, a vector step across
-    all x, seeded by _y_seeds; upward is the stable direction for Y, the
-    dominant solution (Gautschi, SIAM Rev. 9, 1967; DLMF 10.74(iv)). A
-    step writes Y_{m+1} in place into its row of an (orders, arguments)
-    table, of which y is the transposed view, as for J. Where an argument's
-    |Y_m| passes _RESCALE_AT min(1, x), its working pair is divided by the
-    power of two that brings |Y_m| into [0.5, 1), which is exact, and the
-    power moves into e. That and a lane's end change Y_m in its row and
-    Y_{m-1} on a copy, so Y_{m-1}'s row keeps its stored value. A step
-    multiplies |Y| by at most 2m/x + 1, so no entry overflows for m <= 1e4
-    and x >= 1.2e-304. An entry up to m_max_i depends on x_i and m alone,
+    all x (_recur, called with Y lanes alone), seeded by _y_seeds; upward
+    is the stable direction for Y, the dominant solution (Gautschi,
+    SIAM Rev. 9, 1967; DLMF 10.74(iv)). A step writes Y_{m+1} in place
+    into its row of an (orders, arguments) table, of which y is the
+    transposed view, as for J. Where an argument's |Y_m| passes
+    _RESCALE_AT min(1, x), its working pair is divided by the power of two
+    that brings |Y_m| into [0.5, 1), which is exact, and the power moves
+    into e. That and a lane's end change Y_m in its row and Y_{m-1} on a
+    copy, so Y_{m-1}'s row keeps its stored value. A step multiplies |Y|
+    by at most 2m/x + 1, so no entry overflows for m <= 1e4 and
+    x >= 1.2e-304. An entry up to m_max_i depends on x_i and m alone,
     never on the orders or the other arguments, so a longer table extends
     a shorter one bit for bit. Below x = 3.6e-309, where Y_1(x) ~
     -2 / (pi x) overflows, and wherever a step overflows all the same, the
@@ -327,45 +453,23 @@ def _y_table(m_max, x, neumann_j) -> tuple[np.ndarray, np.ndarray]:
     x, flat, orders, top = _lanes(m_max, x)
     if not np.all(np.isfinite(flat) & (flat > 0.0)):
         raise ValueError("arguments must be positive finite reals")
-    rows = np.empty((top + 2, flat.size))   # row m: Y_m as stored, to top
-    rows[:2] = _y_seeds(flat, neumann_j)
-    e = np.zeros((top + 1, flat.size), dtype=np.int64)     # steps, then sums
-    limit = _RESCALE_AT * np.minimum(1.0, flat)
-    growth = 2.0 / float(flat.min()) if flat.size else 0.0
-    bound = math.inf                    # >= every |Y_m| / limit, as the
-    lo, hi = rows[0], rows[1]           # bound in _miller_rows; Y_{m-1}, Y_m
-    ends: dict[int, list[int]] = {}     # order -> lanes that end before it
-    for i, order in enumerate(orders.tolist()):
-        ends.setdefault(order + 1, []).append(i)
-    rescaled = False
-    multiply, subtract = np.multiply, np.subtract
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, coef in _ratios(range(1, top + 1), flat):
-            if m in ends:               # a zero pair stays zero
-                lo = lo.copy()
-                hi[ends[m]] = 0.0
-                lo[ends[m]] = 0.0
-            if bound > 1.0:
-                big = np.abs(hi) > limit
-                if big.any():
-                    i = np.flatnonzero(big)
-                    k = np.frexp(hi[i])[1]
-                    lo = lo if m in ends else lo.copy()
-                    hi[i] = np.ldexp(hi[i], -k)
-                    lo[i] = np.ldexp(lo[i], -k)
-                    e[m, i] = k
-                    rescaled = True
-                # a column that has overflowed is lost anyway and must
-                # not hold up the others
-                r = np.maximum(np.abs(hi), np.abs(lo)) / limit
-                bound = float(r.max(initial=0.0, where=np.isfinite(r)))
-            out = multiply(coef, hi, out=rows[m + 1])
-            lo, hi = hi, subtract(out, lo, out=out)
-            bound *= growth * m + 1.0
-    if rescaled:                        # else e stays untouched zeros
-        np.cumsum(e, axis=0, out=e)
+    _, y, e = _recur(_NO_LANES, _NO_LANES, orders, flat,
+                     _y_seeds(flat, neumann_j))
     shape = x.shape + (top + 1,)
-    return rows[:top + 1].T.reshape(shape), e.T.reshape(shape)
+    return y.T.reshape(shape), e.T.reshape(shape)
+
+
+def _bessel_tables(j_orders: np.ndarray, j_x: np.ndarray,
+                   y_orders: np.ndarray, y_x: np.ndarray):
+    """bessel_j_table(j_orders, j_x), and bessel_y_table(y_orders, y_x) as
+    (y, e), for flat lanes, from one call of _recur: each lane's rows have
+    the bits of its own table. With Y lanes the three are views into the
+    pass's table of S + 2 rows in pass order, taller than the J table by
+    the Miller overshoot (see _recur). A Y lane below _HANKEL_FROM seeds
+    from a J table of its own, so a caller with such lanes passes their
+    seeds' J lanes here and steps them with _y_table after."""
+    j, y, e = _recur(j_orders, j_x, y_orders, y_x, _y_seeds(y_x))
+    return _floor(j, j_orders).T, y.T, e.T
 
 
 def _y_seeds(x: np.ndarray,

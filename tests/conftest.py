@@ -32,21 +32,18 @@ def cold_spectrum_memo():
 
 @pytest.fixture
 def count_passes(monkeypatch):
-    """start() counts the J (Miller) and Y table passes made from then on,
-    in the dict it returns."""
+    """start() counts the calls of the one recurrence loop (specfun._recur)
+    made from then on, in the dict it returns, by the kinds of lanes each
+    carries: "J" (J lanes alone), "Y" (Y lanes alone) or "JY" (both)."""
     def start() -> dict:
-        counts = {"J": 0, "Y": 0}
+        counts = {"J": 0, "Y": 0, "JY": 0}
+        real = sf._recur
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(j_orders, j_x, y_orders, y_x, *args):
+            counts["J" * bool(len(j_x)) + "Y" * bool(len(y_x))] += 1
+            return real(j_orders, j_x, y_orders, y_x, *args)
 
-        y_table = counted("Y", sf._y_table)
-        monkeypatch.setattr(sf, "_miller_rows", counted("J", sf._miller_rows))
-        monkeypatch.setattr(sf, "_y_table", y_table)
-        monkeypatch.setattr(ss, "_y_table", y_table)
+        monkeypatch.setattr(sf, "_recur", counted)
         return counts
     return start
 

@@ -50,6 +50,25 @@ def first_zero_y(m) -> float:
                        lambda m: m + sf.A_PLUS * m**(1.0 / 3.0) + 1.2)
 
 
+# j_{m,1} and y_{m,1} to 40 digits, from mpmath's besseljzero and
+# besselyzero at mp.dps = 40; test_reference_roots_recomputed checks them
+# against a fresh mpmath run
+REFERENCE_ROOTS = {
+    2: ("5.135622301840682556301401690137765456974",
+        "3.384241767149593472701426018537903112732"),
+    5: ("8.771483815959954019122867133409560562981",
+        "6.747183824871021856541892014273411062174"),
+    26: ("31.84588727868731838388834000613690864272",
+         "28.84810840589936395465185195710648026947"),
+    29: ("35.0372991442601950733500900167237520659",
+         "31.94723038241052123782800647863030788763"),
+    100: ("108.8361658984097743630979919904978168863",
+          "104.3802042568661024537509974794094442232"),
+    315: ("327.778565843787175647761767322607176004",
+          "321.3768358058964548615747843883252060913"),
+}
+
+
 def zero_threshold_bound(kappa0: float, zero_of) -> int:
     """Smallest m with zero_of(m) >= kappa0 - _TIE_TOL: B_- with
     zero_of = first_zero_j, B_+ with first_zero_y, by the definition.

@@ -159,6 +159,16 @@ class TestBoundsFromRowSigns:
                 return y, e
             return table
 
+        def broken_loop(at):
+            # the Y rows of every call of the loop, whatever its lanes
+            real = sf._recur
+
+            def loop(j_orders, j_x, y_orders, y_x, *args):
+                j, y, e = real(j_orders, j_x, y_orders, y_x, *args)
+                y[5, np.asarray(y_x) == at] = math.nan
+                return j, y, e
+            return loop
+
         monkeypatch.setattr(bw, "bessel_y_table",
                             broken(sf.bessel_y_table, TEN_PI))
         with pytest.raises(ArithmeticError):
@@ -168,7 +178,7 @@ class TestBoundsFromRowSigns:
         # the nan sits in the Y lane at kappa0 alone: the spectrum at
         # kappa is finite, and the report must still refuse
         g = ib.ProblemGeometry.from_size_params(TEN_PI, 2.0 * TEN_PI)
-        monkeypatch.setattr(ss, "_y_table", broken(sf._y_table, g.kappa0))
+        monkeypatch.setattr(sf, "_recur", broken_loop(g.kappa0))
         with pytest.raises(ArithmeticError, match="not finite"):
             ib.report(g)
 

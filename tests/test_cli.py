@@ -110,12 +110,13 @@ class TestBandwidthCommand:
 
     def test_cold_run_takes_one_j_and_one_y_pass(self, capsys,
                                                  count_passes):
-        # report's one pass: J and Y at kappa0 and kappa together
+        # report's one pass: J and Y at kappa0 and kappa together, in one
+        # call of the recurrence loop (Y at 10 pi >= 25 seeds itself)
         counts = count_passes()
         code, _, _ = run_cli(capsys, "bandwidth", "--kappa0",
                              str(10 * math.pi), "--kappa", str(10 * math.pi))
         assert code == 0
-        assert counts == {"J": 1, "Y": 1}
+        assert counts == {"J": 0, "Y": 0, "JY": 1}
 
 
 class TestSpectrumCommand:
@@ -153,11 +154,12 @@ class TestSpectrumCommand:
 
     def test_cold_run_takes_one_j_and_one_y_pass(self, capsys,
                                                  count_passes):
+        # the J and Y lanes of the spectrum in one call of the loop
         counts = count_passes()
         code, _, _ = run_cli(capsys, "spectrum", "--kappa0",
                              str(10 * math.pi), "--kappa", str(10 * math.pi))
         assert code == 0
-        assert counts == {"J": 1, "Y": 1}
+        assert counts == {"J": 0, "Y": 0, "JY": 1}
 
 
 class TestSweepCommand:
@@ -219,12 +221,15 @@ class TestSweepCommand:
 
     def test_one_j_and_one_y_pass_per_block(self, capsys, count_passes,
                                             tmp_path):
-        # run_sweep takes its points in blocks of 64: 100 points, 2 blocks
+        # run_sweep takes its points in blocks of 64: 100 points, 2 blocks,
+        # each one call of the loop with its J and Y lanes; the first block
+        # also has Y lanes below x = 25, which step in one short Y call
+        # after it, from seed rows the block's call made
         counts = count_passes()
         code, _, _ = run_cli(capsys, "sweep", "--n", "100",
                              "--out", str(tmp_path))
         assert code == 0
-        assert counts == {"J": 2, "Y": 2}
+        assert counts == {"J": 0, "Y": 1, "JY": 2}
 
 
 class TestReconstructCommand:
@@ -357,16 +362,17 @@ class TestReconstructCommand:
 
     def test_cold_default_run_takes_two_j_and_one_y_pass(
             self, capsys, count_passes, tmp_path):
-        # the memoized spectrum 1 J + 1 Y (run by B, read by psi_eval, the
-        # forward map, the decomposition and the TSVD) and one ring table
-        # 1 J, keyed by the default horizon and the grid's radii: psi_eval
-        # builds it for the truth, and the forward map and the TSVD read it
+        # the memoized spectrum, one J and Y call (run by B, read by
+        # psi_eval, the forward map, the decomposition and the TSVD), and
+        # one ring table, 1 J call, keyed by the default horizon and the
+        # grid's radii: psi_eval builds it for the truth, and the forward
+        # map and the TSVD read it
         counts = count_passes()
         code, _, _ = run_cli(capsys, "reconstruct", "--kappa0",
                              str(10 * math.pi), "--kappa", str(10 * math.pi),
                              "--out", str(tmp_path / "rec.csv"))
         assert code == 0
-        assert counts == {"J": 2, "Y": 1}
+        assert counts == {"J": 1, "Y": 0, "JY": 1}
         assert ss._memo_rings.cache_info().currsize == 1
 
     @pytest.mark.parametrize("flag, reason", [
@@ -391,7 +397,7 @@ class TestReconstructCommand:
             code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert reason in err
-        assert counts == {"J": 0, "Y": 0}
+        assert counts == {"J": 0, "Y": 0, "JY": 0}
         assert not target.exists()
 
     @pytest.mark.parametrize("spec", ["mode:2+-1*mode:2"])
@@ -433,7 +439,7 @@ class TestReconstructCommand:
                                "--out", str(target))
         assert code == 2
         assert err.startswith("error: R0=1e+250") and "disk area" in err
-        assert counts == {"J": 0, "Y": 0}
+        assert counts == {"J": 0, "Y": 0, "JY": 0}
         assert not target.exists()
         code, out, _ = run_cli(capsys, "reconstruct", "--k", "1e-150",
                                "--r0", "1e150", "--r", "1e150",
@@ -473,7 +479,7 @@ class TestOutputTarget:
                                "--kappa", "5", "--out", str(out))
         assert code == 2
         assert err.startswith("error: ") and "--out" in err
-        assert counts == {"J": 0, "Y": 0}
+        assert counts == {"J": 0, "Y": 0, "JY": 0}
         assert not (tmp_path / "no").exists()
         assert list(tmp_path.iterdir()) == []
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import sys
@@ -178,15 +179,15 @@ class TestBatchedSweep:
         records = ex.run_sweep(*args)
         bad, next_ = (ib.ProblemGeometry.from_size_params(r.kappa0, r.kappa)
                       for r in records[3:5])
-        real = sf._y_table
+        real = sf._recur
 
-        def table(m_max, x, *seed_rows):
-            y, e = real(m_max, x, *seed_rows)
-            y = np.array(y)
-            y[np.asarray(x) == bad.kappa0, 5] = math.nan
-            return y, e
+        def loop(j_orders, j_x, y_orders, y_x, *args):
+            # the Y rows of every call of the loop, whatever its lanes
+            j, y, e = real(j_orders, j_x, y_orders, y_x, *args)
+            y[5, np.asarray(y_x) == bad.kappa0] = math.nan
+            return j, y, e
 
-        monkeypatch.setattr(ss, "_y_table", table)
+        monkeypatch.setattr(sf, "_recur", loop)
         with pytest.raises(ArithmeticError,
                            match=r"sweep failed at kappa=60: .*not finite"):
             ex.run_sweep(*args)
@@ -200,6 +201,23 @@ class TestBatchedSweep:
     def test_failing_point_keeps_its_class(self):
         with pytest.raises(ib.HorizonError, match="kappa=1e-300"):
             ex.run_sweep(3, (1e-300, 1.0))
+
+
+def test_sweep_records_pinned():
+    # every SweepRecord of run_sweep(2001, (2, 1000)) at R/R0 = 1, 2, 5
+    # and 10, bit for bit: SHA-256 over each ratio's (kappa, kappa0) as
+    # <f8, then its (B, B-, B+) as <i8, ratio by ratio in that order. The
+    # digest was taken before the J and Y recurrences shared one loop
+    digest = hashlib.sha256()
+    for ratio in (1.0, 2.0, 5.0, 10.0):
+        records = ex.run_sweep(2001, (2.0, 1000.0),
+                               equal_sizes=ratio == 1.0, ratio=ratio)
+        digest.update(np.array([(r.kappa, r.kappa0) for r in records],
+                               dtype="<f8").tobytes())
+        digest.update(np.array([(r.B, r.B_minus, r.B_plus)
+                                for r in records], dtype="<i8").tobytes())
+    assert digest.hexdigest() == ("2d2b786aeb94a0c41930d30a31b99af8"
+                                  "cf92e15d35c4c63bc89c9e813f5e3758")
 
 
 class TestEmptyBandThreshold:

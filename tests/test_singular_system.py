@@ -172,14 +172,18 @@ class TestSpectrum:
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
                 assert ref.flags.writeable and not got.flags.writeable
         # every m_max up to the default horizon reads one table, so one
-        # pass; a longer horizon takes a table and a pass of its own
+        # pass; a longer horizon takes a table and a pass of its own. A
+        # pass is one call of the loop with the J and Y lanes, or below
+        # kappa = 25 a J call and a Y call, whose seeds need its J rows
+        pass_calls = ({"J": 0, "Y": 0, "JY": 1} if kappa >= 25.0
+                      else {"J": 1, "Y": 1, "JY": 0})
         ss._memo_table.cache_clear()
         counts = count_passes()
         for m_max in (1, 17, top):
             ss._spectrum_table(g, m_max)
-        assert counts == {"J": 1, "Y": 1}
+        assert counts == pass_calls
         ss._spectrum_table(g, top + 30)
-        assert counts == {"J": 2, "Y": 2}
+        assert counts == {k: 2 * v for k, v in pass_calls.items()}
 
     def test_fields_are_geometry_and_rows(self):
         assert [f.name for f in fields(ss.SpectrumTable)] == [
@@ -318,7 +322,7 @@ class TestRingMemo:
         cold = ss._planned(g, m_max, rho)
         counts = count_passes()
         warm = ss._planned(g, m_max, rho.copy())
-        assert counts == {"J": 0, "Y": 0}
+        assert counts == {"J": 0, "Y": 0, "JY": 0}
         assert warm is cold
         fresh = sf.bessel_j_table(h, g.k * rho)
         assert warm.dtype == fresh.dtype and np.array_equal(warm, fresh)
@@ -339,7 +343,7 @@ class TestRingMemo:
                   ss._planned(g, top, ib.source_grid(g, 25, 2).rho),
                   ss._planned(ib.ProblemGeometry(k=2.0 * g.k, R0=g.R0 / 2.0,
                                                  R=g.R / 2.0), top, rho)]
-        assert counts == {"J": 3, "Y": 0}
+        assert counts == {"J": 3, "Y": 0, "JY": 0}
         assert others[0].shape == (24, top + 7)
         assert np.array_equal(others[2],
                               sf.bessel_j_table(top + 1, 2.0 * g.k * rho))
@@ -454,18 +458,18 @@ class TestSingularFunctions:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_psi_eval_reads_the_memos(self, count_passes, g_equal_10pi):
-        # a cold call builds the memoized spectrum (1 J + 1 Y) and the ring
-        # table of its radii to the default horizon (1 J); every other
-        # order up to default_m_max reads both, and an order past it
-        # builds a longer spectrum and ring table of its own
+        # a cold call builds the memoized spectrum (one J and Y call) and
+        # the ring table of its radii to the default horizon (1 J call);
+        # every other order up to default_m_max reads both, and an order
+        # past it builds a longer spectrum and ring table of its own
         g = g_equal_10pi
         grid = ib.source_grid(g, 32, 16)
-        for m, passes in ((0, (2, 1)), (-7, (0, 0)), (26, (0, 0)),
-                          (ss.default_m_max(g.kappa0), (0, 0)),
-                          (120, (2, 1))):
+        cold, warm = {"J": 1, "Y": 0, "JY": 1}, {"J": 0, "Y": 0, "JY": 0}
+        for m, passes in ((0, cold), (-7, warm), (26, warm),
+                          (ss.default_m_max(g.kappa0), warm), (120, cold)):
             counts = count_passes()
             ss.psi_eval(m, g, grid.rho[:, None], grid.theta[None, :])
-            assert (counts["J"], counts["Y"]) == passes, m
+            assert counts == passes, m
 
     def test_orders_refused_not_floored(self, g_equal_10pi):
         g = g_equal_10pi
@@ -493,7 +497,7 @@ class TestSingularFunctions:
         if np.isfinite(rho).all():
             with pytest.raises(ValueError, match="points must be finite"):
                 ss.phi_eval(3, g, theta)
-        assert counts == {"J": 0, "Y": 0}
+        assert counts == {"J": 0, "Y": 0, "JY": 0}
 
     def test_degenerate_mode_rejected(self):
         g = ib.ProblemGeometry(k=1.0, R0=0.5, R=1.0)

@@ -4,16 +4,16 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 import ispband as ib
 from ispband import specfun as sf
 from ispband import experiments as ex
-from oracles import (first_zero_j, first_zero_y, j_table_reference,
-                     miller_rows_reference, nicholson_abs2_oracle,
-                     y_table_reference)
+from oracles import (REFERENCE_ROOTS, first_zero_j, first_zero_y,
+                     j_table_reference, miller_rows_reference,
+                     nicholson_abs2_oracle, y_table_reference)
 
 mp.mp.dps = 30
 
@@ -349,6 +349,17 @@ _LANE = st.tuples(
               .map(math.exp)),
     st.integers(min_value=0, max_value=1500))
 
+# one Y lane: x > 0, as _LANE draws it, and the lane's own order
+_Y_LANE = st.tuples(
+    st.floats(math.log(1e-25), math.log(2e3)).map(math.exp),
+    st.integers(min_value=0, max_value=1500))
+
+
+def _lane_arrays(lanes) -> tuple[np.ndarray, np.ndarray]:
+    """The orders and arguments of (x, order) lanes."""
+    return (np.array([o for _, o in lanes], dtype=np.int64),
+            np.array([x for x, _ in lanes], dtype=float))
+
 
 class TestInPlacePasses:
     """The J and Y passes write each order in place into its row; the
@@ -365,7 +376,7 @@ class TestInPlacePasses:
         x = np.array([xi for xi, _ in lanes])
         orders = np.array([o for _, o in lanes])
         top = int(orders.max())
-        assert (sf._miller_rows(orders, x, top).tobytes()
+        assert (sf._miller_rows(orders, x).tobytes()
                 == miller_rows_reference(orders, x, top).tobytes())
         # the floor, a block at a time, against whole-table masks
         assert (sf.bessel_j_table(orders, x).tobytes()
@@ -377,6 +388,43 @@ class TestInPlacePasses:
             assert y.tobytes() == y_ref.tobytes()
             assert e.tobytes() == e_ref.tobytes()
             assert y.flags.f_contiguous and e.flags.f_contiguous
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(j_lanes=st.lists(_LANE, max_size=4),
+           y_lanes=st.lists(_Y_LANE, max_size=4))
+    # tiny x on both kinds, x < 1 where Y rescales, Y on both sides of 25,
+    # and lanes that end at different orders
+    @example(j_lanes=[(1e-25, 40), (0.5, 900)],
+             y_lanes=[(1e-3, 300), (24.9, 30), (25.1, 1200)])
+    @example(j_lanes=[(0.0, 0), (1e-15, 3), (2e3, 7)],
+             y_lanes=[(1e-25, 5), (0.01, 1500)])
+    # a tiny J lane whose order runs past the largest Miller start
+    @example(j_lanes=[(1e-25, 1500), (1.0, 3)], y_lanes=[(30.0, 20)])
+    # J lanes alone, and Y lanes alone
+    @example(j_lanes=[(3.0, 50), (700.0, 1500)], y_lanes=[])
+    @example(j_lanes=[], y_lanes=[(0.3, 80), (30.0, 10)])
+    def test_j_and_y_lanes_in_one_call_never_interact(self, j_lanes,
+                                                     y_lanes):
+        # one call of the loop steps J lanes down and Y lanes up in the
+        # same vector steps; each lane's rows and exponents are those of
+        # its own kind's out-of-place loop, byte for byte
+        assume(j_lanes or y_lanes)
+        j_orders, j_x = _lane_arrays(j_lanes)
+        y_orders, y_x = _lane_arrays(y_lanes)
+        j, y, e = sf._recur(j_orders, j_x, y_orders, y_x, sf._y_seeds(y_x))
+        if j_lanes:
+            assert j.tobytes() == miller_rows_reference(
+                j_orders, j_x, int(j_orders.max())).tobytes()
+        if y_lanes:
+            y_ref, e_ref = y_table_reference(y_orders, y_x)
+            assert y.T.tobytes() == y_ref.tobytes()
+            assert e.T.tobytes() == e_ref.tobytes()
+        # the batch's floored J table, and its tables are views
+        j, y, e = sf._bessel_tables(j_orders, j_x, y_orders, y_x)
+        if j_lanes:
+            assert j.tobytes() == j_table_reference(j_orders, j_x).tobytes()
+        if j_lanes and y_lanes:
+            assert j.base is y.base is not None
 
 
 def _peak_bytes(fn, *args) -> tuple[int, np.ndarray]:
@@ -390,17 +438,19 @@ def _peak_bytes(fn, *args) -> tuple[int, np.ndarray]:
         tracemalloc.stop()
 
 
-def _sweep_j_lanes(monkeypatch) -> tuple[np.ndarray, np.ndarray]:
-    """The orders and arguments of the J pass of a 24-point sweep over
-    kappa in [2, 1000], as run_sweep hands them to _miller_rows."""
+def _sweep_lanes(monkeypatch) -> tuple[np.ndarray, ...]:
+    """The J orders and arguments, and the Y orders and arguments, of the
+    one-loop call of a 24-point sweep over kappa in [2, 1000], as
+    run_sweep hands them to _recur; its Y lanes below x = 25 take a call
+    of their own after it."""
     seen = []
-    real = sf._miller_rows
-    monkeypatch.setattr(sf, "_miller_rows", lambda orders, x, top: (
-        seen.append((orders, x)) or real(orders, x, top)))
+    real = sf._recur
+    monkeypatch.setattr(sf, "_recur", lambda *args: (
+        seen.append(args[:4]) or real(*args)))
     ex.run_sweep(24, (2.0, 1000.0))
     monkeypatch.undo()
-    (orders, x), = seen
-    return orders, x
+    (lanes,) = [args for args in seen if len(args[1]) and len(args[3])]
+    return lanes
 
 
 def _ring_j_lanes() -> tuple[np.ndarray, np.ndarray]:
@@ -413,16 +463,17 @@ def _ring_j_lanes() -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestPassMemory:
-    """The J pass holds its table and a few rows: no table taller than the
-    one it returns, and 2m/x rows made a block at a time."""
+    """A call of the loop holds its table and a few rows: with J lanes
+    alone no table taller than the one it returns, and 2m/x rows made a
+    block at a time."""
 
     @pytest.mark.parametrize("case", ["rings_100pi", "sweep_25_lanes"])
     def test_peak_within_table_plus_allowance(self, case, monkeypatch):
         orders, x = (_ring_j_lanes() if case == "rings_100pi"
-                     else _sweep_j_lanes(monkeypatch))
+                     else _sweep_lanes(monkeypatch)[:2])
         assert x.size == (256 if case == "rings_100pi" else 25)
         top = int(orders.max())
-        peak, rows = _peak_bytes(sf._miller_rows, orders, x, top)
+        peak, rows = _peak_bytes(sf._miller_rows, orders, x)
         assert rows.shape == (top + 1, x.size)
         # two blocks of 2m/x rows (a step's row keeps the last block while
         # the next is made), numpy's two buffers for the broadcast division
@@ -435,32 +486,53 @@ class TestPassMemory:
         peak, table = _peak_bytes(sf.bessel_j_table, orders, x)
         assert peak <= table.nbytes + 4 * sf._STEP_BLOCK + (1 << 16)
 
+    def test_batch_peak_within_its_table_plus_allowance(self, monkeypatch):
+        # the sweep's one call with J and Y lanes keeps every row of the
+        # pass: S + 2 = 1352 rows (S the Miller start of kappa = 1000 to
+        # the J horizon 1071) of 25 J and 23 Y lanes, 519 168 bytes, and
+        # the exponents of the Y lanes to order 1070, 197 064 bytes. The
+        # J and Y tables it returns are views of that table, not copies
+        j_orders, j_x, y_orders, y_x = _sweep_lanes(monkeypatch)
+        seeds = sf._y_seeds(y_x)
+        peak, (j, y, e) = _peak_bytes(sf._recur, j_orders, j_x, y_orders,
+                                      y_x, seeds)
+        table = j.base
+        assert table.shape == (1352, 48) and y.base is table
+        assert table.nbytes == 519_168 and e.nbytes == 197_064
+        assert peak <= table.nbytes + e.nbytes + 4 * sf._STEP_BLOCK + (1 << 16)
+
 
 class TestRatios:
     """_ratios makes its orders, not only its rows, a block at a time."""
 
-    @pytest.mark.parametrize("orders", [range(1, 5000), range(4999, 0, -1)],
-                             ids=["up", "down"])
+    @pytest.mark.parametrize("orders", ["up", "down", "mixed"])
     @pytest.mark.parametrize("size", [1, 3, 700, 3000])
     def test_rows_are_two_m_over_x_bitwise(self, orders, size):
+        # up: the Y orders 1 .. 4999; down: the J orders 4999 .. 1; mixed:
+        # J lanes down and Y lanes up in the same rows
         x = np.random.default_rng(size).uniform(0.1, 1e3, size)
-        ms, rows = zip(*sf._ratios(orders, x))
-        assert list(ms) == list(orders)
-        want = 2.0 * np.arange(orders.start, orders.stop,
-                               orders.step)[:, None] / x
-        assert np.array(rows).tobytes() == want.tobytes()
+        n = 4999
+        half = {"up": 0, "down": size, "mixed": size // 2}[orders]
+        kinds = [(slice(0, half), n, -1), (slice(half, size), 1, 1)]
+        # a row holds until the next is taken
+        rows = np.array([row.copy() for row in sf._ratios(
+            n, x, [kind for kind in kinds if kind[0].stop > kind[0].start])])
+        k = np.arange(n)[:, None]
+        ms = np.where(np.arange(size) < half, n - k, k + 1)
+        assert rows.tobytes() == (2.0 * ms / x).tobytes()
 
     def test_first_row_of_a_long_range_stays_within_blocks(self):
-        rows = sf._ratios(range(10 ** 6, 0, -1), np.array([1e3]))
+        rows = sf._ratios(10 ** 6, np.array([1e3]),
+                          [(slice(0, 1), 10 ** 6, -1)])
         tracemalloc.start()
         try:
-            m, row = next(rows)
+            row = next(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert m == 10 ** 6 and row.tolist() == [2.0 * 10 ** 6 / 1e3]
-        # one block of orders, its 2m and its 2m/x, and a block to spare;
-        # orders made all at once took 8 MB
+        assert row.tolist() == [2.0 * 10 ** 6 / 1e3]
+        # the block's buffer of rows, its orders and their 2m, and a block
+        # to spare; orders made all at once took 8 MB
         assert peak <= 4 * sf._STEP_BLOCK
 
 
@@ -513,13 +585,20 @@ class TestFirstZeros:
         assert sf.first_zero_j(1) == pytest.approx(3.831705970207512, abs=1e-10)
         assert sf.first_zero_y(0) == pytest.approx(0.8935769662791675, abs=1e-10)
 
-    @pytest.mark.slow
     def test_matches_reference_roots(self, zeros):
-        for m in (2, 5, 26, 29, 100, 315):
-            ref_j = float(mp.besseljzero(m, 1))
-            ref_y = float(mp.besselyzero(m, 1))
-            assert zeros["J", m] == pytest.approx(ref_j, abs=1e-10)
-            assert zeros["Y", m] == pytest.approx(ref_y, abs=1e-10)
+        for m, (ref_j, ref_y) in REFERENCE_ROOTS.items():
+            assert zeros["J", m] == pytest.approx(float(ref_j), abs=1e-10)
+            assert zeros["Y", m] == pytest.approx(float(ref_y), abs=1e-10)
+
+    @pytest.mark.slow
+    def test_reference_roots_recomputed(self):
+        # the literals of oracles.REFERENCE_ROOTS against mpmath's own
+        # zeros at the module's 30 digits, nearly all of the time in
+        # besseljzero and besselyzero (at 40 digits they take 10 s)
+        for m, (ref_j, ref_y) in REFERENCE_ROOTS.items():
+            for ref, zero in ((ref_j, mp.besseljzero),
+                              (ref_y, mp.besselyzero)):
+                assert abs(zero(m, 1) - mp.mpf(ref)) < mp.mpf("1e-25")
 
     def test_zero_is_a_float(self):
         assert type(sf.first_zero_j(4)) is float
