@@ -27,6 +27,13 @@ itself. The rows read are the J and Y rows at kappa0 that _reports
 takes from the Bessel pass of the spectrum, for report and run_sweep
 alike; bound_lower and bound_upper build their own.
 
+report and run_sweep take a block of geometries through one flat pass
+(_reports): each point's rows are joined at its own length into
+contiguous arrays, and A_m, log|H_m|^2, log sigma, the finiteness and
+tail guards, the last violation and both bounds each take one numpy
+call, or a few, over the block, whatever its number of points.
+bandwidth runs the same pass on the one segment of its table.
+
 Both bounds have cheap closed-form surrogates: B~- from inverting the
 large-order expansion j_{m,1} ~ m + a_- m^(1/3) (a cubic in m^(1/3)),
 and B~+ = ceil(kappa0).
@@ -40,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .singular_system import (ProblemGeometry, SpectrumTable, _bessel_rows,
-                              _horizon, _log_sigma, _modal_rows)
+                              _flat, _horizon, _log_sigma, _modal_flat,
+                              _modal_inputs, _sigma_const)
 from .specfun import A_MINUS, bessel_j_table, bessel_y_table
 
 __all__ = [
@@ -89,58 +97,97 @@ def bandwidth(spectrum: SpectrumTable) -> int:
 
 
 def _band_edge(ls: np.ndarray, kappa0: float) -> int:
-    """bandwidth of the log sigma row ls of m = 0 .. len(ls) - 1."""
-    need = _min_horizon(kappa0)
-    if len(ls) - 1 < need:
-        raise HorizonError(
-            f"m_max={len(ls) - 1} is below the required horizon {need} "
-            f"for kappa0={kappa0:g}")
-    finite = np.isfinite(ls)
-    if not finite.all():
-        # trailing underflow of A_m: everything past the first -inf is
-        # -inf as well, which counts as decayed-below-floor
-        t = int(np.argmin(finite))
-        if t <= need or not np.all(~finite[t:]):
-            raise HorizonError(
+    """bandwidth of the log sigma row ls of m = 0 .. len(ls) - 1: the
+    flat pass's guards and search (_band_edges) on one segment, raising
+    its error."""
+    (b,) = _band_edges(ls, np.array([len(ls)]), [kappa0])
+    return _handed_out(b)
+
+
+def _last_true(mask: np.ndarray, starts, ends) -> np.ndarray:
+    """For each segment [starts[p], ends[p]) of the flat array mask, the
+    offset from starts[p] of its last true entry, -1 if it has none."""
+    at = np.flatnonzero(mask)
+    last = np.append(-1, at)[np.searchsorted(at, ends)]
+    return np.where(last >= starts, last - starts, -1)
+
+
+def _band_edges(ls: np.ndarray, lens, kappa0) -> list:
+    """The bandwidth of each segment p of the flat log sigma array ls,
+    m = 0 .. lens[p] - 1 at kappa0[p], or the HorizonError it raises.
+
+    The guards run in order: the horizon (_min_horizon, one integer per
+    segment), then the first non-finite entry (trailing underflow of
+    A_m, where everything past the first -inf must be -inf as well,
+    counts as decayed-below-floor and cuts the segment there), then the
+    last _TAIL_ROWS rows of the cut segment, which must decrease
+    strictly. B is one past the segment's last order m with
+    sigma_m <= sigma_{m+1}, the same search that finds a violation in
+    the tail. Each search is a few numpy calls over the whole block.
+    """
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    lost = np.flatnonzero(~np.isfinite(ls))
+    cut = np.minimum(np.append(lost, ls.size)[np.searchsorted(lost, starts)]
+                     - starts, lens)
+    n_lost = np.searchsorted(lost, ends) - np.searchsorted(lost, starts)
+    last = _last_true(ls[:-1] <= ls[1:], starts, starts + cut - 1)
+    out = []
+    for n, t, gone, b, k in zip(lens.tolist(), cut.tolist(),
+                                n_lost.tolist(), last.tolist(), kappa0):
+        need = _min_horizon(k)
+        if n - 1 < need:
+            out.append(HorizonError(
+                f"m_max={n - 1} is below the required horizon {need} "
+                f"for kappa0={k:g}"))
+        elif t < n and (t <= need or gone != n - t):
+            out.append(HorizonError(
                 f"log sigma lost representability at m={t} before the "
-                "horizon; shrink m_max or rescale the geometry")
-        ls = ls[:t]
-    tail = ls[-_TAIL_ROWS:]
-    if not np.all(np.diff(tail) < 0.0):
-        raise HorizonError(
-            "trailing rows of the spectrum are not strictly decreasing; "
-            "the horizon ends before the stopband, increase m_max")
-    viol = np.nonzero(ls[:-1] <= ls[1:])[0]
-    return int(viol[-1] + 1) if viol.size else 0
+                "horizon; shrink m_max or rescale the geometry"))
+        elif b >= t - _TAIL_ROWS:
+            out.append(HorizonError(
+                "trailing rows of the spectrum are not strictly decreasing; "
+                "the horizon ends before the stopband, increase m_max"))
+        else:
+            out.append(b + 1)
+    return out
 
 
 def _sign_bounds(f: np.ndarray, kappa0: np.ndarray, sign: float,
                  e=None) -> np.ndarray:
-    """The bound of each lane i from its row f[i, m] ~ F_m(kappa0_i),
-    m = 0 .. ceil(kappa0_i) at least: one more than the last order
-    m < kappa0_i with sign F_m(kappa0_i) > 0, or that order M itself
-    where its Newton distance to the first zero of F_M is at most
-    _TIE_TOL; 0 where no order has that sign. -1 where an entry it reads
-    is not finite, so that such a row never picks a bound.
+    """The bound of each lane i from its segment of the flat array f,
+    F_m(kappa0_i) for m = 0 .. ceil(kappa0_i), the lanes' segments joined
+    in order: one more than the last order m < kappa0_i with
+    sign F_m(kappa0_i) > 0, or that order M itself where its Newton
+    distance to the first zero of F_M is at most _TIE_TOL; 0 where no
+    order has that sign. -1 where an entry it reads is not finite, so
+    that such a lane never picks a bound.
 
-    f may be a mantissa table with its exponent table e, as
-    bessel_y_table gives them: the signs are those of f, and the tie rule
-    reads f 2^e.
+    f may be a mantissa row with its exponent row e, as bessel_y_table
+    gives them: the signs are those of f, and the tie rule reads f 2^e.
     """
-    scan = np.arange(f.shape[1]) < np.ceil(kappa0)[:, None]
-    hit = scan & (sign * f > 0.0)
-    last = np.where(hit.any(axis=1),
-                    f.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1), -1)
-    lanes, at = np.arange(len(f)), np.maximum(last, 0)
+    ends = np.cumsum(np.ceil(kappa0).astype(np.int64) + 1)
+    starts = np.append(0, ends[:-1])
+    hit = sign * f > 0.0
+    hit[ends - 1] = False           # order ceil(kappa0) is read, not scanned
+    last = _last_true(hit, starts, ends)
+    at = np.maximum(last, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        g_at, g_up = (sign * (f[lanes, m] if e is None else
-                              np.ldexp(f[lanes, m], e[lanes, m]))
-                      for m in (at, at + 1))
+        g_at, g_up = (sign * (f[k] if e is None else np.ldexp(f[k], e[k]))
+                      for k in (starts + at, starts + at + 1))
         slope = (at / kappa0) * g_at - g_up          # sign F_M'(kappa0)
         tie = (last >= 0) & (slope > 0.0) & (g_at <= _TIE_TOL * slope)
-    ok = (np.all(np.isfinite(f) | ~scan, axis=1)
+    finite = np.isfinite(f)
+    finite[ends - 1] = True
+    ok = (np.logical_and.reduceat(finite, starts)
           & ((last < 0) | np.isfinite(g_up)))
     return np.where(ok, last + 1 - tie, -1)
+
+
+def _scanned(table: np.ndarray, kappa0: np.ndarray) -> np.ndarray:
+    """The orders 0 .. ceil(kappa0_i) of each lane i of a table, joined in
+    order into the flat array _sign_bounds reads."""
+    return table[np.arange(table.shape[1]) <= np.ceil(kappa0)[:, None]]
 
 
 def _check_kappa0(kappa0) -> np.ndarray:
@@ -164,7 +211,7 @@ def bound_lower(kappa0):
     kappa0 is one size parameter or an array of them, one lane each."""
     k = _check_kappa0(kappa0).reshape(-1)
     j = bessel_j_table(np.ceil(k).astype(np.int64) + 2, k)
-    return _bound_result(_sign_bounds(j, k, -1.0), kappa0, "J")
+    return _bound_result(_sign_bounds(_scanned(j, k), k, -1.0), kappa0, "J")
 
 
 def bound_upper(kappa0):
@@ -172,7 +219,8 @@ def bound_upper(kappa0):
     the Y row at kappa0 to ceil(kappa0) + 2; as bound_lower."""
     k = _check_kappa0(kappa0).reshape(-1)
     y, e = bessel_y_table(np.ceil(k).astype(np.int64) + 2, k)
-    return _bound_result(_sign_bounds(y, k, 1.0, e), kappa0, "Y")
+    return _bound_result(_sign_bounds(_scanned(y, k), k, 1.0, _scanned(e, k)),
+                         kappa0, "Y")
 
 
 def bound_lower_approx(kappa0: float) -> int:
@@ -222,40 +270,56 @@ def report(g: ProblemGeometry, m_max: int | None = None) -> BandwidthReport:
 
 def _reports(gs, m_maxes):
     """The BandwidthReport of each geometry g to m_max from one
-    _bessel_rows pass and one scan of all their J and Y rows at kappa0.
-    The reports come back lazily, in order: each is assembled, and
-    raises if it must, only when it is taken. A report gets the same
-    bits in a batch as on its own."""
+    _bessel_rows pass and one flat pass over the block's rows.
+
+    Each point's rows are joined at its own length into contiguous
+    arrays, one concatenation of their slices per array: its J and Y
+    rows at kappa0 to ceil(kappa0) for the bounds (_sign_bounds), then
+    its J row at kappa0 and its J, Y and exponent rows at kappa to m_max
+    for the spectrum (_modal_flat, _log_sigma, _band_edges). Every step
+    after that runs once over the block. The pass's tables are
+    dropped once gathered, before the spectrum's arithmetic, and the
+    work is done before the first report is handed out, so no report
+    holds a row. The reports come back lazily, in order: a point's
+    error, the class and message it raises alone, derived from its own
+    segment, is raised only when its report is taken. A report gets the
+    same bits in a batch as on its own.
+    """
     rows = _bessel_rows(gs, m_maxes, at_kappa0=True)
     kappa0 = np.array([g.kappa0 for g in gs])
-    n = math.ceil(kappa0.max()) + 1
-
-    def stack(i: int) -> np.ndarray:
-        # rows i to order n - 1, zero past a row's end: a Y row below
-        # x = 25 ends short of n, and each lane reads only its own orders
-        # to ceil(kappa0) + 1
-        out = np.zeros((len(rows), n), dtype=rows[0][i].dtype)
-        for p, r in enumerate(rows):
-            row = r[i][:n]
-            out[p, :len(row)] = row
-        return out
-
-    # the J stack goes before the Y stacks come, so the three never coexist
-    b_minus = _sign_bounds(stack(0), kappa0, -1.0).tolist()
-    b_plus = _sign_bounds(stack(4), kappa0, 1.0, stack(5)).tolist()
-
-    def one(p: int) -> BandwidthReport:
-        g = gs[p]
-        ls = _log_sigma(g, *_modal_rows(g, m_maxes[p], rows[p]))
-        b = _band_edge(ls, g.kappa0)
-        if b_minus[p] < 0 or b_plus[p] < 0:
-            raise ArithmeticError(
+    scan = np.ceil(kappa0).astype(np.int64) + 1
+    b_minus = _sign_bounds(_flat(rows, 0, scan), kappa0, -1.0).tolist()
+    b_plus = _sign_bounds(_flat(rows, 4, scan), kappa0, 1.0,
+                          _flat(rows, 5, scan)).tolist()
+    lens = np.array(m_maxes) + 1
+    inputs = _modal_inputs(rows, lens)
+    del rows
+    a, log_abs_h2, errors = _modal_flat(*inputs, lens, kappa0)
+    del inputs
+    with np.errstate(invalid="ignore"):     # inf - inf of a failed point
+        ls = _log_sigma(np.repeat([_sigma_const(g) for g in gs], lens), a,
+                        log_abs_h2)
+    del a, log_abs_h2
+    edges = _band_edges(ls, lens, kappa0)
+    out = []
+    for g, m_max, err, b, lower, upper in zip(gs, m_maxes, errors, edges,
+                                              b_minus, b_plus):
+        if err is None and isinstance(b, HorizonError):
+            err = b
+        if err is None and min(lower, upper) < 0:
+            err = ArithmeticError(
                 f"Bessel rows at kappa0={g.kappa0:g} are not finite where "
                 "the bounds read them")
-        return BandwidthReport(geometry=g, B=b, B_minus=b_minus[p],
-                               B_plus=b_plus[p], horizon=m_maxes[p])
+        out.append(err or BandwidthReport(geometry=g, B=b, B_minus=lower,
+                                          B_plus=upper, horizon=m_max))
+    return map(_handed_out, out)
 
-    return map(one, range(len(gs)))
+
+def _handed_out(outcome):
+    """A report as _reports hands it out: raised if it is an error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def max_angular_sampling(g: ProblemGeometry) -> float:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .specfun import (_HANKEL_FROM, _NEUMANN_TOP, _ZERO_BLOCK, _bessel_tables,
-                      _check_count, _y_table, bessel_j_table, hankel_arg,
-                      hankel_log_abs2)
+                      _check_count, _check_y, _log_abs2, _y_table,
+                      bessel_j_table, hankel_arg)
 
 __all__ = [
     "ProblemGeometry",
@@ -106,14 +106,25 @@ def _a_from_row(j: np.ndarray, m: np.ndarray, kappa0: float) -> np.ndarray:
     """A_|m| from the J row j = J_0 .. J_{max|m|+1} at kappa0, with
     J_{-1} = -J_1; see a_m."""
     ext = np.concatenate(([-j[1]], j))              # ext[k] = J_{k-1}
-    jm = ext[m + 1]
-    rad = jm * jm - ext[m] * ext[m + 2]
-    scale = np.maximum(jm * jm, 1e-300)
-    if np.any(rad < -1e-14 * scale):
-        worst = int(m.flat[int(np.argmin(rad / scale))])
+    jm, prod = ext[m + 1], ext[m] * ext[m + 2]
+    a, bad = _a_values(jm, prod)
+    if np.any(bad):
+        rad = jm * jm - prod
+        worst = int(m.flat[int(np.argmin(rad / np.maximum(jm * jm, 1e-300)))])
         raise ArithmeticError(
             f"negative radicand in A_m at m={worst}, kappa0={kappa0:g}")
-    return np.sqrt(np.maximum(rad, 0.0))
+    return a
+
+
+def _a_values(jm: np.ndarray, prod: np.ndarray):
+    """A_m = sqrt(J_m^2 - J_{m-1} J_{m+1}) entrywise from J_m = jm and
+    prod = J_{m-1} J_{m+1}, the radicand clamped at 0, and where it is
+    genuinely negative: below -1e-14 max(J_m^2, 1e-300), past round-off
+    (see a_m). a_m and every spectrum take A_m from here."""
+    sq = jm * jm
+    rad = sq - prod
+    bad = rad < -1e-14 * np.maximum(sq, 1e-300)
+    return np.sqrt(np.maximum(rad, 0.0)), bad
 
 
 def a_m(m, kappa0: float):
@@ -167,8 +178,8 @@ class SpectrumTable:
 
     m = property(lambda self: np.arange(len(self)))
     m_max = property(lambda self: len(self) - 1)
-    log_sigma = property(
-        lambda self: _log_sigma(self.geometry, self.a, self.log_abs_h2))
+    log_sigma = property(lambda self: _log_sigma(
+        _sigma_const(self.geometry), self.a, self.log_abs_h2))
 
     def __len__(self) -> int:
         return len(self.a)
@@ -183,10 +194,15 @@ class SpectrumTable:
 _COLUMNS = ("a", "log_abs_h2", "phase")
 
 
-def _log_sigma(g: ProblemGeometry, a, log_abs_h2) -> np.ndarray:
-    """log sigma_m = log(sqrt(2R) pi R0) + log|H_m|^2 / 2 + log A_m,
-    -inf where A_m = 0."""
-    const = 0.5 * math.log(2.0 * g.R) + math.log(math.pi) + math.log(g.R0)
+def _sigma_const(g: ProblemGeometry) -> float:
+    """log(sqrt(2R) pi R0), the m-independent term of log sigma_m."""
+    return 0.5 * math.log(2.0 * g.R) + math.log(math.pi) + math.log(g.R0)
+
+
+def _log_sigma(const, a, log_abs_h2) -> np.ndarray:
+    """log sigma_m = const + log|H_m|^2 / 2 + log A_m, -inf where A_m = 0,
+    with const the _sigma_const of each entry's geometry: one number, or
+    one per entry of a flat pass."""
     with np.errstate(divide="ignore"):
         return const + 0.5 * log_abs_h2 + np.log(a)
 
@@ -237,13 +253,67 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
             for (a, b), ys in picks]
 
 
+def _flat(rows, i: int, lens) -> np.ndarray:
+    """Row i of each _bessel_rows entry to its own length lens[p], the
+    rows joined in order into one contiguous array: segment p of it is
+    the orders 0 .. lens[p] - 1 of entry p."""
+    return np.concatenate([r[i][:n] for r, n in zip(rows, lens.tolist())])
+
+
+def _modal_inputs(rows, lens) -> tuple:
+    """The rows _modal_flat reads from _bessel_rows entries, segment p to
+    order lens[p] - 1: J at kappa0, then its order lens[p] for each
+    segment, then J, Y mantissa and exponent at kappa."""
+    return (_flat(rows, 0, lens),
+            np.array([r[0][n] for r, n in zip(rows, lens.tolist())]),
+            *(_flat(rows, i, lens) for i in (1, 2, 3)))
+
+
+def _modal_flat(j0, top, j, y, e, lens, kappa0) -> tuple:
+    """A_m and log|H_m^(1)(kappa)|^2 of a block of geometries in one flat
+    pass: the inputs are _modal_inputs', segment p the orders m = 0 ..
+    lens[p] - 1 at kappa0[p]. Each step is one numpy call over the block,
+    and log|H_m|^2 is made in place in j.
+
+    Also the error each segment raises, None for most: a segment whose
+    radicand or Y check fails runs the checks of a_m (_a_from_row) and
+    hankel_log_abs2 on its own rows, in that order, so its class and
+    message are those of its geometry alone. A segment that raises keeps
+    whatever entries its rows give.
+    """
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    prod = np.empty_like(j0)                     # J_{m-1} J_{m+1}
+    np.multiply(j0[:-2], j0[2:], out=prod[1:-1])
+    prod[starts] = -j0[starts + 1] * j0[starts + 1]     # J_{-1} = -J_1
+    prod[ends - 1] = j0[ends - 2] * top
+    a, bad = _a_values(j0, prod)
+    failed = (np.logical_or.reduceat(bad, starts)
+              | ~np.logical_and.reduceat(np.isfinite(y), starts))
+    errors = [None] * len(lens)
+    for p in np.flatnonzero(failed).tolist():
+        s, t = starts[p], ends[p]
+        try:
+            _a_from_row(np.append(j0[s:t], top[p]), np.arange(t - s),
+                        kappa0[p])
+            _check_y(y[s:t])
+        except ArithmeticError as exc:
+            errors[p] = exc
+    with np.errstate(invalid="ignore", divide="ignore"):
+        log_abs_h2 = _log_abs2(np.ldexp(j, -e, out=j), y, e)
+    return a, log_abs_h2, errors
+
+
 def _modal_rows(g: ProblemGeometry, m_max: int, rows):
     """A_m and log|H_m^(1)(kappa)|^2 for m = 0 .. m_max of g from its
-    _bessel_rows entry; log sigma and sigma derive from them."""
-    j0, j, y, e = rows[:4]
-    n = m_max + 1
-    return (_a_from_row(j0, np.arange(n), g.kappa0),
-            hankel_log_abs2(j[:n], y[:n], e[:n]))
+    _bessel_rows entry: the flat pass (_modal_flat) on one segment,
+    raising its error. log sigma and sigma derive from them."""
+    lens = np.array([m_max + 1])
+    a, log_abs_h2, (err,) = _modal_flat(*_modal_inputs([rows], lens), lens,
+                                        [g.kappa0])
+    if err is not None:
+        raise err
+    return a, log_abs_h2
 
 
 def _horizon(g: ProblemGeometry, m_max) -> int:

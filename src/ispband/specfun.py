@@ -159,7 +159,19 @@ def hankel_log_abs2(j, y, e) -> np.ndarray:
     ArithmeticError if a Y entry is not finite.
     """
     _check_y(y)
-    return 2.0 * (np.log(np.hypot(np.ldexp(j, -e), y)) + _LN2 * e)
+    return _log_abs2(np.ldexp(j, -e), y, e)
+
+
+def _log_abs2(r, y, e) -> np.ndarray:
+    """hankel_log_abs2 from r = J_m 2^-e, in place in r, a contiguous
+    float array of its own (so that log takes numpy's vector loop, which
+    the bits depend on); y is not checked, and a non-finite Y entry gives
+    a non-finite entry."""
+    np.hypot(r, y, out=r)
+    np.log(r, out=r)
+    r += _LN2 * e
+    r *= 2.0
+    return r
 
 
 def hankel_arg(j, y, e) -> np.ndarray:

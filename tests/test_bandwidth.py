@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,29 @@ class TestBandwidthIndex:
         assert bad.log_sigma[-3] > bad.log_sigma[-4]
         with pytest.raises(ib.HorizonError):
             ib.bandwidth(bad)
+
+    @pytest.mark.parametrize("lost", [0, 10])
+    def test_guards_at_their_edges(self, lost):
+        # a log sigma row m = 0 .. 59 at kappa0 = 1 (horizon 24) that
+        # decreases but for sigma_v <= sigma_{v+1}, then `lost` orders of
+        # -inf (A_m underflowed), which cut the row at m = 60: a violation
+        # in the last 10 rows of the cut row is refused, one before them
+        # gives B = v + 1
+        def row(v):
+            ls = np.concatenate((-np.arange(60.0), np.full(lost, -np.inf)))
+            ls[v + 1] = ls[v]
+            return ls
+
+        assert bw._band_edge(row(49), 1.0) == 50
+        with pytest.raises(ib.HorizonError, match="not strictly decreasing"):
+            bw._band_edge(row(50), 1.0)
+        ls = row(30)
+        ls[40] = -np.inf              # a finite order past the first -inf
+        with pytest.raises(ib.HorizonError, match="representability at m=40"):
+            bw._band_edge(ls, 1.0)
+        with pytest.raises(ib.HorizonError, match="representability at m=24"):
+            bw._band_edge(np.concatenate((ls[:24], np.full(40, -np.inf))),
+                          1.0)
 
 
 class TestZeroBounds:
@@ -253,3 +277,150 @@ class TestBoundaryRadiusDependence:
             values[ratio] = ib.bandwidth(table)
         assert values[1.0] == 27
         assert all(abs(v - values[1.0]) <= 1 for v in values.values())
+
+
+def _outcome(fn):
+    """(B, B-, B+) of the report fn() gives, or the class and message of
+    what it raises."""
+    try:
+        rep = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return rep.B, rep.B_minus, rep.B_plus
+
+
+# (kappa0, kappa, m_max) of a block, healthy points between failing ones;
+# _broken_pass injects the faults by argument
+_MIXED_BLOCK = [
+    (20.0, 20.0, None),
+    (30.0, 30.0, 40),           # below the required horizon 60
+    (45.0, 90.0, None),
+    (1e-300, 1e-300, None),     # log sigma lost at m = 1
+    (70.0, 70.0, None),
+    (50.0, 100.0, None),        # nan in its Y lane at kappa
+    (3.0, 6.0, None),
+    (40.0, 80.0, None),         # negative radicand at m = 10
+    (60.0, 180.0, None),        # nan in its Y lane at kappa0
+    (0.003, 0.003, None),       # trailing rows not strictly decreasing
+    (900.0, 900.0, None),
+    (1e-310, 1e-310, None),     # Y_1 overflows, where A_1 = 0
+    (10.0, 10.0, None),
+]
+
+
+def _broken_pass(real):
+    """The recurrence loop with faults at fixed arguments, in every call
+    whatever its lanes: a nan at Y_5 of x = 100 and of x = 60, and
+    J_10 = 0, J_11 = J_9 at x = 40, which makes the radicand of A_10
+    -J_9^2."""
+    def loop(j_orders, j_x, y_orders, y_x, *args):
+        j, y, e = real(j_orders, j_x, y_orders, y_x, *args)
+        lanes = np.isin(y_x, (100.0, 60.0))
+        if lanes.any():
+            y[5, lanes] = math.nan
+        lane = np.asarray(j_x) == 40.0
+        if lane.any():
+            j[10, lane] = 0.0
+            j[11, lane] = j[9, lane]
+        return j, y, e
+    return loop
+
+
+class TestBatchedReports:
+    """_reports runs one flat pass over a block's rows, and each point
+    gets the report, or the exception, that report gives it alone."""
+
+    def test_one_failure_per_point(self, monkeypatch):
+        monkeypatch.setattr(sf, "_recur", _broken_pass(sf._recur))
+        gs = [ib.ProblemGeometry.from_size_params(k0, k)
+              for k0, k, _ in _MIXED_BLOCK]
+        m_maxes = [ss._horizon(g, m) for g, (_, _, m) in zip(gs, _MIXED_BLOCK)]
+        alone = [_outcome(lambda: ib.report(g, m))
+                 for g, m in zip(gs, m_maxes)]
+        reports = bw._reports(gs, m_maxes)
+        assert [_outcome(lambda: next(reports)) for _ in gs] == alone
+        failures = {p: out for p, out in enumerate(alone)
+                    if isinstance(out[0], type)}
+        expected = {1: (ib.HorizonError, "below the required horizon 60"),
+                    3: (ib.HorizonError, "lost representability at m=1 "),
+                    5: (ArithmeticError, "rescaled range at m=5"),
+                    7: (ArithmeticError, "radicand in A_m at m=10, "),
+                    8: (ArithmeticError, "not finite where the bounds"),
+                    9: (ib.HorizonError, "not strictly decreasing"),
+                    11: (ArithmeticError, "rescaled range at m=1")}
+        assert failures.keys() == expected.keys()
+        for p, (cls, text) in expected.items():
+            assert failures[p][0] is cls and text in failures[p][1]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(math.log(1e-3), math.log(2e3)),
+                              st.floats(1.0, 10.0),
+                              st.none() | st.integers(1, 60)),
+                    min_size=1, max_size=5))
+    def test_block_matches_report_alone(self, points):
+        # kappa log-uniform in [1e-3, 2e3], R/R0 in [1, 10], the default
+        # horizon or a longer one
+        gs = [ib.ProblemGeometry.from_size_params(math.exp(lk) / ratio,
+                                                  math.exp(lk))
+              for lk, ratio, _ in points]
+        m_maxes = [ib.default_m_max(g.kappa0) + (extra or 0)
+                   for g, (_, _, extra) in zip(gs, points)]
+        reports = bw._reports(gs, m_maxes)
+        assert ([_outcome(lambda: next(reports)) for _ in gs]
+                == [_outcome(lambda: ib.report(g, m))
+                    for g, m in zip(gs, m_maxes)])
+
+    def test_pass_is_dropped_before_the_first_report(self, monkeypatch):
+        # a sweep block at R/R0 = 3: its one J-and-Y call of the loop
+        # makes a table of 0.98 MB, and after the first report is taken
+        # less than that is held, the reports included (1.15 MB when each
+        # report was assembled as it was taken)
+        gs = [ib.ProblemGeometry.from_size_params(k / 3.0, k)
+              for k in np.linspace(2.0, 1000.0, 24).tolist()]
+        m_maxes = [ib.default_m_max(g.kappa0) for g in gs]
+        tables = []
+        real = sf._recur
+
+        def loop(*args):
+            j, y, e = real(*args)
+            tables.append(j.base.nbytes if len(args[1]) and len(args[3])
+                          else 0)
+            return j, y, e
+
+        monkeypatch.setattr(sf, "_recur", loop)
+        list(bw._reports(gs, m_maxes))
+        tracemalloc.start()
+        try:
+            reports = bw._reports(gs, m_maxes)
+            next(reports)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < max(tables)
+
+    # the ops of the benchmark's sweep cycle at seed 901 (perfbench's
+    # Sweep, its kappa ranges to 5 digits), each with the traced peak in
+    # bytes this test read when the reports were assembled point by point
+    SWEEP_CYCLE = [((30.874, 962.61), 1.0, 1_326_568),
+                   ((16.049, 965.90), 1.0, 1_323_070),
+                   ((25.394, 993.15), 1.0, 1_364_920),
+                   ((33.876, 998.58), 1.0, 1_371_336),
+                   ((14.314, 994.86), 1.0, 1_348_134),
+                   ((31.644, 968.06), 1.0, 1_333_768),
+                   ((7.4765, 981.81), 1.0, 1_342_846),
+                   ((41.401, 977.38), 2.9709, 1_402_630),
+                   ((17.963, 981.34), 1.0948, 1_909_230)]
+
+    @pytest.mark.parametrize("op", range(len(SWEEP_CYCLE)))
+    def test_sweep_op_peak_no_higher(self, op):
+        kappa_range, ratio, before = self.SWEEP_CYCLE[op]
+        args = dict(n_points=24, kappa_range=kappa_range,
+                    equal_sizes=ratio == 1.0, ratio=ratio)
+        ib.run_sweep(**args)
+        tracemalloc.start()
+        try:
+            ib.run_sweep(**args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= before
