@@ -15,7 +15,7 @@ from .tsvd import (SigmaUnderflowError, ModalCoefficients, Reconstruction,
                    modal_decompose, tsvd_reconstruct, pick_truncation)
 from .experiments import (SweepRecord, RegressionFit, AsymptoticRecord,
                           run_sweep, fit_linear, r_independence_study,
-                          asymptotic_checks)
+                          asymptotic_checks, synthetic_inversion)
 
 __version__ = "0.1.0"
 
@@ -32,5 +32,6 @@ __all__ = [
     "modal_decompose", "tsvd_reconstruct", "pick_truncation",
     "SweepRecord", "RegressionFit", "AsymptoticRecord", "run_sweep",
     "fit_linear", "r_independence_study", "asymptotic_checks",
+    "synthetic_inversion",
     "__version__",
 ]

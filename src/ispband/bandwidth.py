@@ -93,14 +93,8 @@ def bandwidth(spectrum: SpectrumTable) -> int:
         if the trailing rows fail to decrease strictly (a horizon ending
         before the stopband would otherwise produce a silently wrong B).
     """
-    return _band_edge(spectrum.log_sigma, spectrum.geometry.kappa0)
-
-
-def _band_edge(ls: np.ndarray, kappa0: float) -> int:
-    """bandwidth of the log sigma row ls of m = 0 .. len(ls) - 1: the
-    flat pass's guards and search (_band_edges) on one segment, raising
-    its error."""
-    (b,) = _band_edges(ls, np.array([len(ls)]), [kappa0])
+    ls = spectrum.log_sigma
+    (b,) = _band_edges(ls, np.array([len(ls)]), [spectrum.geometry.kappa0])
     return _handed_out(b)
 
 
@@ -184,12 +178,6 @@ def _sign_bounds(f: np.ndarray, kappa0: np.ndarray, sign: float,
     return np.where(ok, last + 1 - tie, -1)
 
 
-def _scanned(table: np.ndarray, kappa0: np.ndarray) -> np.ndarray:
-    """The orders 0 .. ceil(kappa0_i) of each lane i of a table, joined in
-    order into the flat array _sign_bounds reads."""
-    return table[np.arange(table.shape[1]) <= np.ceil(kappa0)[:, None]]
-
-
 def _check_kappa0(kappa0) -> np.ndarray:
     k = np.asarray(kappa0, dtype=float)
     if not np.all(np.isfinite(k) & (k > 0.0)):
@@ -210,16 +198,18 @@ def bound_lower(kappa0):
     the J row at kappa0 to ceil(kappa0) + 2 (see the module docstring).
     kappa0 is one size parameter or an array of them, one lane each."""
     k = _check_kappa0(kappa0).reshape(-1)
-    j = bessel_j_table(np.ceil(k).astype(np.int64) + 2, k)
-    return _bound_result(_sign_bounds(_scanned(j, k), k, -1.0), kappa0, "J")
+    scan = np.ceil(k).astype(np.int64) + 1
+    j = bessel_j_table(scan + 1, k)
+    return _bound_result(_sign_bounds(_flat(j, scan), k, -1.0), kappa0, "J")
 
 
 def bound_upper(kappa0):
     """B_+ : first order whose Y zero clears kappa0, from the signs of
     the Y row at kappa0 to ceil(kappa0) + 2; as bound_lower."""
     k = _check_kappa0(kappa0).reshape(-1)
-    y, e = bessel_y_table(np.ceil(k).astype(np.int64) + 2, k)
-    return _bound_result(_sign_bounds(_scanned(y, k), k, 1.0, _scanned(e, k)),
+    scan = np.ceil(k).astype(np.int64) + 1
+    y, e = bessel_y_table(scan + 1, k)
+    return _bound_result(_sign_bounds(_flat(y, scan), k, 1.0, _flat(e, scan)),
                          kappa0, "Y")
 
 
@@ -288,12 +278,13 @@ def _reports(gs, m_maxes):
     rows = _bessel_rows(gs, m_maxes, at_kappa0=True)
     kappa0 = np.array([g.kappa0 for g in gs])
     scan = np.ceil(kappa0).astype(np.int64) + 1
-    b_minus = _sign_bounds(_flat(rows, 0, scan), kappa0, -1.0).tolist()
-    b_plus = _sign_bounds(_flat(rows, 4, scan), kappa0, 1.0,
-                          _flat(rows, 5, scan)).tolist()
+    j0, y0, e0 = ([r[i] for r in rows] for i in (0, 4, 5))
+    b_minus = _sign_bounds(_flat(j0, scan), kappa0, -1.0).tolist()
+    b_plus = _sign_bounds(_flat(y0, scan), kappa0, 1.0,
+                          _flat(e0, scan)).tolist()
     lens = np.array(m_maxes) + 1
     inputs = _modal_inputs(rows, lens)
-    del rows
+    del rows, j0, y0, e0
     a, log_abs_h2, errors = _modal_flat(*inputs, lens, kappa0)
     del inputs
     with np.errstate(invalid="ignore"):     # inf - inf of a failed point

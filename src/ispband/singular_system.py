@@ -102,29 +102,30 @@ def _j_horizon(kappa0: float, m_max: int) -> int:
     return max(int(m_max), default_m_max(kappa0)) + 1
 
 
-def _a_from_row(j: np.ndarray, m: np.ndarray, kappa0: float) -> np.ndarray:
-    """A_|m| from the J row j = J_0 .. J_{max|m|+1} at kappa0, with
-    J_{-1} = -J_1; see a_m."""
-    ext = np.concatenate(([-j[1]], j))              # ext[k] = J_{k-1}
-    jm, prod = ext[m + 1], ext[m] * ext[m + 2]
-    a, bad = _a_values(jm, prod)
-    if np.any(bad):
-        rad = jm * jm - prod
-        worst = int(m.flat[int(np.argmin(rad / np.maximum(jm * jm, 1e-300)))])
-        raise ArithmeticError(
-            f"negative radicand in A_m at m={worst}, kappa0={kappa0:g}")
-    return a
-
-
-def _a_values(jm: np.ndarray, prod: np.ndarray):
-    """A_m = sqrt(J_m^2 - J_{m-1} J_{m+1}) entrywise from J_m = jm and
-    prod = J_{m-1} J_{m+1}, the radicand clamped at 0, and where it is
-    genuinely negative: below -1e-14 max(J_m^2, 1e-300), past round-off
-    (see a_m). a_m and every spectrum take A_m from here."""
-    sq = jm * jm
+def _a_flat(j0, top, lens, kappa0) -> tuple:
+    """A_m = sqrt(J_m^2 - J_{m-1} J_{m+1}) over a flat pass: segment p of
+    j0 is J_0 .. J_{lens[p] - 1} at kappa0[p], lens[p] >= 2, top[p] its
+    J_{lens[p]}, and J_{-1} = -J_1. The radicand is clamped at 0 (see
+    a_m). Also the error of each segment whose radicand is genuinely
+    negative, below -1e-14 max(J_m^2, 1e-300), past round-off: an
+    ArithmeticError naming its worst m; None for the others. a_m and
+    every spectrum take A_m from here."""
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    prod = np.empty_like(j0)                     # J_{m-1} J_{m+1}
+    np.multiply(j0[:-2], j0[2:], out=prod[1:-1])
+    prod[starts] = -j0[starts + 1] * j0[starts + 1]
+    prod[ends - 1] = j0[ends - 2] * top
+    sq = j0 * j0
     rad = sq - prod
     bad = rad < -1e-14 * np.maximum(sq, 1e-300)
-    return np.sqrt(np.maximum(rad, 0.0)), bad
+    errors = [None] * len(lens)
+    for p in np.flatnonzero(np.logical_or.reduceat(bad, starts)).tolist():
+        s, t = starts[p], ends[p]
+        worst = int(np.argmin(rad[s:t] / np.maximum(sq[s:t], 1e-300)))
+        errors[p] = ArithmeticError(
+            f"negative radicand in A_m at m={worst}, kappa0={kappa0[p]:g}")
+    return np.sqrt(np.maximum(rad, 0.0)), errors
 
 
 def a_m(m, kappa0: float):
@@ -146,10 +147,12 @@ def a_m(m, kappa0: float):
     marr = np.abs(np.array(
         [_check_count(v, "mode orders must be integers", -math.inf)
          for v in np.ravel(m)], dtype=int).reshape(np.shape(m)))
-    hi = int(marr.max()) if marr.size else 0
-    out = _a_from_row(bessel_j_table(_j_horizon(kappa0, hi), kappa0), marr,
-                      kappa0)
-    return float(out) if np.ndim(m) == 0 else out
+    n = int(np.max(marr, initial=1)) + 1
+    j = bessel_j_table(_j_horizon(kappa0, n - 1), kappa0)
+    a, (err,) = _a_flat(j[:n], j[n:n + 1], np.array([n]), [kappa0])
+    if err is not None:
+        raise err
+    return float(a[marr]) if np.ndim(m) == 0 else a[marr]
 
 
 @dataclass(frozen=True)
@@ -253,67 +256,46 @@ def _bessel_rows(gs, m_maxes, at_kappa0: bool = False) -> list[tuple]:
             for (a, b), ys in picks]
 
 
-def _flat(rows, i: int, lens) -> np.ndarray:
-    """Row i of each _bessel_rows entry to its own length lens[p], the
-    rows joined in order into one contiguous array: segment p of it is
-    the orders 0 .. lens[p] - 1 of entry p."""
-    return np.concatenate([r[i][:n] for r, n in zip(rows, lens.tolist())])
+def _flat(rows, lens) -> np.ndarray:
+    """Each 1-D row p to its own length lens[p], the rows joined in order
+    into one contiguous array: segment p of it is the orders 0 ..
+    lens[p] - 1 of row p."""
+    return np.concatenate([r[:n] for r, n in zip(rows, lens.tolist())])
 
 
 def _modal_inputs(rows, lens) -> tuple:
     """The rows _modal_flat reads from _bessel_rows entries, segment p to
     order lens[p] - 1: J at kappa0, then its order lens[p] for each
     segment, then J, Y mantissa and exponent at kappa."""
-    return (_flat(rows, 0, lens),
-            np.array([r[0][n] for r, n in zip(rows, lens.tolist())]),
-            *(_flat(rows, i, lens) for i in (1, 2, 3)))
+    j0 = [r[0] for r in rows]
+    return (_flat(j0, lens),
+            np.array([r[n] for r, n in zip(j0, lens.tolist())]),
+            *(_flat([r[i] for r in rows], lens) for i in (1, 2, 3)))
 
 
 def _modal_flat(j0, top, j, y, e, lens, kappa0) -> tuple:
-    """A_m and log|H_m^(1)(kappa)|^2 of a block of geometries in one flat
-    pass: the inputs are _modal_inputs', segment p the orders m = 0 ..
-    lens[p] - 1 at kappa0[p]. Each step is one numpy call over the block,
-    and log|H_m|^2 is made in place in j.
+    """A_m (_a_flat) and log|H_m^(1)(kappa)|^2 of a block of geometries in
+    one flat pass: the inputs are _modal_inputs', segment p the orders
+    m = 0 .. lens[p] - 1 at kappa0[p]. Each step is one numpy call over
+    the block, and log|H_m|^2 is made in place in j.
 
-    Also the error each segment raises, None for most: a segment whose
-    radicand or Y check fails runs the checks of a_m (_a_from_row) and
-    hankel_log_abs2 on its own rows, in that order, so its class and
-    message are those of its geometry alone. A segment that raises keeps
-    whatever entries its rows give.
+    Also the error each segment raises, None for most: its radicand's
+    (_a_flat), or else the Y check of hankel_log_abs2 on its own rows, so
+    its class and message are those of its geometry alone. A segment that
+    raises keeps whatever entries its rows give.
     """
+    a, errors = _a_flat(j0, top, lens, kappa0)
     ends = np.cumsum(lens)
     starts = ends - lens
-    prod = np.empty_like(j0)                     # J_{m-1} J_{m+1}
-    np.multiply(j0[:-2], j0[2:], out=prod[1:-1])
-    prod[starts] = -j0[starts + 1] * j0[starts + 1]     # J_{-1} = -J_1
-    prod[ends - 1] = j0[ends - 2] * top
-    a, bad = _a_values(j0, prod)
-    failed = (np.logical_or.reduceat(bad, starts)
-              | ~np.logical_and.reduceat(np.isfinite(y), starts))
-    errors = [None] * len(lens)
-    for p in np.flatnonzero(failed).tolist():
-        s, t = starts[p], ends[p]
+    lost = ~np.logical_and.reduceat(np.isfinite(y), starts)
+    for p in np.flatnonzero(lost).tolist():
         try:
-            _a_from_row(np.append(j0[s:t], top[p]), np.arange(t - s),
-                        kappa0[p])
-            _check_y(y[s:t])
+            _check_y(y[starts[p]:ends[p]])
         except ArithmeticError as exc:
-            errors[p] = exc
+            errors[p] = errors[p] or exc
     with np.errstate(invalid="ignore", divide="ignore"):
         log_abs_h2 = _log_abs2(np.ldexp(j, -e, out=j), y, e)
     return a, log_abs_h2, errors
-
-
-def _modal_rows(g: ProblemGeometry, m_max: int, rows):
-    """A_m and log|H_m^(1)(kappa)|^2 for m = 0 .. m_max of g from its
-    _bessel_rows entry: the flat pass (_modal_flat) on one segment,
-    raising its error. log sigma and sigma derive from them."""
-    lens = np.array([m_max + 1])
-    a, log_abs_h2, (err,) = _modal_flat(*_modal_inputs([rows], lens), lens,
-                                        [g.kappa0])
-    if err is not None:
-        raise err
-    return a, log_abs_h2
 
 
 def _horizon(g: ProblemGeometry, m_max) -> int:
@@ -325,12 +307,18 @@ def _horizon(g: ProblemGeometry, m_max) -> int:
 
 def build_spectrum(g: ProblemGeometry, m_max: int | None = None) -> SpectrumTable:
     """Assemble the spectrum rows m = 0 .. m_max for one geometry, from
-    one Bessel pass with one lane per argument."""
+    one Bessel pass with one lane per argument: the flat pass
+    (_modal_flat) on one segment, raising its error."""
     m_max = _horizon(g, m_max)
-    rows = _bessel_rows([g], [m_max])[0]
-    _, j, y, e = rows[:4]
+    rows = _bessel_rows([g], [m_max])
+    lens = np.array([m_max + 1])
+    a, log_abs_h2, (err,) = _modal_flat(*_modal_inputs(rows, lens), lens,
+                                        [g.kappa0])
+    if err is not None:
+        raise err
+    _, j, y, e = rows[0][:4]
     n = m_max + 1
-    return SpectrumTable(g, *_modal_rows(g, m_max, rows),
+    return SpectrumTable(g, a, log_abs_h2,
                          phase=hankel_arg(j[:n], y[:n], e[:n]))
 
 

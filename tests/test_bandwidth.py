@@ -64,16 +64,19 @@ class TestBandwidthIndex:
             ls[v + 1] = ls[v]
             return ls
 
-        assert bw._band_edge(row(49), 1.0) == 50
+        def edge(ls):
+            (b,) = bw._band_edges(ls, np.array([len(ls)]), [1.0])
+            return bw._handed_out(b)
+
+        assert edge(row(49)) == 50
         with pytest.raises(ib.HorizonError, match="not strictly decreasing"):
-            bw._band_edge(row(50), 1.0)
+            edge(row(50))
         ls = row(30)
         ls[40] = -np.inf              # a finite order past the first -inf
         with pytest.raises(ib.HorizonError, match="representability at m=40"):
-            bw._band_edge(ls, 1.0)
+            edge(ls)
         with pytest.raises(ib.HorizonError, match="representability at m=24"):
-            bw._band_edge(np.concatenate((ls[:24], np.full(40, -np.inf))),
-                          1.0)
+            edge(np.concatenate((ls[:24], np.full(40, -np.inf))))
 
 
 class TestZeroBounds:

@@ -321,6 +321,34 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert "--N" in err and "--policy N" in err
 
+    @pytest.mark.parametrize("noise", ["0", "0.1"])
+    def test_negative_seed_refused_before_any_pass(self, capsys,
+                                                   count_passes, noise):
+        # --seed -1 once ran at exit 0 without noise, and with noise failed
+        # after every pass on numpy's "expected non-negative integer"
+        counts = count_passes()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reconstruct", "--kappa0", "12", "--kappa", "12",
+                      "--seed", "-1", "--noise", noise])
+        assert exc.value.code == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert counts == {"J": 0, "Y": 0, "JY": 0}
+
+    def test_manual_N_above_the_horizon_refused_before_any_pass(
+            self, capsys, count_passes, tmp_path):
+        # --N 58 at kappa0 = 10 (horizon 57) once ran the spectrum, the
+        # truth and the forward map before it was refused
+        counts = count_passes()
+        target = tmp_path / "rec.csv"
+        code, out, err = run_cli(capsys, "reconstruct", "--kappa0", "10",
+                                 "--kappa", "10", "--policy", "N", "--N",
+                                 "58", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == ("error: N=58 exceeds the horizon 57 of the data at "
+                       "kappa0=10\n")
+        assert counts == {"J": 0, "Y": 0, "JY": 0}
+        assert not target.exists()
+
     def test_bad_source_spec(self, capsys):
         code, _, err = run_cli(capsys, "reconstruct", "--kappa0", "4",
                                "--kappa", "4", "--source", "wave:3")
@@ -343,7 +371,7 @@ class TestReconstructCommand:
         horizon = ib.default_m_max(g.kappa0)
         n = 2 * horizon + 2
         target = tmp_path / "reconstruction.csv"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys, "reconstruct", "--kappa0", repr(kappa0), "--kappa",
             repr(kappa), "--source=0.412-0.733i*mode:4+-0.25-0.5i*mode:-11",
             "--policy", "B", "--nr", "64", "--ntheta", str(n), "--ns",
@@ -359,6 +387,14 @@ class TestReconstructCommand:
         got = csvio.read_reconstruction(str(target))
         assert (got.N, got.policy, got.residual) == (rec.N, "B", rec.residual)
         assert np.array_equal(got.source.values, rec.source.values)
+        # and the library call the command formats gives the same bits
+        lib, error = ib.synthetic_inversion(g, terms, n_r=64, n_theta=n,
+                                            n_s=n)
+        assert lib.source.values.tobytes() == rec.source.values.tobytes()
+        assert (lib.N, lib.residual, lib.margin) == (rec.N, rec.residual,
+                                                     rec.margin)
+        assert out == (f"N={lib.N} policy=B residual={lib.residual:.6e} "
+                       f"rel_error={error:.6e}\n")
 
     def test_cold_default_run_takes_two_j_and_one_y_pass(
             self, capsys, count_passes, tmp_path):

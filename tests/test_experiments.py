@@ -351,3 +351,79 @@ class TestAsymptoticChecks:
                                                    plateau_ms=range(0, 1))
                    if r.kind == "plateau"][0]
         assert not far_rec.in_regime
+
+
+def inversion_by_hand(g, terms, noise, seed, policy, N, n_r, n_theta, n_s):
+    """The synthetic inversion written out call by call on explicit grid
+    sizes: the truth from psi_eval, forward map with noise, modal
+    decomposition and TSVD, then the truth's relative distance to the
+    estimate."""
+    horizon = max(ib.default_m_max(g.kappa0), max(abs(m) for _, m in terms))
+    truth = ib.source_grid(
+        g, n_r, n_theta,
+        fn=lambda rho, th: sum(c * ib.psi_eval(m, g, rho, th)
+                               for c, m in terms))
+    data = ib.synthesize_measurement(truth, noise, seed, modes=horizon,
+                                     n_s=n_s)
+    rec = ib.tsvd_reconstruct(ib.modal_decompose(data, horizon),
+                              ib.pick_truncation(g, policy, n=N), g,
+                              n_r=n_r, n_theta=n_theta, policy=policy)
+    diff = ib.SourceField(g, rec.source.values - truth.values)
+    return rec, diff.norm() / truth.norm()
+
+
+class TestSyntheticInversion:
+    # (kappa0, kappa, terms, noise, seed, explicit grids): the benchmark's
+    # `reconstruct` op shape (--nr 64 and n_theta = n_s = 2 horizon + 2),
+    # and a noisy run on the default grids
+    CASES = {
+        "cli-shape": (23.7, 38.1, [(0.412 - 0.733j, 4), (-0.25 - 0.5j, -11)],
+                      0.0, 0, True),
+        "noisy-default": (TEN_PI, 2 * TEN_PI, [(1.0, 2), (0.5j, -9),
+                                               (0.3 - 0.1j, 33)],
+                          0.05, 3, False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("policy, N", [("B", None), ("B-", None),
+                                           ("B+", None), ("N", 20)])
+    def test_the_chain_by_hand_bit_for_bit(self, case, policy, N):
+        kappa0, kappa, terms, noise, seed, explicit = self.CASES[case]
+        g = ib.ProblemGeometry.from_size_params(kappa0, kappa)
+        horizon = max(ib.default_m_max(kappa0), max(abs(m) for _, m in terms))
+        n_r = 64 if explicit else max(64, math.ceil(
+            kappa0 / 2 + 4 * kappa0 ** (1 / 3)) + 16)
+        n = 2 * horizon + 2
+        sizes = dict(n_r=n_r, n_theta=n, n_s=n) if explicit else {}
+        rec, err = ex.synthetic_inversion(g, terms, noise, seed, policy, N,
+                                          **sizes)
+        ref, ref_err = inversion_by_hand(g, terms, noise, seed, policy, N,
+                                         n_r, n, n)
+        assert rec.source.values.shape == (n_r, n)
+        assert rec.source.values.tobytes() == ref.source.values.tobytes()
+        assert rec.coefficients.tobytes() == ref.coefficients.tobytes()
+        assert (rec.N, rec.policy, rec.residual, rec.margin, err) == (
+            ref.N, policy, ref.residual, ref.margin, ref_err)
+
+    def test_cold_call_takes_one_j_and_one_jy_pass(self, count_passes,
+                                                   g_equal_10pi):
+        # the memoized spectrum (one J and Y call, from policy B) and one
+        # ring table (one J call, built by psi_eval for the truth and read
+        # by the forward map and the TSVD), as a cold `reconstruct` makes
+        counts = count_passes()
+        ex.synthetic_inversion(g_equal_10pi, [(1.0, 2), (0.5j, -9)])
+        assert counts == {"J": 1, "Y": 0, "JY": 1}
+        assert ss._memo_rings.cache_info().currsize == 1
+
+    def test_N_above_the_horizon_refused_before_any_pass(self, count_passes):
+        # it once ran the spectrum, the truth and the forward map before
+        # tsvd_reconstruct refused it
+        g = ib.ProblemGeometry.from_size_params(10.0, 10.0)
+        counts = count_passes()
+        with pytest.raises(ValueError, match="N=58 exceeds the horizon 57 "):
+            ex.synthetic_inversion(g, [(1.0, 2)], policy="N", N=58)
+        assert counts == {"J": 0, "Y": 0, "JY": 0}
+        rec, _ = ex.synthetic_inversion(g, [(1.0, 2)], policy="N", N=57)
+        assert rec.N == 57
+        rec, _ = ex.synthetic_inversion(g, [(1.0, 70)], policy="N", N=70)
+        assert rec.N == 70

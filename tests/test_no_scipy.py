@@ -65,6 +65,8 @@ calls = {
     "fit_linear": lambda: ib.fit_linear(records, "B+"),
     "r_independence_study": lambda: ib.r_independence_study(12.0, [1.0, 2.0]),
     "asymptotic_checks": lambda: ib.asymptotic_checks([g]),
+    "synthetic_inversion": lambda: ib.synthetic_inversion(
+        g, [(1.0, 2), (0.5j, -9)], 0.01, 1, "B-"),
 }
 public = {name for name in ib.__all__ if callable(getattr(ib, name))}
 assert set(calls) == public, sorted(set(calls) ^ public)

@@ -127,20 +127,26 @@ class TestEnvelopeCoefficient:
 
 class TestSpectrum:
     def test_batched_rows_match_one_geometry(self):
-        # one Bessel pass over several geometries gives each the bits of
-        # its own build_spectrum, and Y rows (seeded from J rows of the
-        # same pass below x = 25) that are bessel_y_table's up to the
-        # orders the geometry needs
+        # one Bessel pass and one flat pass over several geometries give
+        # each the bits of its own build_spectrum, and Y rows (seeded from
+        # J rows of the same pass below x = 25) that are bessel_y_table's
+        # up to the orders the geometry needs
         gs = [ib.ProblemGeometry.from_size_params(k0, k) for k0, k in
               [(2.0, 2.0), (TEN_PI, 4 * TEN_PI), (1000.0, 1000.0),
                (0.3, 0.3), (100.0, 300.0), (TEN_PI, TEN_PI)]]
         horizons = [ss.default_m_max(g.kappa0) for g in gs]
         horizons[-1] = 70
-        for g, m_max, rows in zip(gs, horizons,
-                                  ss._bessel_rows(gs, horizons,
-                                                  at_kappa0=True)):
+        block = ss._bessel_rows(gs, horizons, at_kappa0=True)
+        lens = np.array(horizons) + 1
+        a, log_abs_h2, errors = ss._modal_flat(
+            *ss._modal_inputs(block, lens), lens, [g.kappa0 for g in gs])
+        assert errors == [None] * len(gs)
+        cuts = np.cumsum(lens)[:-1]
+        for g, m_max, rows, a_g, h2_g in zip(gs, horizons, block,
+                                             np.split(a, cuts),
+                                             np.split(log_abs_h2, cuts)):
             n = m_max + 1
-            got = ss.SpectrumTable(g, *ss._modal_rows(g, m_max, rows),
+            got = ss.SpectrumTable(g, a_g, h2_g,
                                    phase=sf.hankel_arg(*(r[:n] for r
                                                          in rows[1:4])))
             ref = ss.build_spectrum(g, m_max)
